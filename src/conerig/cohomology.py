@@ -1,8 +1,11 @@
 """Twisted group cohomology and the meridian trace-rank rigidity test.
 
-All spaces are computed over the reals with one SVD path; complex dimensions
-for SL(2,C) coefficients are obtained by checking invariance of the computed
-kernels under the complex structure and halving.
+Every space is computed over the coefficient field of the group with one SVD
+path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
+SU(2) and SU(2)xSU(2).  The relator Jacobian comes from Fox calculus
+(`words.fox_jacobian`).  Reported lengths and dimensions are real, twice the
+complex ones for SL(2,C); a complex basis B is handed out as the real basis
+[B, i B], whose first half is the complex basis.
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ from .liecore import (
     SL2C,
     SU2,
     SU2XSU2,
-    ad_real_matrix,
-    algebra_dim,
+    adjoint_matrix,
+    coefficient_field,
     sigma_fields,
 )
 from .words import (
@@ -29,8 +32,8 @@ from .words import (
     check_representation,
     evaluate,
     extend_cocycle,
+    fox_jacobian,
     parse_word,
-    relator_jacobian,
     split_representation,
 )
 
@@ -69,10 +72,10 @@ def nullspace(mat: np.ndarray, context: str = "nullspace") -> tuple[np.ndarray, 
     """Orthonormal kernel basis (columns) and the singular values of mat."""
     n = mat.shape[1]
     if mat.size == 0:
-        return np.eye(n), np.zeros(0)
+        return np.eye(n, dtype=mat.dtype), np.zeros(0)
     u, s, vt = np.linalg.svd(mat)
     rank = _certified_rank(s, context)
-    return vt[rank:].T.copy(), s
+    return vt[rank:].conj().T, s
 
 
 def matrix_rank(mat: np.ndarray, context: str = "rank") -> int:
@@ -82,21 +85,17 @@ def matrix_rank(mat: np.ndarray, context: str = "rank") -> int:
     return _certified_rank(s, context)
 
 
-def _j_matrix(n_generators: int) -> np.ndarray:
-    """Complex structure on stacked sl2(C) coordinates."""
-    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return np.kron(np.eye(3 * n_generators), j2)
+def _real_columns(basis: np.ndarray) -> np.ndarray:
+    """Real coordinate columns of a field basis: [B, i B] for a complex B."""
+    if not np.iscomplexobj(basis):
+        return basis
+    both = np.hstack([basis, 1j * basis])
+    return np.ascontiguousarray(both.T).view(float).T
 
 
-def _is_j_invariant(basis: np.ndarray, n_generators: int, tol: float = 1e-9) -> bool:
-    if basis.shape[1] == 0:
-        return True
-    if basis.shape[1] % 2:
-        return False
-    jmat = _j_matrix(n_generators)
-    proj = basis @ basis.T
-    defect = jmat @ basis - proj @ (jmat @ basis)
-    return float(np.linalg.norm(defect)) < tol * max(1.0, float(np.linalg.norm(basis)))
+def _field_degree(group: str) -> int:
+    """Real dimension of the coefficient field: 2 for C, 1 for R."""
+    return 2 if coefficient_field(group)[0] is complex else 1
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +104,10 @@ def _is_j_invariant(basis: np.ndarray, n_generators: int, tol: float = 1e-9) -> 
 
 def _invariance_matrix(rho: Representation) -> np.ndarray:
     """Stacked (I - Ad rho(gen)) blocks; kernel is Z^0, column space is B^1."""
-    d = algebra_dim(rho.group)
-    blocks = [np.eye(d) - ad_real_matrix(g) for g in rho.images]
+    field, d = coefficient_field(rho.group)
+    blocks = [np.eye(d) - adjoint_matrix(g) for g in rho.images]
     if not blocks:
-        return np.zeros((0, d))
+        return np.zeros((0, d), dtype=field)
     return np.vstack(blocks)
 
 
@@ -116,33 +115,34 @@ def z0_space(rho: Representation, pres: Presentation) -> list[AlgebraVector]:
     """Basis of the infinitesimal centralizer {v : Ad rho(gamma) v = v}."""
     check_representation(rho, pres)
     basis, _ = nullspace(_invariance_matrix(rho), "Z0")
-    return [AlgebraVector.from_coords(rho.group, basis[:, k]) for k in range(basis.shape[1])]
+    return [AlgebraVector.from_coords(rho.group, v) for v in _real_columns(basis).T]
+
+
+def _cocycles(group: str, basis: np.ndarray, n_generators: int) -> list[Cocycle]:
+    return [Cocycle.from_coords(group, v, n_generators) for v in _real_columns(basis).T]
 
 
 def cocycle_space(rho: Representation, pres: Presentation) -> list[Cocycle]:
     """Orthonormal basis of the kernel of the linearized relations."""
-    jac = relator_jacobian(rho, pres)
-    basis, _ = nullspace(jac, "Z1")
-    n = len(pres.generators)
-    return [Cocycle.from_coords(rho.group, basis[:, k], n) for k in range(basis.shape[1])]
+    basis, _ = nullspace(fox_jacobian(rho, pres), "Z1")
+    return _cocycles(rho.group, basis, len(pres.generators))
 
 
 def coboundary_space(rho: Representation, pres: Presentation) -> list[Cocycle]:
     """Orthonormal basis of the image of v -> (v - Ad rho(gen) v)."""
     check_representation(rho, pres)
-    mat = _invariance_matrix(rho)
-    u, s, _ = np.linalg.svd(mat)
+    u, s, _ = np.linalg.svd(_invariance_matrix(rho))
     rank = _certified_rank(s, "B1")
-    n = len(pres.generators)
-    return [Cocycle.from_coords(rho.group, u[:, k], n) for k in range(rank)]
+    return _cocycles(rho.group, u[:, :rank], len(pres.generators))
 
 
 @dataclass(frozen=True, eq=False)
 class CohomologyReport:
     """Real dimensions of Z^0, Z^1, B^1, H^1 with an orthonormal H^1 basis.
 
-    Complex dimensions are reported for SL(2,C) coefficients after verifying
-    that every kernel is invariant under the complex structure.
+    For SL(2,C) coefficients the complex dimensions are reported as well,
+    and `basis_H1` lists a complex basis h_1..h_k followed by i h_1..i h_k.
+    `singular_values` are those of the relator Jacobian over the field.
     """
 
     group: str
@@ -157,37 +157,28 @@ class CohomologyReport:
     dim_B1_complex: int | None = None
     dim_H1_complex: int | None = None
 
+    @property
+    def field_basis_H1(self) -> tuple[Cocycle, ...]:
+        """H^1 basis over the coefficient field (complex for SL(2,C))."""
+        return self.basis_H1[: self.dim_H1 // _field_degree(self.group)]
+
     def dims_dict(self) -> dict:
-        out = {
-            "group": self.group,
-            "dim_Z0": self.dim_Z0,
-            "dim_Z1": self.dim_Z1,
-            "dim_B1": self.dim_B1,
-            "dim_H1": self.dim_H1,
-        }
+        keys = ["dim_Z0", "dim_Z1", "dim_B1", "dim_H1"]
         if self.dim_H1_complex is not None:
-            out.update(
-                {
-                    "dim_Z0_complex": self.dim_Z0_complex,
-                    "dim_Z1_complex": self.dim_Z1_complex,
-                    "dim_B1_complex": self.dim_B1_complex,
-                    "dim_H1_complex": self.dim_H1_complex,
-                }
-            )
-        return out
+            keys += ["dim_Z0_complex", "dim_Z1_complex", "dim_B1_complex", "dim_H1_complex"]
+        return {"group": self.group, **{k: getattr(self, k) for k in keys}}
 
 
 def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     """Cohomology report: H^1 as the orthocomplement of B^1 inside Z^1.
 
-    The Euclidean inner product on stacked coordinates is used for
-    orthonormalization (the Killing form is indefinite); only spans matter
-    downstream.
+    The Hermitian (Euclidean over R) inner product on stacked coordinates is
+    used for orthonormalization (the Killing form is indefinite); only spans
+    matter downstream.
     """
-    jac = relator_jacobian(rho, pres)
-    z1_basis, singvals = nullspace(jac, "Z1")
+    z1_basis, singvals = nullspace(fox_jacobian(rho, pres), "Z1")
     inv = _invariance_matrix(rho)
-    u, s, vt = np.linalg.svd(inv)
+    u, s, _ = np.linalg.svd(inv)
     b1_rank = _certified_rank(s, "B1")
     z0_dim = inv.shape[1] - b1_rank
     b1_basis = u[:, :b1_rank]
@@ -199,42 +190,31 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
 
     # Project Z^1 basis off B^1 and re-orthonormalize; in exact arithmetic
     # B^1 is contained in Z^1, so exactly dim_h1 singular values survive.
-    w = z1_basis - b1_basis @ (b1_basis.T @ z1_basis)
-    h_basis = np.zeros((z1_basis.shape[0], 0))
+    w = z1_basis - b1_basis @ (b1_basis.conj().T @ z1_basis)
+    h_basis = w[:, :0]
     if dim_h1 > 0:
         uw, sw, _ = np.linalg.svd(w)
         if sw[dim_h1 - 1] < 0.5 or (sw.size > dim_h1 and sw[dim_h1] > 0.5):
             raise IllConditioned("B1 is not numerically contained in Z1")
         h_basis = uw[:, :dim_h1]
 
-    n = len(pres.generators)
+    degree = _field_degree(rho.group)
     dims_c = {}
-    if rho.group == SL2C:
-        ok = (
-            _is_j_invariant(z1_basis, n)
-            and _is_j_invariant(b1_basis, n)
-            and _is_j_invariant(h_basis, n)
-        )
-        if not ok:
-            raise IllConditioned("SL2C kernels are not invariant under the complex structure")
+    if degree == 2:
         dims_c = {
-            "dim_Z0_complex": z0_dim // 2,
-            "dim_Z1_complex": dim_z1 // 2,
-            "dim_B1_complex": b1_rank // 2,
-            "dim_H1_complex": dim_h1 // 2,
+            "dim_Z0_complex": z0_dim,
+            "dim_Z1_complex": dim_z1,
+            "dim_B1_complex": b1_rank,
+            "dim_H1_complex": dim_h1,
         }
-
-    cocycles = tuple(
-        Cocycle.from_coords(rho.group, h_basis[:, k], n) for k in range(dim_h1)
-    )
     return CohomologyReport(
         group=rho.group,
-        dim_Z0=z0_dim,
-        dim_Z1=dim_z1,
-        dim_B1=b1_rank,
-        dim_H1=dim_h1,
+        dim_Z0=degree * z0_dim,
+        dim_Z1=degree * dim_z1,
+        dim_B1=degree * b1_rank,
+        dim_H1=degree * dim_h1,
         singular_values=tuple(float(v) for v in singvals),
-        basis_H1=cocycles,
+        basis_H1=tuple(_cocycles(rho.group, h_basis, len(pres.generators))),
         **dims_c,
     )
 
@@ -261,29 +241,6 @@ def trace_differential(rho: Representation, z: Cocycle, word):
         float(np.trace(v.parts[0] @ g.left.mat).real),
         float(np.trace(v.parts[1] @ g.right.mat).real),
     )
-
-
-def _complex_h1_basis(report: CohomologyReport, n_generators: int) -> list[Cocycle]:
-    """Pick one representative per complex line of the H^1 basis."""
-    mat = np.column_stack([z.coords() for z in report.basis_H1]) if report.basis_H1 else np.zeros(
-        (algebra_dim(SL2C) * n_generators, 0)
-    )
-    jmat = _j_matrix(n_generators)
-    chosen: list[np.ndarray] = []
-    span = np.zeros((mat.shape[0], 0))
-    for k in range(mat.shape[1]):
-        v = mat[:, k]
-        if span.shape[1]:
-            v = v - span @ (span.T @ v)
-        if np.linalg.norm(v) < 0.5:
-            continue
-        v = v / np.linalg.norm(v)
-        jv = jmat @ v
-        jv = jv - v * (v @ jv)
-        jv = jv / np.linalg.norm(jv)
-        chosen.append(mat[:, k])
-        span = np.column_stack([span, v, jv])
-    return [Cocycle.from_coords(SL2C, v, n_generators) for v in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +314,12 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
             notes.append(f"meridian {m.text!r} maps to +/- identity; complex length undefined")
             break
 
-    if rho.group == SL2C:
-        dim_h1 = report.dim_H1_complex
-        basis = _complex_h1_basis(report, len(pres.generators))
-        jac = np.array(
-            [[trace_differential(rho, z, m.word) for z in basis] for m in meridians],
-            dtype=complex,
-        ).reshape(n_mer, dim_h1)
-    else:
-        dim_h1 = report.dim_H1
-        basis = list(report.basis_H1)
-        jac = np.array(
-            [[trace_differential(rho, z, m.word) for z in basis] for m in meridians],
-            dtype=float,
-        ).reshape(n_mer, dim_h1)
+    basis = report.field_basis_H1
+    dim_h1 = len(basis)
+    jac = np.array(
+        [[trace_differential(rho, z, m.word) for z in basis] for m in meridians],
+        dtype=coefficient_field(rho.group)[0],
+    ).reshape(n_mer, dim_h1)
 
     rank = matrix_rank(jac, "trace jacobian")
     if n_mer != dim_h1:
@@ -485,7 +434,7 @@ class DimensionAudit:
 
 def _audit_one_group(rho, pres, boundary) -> tuple[list[AuditIdentity], list[dict]]:
     interior = h1_basis(rho, pres)
-    use_complex = rho.group == SL2C
+    degree = _field_degree(rho.group)
     tau = sum(1 for c in boundary if c.genus == 1)
     chi = sum(2 - 2 * c.genus for c in boundary)
 
@@ -494,12 +443,12 @@ def _audit_one_group(rho, pres, boundary) -> tuple[list[AuditIdentity], list[dic
     for comp in boundary:
         sub_rho, sub_pres = induced_boundary_representation(rho, pres, comp)
         rep = h1_basis(sub_rho, sub_pres)
-        dim = rep.dim_H1_complex if use_complex else rep.dim_H1
+        dim = rep.dim_H1 // degree
         boundary_h1 += dim
         boundary_dims.append({"genus": comp.genus, "dim_H1": dim})
 
-    h1_m = interior.dim_H1_complex if use_complex else interior.dim_H1
-    z1_m = interior.dim_Z1_complex if use_complex else interior.dim_Z1
+    h1_m = interior.dim_H1 // degree
+    z1_m = interior.dim_Z1 // degree
     identities = [
         AuditIdentity(
             "half_dimension: dim H1(M) = 1/2 sum dim H1(boundary)",

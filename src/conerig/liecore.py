@@ -83,6 +83,12 @@ def unhat(mat: np.ndarray) -> np.ndarray:
     return np.array([mat[2, 1], mat[0, 2], mat[1, 0]])
 
 
+def _require_finite(a: np.ndarray) -> None:
+    # NaN fails every tolerance comparison, so it must be refused explicitly.
+    if not np.isfinite(a).all():
+        raise DomainError("entries must be finite numbers")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.flags.writeable = False
@@ -200,6 +206,7 @@ class Sl2cElement:
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (2, 2):
             raise DomainError(f"expected 2x2 matrix, got shape {mat.shape}")
+        _require_finite(mat)
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
         if abs(det - 1.0) > TOL_GROUP:
             raise DomainError(f"determinant {det} is not 1 within {TOL_GROUP}")
@@ -238,6 +245,7 @@ class Su2Element:
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise DomainError(f"expected quaternion of shape (4,), got {q.shape}")
+        _require_finite(q)
         n2 = float(q @ q)
         if abs(n2 - 1.0) > TOL_GROUP:
             raise DomainError(f"|q|^2 = {n2} is not 1 within {TOL_GROUP}")
@@ -255,6 +263,7 @@ class Su2Element:
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (2, 2):
             raise DomainError(f"expected 2x2 matrix, got shape {mat.shape}")
+        _require_finite(mat)
         a = 0.5 * (mat[0, 0] + np.conj(mat[1, 1]))
         b = 0.5 * (mat[0, 1] - np.conj(mat[1, 0]))
         q = np.array([a.real, a.imag, b.real, b.imag])
@@ -365,18 +374,26 @@ def group_of(g: GroupElement) -> str:
 # matrix Lie algebra vectors (cocycle coefficients)
 
 
+# Field and dimension over it of each coefficient Lie algebra: sl2(C) is a
+# complex Lie algebra, su(2) and su(2)+su(2) are real ones.
+_COEFFICIENT_FIELD = {SL2C: (complex, 3), SU2: (float, 3), SU2XSU2: (float, 6)}
+
+
+def coefficient_field(group: str) -> tuple[type, int]:
+    """(field, dimension over it) of the coefficient algebra of a group."""
+    if group not in _COEFFICIENT_FIELD:
+        raise DomainError(f"unknown group tag {group!r}")
+    return _COEFFICIENT_FIELD[group]
+
+
 def algebra_dim(group: str) -> int:
     """Real dimension of the coefficient Lie algebra."""
-    if group == SL2C:
-        return 6
-    if group == SU2:
-        return 3
-    if group == SU2XSU2:
-        return 6
-    raise DomainError(f"unknown group tag {group!r}")
+    field, dim = coefficient_field(group)
+    return 2 * dim if field is complex else dim
 
 
 def _project_traceless(m: np.ndarray, antihermitian: bool) -> np.ndarray:
+    _require_finite(m)
     tr = m[0, 0] + m[1, 1]
     if abs(tr) > TOL_GROUP:
         raise DomainError(f"trace {tr} is not 0 within {TOL_GROUP}")
@@ -421,10 +438,8 @@ class AlgebraVector:
         if vec.shape != (algebra_dim(group),):
             raise DomainError(f"expected {algebra_dim(group)} real coordinates")
         if group == SL2C:
-            a = vec[0] + 1j * vec[1]
-            b = vec[2] + 1j * vec[3]
-            c = vec[4] + 1j * vec[5]
-            return cls(group, np.array([[a, b], [c, -a]]))
+            x, y, w = np.ascontiguousarray(vec).view(complex)
+            return cls(group, np.array([[x, y], [w, -x]]))
         if group == SU2:
             return cls(group, _su2_alg(vec))
         return cls(group, (_su2_alg(vec[:3]), _su2_alg(vec[3:])))
@@ -432,9 +447,7 @@ class AlgebraVector:
     def coords(self) -> np.ndarray:
         if self.group == SL2C:
             m = self.parts[0]
-            return np.array(
-                [m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag, m[1, 0].real, m[1, 0].imag]
-            )
+            return np.array([m[0, 0], m[0, 1], m[1, 0]]).view(float)
         if self.group == SU2:
             return _su2_alg_coords(self.parts[0])
         return np.concatenate([_su2_alg_coords(p) for p in self.parts])
@@ -498,11 +511,38 @@ def ad_action(g: GroupElement, v: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(group, m @ v.parts[0] @ mi)
 
 
-def ad_real_matrix(g: GroupElement) -> np.ndarray:
-    """Ad(g) as a real matrix in the coordinates of `AlgebraVector.coords`."""
-    group = group_of(g)
-    basis = algebra_basis(group)
-    return np.column_stack([ad_action(g, e).coords() for e in basis])
+def adjoint_matrix(g: GroupElement) -> np.ndarray:
+    """Ad(g) in closed form over the coefficient field.
+
+    SL(2,C): complex 3x3 in the coordinates (x, y, w) of [[x, y], [w, -x]];
+    `realify` turns it into the real matrix in `AlgebraVector.coords` order.
+    SU(2): the rotation of its unit quaternion; SU(2)xSU(2): both, blockwise.
+    """
+    if isinstance(g, Su2PairElement):
+        zero = np.zeros((3, 3))
+        return np.block([[_quat_rotation(g.left.q), zero], [zero, _quat_rotation(g.right.q)]])
+    if isinstance(g, Su2Element):
+        return _quat_rotation(g.q)
+    if not isinstance(g, Sl2cElement):
+        raise DomainError(f"not a group element: {g!r}")
+    (a, b), (c, d) = g.mat
+    return np.array(
+        [[a * d + b * c, -a * c, b * d], [-2.0 * a * b, a * a, -b * b], [2.0 * c * d, -c * c, d * d]]
+    )
+
+
+def _quat_rotation(q: np.ndarray) -> np.ndarray:
+    # q = (w, v) rotates u to (w^2 - |v|^2) u + 2 <v, u> v + 2 w v x u.
+    w, v = q[0], q[1:]
+    return (w * w - v @ v) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * hat(v)
+
+
+def realify(mat: np.ndarray) -> np.ndarray:
+    """Real matrix of a map over the coefficient field, in interleaved (re, im)
+    coordinates as `.view(float)` gives them: p + iq becomes [[p, -q], [q, p]]."""
+    if not np.iscomplexobj(mat):
+        return mat
+    return np.kron(mat.real, np.eye(2)) + np.kron(mat.imag, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def exp_algebra(v: AlgebraVector) -> GroupElement:

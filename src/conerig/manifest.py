@@ -58,7 +58,12 @@ def _as_complex(value, path: str) -> complex:
         path,
         "expected a [re, im] pair",
     )
+    _require_finite(value, path)
     return complex(value[0], value[1])
+
+
+def _require_finite(values: list, path: str) -> None:
+    _require(all(math.isfinite(x) for x in values), path, f"expected finite numbers, got {values}")
 
 
 def _as_matrix(value, path: str) -> np.ndarray:
@@ -72,6 +77,7 @@ def _as_matrix(value, path: str) -> np.ndarray:
 
 def _parse_su2(value, path: str) -> Su2Element:
     if isinstance(value, list) and len(value) == 4 and all(isinstance(x, (int, float)) for x in value):
+        _require_finite(value, path)
         try:
             return Su2Element(np.array(value, dtype=float))
         except DomainError as exc:
@@ -99,7 +105,7 @@ def _parse_image(value, group: str, path: str):
     return Su2PairElement(_parse_su2(left, f"{path}/left"), _parse_su2(right, f"{path}/right"))
 
 
-def manifest_from_dict(doc: dict, source: str = "<manifest>") -> Manifest:
+def manifest_from_dict(doc: dict) -> Manifest:
     _require(isinstance(doc, dict), "", "manifest must be a JSON object")
     _require(doc.get("schema") == SCHEMA_VERSION, "/schema", f"expected schema {SCHEMA_VERSION}")
     try:
@@ -237,7 +243,7 @@ def load_manifest(path) -> Manifest:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError("", f"invalid JSON: {exc}") from exc
-    return manifest_from_dict(doc, source=str(path))
+    return manifest_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,10 @@ class RadialGrid:
     """Uniform grid r_i = i/n on (0, 1] with one-sided differences."""
 
     n: int
-    scheme: str = "forward"
 
     def __post_init__(self):
         if self.n < 64:
             raise DomainError(f"grid needs at least 64 nodes, got {self.n}")
-        if self.scheme != "forward":
-            raise DomainError(f"unsupported scheme {self.scheme!r}")
 
     @property
     def nodes(self) -> np.ndarray:

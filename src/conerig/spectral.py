@@ -110,13 +110,14 @@ class SpectrumReport:
     """Eigenvalues in [-W, W] with multiplicity plus the gap verdict.
 
     gap_ok is decided from the full spectrum, not just the reported window,
-    so enlarging the window never changes it.  Witnesses record offending
-    (n, holonomy angle, cone angle, value) tuples for circle spectra.
+    so enlarging the window never changes it.  min_abs is None when no value
+    lies in the window.  Witnesses record offending (n, holonomy angle, cone
+    angle, value) tuples for circle spectra.
     """
 
     values: tuple[float, ...]
     gap_ok: bool
-    min_abs: float
+    min_abs: float | None
     window: float
     source: str
     witnesses: tuple[dict, ...] = field(default_factory=tuple)
@@ -138,7 +139,7 @@ def _in_gap(x: float) -> bool:
 
 def _finish(values: list[float], window: float, source: str, gap_ok: bool, witnesses) -> SpectrumReport:
     vals = tuple(sorted(v for v in values if abs(v) <= window + MERGE_TOL))
-    min_abs = min((abs(v) for v in vals), default=math.inf)
+    min_abs = min((abs(v) for v in vals), default=None)
     return SpectrumReport(vals, gap_ok, min_abs, window, source, tuple(witnesses))
 
 
@@ -315,8 +316,8 @@ class PointVerdict:
     link_gap_ok: bool
     admissible: bool
     witnesses: tuple[dict, ...]
-    min_abs_circle: float
-    min_abs_link: float
+    min_abs_circle: float | None
+    min_abs_link: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -352,11 +353,12 @@ def _check_point(kind: str, label: str, link: LinkSurface, context: str, window:
     copies = 1 if context == CONTEXT_TRANSLATIONAL else 2
     witnesses: list[dict] = []
     circle_ok = True
-    min_abs_circle = math.inf
+    circle_min_abs = []
     for cp in link_bundle_decomposition(link, context):
         rep = circle_B_spectrum(cp, window)
         circle_ok = circle_ok and rep.gap_ok
-        min_abs_circle = min(min_abs_circle, rep.min_abs)
+        if rep.min_abs is not None:
+            circle_min_abs.append(rep.min_abs)
         witnesses.extend(rep.witnesses)
     # With every circle check passed the link carries an admissible
     # orthogonally flat bundle, so its first positive Laplace eigenvalue is
@@ -374,7 +376,7 @@ def _check_point(kind: str, label: str, link: LinkSurface, context: str, window:
         link_gap_ok=link_ok,
         admissible=circle_ok and link_ok,
         witnesses=tuple(witnesses),
-        min_abs_circle=min_abs_circle,
+        min_abs_circle=min(circle_min_abs, default=None),
         min_abs_link=link_rep.min_abs,
     )
 

@@ -17,11 +17,13 @@ from .liecore import (
     SU2,
     SU2XSU2,
     ad_action,
-    algebra_basis,
+    adjoint_matrix,
     algebra_dim,
+    coefficient_field,
     exp_algebra,
     group_identity,
     group_of,
+    realify,
 )
 
 # A word is a sequence of (generator index, exponent) with exponent +/-1.
@@ -139,16 +141,14 @@ def evaluate(rho: Representation, word: Word) -> GroupElement:
 
 
 def relator_residual(rho: Representation, pres: Presentation) -> float:
-    """Max Frobenius distance of relator images from the identity."""
-    res = 0.0
-    for rel in pres.relators:
-        res = max(res, evaluate(rho, rel).dist_to_identity())
-    return res
+    """Max Frobenius distance of relator images from the identity (NaN stays NaN)."""
+    dists = [evaluate(rho, rel).dist_to_identity() for rel in pres.relators]
+    return float(np.max(dists, initial=0.0))
 
 
 def check_representation(rho: Representation, pres: Presentation, tol: float = TOL_REP) -> None:
     res = relator_residual(rho, pres)
-    if res > tol:
+    if not res <= tol:
         raise InvalidRepresentation(f"relator residual {res:.3e} exceeds {tol:.1e}")
 
 
@@ -206,30 +206,44 @@ def extend_cocycle(rho: Representation, z: Cocycle, word: Word) -> AlgebraVector
     return val
 
 
-def relator_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
-    """Linearized relations as a real matrix g^n -> g^{#relators}.
+def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
+    """Linearized relations over the coefficient field, g^n -> g^{#relators}.
 
-    Column (j, k) is the extension over each relator of the formal cocycle
-    that places the k-th algebra basis vector on generator j and zero
-    elsewhere; the kernel is the cocycle space.
+    Fox free differential calculus: block (r, j) is the Fox derivative of
+    relator r by generator j, acting through Ad.  One pass per relator carries
+    the prefix p: a letter g_j adds Ad(p) to block j and then sets
+    p <- p g_j; a letter g_j^-1 first sets p <- p g_j^-1 and then subtracts
+    Ad(p).  Ad(p) is taken in closed form from the group element p, not as
+    a product of Ad matrices, whose condition number is the square of p's.
+    The kernel is the cocycle space.
     """
     check_representation(rho, pres)
-    group = rho.group
-    d = algebra_dim(group)
-    n = len(pres.generators)
-    basis = algebra_basis(group)
-    rows = d * len(pres.relators)
-    jac = np.zeros((rows, d * n))
-    zero = AlgebraVector.zero(group)
-    for j in range(n):
-        for k, e in enumerate(basis):
-            values = tuple(e if m == j else zero for m in range(n))
-            z = Cocycle(group, values)
-            col = np.concatenate(
-                [extend_cocycle(rho, z, rel).coords() for rel in pres.relators]
-            ) if pres.relators else np.zeros(0)
-            jac[:, d * j + k] = col
+    field, d = coefficient_field(rho.group)
+    inverses = [g.inv() for g in rho.images]
+    jac = np.zeros((d * len(pres.relators), d * len(pres.generators)), dtype=field)
+    for r, rel in enumerate(pres.relators):
+        rows = jac[d * r : d * (r + 1)]
+        prefix = group_identity(rho.group)
+        for j, e in rel:
+            block = rows[:, d * j : d * (j + 1)]
+            if e > 0:
+                block += adjoint_matrix(prefix)
+                prefix = prefix.mul(rho.images[j])
+            else:
+                prefix = prefix.mul(inverses[j])
+                block -= adjoint_matrix(prefix)
     return jac
+
+
+def relator_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
+    """Linearized relations as a real matrix in `Cocycle.coords` order.
+
+    The realification of the Fox-calculus Jacobian `fox_jacobian`: column
+    (j, k) is the extension over each relator of the formal cocycle that
+    places the k-th real algebra basis vector on generator j and zero
+    elsewhere; the kernel is the cocycle space.
+    """
+    return realify(fox_jacobian(rho, pres))
 
 
 def deform(rho: Representation, z: Cocycle, t: float) -> Representation:
@@ -247,21 +261,3 @@ def split_representation(rho: Representation) -> tuple[Representation, Represent
     left = Representation(SU2, tuple(g.left for g in rho.images))
     right = Representation(SU2, tuple(g.right for g in rho.images))
     return left, right
-
-
-def split_cocycle(z: Cocycle) -> tuple[Cocycle, Cocycle]:
-    if z.group != SU2XSU2:
-        raise DomainError("only SU2xSU2 cocycles split")
-    left = Cocycle(SU2, tuple(AlgebraVector(SU2, v.parts[0]) for v in z.values))
-    right = Cocycle(SU2, tuple(AlgebraVector(SU2, v.parts[1]) for v in z.values))
-    return left, right
-
-
-def merge_cocycles(left: Cocycle, right: Cocycle) -> Cocycle:
-    if left.group != SU2 or right.group != SU2:
-        raise DomainError("expected two SU2 cocycles")
-    values = tuple(
-        AlgebraVector(SU2XSU2, (a.parts[0], b.parts[0]))
-        for a, b in zip(left.values, right.values)
-    )
-    return Cocycle(SU2XSU2, values)

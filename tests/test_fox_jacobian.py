@@ -1,0 +1,95 @@
+"""Differential tests: the Fox-calculus Jacobian and the closed-form Ad matrix
+against the cocycle-extension and adjoint-action definitions they replace."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conerig.cohomology import h1_basis
+from conerig.liecore import (
+    GROUPS,
+    AlgebraVector,
+    ad_action,
+    adjoint_matrix,
+    algebra_basis,
+    algebra_dim,
+    exp_algebra,
+    realify,
+)
+from conerig.manifest import fixture_path, load_manifest
+from conerig.words import Cocycle, Representation, extend_cocycle, relator_jacobian
+
+FIXTURES = [
+    "torus.json",
+    "pants.json",
+    "pants-conjugated.json",
+    "cusped.json",
+    "genus2-su2.json",
+    "spherical-torus.json",
+    "abelian-torus.json",
+]
+
+coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+def reference_relator_jacobian(rho, pres):
+    """Column (j, k): the formal cocycle with the k-th real basis vector on
+    generator j and zero elsewhere, extended over every relator."""
+    group = rho.group
+    basis = algebra_basis(group)
+    d, n = len(basis), len(pres.generators)
+    zero = AlgebraVector.zero(group)
+    jac = np.zeros((d * len(pres.relators), d * n))
+    for j in range(n):
+        for k, e in enumerate(basis):
+            z = Cocycle(group, tuple(e if m == j else zero for m in range(n)))
+            for r, rel in enumerate(pres.relators):
+                jac[d * r : d * (r + 1), d * j + k] = extend_cocycle(rho, z, rel).coords()
+    return jac
+
+
+def load(name):
+    m = load_manifest(fixture_path(name))
+    return m.representation, m.presentation
+
+
+def assert_close(got, want, tol):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= tol * max(1.0, np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fox_jacobian_matches_cocycle_extension(name):
+    rho, pres = load(name)
+    assert_close(relator_jacobian(rho, pres), reference_relator_jacobian(rho, pres), 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FIXTURES), st.lists(coord, min_size=6, max_size=6))
+def test_fox_jacobian_matches_on_conjugates(name, coords):
+    # Conjugating every image by one group element keeps the relators.
+    rho, pres = load(name)
+    d = algebra_dim(rho.group)
+    g = exp_algebra(AlgebraVector.from_coords(rho.group, np.array(coords[:d])))
+    rho_c = Representation(rho.group, tuple(g.mul(x).mul(g.inv()) for x in rho.images))
+    assert_close(relator_jacobian(rho_c, pres), reference_relator_jacobian(rho_c, pres), 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GROUPS), st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+def test_closed_form_ad_matches_ad_action(group, coords):
+    d = algebra_dim(group)
+    g = exp_algebra(AlgebraVector.from_coords(group, np.array(coords[:d])))
+    want = np.column_stack([ad_action(g, e).coords() for e in algebra_basis(group)])
+    assert_close(realify(adjoint_matrix(g)), want, 1e-13)
+
+
+@pytest.mark.parametrize("name", ["torus.json", "pants.json", "cusped.json"])
+def test_sl2c_h1_basis_is_a_complex_basis_then_its_i_multiples(name):
+    rho, pres = load(name)
+    rep = h1_basis(rho, pres)
+    k = rep.dim_H1_complex
+    assert rep.dim_H1 == 2 * k
+    for h, ih in zip(rep.basis_H1[:k], rep.basis_H1[k:]):
+        jh = np.concatenate([v.j().coords() for v in h.values])
+        assert np.linalg.norm(ih.coords() - jh) < 1e-12

@@ -1,0 +1,102 @@
+"""Inputs that must end in a report or a documented exit code, never a traceback."""
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import conerig
+from conerig.cli import run
+from conerig.errors import DomainError, InvalidRepresentation
+from conerig.liecore import AlgebraVector, Sl2cElement, Su2Element
+from conerig import words
+from conerig.manifest import fixture_path, load_manifest
+from conerig.words import Presentation
+
+SRC = Path(conerig.__file__).resolve().parents[1]
+
+
+def _write_with(tmp_path, fixture, pointer, value):
+    doc = json.loads(fixture_path(fixture).read_text())
+    *parents, leaf = pointer.strip("/").split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(leaf)] = value
+    path = tmp_path / f"bad-{fixture}"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestNonFiniteInput:
+    def test_nan_matrix_entry_names_its_pointer(self, tmp_path, capsys):
+        path = _write_with(tmp_path, "torus.json", "/holonomy/a/0/0", [float("nan"), 0.0])
+        assert run(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "/holonomy/a/0/0:" in captured.err
+
+    def test_infinite_quaternion_entry_names_its_pointer(self, tmp_path, capsys):
+        path = _write_with(tmp_path, "genus2-su2.json", "/holonomy/b/2", float("inf"))
+        assert run(["rigidity", str(path)]) == 2
+        assert "/holonomy/b:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructors_reject(self, bad):
+        with pytest.raises(DomainError):
+            Sl2cElement(np.array([[1.0, bad], [0.0, 1.0]]))
+        with pytest.raises(DomainError):
+            Su2Element(np.array([bad, 0.0, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            Su2Element.from_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError):  # _project_traceless
+            AlgebraVector("SL2C", np.array([[0.0, bad], [0.0, 0.0]]))
+
+    def test_residual_keeps_nan(self, monkeypatch):
+        # max(0.5, nan) is 0.5: a NaN distance must not be dropped that way.
+        dists = iter([0.5, math.nan, 0.25])
+
+        class Image:
+            def dist_to_identity(self):
+                return next(dists)
+
+        monkeypatch.setattr(words, "evaluate", lambda rho, word: Image())
+        m = load_manifest(fixture_path("torus.json"))
+        pres = Presentation.from_strings(["a", "b"], ["abAB", "ab", "ba"])
+        assert math.isnan(words.relator_residual(m.representation, pres))
+        dists = iter([0.5, math.nan, 0.25])
+        with pytest.raises(InvalidRepresentation):
+            words.check_representation(m.representation, pres)
+
+
+class TestEmptySpectralWindow:
+    def test_circle_spectrum(self, capsys):
+        argv = ["spectrum", "circle", "--alpha", "0.5388860801530783",
+                "--hol-angle", "3.5151034681961133", "--window", "4"]
+        assert run(argv) == 0
+        spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+        assert spectrum["values"] == [] and spectrum["min_abs"] is None
+
+    def test_admissibility(self, capsys):
+        argv = ["admissibility", str(fixture_path("torus.json")), "--window", "0.1"]
+        assert run(argv) == 0
+        points = json.loads(capsys.readouterr().out)["admissibility"]["points"]
+        assert points
+        for p in points:
+            assert p["min_abs_circle"] is None and p["min_abs_link"] is None
+
+
+def test_module_entry_point_prints_the_report():
+    proc = subprocess.run(
+        [sys.executable, "-m", "conerig.cli", "validate", str(fixture_path("torus.json"))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["valid"] is True
