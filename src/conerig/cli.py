@@ -49,6 +49,17 @@ EXIT_INPUT = 2
 EXIT_ILL_CONDITIONED = 3
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _emit(report, out_path) -> None:
     if out_path:
         write_report(report, out_path)
@@ -228,15 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("admissibility", help="cone-admissibility of the singular graph")
     p.add_argument("manifest")
-    p.add_argument("--window", type=float, default=3.0, help="spectral window half-width")
+    p.add_argument("--window", type=finite_float, default=3.0, help="spectral window half-width")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_admissibility)
 
     p = sub.add_parser("spectrum", help="cross-section spectra")
     p.add_argument("mode", choices=["circle", "link"])
-    p.add_argument("--alpha", type=float, default=2.0 * math.pi, help="circle length / cone angle")
-    p.add_argument("--hol-angle", dest="hol_angle", type=float, default=0.0)
-    p.add_argument("--window", type=float, default=3.0)
+    p.add_argument("--alpha", type=finite_float, default=2.0 * math.pi, help="circle length / cone angle")
+    p.add_argument("--hol-angle", dest="hol_angle", type=finite_float, default=0.0)
+    p.add_argument("--window", type=finite_float, default=3.0)
     p.add_argument(
         "--operator",
         choices=["dirac", "b"],
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="circle mode: plain twisted operator or the shifted cross-section operator",
     )
     p.add_argument("--trivial-rank", dest="trivial_rank", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, action="append",
+    p.add_argument("--lambda", dest="lam", type=finite_float, action="append",
                    help="link mode: positive Laplace eigenvalue (repeatable)")
     p.add_argument("--h0-dim", dest="h0_dim", type=int, default=0)
     p.add_argument("--out")
@@ -253,15 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forms", help="L2 integrability of deformation forms on the tube")
     p.add_argument("--profile", choices=["ang", "shr", "tws", "len"], required=True)
     p.add_argument("--kappa", type=int, choices=[-1, 0, 1], required=True)
-    p.add_argument("--alpha", type=float, default=math.pi / 2.0)
-    p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--alpha", type=finite_float, default=math.pi / 2.0)
+    p.add_argument("--length", type=finite_float, default=1.0)
+    p.add_argument("--eps", type=finite_float, default=0.5)
     p.add_argument("--halvings", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_forms)
 
     p = sub.add_parser("oracle", help="decay bounds and the radial lower-bound proxy")
-    p.add_argument("--b", type=float, action="append", help="radial parameter (repeatable)")
+    p.add_argument("--b", type=finite_float, action="append", help="radial parameter (repeatable)")
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--kappa", type=int, choices=[-1, 0, 1], default=0)
     p.add_argument("--samples", type=int, default=25)

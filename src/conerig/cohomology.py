@@ -2,10 +2,12 @@
 
 Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
-SU(2) and SU(2)xSU(2).  The relator Jacobian comes from Fox calculus
-(`words.fox_jacobian`).  Reported lengths and dimensions are real, twice the
-complex ones for SL(2,C); a complex basis B is handed out as the real basis
-[B, i B], whose first half is the complex basis.
+SU(2).  SU(2)xSU(2) is split into its two SU(2) factors
+(`words.split_representation`) before any space is computed.  The relator
+Jacobian comes from Fox calculus (`words.fox_jacobian`).  Reported lengths
+and dimensions are real, twice the complex ones for SL(2,C); a complex basis
+B is handed out as the real basis [B, i B], whose first half is the complex
+basis.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from .liecore import (
     AlgebraVector,
     GroupElement,
     SL2C,
-    SU2,
     SU2XSU2,
     adjoint_matrix,
     coefficient_field,
@@ -227,20 +228,14 @@ def trace_differential(rho: Representation, z: Cocycle, word):
     """Derivative of the trace along the infinitesimal deformation z.
 
     Returns tr(z(w) rho(w)): a complex number for SL(2,C), a real number for
-    SU(2), and a pair of reals (one per factor) for SU(2)xSU(2).
+    SU(2).  For SU(2)xSU(2) evaluate it per factor of `split_representation`.
     """
     if isinstance(word, str):
         raise DomainError("pass a parsed Word, not a string")
     g = evaluate(rho, word)
     v = extend_cocycle(rho, z, word)
-    if rho.group == SL2C:
-        return complex(np.trace(v.parts[0] @ g.mat))
-    if rho.group == SU2:
-        return float(np.trace(v.parts[0] @ g.mat).real)
-    return (
-        float(np.trace(v.parts[0] @ g.left.mat).real),
-        float(np.trace(v.parts[1] @ g.right.mat).real),
-    )
+    t = complex(np.trace(v.mat @ g.mat))
+    return t if rho.group == SL2C else t.real
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +281,7 @@ def _image_is_abelian(rho: Representation, tol: float = 1e-10) -> bool:
 
 
 def _meridian_image_central(g: GroupElement, tol: float = 1e-10) -> bool:
-    if g.dist_to_identity() <= tol:
-        return True
-    if hasattr(g, "mat"):
-        return float(np.linalg.norm(np.asarray(g.mat) + np.eye(2))) <= tol
-    return (
-        _meridian_image_central(g.left, tol) or _meridian_image_central(g.right, tol)
-    )
+    return g.dist_to_identity() <= tol or float(np.linalg.norm(g.mat + np.eye(2))) <= tol
 
 
 def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityReport:
@@ -382,8 +371,17 @@ class BoundaryComponent:
             )
 
 
+MAX_SURFACE_GENUS = 13
+GENUS_CAP = (
+    f"genus must be at most {MAX_SURFACE_GENUS}: generators are single letters, "
+    "so at most 26 of them, and each handle takes 2"
+)
+
+
 def surface_presentation(genus: int) -> Presentation:
     """Standard presentation of a closed orientable surface group."""
+    if genus > MAX_SURFACE_GENUS:
+        raise DomainError(f"{GENUS_CAP}, got {genus}")
     letters = [chr(ord("a") + k) for k in range(2 * genus)]
     relator = "".join(
         letters[2 * i] + letters[2 * i + 1] + letters[2 * i].upper() + letters[2 * i + 1].upper()
@@ -513,26 +511,35 @@ def standard_torus_cocycles(
     longitude_index: int = 0,
     meridian_index: int = 1,
     n_generators: int = 2,
-) -> dict[str, Cocycle]:
+) -> dict[str, Cocycle | tuple[Cocycle, Cocycle]]:
     """The four deformation cocycles of a standard singular tube.
 
     Values on the meridian are alpha * sigma for the angle and shear
     directions and zero for twist and length; values on the longitude carry
     the twist/length periods.  Assumes the holonomy is in standard position
-    (diagonal), where every diagonal-valued assignment is a cocycle.
+    (diagonal), where every diagonal-valued assignment is a cocycle.  For
+    SU2xSU2 each name maps to the (left, right) pair of SU(2) cocycles, one
+    per factor of `split_representation`.
     """
+
+    def cocycles(theta: AlgebraVector, z: AlgebraVector) -> dict[str, Cocycle]:
+        zero = AlgebraVector.zero(theta.group)
+
+        def build(long_val: AlgebraVector, mer_val: AlgebraVector) -> Cocycle:
+            values = [zero] * n_generators
+            values[longitude_index] = long_val
+            values[meridian_index] = mer_val
+            return Cocycle(theta.group, tuple(values))
+
+        return {
+            "ang": build(theta.scaled(-twist), theta.scaled(alpha)),
+            "shr": build(z.scaled(-twist), z.scaled(alpha)),
+            "tws": build(theta.scaled(length), zero),
+            "len": build(z.scaled(length), zero),
+        }
+
     sigma_theta, sigma_z = sigma_fields(group)
-    zero = AlgebraVector.zero(group)
-
-    def build(long_val: AlgebraVector, mer_val: AlgebraVector) -> Cocycle:
-        values = [zero] * n_generators
-        values[longitude_index] = long_val
-        values[meridian_index] = mer_val
-        return Cocycle(group, tuple(values))
-
-    return {
-        "ang": build(sigma_theta.scaled(-twist), sigma_theta.scaled(alpha)),
-        "shr": build(sigma_z.scaled(-twist), sigma_z.scaled(alpha)),
-        "tws": build(sigma_theta.scaled(length), zero),
-        "len": build(sigma_z.scaled(length), zero),
-    }
+    if group != SU2XSU2:
+        return cocycles(sigma_theta, sigma_z)
+    left, right = (cocycles(t, z) for t, z in zip(sigma_theta, sigma_z))
+    return {name: (left[name], right[name]) for name in left}

@@ -3,9 +3,11 @@
 Group elements live in SL(2,C), SU(2) or SU(2)xSU(2); unit quaternions back
 the SU(2) arithmetic.  The algebra of infinitesimal isometries is modelled as
 so(3) + R^3 with a curvature tag; rotations are stored by axis vector so that
-antisymmetry is exact.  The matrix Lie algebras (sl2(C), su(2), su(2)+su(2))
-are a separate type used for cocycle coefficients; the two pictures are only
-converted where a formula demands it.
+antisymmetry is exact.  The matrix Lie algebras sl2(C) (over C) and su(2)
+(over R) are a separate type used for cocycle coefficients; the two pictures
+are only converted where a formula demands it.  SU(2)xSU(2) has no
+coefficient algebra of its own: its so(4) = su(2) + su(2) cohomology is the
+sum of two SU(2) ones, solved per factor after `words.split_representation`.
 """
 from __future__ import annotations
 
@@ -375,14 +377,16 @@ def group_of(g: GroupElement) -> str:
 
 
 # Field and dimension over it of each coefficient Lie algebra: sl2(C) is a
-# complex Lie algebra, su(2) and su(2)+su(2) are real ones.
-_COEFFICIENT_FIELD = {SL2C: (complex, 3), SU2: (float, 3), SU2XSU2: (float, 6)}
+# complex Lie algebra, su(2) a real one.
+_COEFFICIENT_FIELD = {SL2C: (complex, 3), SU2: (float, 3)}
 
 
 def coefficient_field(group: str) -> tuple[type, int]:
     """(field, dimension over it) of the coefficient algebra of a group."""
     if group not in _COEFFICIENT_FIELD:
-        raise DomainError(f"unknown group tag {group!r}")
+        raise DomainError(
+            f"no coefficient algebra for {group!r}: split SU2xSU2 with words.split_representation"
+        )
     return _COEFFICIENT_FIELD[group]
 
 
@@ -408,85 +412,68 @@ def _project_traceless(m: np.ndarray, antihermitian: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraVector:
-    """Coefficient algebra vector: sl2(C), su(2), or an su(2)+su(2) pair."""
+    """Coefficient algebra vector: a traceless 2x2 matrix in sl2(C) or su(2)."""
 
     group: str
-    parts: tuple[np.ndarray, ...]
+    mat: np.ndarray
 
-    def __init__(self, group: str, parts):
-        if group not in GROUPS:
-            raise DomainError(f"unknown group tag {group!r}")
-        if isinstance(parts, np.ndarray):
-            parts = (parts,)
-        parts = tuple(np.asarray(p, dtype=complex) for p in parts)
-        expected = 2 if group == SU2XSU2 else 1
-        if len(parts) != expected or any(p.shape != (2, 2) for p in parts):
-            raise DomainError(f"expected {expected} 2x2 part(s) for {group}")
-        anti = group in (SU2, SU2XSU2)
-        parts = tuple(_frozen(_project_traceless(p, anti)) for p in parts)
+    def __init__(self, group: str, mat):
+        coefficient_field(group)
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (2, 2):
+            raise DomainError(f"expected a 2x2 matrix for {group}, got shape {mat.shape}")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "mat", _frozen(_project_traceless(mat, group == SU2)))
 
     @classmethod
     def zero(cls, group: str) -> "AlgebraVector":
-        n = 2 if group == SU2XSU2 else 1
-        return cls(group, tuple(np.zeros((2, 2), dtype=complex) for _ in range(n)))
+        return cls(group, np.zeros((2, 2), dtype=complex))
 
     @classmethod
     def from_coords(cls, group: str, vec) -> "AlgebraVector":
+        """Real coordinates: (re, im) of x, y, w in [[x, y], [w, -x]] for sl2(C),
+        and x, y, z in [[ix, y + iz], [-y + iz, -ix]] for su(2)."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (algebra_dim(group),):
             raise DomainError(f"expected {algebra_dim(group)} real coordinates")
         if group == SL2C:
             x, y, w = np.ascontiguousarray(vec).view(complex)
             return cls(group, np.array([[x, y], [w, -x]]))
-        if group == SU2:
-            return cls(group, _su2_alg(vec))
-        return cls(group, (_su2_alg(vec[:3]), _su2_alg(vec[3:])))
+        x, y, z = vec
+        return cls(group, np.array([[1j * x, y + 1j * z], [-y + 1j * z, -1j * x]]))
 
     def coords(self) -> np.ndarray:
+        m = self.mat
         if self.group == SL2C:
-            m = self.parts[0]
             return np.array([m[0, 0], m[0, 1], m[1, 0]]).view(float)
-        if self.group == SU2:
-            return _su2_alg_coords(self.parts[0])
-        return np.concatenate([_su2_alg_coords(p) for p in self.parts])
+        return np.array([m[0, 0].imag, m[0, 1].real, m[0, 1].imag])
 
     def j(self) -> "AlgebraVector":
         """Complex structure: multiply by i (SL2C only)."""
         if self.group != SL2C:
             raise DomainError("complex structure only exists on sl2(C)")
-        return AlgebraVector(self.group, 1j * self.parts[0])
+        return AlgebraVector(self.group, 1j * self.mat)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords()))
 
     def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
         self._check(other)
-        return AlgebraVector(self.group, tuple(p + q for p, q in zip(self.parts, other.parts)))
+        return AlgebraVector(self.group, self.mat + other.mat)
 
     def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
         self._check(other)
-        return AlgebraVector(self.group, tuple(p - q for p, q in zip(self.parts, other.parts)))
+        return AlgebraVector(self.group, self.mat - other.mat)
 
     def __neg__(self) -> "AlgebraVector":
-        return AlgebraVector(self.group, tuple(-p for p in self.parts))
+        return AlgebraVector(self.group, -self.mat)
 
     def scaled(self, c: float) -> "AlgebraVector":
-        return AlgebraVector(self.group, tuple(c * p for p in self.parts))
+        return AlgebraVector(self.group, c * self.mat)
 
     def _check(self, other: "AlgebraVector") -> None:
         if self.group != other.group:
             raise DomainError(f"group mismatch: {self.group} vs {other.group}")
-
-
-def _su2_alg(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[1j * x, y + 1j * z], [-y + 1j * z, -1j * x]])
-
-
-def _su2_alg_coords(m: np.ndarray) -> np.ndarray:
-    return np.array([m[0, 0].imag, m[0, 1].real, m[0, 1].imag])
 
 
 @lru_cache(maxsize=None)
@@ -496,19 +483,13 @@ def algebra_basis(group: str) -> tuple[AlgebraVector, ...]:
 
 
 def ad_action(g: GroupElement, v: AlgebraVector) -> AlgebraVector:
-    """Adjoint action Ad(g) v = g v g^-1, componentwise on pairs."""
+    """Adjoint action Ad(g) v = g v g^-1."""
     group = group_of(g)
     if group != v.group:
         raise DomainError(f"group mismatch: {group} vs {v.group}")
-    if group == SU2XSU2:
-        mats = (g.left.mat, g.right.mat)
-        parts = tuple(m @ p @ np.conj(m.T) for m, p in zip(mats, v.parts))
-        return AlgebraVector(group, parts)
     m = g.mat
-    if group == SU2:
-        return AlgebraVector(group, m @ v.parts[0] @ np.conj(m.T))
-    mi = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    return AlgebraVector(group, m @ v.parts[0] @ mi)
+    mi = np.conj(m.T) if group == SU2 else np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    return AlgebraVector(group, m @ v.mat @ mi)
 
 
 def adjoint_matrix(g: GroupElement) -> np.ndarray:
@@ -516,15 +497,12 @@ def adjoint_matrix(g: GroupElement) -> np.ndarray:
 
     SL(2,C): complex 3x3 in the coordinates (x, y, w) of [[x, y], [w, -x]];
     `realify` turns it into the real matrix in `AlgebraVector.coords` order.
-    SU(2): the rotation of its unit quaternion; SU(2)xSU(2): both, blockwise.
+    SU(2): the rotation of its unit quaternion.
     """
-    if isinstance(g, Su2PairElement):
-        zero = np.zeros((3, 3))
-        return np.block([[_quat_rotation(g.left.q), zero], [zero, _quat_rotation(g.right.q)]])
     if isinstance(g, Su2Element):
         return _quat_rotation(g.q)
     if not isinstance(g, Sl2cElement):
-        raise DomainError(f"not a group element: {g!r}")
+        raise DomainError(f"Ad matrices exist for SL2C and SU2 elements, not {group_of(g)}")
     (a, b), (c, d) = g.mat
     return np.array(
         [[a * d + b * c, -a * c, b * d], [-2.0 * a * b, a * a, -b * b], [2.0 * c * d, -c * c, d * d]]
@@ -547,14 +525,8 @@ def realify(mat: np.ndarray) -> np.ndarray:
 
 def exp_algebra(v: AlgebraVector) -> GroupElement:
     """Exponential of a coefficient algebra vector into its group."""
-    if v.group == SL2C:
-        return Sl2cElement(_exp_traceless(v.parts[0]))
-    if v.group == SU2:
-        return Su2Element.from_matrix(_exp_traceless(v.parts[0]))
-    return Su2PairElement(
-        Su2Element.from_matrix(_exp_traceless(v.parts[0])),
-        Su2Element.from_matrix(_exp_traceless(v.parts[1])),
-    )
+    m = _exp_traceless(v.mat)
+    return Sl2cElement(m) if v.group == SL2C else Su2Element.from_matrix(m)
 
 
 def _exp_traceless(m: np.ndarray) -> np.ndarray:
@@ -644,20 +616,20 @@ def _wrap_half_open(t: float) -> float:
     return t
 
 
-def sigma_fields(group: str) -> tuple[AlgebraVector, AlgebraVector]:
+def sigma_fields(group: str) -> tuple:
     """Standard-position rotational and translational Killing sections.
 
     Returns (sigma_theta, sigma_z) for the axis in standard position; these
     are the values of the parallel sections generating rotation around and
-    translation along the axis.
+    translation along the axis.  For SU2xSU2 each section is a (left, right)
+    pair of su(2) vectors, sigma_theta = (h, h) and sigma_z = (h, -h) with
+    h = diag(i, -i) / 2, one per factor of `words.split_representation`.
     """
     half_i = 0.5 * np.array([[1j, 0], [0, -1j]])
     if group == SL2C:
         half_one = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
         return AlgebraVector(SL2C, half_i), AlgebraVector(SL2C, half_one)
     if group == SU2XSU2:
-        return (
-            AlgebraVector(SU2XSU2, (half_i, half_i)),
-            AlgebraVector(SU2XSU2, (half_i, -half_i)),
-        )
+        h = AlgebraVector(SU2, half_i)
+        return (h, h), (h, -h)
     raise DomainError(f"no standard deformation sections for group {group!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohomology import BoundaryComponent
+from .cohomology import GENUS_CAP, MAX_SURFACE_GENUS, BoundaryComponent
 from .errors import DomainError, ManifestError
 from .liecore import (
     GROUPS,
@@ -157,6 +157,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
         p = f"/boundary/{k}"
         _require(isinstance(comp, dict), p, "expected an object")
         _require(isinstance(comp.get("genus"), int), f"{p}/genus", "expected an integer")
+        _require(comp["genus"] <= MAX_SURFACE_GENUS, f"{p}/genus", GENUS_CAP)
         words = comp.get("generator_words")
         _require(
             isinstance(words, list) and all(isinstance(w, str) for w in words),
@@ -177,8 +178,11 @@ def manifest_from_dict(doc: dict) -> Manifest:
             p = f"/singular_graph/edges/{k}"
             _require(isinstance(e, dict), p, "expected an object")
             _require(isinstance(e.get("id"), int), f"{p}/id", "expected an integer")
-            _require(isinstance(e.get("angle"), (int, float)), f"{p}/angle", "expected a number")
-            edges.append(SingularEdge(e["id"], float(e["angle"])))
+            angle = e.get("angle")
+            _require(isinstance(angle, (int, float)), f"{p}/angle", "expected a number")
+            _require(0.0 < angle <= 2.0 * math.pi, f"{p}/angle", f"must lie in (0, 2*pi], got {angle}")
+            edges.append(SingularEdge(e["id"], float(angle)))
+        edge_ids = {e.id for e in edges}
         for k, v in enumerate(graph.get("vertices", [])):
             p = f"/singular_graph/vertices/{k}"
             _require(isinstance(v, dict), p, "expected an object")
@@ -188,6 +192,8 @@ def manifest_from_dict(doc: dict) -> Manifest:
                 f"{p}/incident",
                 "vertices are trivalent: expected 3 incident edge ids",
             )
+            unknown = [i for i in inc if i not in edge_ids]
+            _require(not unknown, f"{p}/incident", f"undeclared edge id(s) {unknown}")
             vertices.append(SingularVertex(tuple(inc)))
 
     warnings = _genus_relation_warnings(edges, vertices, boundary)

@@ -200,7 +200,7 @@ class TubeVerdict:
     integrals: tuple[float, ...]
     increments: tuple[float, ...]
     deltas: tuple[float, ...]
-    last_increment: float
+    last_increment: float | None  # None with fewer than two deltas
 
     def to_dict(self) -> dict:
         return {
@@ -267,7 +267,7 @@ def l2_tube_verdict(fp: FormProfile, eps: float, deltas, n: int = 2048) -> TubeV
         integrals=integrals,
         increments=increments,
         deltas=tuple(deltas),
-        last_increment=increments[-1] if increments else math.nan,
+        last_increment=increments[-1] if increments else None,
     )
 
 

@@ -224,8 +224,8 @@ def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
     for lam, mult in pairs:
         lam = float(lam)
         mult = int(mult)
-        if lam < -MERGE_TOL:
-            raise DomainError(f"Laplace eigenvalues must be nonnegative, got {lam}")
+        if not -MERGE_TOL <= lam < math.inf:  # also refuses NaN
+            raise DomainError(f"Laplace eigenvalues must be finite and nonnegative, got {lam}")
         if mult < 1:
             raise DomainError("multiplicity must be positive")
         if lam <= MERGE_TOL:

@@ -98,9 +98,9 @@ def test_03_spherical_torus_pair_differentials():
     mu = pres.meridians[0].word
     xi = rho.images[1].left.mat[0, 0]
     cocs = standard_torus_cocycles("SU2xSU2", alpha, 0.0, 1.0)
-    dT_ang = trace_differential(rho, cocs["ang"], mu)
-    dT_shr = trace_differential(rho, cocs["shr"], mu)
     left, right = split_representation(rho)
+    dT_ang = [trace_differential(f, z, mu) for f, z in zip((left, right), cocs["ang"])]
+    dT_shr = [trace_differential(f, z, mu) for f, z in zip((left, right), cocs["shr"])]
     dims = (h1_basis(left, pres).dim_H1, h1_basis(right, pres).dim_H1)
     ok = (
         abs(dT_ang[0] + alpha * xi.imag) < 1e-9

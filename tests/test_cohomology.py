@@ -17,11 +17,13 @@ from conerig.cohomology import (
     trace_differential,
     z0_space,
 )
+from conerig.errors import DomainError
 from conerig.liecore import (
     AlgebraVector,
     Sl2cElement,
     algebra_basis,
     ad_action,
+    coefficient_field,
     complex_length_sl2c,
     exp_algebra,
 )
@@ -32,6 +34,7 @@ from conerig.words import (
     Representation,
     coboundary,
     evaluate,
+    fox_jacobian,
     parse_word,
     split_representation,
 )
@@ -184,8 +187,9 @@ class TestTraceDifferential:
         xi = rho.images[1].left.mat[0, 0]
         cocs = standard_torus_cocycles("SU2xSU2", alpha, 0.0, 1.0)
         mu = pres.meridians[0].word
-        dT_ang = trace_differential(rho, cocs["ang"], mu)
-        dT_shr = trace_differential(rho, cocs["shr"], mu)
+        factors = split_representation(rho)
+        dT_ang = tuple(trace_differential(f, z, mu) for f, z in zip(factors, cocs["ang"]))
+        dT_shr = tuple(trace_differential(f, z, mu) for f, z in zip(factors, cocs["shr"]))
         assert dT_ang == pytest.approx((-alpha * xi.imag, -alpha * xi.imag), abs=1e-12)
         assert dT_shr == pytest.approx((-alpha * xi.imag, alpha * xi.imag), abs=1e-12)
 
@@ -301,3 +305,26 @@ class TestDimensionAudit:
         assert audit.boundary_dims[0]["dim_H1"] == 6
         half = [i for i in audit.identities if i.name.startswith("half_dimension")][0]
         assert half.rhs == 3.0  # audit expects a 3-dimensional interior over R
+
+
+class TestPairsAreSplit:
+    """SU(2)xSU(2) has no coefficient algebra: it is solved per SU(2) factor."""
+
+    def test_pair_algebra_is_refused(self):
+        rho, pres, _ = load("spherical-torus.json")
+        calls = [
+            lambda: coefficient_field("SU2xSU2"),
+            lambda: AlgebraVector("SU2xSU2", np.zeros((2, 2))),
+            lambda: fox_jacobian(rho, pres),
+            lambda: h1_basis(rho, pres),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="split_representation"):
+                call()
+
+    def test_standard_torus_cocycles_are_factor_pairs(self):
+        cocs = standard_torus_cocycles("SU2xSU2", 1.0, 0.0, 1.0)
+        assert set(cocs) == {"ang", "shr", "tws", "len"}
+        for pair in cocs.values():
+            assert len(pair) == 2
+            assert all(isinstance(z, Cocycle) and z.group == "SU2" for z in pair)

@@ -12,9 +12,11 @@ import pytest
 import conerig
 from conerig.cli import run
 from conerig.errors import DomainError, InvalidRepresentation
+from conerig.cohomology import surface_presentation
 from conerig.liecore import AlgebraVector, Sl2cElement, Su2Element
 from conerig import words
 from conerig.manifest import fixture_path, load_manifest
+from conerig.spectral import link_B_spectrum
 from conerig.words import Presentation
 
 SRC = Path(conerig.__file__).resolve().parents[1]
@@ -26,7 +28,7 @@ def _write_with(tmp_path, fixture, pointer, value):
     node = doc
     for key in parents:
         node = node[int(key)] if isinstance(node, list) else node[key]
-    node[int(leaf)] = value
+    node[int(leaf) if isinstance(node, list) else leaf] = value
     path = tmp_path / f"bad-{fixture}"
     path.write_text(json.dumps(doc))
     return path
@@ -88,6 +90,68 @@ class TestEmptySpectralWindow:
         assert points
         for p in points:
             assert p["min_abs_circle"] is None and p["min_abs_link"] is None
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "circle", "--window", "inf"],
+            ["spectrum", "circle", "--alpha", "inf"],
+            ["spectrum", "circle", "--hol-angle", "nan"],
+            ["spectrum", "link", "--lambda", "nan"],
+            ["spectrum", "link", "--lambda", "inf"],
+            ["oracle", "--samples", "1", "--b", "nan"],
+            ["forms", "--profile", "ang", "--kappa", "0", "--alpha", "nan"],
+            ["forms", "--profile", "len", "--kappa", "0", "--length", "inf"],
+            ["forms", "--profile", "len", "--kappa", "0", "--eps", "nan"],
+            ["forms", "--profile", "len", "--kappa", "0", "--eps", "half"],
+            ["admissibility", str(fixture_path("pants.json")), "--window", "nan"],
+        ],
+    )
+    def test_usage_error_names_the_option(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: expected a finite number" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_link_spectrum_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(DomainError, match="finite"):
+            link_B_spectrum([lam], 0, 3.0)
+
+
+def test_tube_without_increments_reports_null(capsys):
+    assert run(["forms", "--profile", "ang", "--kappa", "0", "--halvings", "1"]) == 3
+    tube = json.loads(capsys.readouterr().out)["tube"]
+    assert tube["verdict"] == "Inconclusive"
+    assert tube["increments"] == [] and tube["last_increment"] is None
+
+
+class TestGraphAndGenusAtLoad:
+    @pytest.mark.parametrize("angle", [7.0, math.nan, -1.0, 0.0])
+    def test_edge_angle(self, tmp_path, capsys, angle):
+        path = _write_with(tmp_path, "pants.json", "/singular_graph/edges/1/angle", angle)
+        assert run(["validate", str(path)]) == 2
+        assert "/singular_graph/edges/1/angle:" in capsys.readouterr().err
+
+    def test_undeclared_incident_edge(self, tmp_path, capsys):
+        path = _write_with(tmp_path, "pants.json", "/singular_graph/vertices/0/incident/2", 5)
+        assert run(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "/singular_graph/vertices/0/incident:" in err and "[5]" in err
+
+    def test_boundary_genus_beyond_the_alphabet(self, tmp_path, capsys):
+        path = _write_with(tmp_path, "torus.json", "/boundary/0/genus", 14)
+        assert run(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "/boundary/0/genus:" in err and "single letters" in err
+
+    def test_surface_presentation_cap(self):
+        assert len(surface_presentation(13).generators) == 26
+        with pytest.raises(DomainError, match="single letters"):
+            surface_presentation(14)
 
 
 def test_module_entry_point_prints_the_report():
