@@ -60,6 +60,17 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the sample-count options: a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _emit(report, out_path) -> None:
     if out_path:
         write_report(report, out_path)
@@ -275,22 +286,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=finite_float, action="append", help="radial parameter (repeatable)")
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--kappa", type=int, choices=[-1, 0, 1], default=0)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--quad-samples", dest="quad_samples", type=int, default=4096)
+    p.add_argument("--samples", type=positive_int, default=25)
+    p.add_argument("--quad-samples", dest="quad_samples", type=positive_int, default=4096)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         code, report = args.func(args)
+        _emit(report, getattr(args, "out", None))
     except ManifestError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -300,7 +314,6 @@ def run(argv) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    _emit(report, getattr(args, "out", None))
     return code
 
 

@@ -3,11 +3,11 @@
 Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
 SU(2).  SU(2)xSU(2) is split into its two SU(2) factors
-(`words.split_representation`) before any space is computed.  The relator
-Jacobian comes from Fox calculus (`words.fox_jacobian`).  Reported lengths
-and dimensions are real, twice the complex ones for SL(2,C); a complex basis
-B is handed out as the real basis [B, i B], whose first half is the complex
-basis.
+(`words.split_representation`) before any space is computed.  Relators and
+meridians go through one Fox-calculus pass (`words.fox_derivatives`), and
+cocycles stay field coordinates up to the trace Jacobian.  Reported
+dimensions are real, twice the complex ones for SL(2,C); `cocycle_space`,
+`coboundary_space` and `z0_space` hand out a complex basis B as [B, i B].
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .liecore import (
     SL2C,
     SU2XSU2,
     adjoint_matrix,
+    algebra_basis,
     coefficient_field,
     sigma_fields,
 )
@@ -32,7 +33,7 @@ from .words import (
     Representation,
     check_representation,
     evaluate,
-    extend_cocycle,
+    fox_derivatives,
     fox_jacobian,
     parse_word,
     split_representation,
@@ -69,14 +70,10 @@ def _certified_rank(s: np.ndarray, context: str) -> int:
     return int(kept.size)
 
 
-def nullspace(mat: np.ndarray, context: str = "nullspace") -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal kernel basis (columns) and the singular values of mat."""
-    n = mat.shape[1]
-    if mat.size == 0:
-        return np.eye(n, dtype=mat.dtype), np.zeros(0)
-    u, s, vt = np.linalg.svd(mat)
-    rank = _certified_rank(s, context)
-    return vt[rank:].conj().T, s
+def nullspace(mat: np.ndarray, context: str = "nullspace") -> np.ndarray:
+    """Orthonormal kernel basis of mat, as columns."""
+    _, s, vt = np.linalg.svd(mat)
+    return vt[_certified_rank(s, context) :].conj().T
 
 
 def matrix_rank(mat: np.ndarray, context: str = "rank") -> int:
@@ -103,19 +100,20 @@ def _field_degree(group: str) -> int:
 # spaces
 
 
-def _invariance_matrix(rho: Representation) -> np.ndarray:
-    """Stacked (I - Ad rho(gen)) blocks; kernel is Z^0, column space is B^1."""
+def _z0_b1(rho: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal field bases of Z^0 and B^1 from one SVD of the stacked
+    (I - Ad rho(gen)) blocks: Z^0 is their kernel, B^1 their column space."""
     field, d = coefficient_field(rho.group)
     blocks = [np.eye(d) - adjoint_matrix(g) for g in rho.images]
-    if not blocks:
-        return np.zeros((0, d), dtype=field)
-    return np.vstack(blocks)
+    u, s, vt = np.linalg.svd(np.vstack([np.zeros((0, d), dtype=field), *blocks]))
+    rank = _certified_rank(s, "B1")
+    return vt[rank:].conj().T, u[:, :rank]
 
 
 def z0_space(rho: Representation, pres: Presentation) -> list[AlgebraVector]:
     """Basis of the infinitesimal centralizer {v : Ad rho(gamma) v = v}."""
     check_representation(rho, pres)
-    basis, _ = nullspace(_invariance_matrix(rho), "Z0")
+    basis, _ = _z0_b1(rho)
     return [AlgebraVector.from_coords(rho.group, v) for v in _real_columns(basis).T]
 
 
@@ -125,25 +123,25 @@ def _cocycles(group: str, basis: np.ndarray, n_generators: int) -> list[Cocycle]
 
 def cocycle_space(rho: Representation, pres: Presentation) -> list[Cocycle]:
     """Orthonormal basis of the kernel of the linearized relations."""
-    basis, _ = nullspace(fox_jacobian(rho, pres), "Z1")
+    basis = nullspace(fox_jacobian(rho, pres), "Z1")
     return _cocycles(rho.group, basis, len(pres.generators))
 
 
 def coboundary_space(rho: Representation, pres: Presentation) -> list[Cocycle]:
     """Orthonormal basis of the image of v -> (v - Ad rho(gen) v)."""
     check_representation(rho, pres)
-    u, s, _ = np.linalg.svd(_invariance_matrix(rho))
-    rank = _certified_rank(s, "B1")
-    return _cocycles(rho.group, u[:, :rank], len(pres.generators))
+    _, basis = _z0_b1(rho)
+    return _cocycles(rho.group, basis, len(pres.generators))
 
 
 @dataclass(frozen=True, eq=False)
 class CohomologyReport:
     """Real dimensions of Z^0, Z^1, B^1, H^1 with an orthonormal H^1 basis.
 
-    For SL(2,C) coefficients the complex dimensions are reported as well,
-    and `basis_H1` lists a complex basis h_1..h_k followed by i h_1..i h_k.
-    `singular_values` are those of the relator Jacobian over the field.
+    For SL(2,C) coefficients the complex dimensions are reported as well.
+    `basis_H1` is a matrix over the coefficient field (complex for SL(2,C),
+    real for SU(2)) with dim_H1 / degree orthonormal columns; each column
+    holds the field coordinates of a cocycle, generator after generator.
     """
 
     group: str
@@ -151,17 +149,11 @@ class CohomologyReport:
     dim_Z1: int
     dim_B1: int
     dim_H1: int
-    singular_values: tuple[float, ...]
-    basis_H1: tuple[Cocycle, ...]
+    basis_H1: np.ndarray
     dim_Z0_complex: int | None = None
     dim_Z1_complex: int | None = None
     dim_B1_complex: int | None = None
     dim_H1_complex: int | None = None
-
-    @property
-    def field_basis_H1(self) -> tuple[Cocycle, ...]:
-        """H^1 basis over the coefficient field (complex for SL(2,C))."""
-        return self.basis_H1[: self.dim_H1 // _field_degree(self.group)]
 
     def dims_dict(self) -> dict:
         keys = ["dim_Z0", "dim_Z1", "dim_B1", "dim_H1"]
@@ -177,12 +169,9 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     used for orthonormalization (the Killing form is indefinite); only spans
     matter downstream.
     """
-    z1_basis, singvals = nullspace(fox_jacobian(rho, pres), "Z1")
-    inv = _invariance_matrix(rho)
-    u, s, _ = np.linalg.svd(inv)
-    b1_rank = _certified_rank(s, "B1")
-    z0_dim = inv.shape[1] - b1_rank
-    b1_basis = u[:, :b1_rank]
+    z1_basis = nullspace(fox_jacobian(rho, pres), "Z1")
+    z0_basis, b1_basis = _z0_b1(rho)
+    z0_dim, b1_rank = z0_basis.shape[1], b1_basis.shape[1]
 
     dim_z1 = z1_basis.shape[1]
     dim_h1 = dim_z1 - b1_rank
@@ -214,8 +203,7 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
         dim_Z1=degree * dim_z1,
         dim_B1=degree * b1_rank,
         dim_H1=degree * dim_h1,
-        singular_values=tuple(float(v) for v in singvals),
-        basis_H1=tuple(_cocycles(rho.group, h_basis, len(pres.generators))),
+        basis_H1=h_basis,
         **dims_c,
     )
 
@@ -224,18 +212,35 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
 # trace differentials
 
 
+def _trace_rows(rho: Representation, words) -> np.ndarray:
+    """Row w maps a cocycle's field coordinates to tr(z(w) rho(w)): the
+    covector v -> tr(v rho(w)) on the field basis times the Fox block of w."""
+    field, d = coefficient_field(rho.group)
+    # The real basis interleaves (1, i) per coordinate over C: keep the 1s.
+    basis = algebra_basis(rho.group)[:: _field_degree(rho.group)]
+    fox = fox_derivatives(rho, words)
+    rows = np.zeros((len(words), fox.shape[1]), dtype=complex)
+    for r, word in enumerate(words):
+        g = evaluate(rho, word).mat
+        rows[r] = [np.trace(e.mat @ g) for e in basis] @ fox[d * r : d * (r + 1)]
+    return rows if field is complex else rows.real
+
+
 def trace_differential(rho: Representation, z: Cocycle, word):
     """Derivative of the trace along the infinitesimal deformation z.
 
-    Returns tr(z(w) rho(w)): a complex number for SL(2,C), a real number for
-    SU(2).  For SU(2)xSU(2) evaluate it per factor of `split_representation`.
+    Returns tr(z(w) rho(w)), the trace row of w on z's field coordinates: a
+    complex number for SL(2,C), a real number for SU(2).  For SU(2)xSU(2)
+    evaluate it per factor of `split_representation`.
     """
     if isinstance(word, str):
         raise DomainError("pass a parsed Word, not a string")
-    g = evaluate(rho, word)
-    v = extend_cocycle(rho, z, word)
-    t = complex(np.trace(v.mat @ g.mat))
-    return t if rho.group == SL2C else t.real
+    if z.group != rho.group:
+        raise DomainError(f"group mismatch: {z.group} vs {rho.group}")
+    row = _trace_rows(rho, [word])[0]
+    if rho.group == SL2C:
+        return complex(row @ z.coords().view(complex))
+    return float(row @ z.coords())
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +308,8 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
             notes.append(f"meridian {m.text!r} maps to +/- identity; complex length undefined")
             break
 
-    basis = report.field_basis_H1
-    dim_h1 = len(basis)
-    jac = np.array(
-        [[trace_differential(rho, z, m.word) for z in basis] for m in meridians],
-        dtype=coefficient_field(rho.group)[0],
-    ).reshape(n_mer, dim_h1)
+    dim_h1 = report.basis_H1.shape[1]
+    jac = _trace_rows(rho, [m.word for m in meridians]) @ report.basis_H1
 
     rank = matrix_rank(jac, "trace jacobian")
     if n_mer != dim_h1:

@@ -206,25 +206,23 @@ def extend_cocycle(rho: Representation, z: Cocycle, word: Word) -> AlgebraVector
     return val
 
 
-def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
-    """Linearized relations over the coefficient field, g^n -> g^{#relators}.
+def fox_derivatives(rho: Representation, words) -> np.ndarray:
+    """Fox derivatives of words over the coefficient field, g^n -> g^{#words}.
 
-    Fox free differential calculus: block (r, j) is the Fox derivative of
-    relator r by generator j, acting through Ad.  One pass per relator carries
-    the prefix p: a letter g_j adds Ad(p) to block j and then sets
-    p <- p g_j; a letter g_j^-1 first sets p <- p g_j^-1 and then subtracts
-    Ad(p).  Ad(p) is taken in closed form from the group element p, not as
-    a product of Ad matrices, whose condition number is the square of p's.
-    The kernel is the cocycle space.
+    Row block r maps a cocycle's field coordinates, generator after generator,
+    to its value on word r; block (r, j) is the Fox derivative by generator j
+    acting through Ad.  One pass per word carries the prefix p: g_j adds Ad(p)
+    to block j, then p <- p g_j; g_j^-1 sets p <- p g_j^-1, then subtracts
+    Ad(p).  Ad(p) comes in closed form from p, not as a product of Ad
+    matrices, whose condition number is the square of p's.
     """
-    check_representation(rho, pres)
     field, d = coefficient_field(rho.group)
     inverses = [g.inv() for g in rho.images]
-    jac = np.zeros((d * len(pres.relators), d * len(pres.generators)), dtype=field)
-    for r, rel in enumerate(pres.relators):
+    jac = np.zeros((d * len(words), d * len(rho.images)), dtype=field)
+    for r, word in enumerate(words):
         rows = jac[d * r : d * (r + 1)]
         prefix = group_identity(rho.group)
-        for j, e in rel:
+        for j, e in word:
             block = rows[:, d * j : d * (j + 1)]
             if e > 0:
                 block += adjoint_matrix(prefix)
@@ -233,6 +231,13 @@ def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
                 prefix = prefix.mul(inverses[j])
                 block -= adjoint_matrix(prefix)
     return jac
+
+
+def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
+    """Linearized relations over the coefficient field: the Fox derivatives of
+    the relators, after checking them.  The kernel is the cocycle space."""
+    check_representation(rho, pres)
+    return fox_derivatives(rho, pres.relators)
 
 
 def relator_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:

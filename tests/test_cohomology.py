@@ -147,11 +147,11 @@ class TestH1:
     def test_basis_is_orthonormal_and_off_b1(self, pants):
         rho, pres, _ = pants
         rep = h1_basis(rho, pres)
-        basis = np.column_stack([z.coords() for z in rep.basis_H1])
-        gram = basis.T @ basis
-        assert np.linalg.norm(gram - np.eye(rep.dim_H1)) < 1e-10
-        b1 = np.column_stack([z.coords() for z in coboundary_space(rho, pres)])
-        assert np.linalg.norm(b1.T @ basis) < 1e-10
+        basis = rep.basis_H1
+        gram = basis.conj().T @ basis
+        assert np.linalg.norm(gram - np.eye(rep.dim_H1_complex)) < 1e-10
+        b1 = np.column_stack([z.coords().view(complex) for z in coboundary_space(rho, pres)])
+        assert np.linalg.norm(b1.conj().T @ basis) < 1e-10
 
     def test_complex_structure_invariance(self, torus):
         # J z stays in the kernel whenever z does
@@ -251,11 +251,14 @@ class TestInvariants:
         assert rigidity_test(rho, pres).rank == rigidity_test(rho_c, pres).rank
         # transported cocycles give the same trace differentials
         mu = pres.meridians[0].word
-        for z in rep.basis_H1[:2]:
-            z_c = Cocycle("SL2C", tuple(ad_action(g, v) for v in z.values))
-            assert abs(
-                trace_differential(rho, z, mu) - trace_differential(rho_c, z_c, mu)
-            ) < 1e-9
+        for h in rep.basis_H1.T:
+            for coords in (h, 1j * h):
+                real = np.ascontiguousarray(coords).view(float)
+                z = Cocycle.from_coords("SL2C", real, len(pres.generators))
+                z_c = Cocycle("SL2C", tuple(ad_action(g, v) for v in z.values))
+                assert abs(
+                    trace_differential(rho, z, mu) - trace_differential(rho_c, z_c, mu)
+                ) < 1e-9
 
     def test_rank_stable_under_tiny_perturbation(self, pants):
         rho, pres, _ = pants

@@ -1,11 +1,12 @@
-"""Differential tests: the Fox-calculus Jacobian and the closed-form Ad matrix
-against the cocycle-extension and adjoint-action definitions they replace."""
+"""Differential tests: Fox derivatives, the relator Jacobian, the meridian
+trace Jacobian and the closed-form Ad matrix against the cocycle-extension
+and adjoint-action definitions they replace."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conerig.cohomology import h1_basis
+from conerig.cohomology import h1_basis, rigidity_test
 from conerig.liecore import (
     SU2XSU2,
     AlgebraVector,
@@ -20,7 +21,10 @@ from conerig.manifest import fixture_path, load_manifest
 from conerig.words import (
     Cocycle,
     Representation,
+    evaluate,
     extend_cocycle,
+    fox_derivatives,
+    fox_jacobian,
     relator_jacobian,
     split_representation,
 )
@@ -52,6 +56,30 @@ def reference_relator_jacobian(rho, pres):
             for r, rel in enumerate(pres.relators):
                 jac[d * r : d * (r + 1), d * j + k] = extend_cocycle(rho, z, rel).coords()
     return jac
+
+
+def real_coords(coords):
+    """`Cocycle.coords` order of field coordinates: (re, im) interleaved over C."""
+    return np.ascontiguousarray(coords).view(float) if np.iscomplexobj(coords) else coords
+
+
+def field_coords(group, real):
+    return real.view(complex) if group == "SL2C" else real
+
+
+def reference_trace_jacobian(rho, pres, basis):
+    """Entry (m, k): tr(z_k(mu_m) rho(mu_m)) for the cocycle z_k of column k of
+    the field basis, extended over meridian mu_m."""
+    n = len(pres.generators)
+    cocycles = [Cocycle.from_coords(rho.group, real_coords(h), n) for h in basis.T]
+    jac = np.array(
+        [
+            [np.trace(extend_cocycle(rho, z, w).mat @ evaluate(rho, w).mat) for z in cocycles]
+            for w in (m.word for m in pres.meridians)
+        ],
+        dtype=complex,
+    ).reshape(len(pres.meridians), len(cocycles))
+    return jac if rho.group == "SL2C" else jac.real
 
 
 def load(name):
@@ -89,6 +117,56 @@ def test_fox_jacobian_matches_on_conjugates(name, coords):
         assert_close(relator_jacobian(rho_c, pres), reference_relator_jacobian(rho_c, pres), 1e-12)
 
 
+letter = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["SL2C", "SU2"]),
+    st.lists(coord, min_size=18, max_size=18),
+    st.lists(coord, min_size=18, max_size=18),
+    st.lists(letter, max_size=8),
+)
+@example("SL2C", [0.5] * 18, [1.0] * 18, [])
+@example("SU2", [0.5] * 18, [1.0] * 18, [])
+@example("SL2C", [0.5] * 18, [1.0] * 18, [(0, -1), (1, 1), (0, 1), (2, -1)])
+def test_fox_derivatives_match_cocycle_extension(group, image_coords, cocycle_coords, word):
+    d = algebra_dim(group)
+    images = tuple(
+        exp_algebra(AlgebraVector.from_coords(group, np.array(image_coords[d * k : d * (k + 1)])))
+        for k in range(3)
+    )
+    rho = Representation(group, images)
+    z = Cocycle.from_coords(group, np.array(cocycle_coords[: 3 * d]), 3)
+    word = tuple(word)
+    got = fox_derivatives(rho, [word]) @ field_coords(group, z.coords())
+    want = field_coords(group, extend_cocycle(rho, z, word).coords())
+    assert_close(got, want, 1e-12)
+
+
+def assert_trace_jacobian_matches_reference(rho, pres):
+    report = rigidity_test(rho, pres)
+    for f, rep in zip(factors(rho), report.factors or (report,)):
+        want = reference_trace_jacobian(f, pres, h1_basis(f, pres).basis_H1)
+        assert_close(rep.trace_jacobian, want, 1e-12)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_trace_jacobian_matches_cocycle_extension(name):
+    assert_trace_jacobian_matches_reference(*load(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FIXTURES), st.lists(coord, min_size=6, max_size=6))
+def test_trace_jacobian_matches_on_conjugates(name, coords):
+    rho, pres = load(name)
+    for k, f in enumerate(factors(rho)):
+        d = algebra_dim(f.group)
+        g = exp_algebra(AlgebraVector.from_coords(f.group, np.array(coords[3 * k : 3 * k + d])))
+        rho_c = Representation(f.group, tuple(g.mul(x).mul(g.inv()) for x in f.images))
+        assert_trace_jacobian_matches_reference(rho_c, pres)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["SL2C", "SU2"]), st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
 def test_closed_form_ad_matches_ad_action(group, coords):
@@ -99,11 +177,9 @@ def test_closed_form_ad_matches_ad_action(group, coords):
 
 
 @pytest.mark.parametrize("name", ["torus.json", "pants.json", "cusped.json"])
-def test_sl2c_h1_basis_is_a_complex_basis_then_its_i_multiples(name):
+def test_sl2c_h1_basis_is_a_complex_field_matrix_in_the_kernel(name):
     rho, pres = load(name)
     rep = h1_basis(rho, pres)
-    k = rep.dim_H1_complex
-    assert rep.dim_H1 == 2 * k
-    for h, ih in zip(rep.basis_H1[:k], rep.basis_H1[k:]):
-        jh = np.concatenate([v.j().coords() for v in h.values])
-        assert np.linalg.norm(ih.coords() - jh) < 1e-12
+    assert np.iscomplexobj(rep.basis_H1)
+    assert rep.basis_H1.shape == (3 * len(pres.generators), rep.dim_H1_complex)
+    assert np.abs(fox_jacobian(rho, pres) @ rep.basis_H1).max() <= 1e-12

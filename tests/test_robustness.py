@@ -122,6 +122,33 @@ class TestNonFiniteOptions:
             link_B_spectrum([lam], 0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--samples", "0", "--b", "1"],
+        ["oracle", "--samples", "-3"],
+        ["oracle", "--quad-samples", "0", "--samples", "1", "--b", "1"],
+        ["forms", "--profile", "len", "--kappa", "0", "--alpha", "1e308", "--length", "1e308"],
+        ["validate", str(fixture_path("torus.json")), "--out", "{tmp}/missing/x.json"],
+    ],
+)
+def test_input_that_cannot_be_reported_exits_2(argv, tmp_path, capsys):
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_runs_share_no_parser_state(capsys):
+    assert run(["oracle", "--b", "4", "--samples", "1", "--quad-samples", "8"]) == 0
+    first = json.loads(capsys.readouterr().out)["radial_lower_bound"]
+    assert [row["b"] for row in first] == [4.0]
+    assert run(["oracle", "--samples", "1", "--quad-samples", "8"]) == 0
+    second = json.loads(capsys.readouterr().out)["radial_lower_bound"]
+    assert [row["b"] for row in second] == [1.0, 2.0, 4.0, 8.0]
+
+
 def test_tube_without_increments_reports_null(capsys):
     assert run(["forms", "--profile", "ang", "--kappa", "0", "--halvings", "1"]) == 3
     tube = json.loads(capsys.readouterr().out)["tube"]
