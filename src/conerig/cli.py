@@ -61,7 +61,7 @@ def finite_float(text: str) -> float:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of the sample-count options: a count of at least 1."""
+    """argparse type of the count options: a count of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -95,23 +95,15 @@ def _cmd_validate(args) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_INPUT), report
 
 
-def _cohomology_payload(m) -> dict:
-    if m.group == SU2XSU2:
-        left, right = split_representation(m.representation)
-        return {
-            "factors": [
-                h1_basis(left, m.presentation).dims_dict(),
-                h1_basis(right, m.presentation).dims_dict(),
-            ]
-        }
-    return h1_basis(m.representation, m.presentation).dims_dict()
-
-
 def _cmd_cohomology(args) -> tuple[int, dict]:
     m = load_manifest(args.manifest)
-    report = {"manifest": str(args.manifest), "cohomology": _cohomology_payload(m)}
+    pair = m.group == SU2XSU2
+    factors = split_representation(m.representation) if pair else (m.representation,)
+    interior = tuple(h1_basis(factor, m.presentation) for factor in factors)
+    dims = [r.dims_dict() for r in interior]
+    report = {"manifest": str(args.manifest), "cohomology": {"factors": dims} if pair else dims[0]}
     if args.audit:
-        audit = dimension_audit(m.representation, m.presentation, m.boundary)
+        audit = dimension_audit(m.representation, m.presentation, m.boundary, interior)
         report["audit"] = audit.to_dict()
         if not audit.skipped and not audit.all_hold:
             return EXIT_FAILING, report
@@ -278,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=finite_float, default=math.pi / 2.0)
     p.add_argument("--length", type=finite_float, default=1.0)
     p.add_argument("--eps", type=finite_float, default=0.5)
-    p.add_argument("--halvings", type=int, default=10)
+    p.add_argument("--halvings", type=positive_int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_forms)
 

@@ -431,8 +431,9 @@ class DimensionAudit:
         }
 
 
-def _audit_one_group(rho, pres, boundary) -> tuple[list[AuditIdentity], list[dict]]:
-    interior = h1_basis(rho, pres)
+def _audit_one_group(
+    rho, pres, boundary, interior: CohomologyReport
+) -> tuple[list[AuditIdentity], list[dict]]:
     degree = _field_degree(rho.group)
     tau = sum(1 for c in boundary if c.genus == 1)
     chi = sum(2 - 2 * c.genus for c in boundary)
@@ -466,12 +467,17 @@ def _audit_one_group(rho, pres, boundary) -> tuple[list[AuditIdentity], list[dic
 
 
 def dimension_audit(
-    rho: Representation, pres: Presentation, boundary: tuple[BoundaryComponent, ...]
+    rho: Representation,
+    pres: Presentation,
+    boundary: tuple[BoundaryComponent, ...],
+    interior: tuple[CohomologyReport, ...] | None = None,
 ) -> DimensionAudit:
     """Check the half-dimension identity and the cocycle dimension count.
 
     Dimensions are complex for SL(2,C) and real per factor for SU(2); for
-    SU(2)xSU(2) both factors are audited.
+    SU(2)xSU(2) both factors are audited.  `interior` holds `h1_basis` of
+    rho, one report per SU(2) factor for SU(2)xSU(2), when the caller has
+    computed it already; otherwise it is computed here.
     """
     if not boundary:
         return DimensionAudit(
@@ -483,15 +489,18 @@ def dimension_audit(
     notices: list[str] = []
     identities: list[AuditIdentity] = []
     boundary_dims: list[dict] = []
+    factors = split_representation(rho) if rho.group == SU2XSU2 else (rho,)
+    if interior is None:
+        interior = tuple(h1_basis(factor, pres) for factor in factors)
     if rho.group == SU2XSU2:
-        for tag, factor in zip(("left", "right"), split_representation(rho)):
-            ids, dims = _audit_one_group(factor, pres, boundary)
+        for tag, factor, report in zip(("left", "right"), factors, interior):
+            ids, dims = _audit_one_group(factor, pres, boundary, report)
             identities.extend(
                 AuditIdentity(f"{tag}.{i.name}", i.lhs, i.rhs, i.holds) for i in ids
             )
             boundary_dims.extend({"factor": tag, **d} for d in dims)
     else:
-        identities, boundary_dims = _audit_one_group(rho, pres, boundary)
+        identities, boundary_dims = _audit_one_group(rho, pres, boundary, interior[0])
     return DimensionAudit(
         skipped=False,
         identities=tuple(identities),

@@ -45,23 +45,27 @@ def validate_curvature(kappa: int) -> int:
     return int(kappa)
 
 
-def sn_cs_ct(kappa: int, r: float) -> tuple[float, float, float]:
+def sn_cs_ct(kappa: int, r):
     """Generalized sine, cosine and cotangent for curvature kappa.
 
     sn solves f'' + kappa f = 0 with sn(0)=0, sn'(0)=1; cs likewise with
-    cs(0)=1, cs'(0)=0.  Returns (sn(r), cs(r), cs(r)/sn(r)).
+    cs(0)=1, cs'(0)=0.  Returns (sn(r), cs(r), cs(r)/sn(r)): three floats for
+    a float r, three arrays of r's shape for an array of radii.
     """
     validate_curvature(kappa)
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r}")
-    if kappa == 1 and r >= math.pi:
-        raise DomainError(f"radius must be < pi at curvature +1, got {r}")
+    rs = np.asarray(r, dtype=float)
+    if not np.all(rs > 0.0):
+        raise DomainError(f"radius must be positive, got {rs[~(rs > 0.0)].flat[0]}")
+    if kappa == 1 and not np.all(rs < math.pi):
+        raise DomainError(f"radius must be < pi at curvature +1, got {rs[~(rs < math.pi)].flat[0]}")
     if kappa == -1:
-        sn, cs = math.sinh(r), math.cosh(r)
+        sn, cs = np.sinh(rs), np.cosh(rs)
     elif kappa == 0:
-        sn, cs = r, 1.0
+        sn, cs = rs, np.ones_like(rs)
     else:
-        sn, cs = math.sin(r), math.cos(r)
+        sn, cs = np.sin(rs), np.cos(rs)
+    if rs.ndim == 0:
+        return float(sn), float(cs), float(cs / sn)
     return sn, cs, cs / sn
 
 
@@ -209,10 +213,16 @@ class Sl2cElement:
         if mat.shape != (2, 2):
             raise DomainError(f"expected 2x2 matrix, got shape {mat.shape}")
         _require_finite(mat)
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det - 1.0) > TOL_GROUP:
+        (a, b), (c, d) = mat.tolist()
+        ad, bc = a * d, b * c
+        det = ad - bc
+        # The rounding of det itself grows with |ad| + |bc|: a large product
+        # of SL(2,C) elements is off by that much, and dividing by a det that
+        # is off by rounding alone would inject it into every entry.
+        rounding = 1e-14 * (abs(ad) + abs(bc))
+        if abs(det - 1.0) > TOL_GROUP + rounding:
             raise DomainError(f"determinant {det} is not 1 within {TOL_GROUP}")
-        if abs(det - 1.0) > 1e-14:  # re-project, but stay idempotent at rounding level
+        if abs(det - 1.0) > rounding:  # re-project, but stay idempotent at rounding level
             mat = mat / cmath.sqrt(det)
         object.__setattr__(self, "mat", _frozen(mat))
 
@@ -489,7 +499,12 @@ def ad_action(g: GroupElement, v: AlgebraVector) -> AlgebraVector:
         raise DomainError(f"group mismatch: {group} vs {v.group}")
     m = g.mat
     mi = np.conj(m.T) if group == SU2 else np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    return AlgebraVector(group, m @ v.mat @ mi)
+    conj = m @ v.mat @ mi
+    # g v g^-1 is traceless; the trace left by rounding grows like |g|^2 |v|
+    # and would fail the absolute trace check of a large conjugate.
+    x = 0.5 * (conj[0, 0] - conj[1, 1])
+    conj[0, 0], conj[1, 1] = x, -x
+    return AlgebraVector(group, conj)
 
 
 def adjoint_matrix(g: GroupElement) -> np.ndarray:

@@ -188,13 +188,15 @@ def coboundary(rho: Representation, v: AlgebraVector) -> Cocycle:
 def extend_cocycle(rho: Representation, z: Cocycle, word: Word) -> AlgebraVector:
     """Extend generator values over a word by z(uv) = z(u) + Ad(rho(u)) z(v).
 
-    Inverse letters use z(g^-1) = -Ad(rho(g)^-1) z(g).
+    Inverse letters use z(g^-1) = -Ad(rho(g)^-1) z(g).  The word is
+    free-reduced first: the value is the same, and a cancelling pair would
+    add and subtract two terms as large as Ad of the prefix.
     """
     if z.group != rho.group:
         raise DomainError(f"group mismatch: {z.group} vs {rho.group}")
     val = AlgebraVector.zero(rho.group)
     g = group_identity(rho.group)
-    for i, e in word:
+    for i, e in free_reduce(word):
         if e > 0:
             letter_val = z.values[i]
             letter_img = rho.images[i]
@@ -214,7 +216,8 @@ def fox_derivatives(rho: Representation, words) -> np.ndarray:
     acting through Ad.  One pass per word carries the prefix p: g_j adds Ad(p)
     to block j, then p <- p g_j; g_j^-1 sets p <- p g_j^-1, then subtracts
     Ad(p).  Ad(p) comes in closed form from p, not as a product of Ad
-    matrices, whose condition number is the square of p's.
+    matrices, whose condition number is the square of p's.  Words are
+    free-reduced first, as in `extend_cocycle`.
     """
     field, d = coefficient_field(rho.group)
     inverses = [g.inv() for g in rho.images]
@@ -222,7 +225,7 @@ def fox_derivatives(rho: Representation, words) -> np.ndarray:
     for r, word in enumerate(words):
         rows = jac[d * r : d * (r + 1)]
         prefix = group_identity(rho.group)
-        for j, e in word:
+        for j, e in free_reduce(word):
             block = rows[:, d * j : d * (j + 1)]
             if e > 0:
                 block += adjoint_matrix(prefix)

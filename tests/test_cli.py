@@ -57,6 +57,23 @@ class TestCohomology:
         assert code == 0
         assert all(i["holds"] for i in report["audit"]["identities"])
 
+    @pytest.mark.parametrize(
+        "name,factors,code", [("cusped.json", 1, 0), ("spherical-torus.json", 2, 1)]
+    )
+    def test_audit_reuses_the_interior_h1(self, name, factors, code, monkeypatch, capsys):
+        # one h1_basis per factor for the interior and one per factor and
+        # boundary component (one here) for the audit
+        from conerig import cli, cohomology
+
+        calls = []
+        for module in (cli, cohomology):
+            real = module.h1_basis
+            monkeypatch.setattr(
+                module, "h1_basis", lambda rho, pres, real=real: calls.append(rho) or real(rho, pres)
+            )
+        assert run(["cohomology", str(fixture_path(name)), "--audit"]) == code
+        assert len(calls) == 2 * factors
+
 
 class TestRigidity:
     def test_pants_rigid(self, capsys):

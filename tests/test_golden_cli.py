@@ -1,10 +1,13 @@
 """Golden CLI snapshot: exit codes and reports of the manifest subcommands on
-every bundled fixture, compared with `tests/golden_cli.json`.
+every bundled fixture, and of `oracle` and `forms`, compared with
+`tests/golden_cli.json`.
 
-Everything is compared exactly except each `trace_jacobian`, whose entries
-depend on the gauge (sign or phase) LAPACK picks for the H1 basis; its
-singular values are compared to 1e-12 instead.  The `manifest` key echoes
-the path and is not recorded.
+Manifest reports are compared exactly except each `trace_jacobian`, whose
+entries depend on the gauge (sign or phase) LAPACK picks for the H1 basis;
+its singular values are compared to 1e-12 instead.  The `manifest` key
+echoes the path and is not recorded.  In `oracle` and `forms` reports every
+float is compared to 1e-12 relative and everything else exactly, so that
+the radial kernels may change their order of summation.
 
 Rewrite the snapshot after an intended change of output with
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -31,14 +34,30 @@ FIXTURES = [
     "torus.json",
 ]
 COMMANDS = [("validate",), ("cohomology", "--audit"), ("rigidity",), ("admissibility",)]
-CASES = {f"{cmd[0]} {name}": (name, cmd) for name in FIXTURES for cmd in COMMANDS}
+MANIFEST_CASES = {
+    f"{command} {name}": [command, str(fixture_path(name)), *extra]
+    for name in FIXTURES
+    for command, *extra in COMMANDS
+}
+RADIAL_CASES = {
+    " ".join(argv): argv
+    for argv in [
+        ["oracle", "--b", "1", "--b", "2", "--b", "4", "--b", "8", "--grid", "256"],
+        ["oracle", "--grid", "512", "--kappa", "1"],
+        *(
+            ["forms", "--profile", profile, "--kappa", kappa]
+            for profile in ("ang", "shr", "tws", "len")
+            for kappa in ("-1", "0", "1")
+        ),
+    ]
+}
+CASES = {**MANIFEST_CASES, **RADIAL_CASES}
 
 
 def capture(case: str) -> dict:
-    name, (command, *extra) = CASES[case]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = run([command, str(fixture_path(name)), *extra])
+        code = run(CASES[case])
     report = json.loads(out.getvalue()) if out.getvalue().strip() else None
     if report is not None:
         report.pop("manifest", None)
@@ -71,7 +90,28 @@ def test_snapshot_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
-@pytest.mark.parametrize("case", list(CASES))
+def assert_close(got, want, where="report"):
+    """Floats to 1e-12 relative, everything else exactly."""
+    if isinstance(want, float) and isinstance(got, float):
+        assert abs(got - want) <= 1e-12 * abs(want), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict) and isinstance(got, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, list) and isinstance(got, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}/{k}")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("case", list(RADIAL_CASES))
+def test_radial_output_matches_snapshot(case, golden):
+    assert_close(capture(case), golden[case])
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
 def test_cli_output_matches_snapshot(case, golden):
     got_svals, want_svals = [], []
     got = split_trace_jacobians(capture(case), got_svals)

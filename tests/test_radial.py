@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conerig.errors import DomainError
+from conerig import radial
+from conerig.errors import DomainError, IllConditioned
 from conerig.radial import (
     CONVERGENT,
     DIVERGENT,
@@ -144,6 +148,90 @@ class TestPbMinSingular:
             RadialGrid(32)
 
 
+def dense_operator(b, kappa, n):
+    """The n x (n-1) operator as a dense matrix, potential from the scalar
+    generalised sine at each midpoint."""
+    h = 1.0 / n
+    sn = {-1: math.sinh, 0: lambda x: x, 1: math.sin}[kappa]
+    pot = b / np.array([sn((j + 0.5) / n) for j in range(n)])
+    mat = np.zeros((n, n - 1))
+    idx = np.arange(1, n)
+    mat[idx - 1, idx - 1] += 1.0 / h + pot[idx - 1] / 2.0
+    mat[idx, idx - 1] += -1.0 / h + pot[idx] / 2.0
+    return mat
+
+
+def dense_sigma_min(b, kappa, n):
+    """Reference: smallest singular value from a dense SVD, O(n^3)."""
+    return float(np.linalg.svd(dense_operator(b, kappa, n), compute_uv=False)[-1])
+
+
+class TestPbMinSingularAgainstDenseSvd:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(64, 384),
+        st.sampled_from([-1, 0, 1]),
+        st.floats(-9.0, 9.0, allow_nan=False),
+    )
+    @example(256, 0, -3.0)
+    @example(256, 0, -1.0)
+    @example(256, 0, 1.0)
+    @example(256, 0, 3.0)
+    @example(100, 1, 3.0)
+    @example(64, -1, -1.0)
+    def test_matches_dense_svd(self, n, kappa, b):
+        got = pb_min_singular(b, kappa, RadialGrid(n))
+        want = dense_sigma_min(b, kappa, n)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("b,row,col", [(-3.0, 1, 1), (-1.0, 0, 0), (3.0, 1, 0)])
+    def test_exact_zero_band_entry(self, b, row, col):
+        # at kappa = 0 and n = 2^k the potential b n / (j + 1/2) cancels 1/h
+        # exactly: a diagonal entry vanishes for b = -1, -3, a subdiagonal one for b = 3
+        mat = dense_operator(b, 0, 256)
+        assert mat[row, col] == 0.0
+        got = pb_min_singular(b, 0, RadialGrid(256))
+        assert abs(got - dense_sigma_min(b, 0, 256)) <= 1e-12 * got
+
+    @pytest.mark.parametrize("n", [64, 100, 256, 1000, 1024, 4096])
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_b_zero_closed_form(self, n, kappa):
+        # b = 0: the plain difference matrix, sigma_min = 2n sin(pi/2n)
+        exact = 2.0 * n * math.sin(math.pi / (2.0 * n))
+        assert abs(pb_min_singular(0.0, kappa, RadialGrid(n)) - exact) <= 1e-13 * exact
+
+    def test_memory_is_linear(self):
+        # the dense 4096 x 4095 matrix alone would take 134 MB
+        grid = RadialGrid(4096)
+        tracemalloc.start()
+        try:
+            pb_min_singular(8.0, 1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(radial, "_count_singular_values_above", lambda d, s, floor: len(d) - 1)
+        with pytest.raises(IllConditioned, match="not certified"):
+            pb_min_singular(1.0, 0, RadialGrid(128))
+
+    def test_unconverged_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(radial, "_MAX_ITERATIONS", 1)
+        with pytest.raises(IllConditioned, match="did not converge"):
+            pb_min_singular(1.0, 0, RadialGrid(128))
+
+    @pytest.mark.parametrize("b", [-1e200, 1e100, -1e7, 1e4])
+    def test_large_b(self, b):
+        # the squares of these bands overflow or lose range without scaling
+        got = pb_min_singular(b, 1, RadialGrid(96))
+        assert abs(got - dense_sigma_min(b, 1, 96)) <= 1e-12 * got
+
+    def test_overflowing_bands_are_a_domain_error(self):
+        with pytest.raises(DomainError, match="too large"):
+            pb_min_singular(1.7e308, 0, RadialGrid(64))
+
+
 class TestNormProfile:
     def test_flat_case(self):
         r = 0.3
@@ -208,3 +296,56 @@ class TestTubeVerdict:
         fp = FormProfile("len", 1, 1.0, 1.0)
         with pytest.raises(DomainError):
             l2_tube_verdict(fp, 1.6, [0.1])
+
+
+def scalar_tube_segment(fp, lo, hi, n):
+    """Reference: the tube trapezoid with one scalar profile evaluation per radius."""
+    sn_cs = {
+        -1: lambda r: (math.sinh(r), math.cosh(r)),
+        0: lambda r: (r, 1.0),
+        1: lambda r: (math.sin(r), math.cos(r)),
+    }[fp.kappa]
+    k2 = float(fp.kappa * fp.kappa)
+    us = np.linspace(math.log(lo), math.log(hi), n + 1)
+    vals = []
+    for u in us:
+        r = math.exp(u)
+        sn, cs = sn_cs(r)
+        profile = {
+            "ang": (sn * sn + cs * cs) / (sn * sn),
+            "shr": (cs * cs + k2 * sn * sn) / (sn * sn),
+            "tws": (sn * sn + cs * cs) / (cs * cs),
+            "len": (cs * cs + k2 * sn * sn) / (cs * cs),
+        }[fp.name]
+        vals.append(profile * sn * cs * r)
+    weights = np.full(n + 1, 1.0)
+    weights[0] = weights[-1] = 0.5
+    h = (us[-1] - us[0]) / n
+    return fp.alpha * fp.length * float((weights * np.array(vals)).sum() * h)
+
+
+class TestTubeAgainstScalarLoop:
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("name", ["ang", "shr", "tws", "len"])
+    def test_segments_integrals_and_verdicts(self, name, kappa, monkeypatch):
+        fp = FormProfile(name, kappa, alpha=1.3, length=0.7)
+        for lo, hi in ((1e-4, 0.5), (0.2, 1.4), (1e-9, 2e-9)):
+            want = scalar_tube_segment(fp, lo, hi, 2048)
+            assert abs(radial._tube_segment(fp, lo, hi, 2048) - want) <= 1e-12 * abs(want)
+        deltas = halving_deltas(0.5, 12)
+        got = l2_tube_verdict(fp, 0.5, deltas)
+        monkeypatch.setattr(radial, "_tube_segment", scalar_tube_segment)
+        want = l2_tube_verdict(fp, 0.5, deltas)
+        assert got.verdict == want.verdict
+        for x, y in zip(got.integrals + got.increments, want.integrals + want.increments):
+            assert abs(x - y) <= 1e-12 * abs(y)
+
+
+class TestHalvingDeltas:
+    def test_values(self):
+        assert halving_deltas(0.5, 3) == [0.25, 0.125, 0.0625]
+
+    @pytest.mark.parametrize("eps,count", [(0.5, 2000), (1e-300, 100), (0.0, 1), (-0.5, 2), (math.inf, 1)])
+    def test_underflow_or_bad_eps(self, eps, count):
+        with pytest.raises(DomainError, match="fewer halvings"):
+            halving_deltas(eps, count)

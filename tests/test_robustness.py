@@ -130,6 +130,10 @@ class TestNonFiniteOptions:
         ["oracle", "--quad-samples", "0", "--samples", "1", "--b", "1"],
         ["forms", "--profile", "len", "--kappa", "0", "--alpha", "1e308", "--length", "1e308"],
         ["validate", str(fixture_path("torus.json")), "--out", "{tmp}/missing/x.json"],
+        ["forms", "--profile", "ang", "--kappa", "0", "--halvings", "2000"],
+        ["forms", "--profile", "ang", "--kappa", "0", "--eps", "1e-300", "--halvings", "100"],
+        ["forms", "--profile", "ang", "--kappa", "0", "--halvings", "0"],
+        ["forms", "--profile", "ang", "--kappa", "0", "--halvings", "ten"],
     ],
 )
 def test_input_that_cannot_be_reported_exits_2(argv, tmp_path, capsys):
