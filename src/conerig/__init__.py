@@ -39,7 +39,6 @@ from .liecore import (
     sn_cs_ct,
 )
 from .words import (
-    Cocycle,
     Meridian,
     Presentation,
     Representation,
@@ -47,7 +46,6 @@ from .words import (
     evaluate,
     extend_cocycle,
     parse_word,
-    relator_jacobian,
     relator_residual,
     split_representation,
 )

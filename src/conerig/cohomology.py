@@ -4,10 +4,12 @@ Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
 SU(2).  SU(2)xSU(2) is split into its two SU(2) factors
 (`words.split_representation`) before any space is computed.  Relators and
-meridians go through one Fox-calculus pass (`words.fox_derivatives`), and
-cocycles stay field coordinates up to the trace Jacobian.  Reported
-dimensions are real, twice the complex ones for SL(2,C); `cocycle_space`,
-`coboundary_space` and `z0_space` hand out a complex basis B as [B, i B].
+meridians go through one Fox-calculus pass (`words.fox_derivatives`).
+Cocycles are field coordinates (`liecore.AlgebraVector.from_coords`,
+generator after generator), and `z0_space`, `cocycle_space`,
+`coboundary_space` and `CohomologyReport.basis_H1` are matrices over the
+field with orthonormal columns.  Reported dimensions are real, twice the
+complex ones (the column counts) for SL(2,C).
 """
 from __future__ import annotations
 
@@ -20,15 +22,14 @@ from .errors import DomainError, IllConditioned
 from .liecore import (
     AlgebraVector,
     GroupElement,
-    SL2C,
     SU2XSU2,
     adjoint_matrix,
     algebra_basis,
     coefficient_field,
+    field_coords,
     sigma_fields,
 )
 from .words import (
-    Cocycle,
     Presentation,
     Representation,
     check_representation,
@@ -83,14 +84,6 @@ def matrix_rank(mat: np.ndarray, context: str = "rank") -> int:
     return _certified_rank(s, context)
 
 
-def _real_columns(basis: np.ndarray) -> np.ndarray:
-    """Real coordinate columns of a field basis: [B, i B] for a complex B."""
-    if not np.iscomplexobj(basis):
-        return basis
-    both = np.hstack([basis, 1j * basis])
-    return np.ascontiguousarray(both.T).view(float).T
-
-
 def _field_degree(group: str) -> int:
     """Real dimension of the coefficient field: 2 for C, 1 for R."""
     return 2 if coefficient_field(group)[0] is complex else 1
@@ -110,28 +103,22 @@ def _z0_b1(rho: Representation) -> tuple[np.ndarray, np.ndarray]:
     return vt[rank:].conj().T, u[:, :rank]
 
 
-def z0_space(rho: Representation, pres: Presentation) -> list[AlgebraVector]:
-    """Basis of the infinitesimal centralizer {v : Ad rho(gamma) v = v}."""
+def z0_space(rho: Representation, pres: Presentation) -> np.ndarray:
+    """Orthonormal field basis (columns) of the infinitesimal centralizer
+    {v : Ad rho(gamma) v = v}."""
     check_representation(rho, pres)
-    basis, _ = _z0_b1(rho)
-    return [AlgebraVector.from_coords(rho.group, v) for v in _real_columns(basis).T]
+    return _z0_b1(rho)[0]
 
 
-def _cocycles(group: str, basis: np.ndarray, n_generators: int) -> list[Cocycle]:
-    return [Cocycle.from_coords(group, v, n_generators) for v in _real_columns(basis).T]
+def cocycle_space(rho: Representation, pres: Presentation) -> np.ndarray:
+    """Orthonormal field basis (columns) of the kernel of the linearized relations."""
+    return nullspace(fox_jacobian(rho, pres), "Z1")
 
 
-def cocycle_space(rho: Representation, pres: Presentation) -> list[Cocycle]:
-    """Orthonormal basis of the kernel of the linearized relations."""
-    basis = nullspace(fox_jacobian(rho, pres), "Z1")
-    return _cocycles(rho.group, basis, len(pres.generators))
-
-
-def coboundary_space(rho: Representation, pres: Presentation) -> list[Cocycle]:
-    """Orthonormal basis of the image of v -> (v - Ad rho(gen) v)."""
+def coboundary_space(rho: Representation, pres: Presentation) -> np.ndarray:
+    """Orthonormal field basis (columns) of the image of v -> (v - Ad rho(gen) v)."""
     check_representation(rho, pres)
-    _, basis = _z0_b1(rho)
-    return _cocycles(rho.group, basis, len(pres.generators))
+    return _z0_b1(rho)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +203,7 @@ def _trace_rows(rho: Representation, words) -> np.ndarray:
     """Row w maps a cocycle's field coordinates to tr(z(w) rho(w)): the
     covector v -> tr(v rho(w)) on the field basis times the Fox block of w."""
     field, d = coefficient_field(rho.group)
-    # The real basis interleaves (1, i) per coordinate over C: keep the 1s.
-    basis = algebra_basis(rho.group)[:: _field_degree(rho.group)]
+    basis = algebra_basis(rho.group)
     fox = fox_derivatives(rho, words)
     rows = np.zeros((len(words), fox.shape[1]), dtype=complex)
     for r, word in enumerate(words):
@@ -226,21 +212,18 @@ def _trace_rows(rho: Representation, words) -> np.ndarray:
     return rows if field is complex else rows.real
 
 
-def trace_differential(rho: Representation, z: Cocycle, word):
+def trace_differential(rho: Representation, z, word):
     """Derivative of the trace along the infinitesimal deformation z.
 
-    Returns tr(z(w) rho(w)), the trace row of w on z's field coordinates: a
-    complex number for SL(2,C), a real number for SU(2).  For SU(2)xSU(2)
-    evaluate it per factor of `split_representation`.
+    z holds a cocycle's field coordinates, generator after generator.
+    Returns tr(z(w) rho(w)), the trace row of w applied to z: a complex
+    number for SL(2,C), a real number for SU(2).  For SU(2)xSU(2) evaluate
+    it per factor of `split_representation`.
     """
     if isinstance(word, str):
         raise DomainError("pass a parsed Word, not a string")
-    if z.group != rho.group:
-        raise DomainError(f"group mismatch: {z.group} vs {rho.group}")
-    row = _trace_rows(rho, [word])[0]
-    if rho.group == SL2C:
-        return complex(row @ z.coords().view(complex))
-    return float(row @ z.coords())
+    z = field_coords(rho.group, z, len(rho.images))
+    return (_trace_rows(rho, [word])[0] @ z).item()
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +504,9 @@ def standard_torus_cocycles(
     longitude_index: int = 0,
     meridian_index: int = 1,
     n_generators: int = 2,
-) -> dict[str, Cocycle | tuple[Cocycle, Cocycle]]:
-    """The four deformation cocycles of a standard singular tube.
+) -> dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]:
+    """The four deformation cocycles of a standard singular tube, as field
+    coordinates.
 
     Values on the meridian are alpha * sigma for the angle and shear
     directions and zero for twist and length; values on the longitude carry
@@ -532,14 +516,14 @@ def standard_torus_cocycles(
     per factor of `split_representation`.
     """
 
-    def cocycles(theta: AlgebraVector, z: AlgebraVector) -> dict[str, Cocycle]:
+    def cocycles(theta: AlgebraVector, z: AlgebraVector) -> dict[str, np.ndarray]:
         zero = AlgebraVector.zero(theta.group)
 
-        def build(long_val: AlgebraVector, mer_val: AlgebraVector) -> Cocycle:
+        def build(long_val: AlgebraVector, mer_val: AlgebraVector) -> np.ndarray:
             values = [zero] * n_generators
             values[longitude_index] = long_val
             values[meridian_index] = mer_val
-            return Cocycle(theta.group, tuple(values))
+            return np.concatenate([v.coords() for v in values])
 
         return {
             "ang": build(theta.scaled(-twist), theta.scaled(alpha)),

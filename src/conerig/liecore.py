@@ -172,14 +172,6 @@ def bracket(x: IsomAlgebraElement, y: IsomAlgebraElement) -> IsomAlgebraElement:
     return IsomAlgebraElement(rot, trans, x.kappa)
 
 
-def curvature_tensor(kappa: int, X, Y) -> np.ndarray:
-    """R(X,Y) as a 3x3 matrix, R(X,Y)Z = kappa(<Y,Z>X - <X,Z>Y)."""
-    validate_curvature(kappa)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return kappa * (np.outer(X, Y) - np.outer(Y, X))
-
-
 def ad_matrix(x: IsomAlgebraElement) -> np.ndarray:
     """ad(x) as a 6x6 real matrix in (axis, translation) coordinates."""
     A = hat(x.rot_vec)
@@ -387,7 +379,10 @@ def group_of(g: GroupElement) -> str:
 
 
 # Field and dimension over it of each coefficient Lie algebra: sl2(C) is a
-# complex Lie algebra, su(2) a real one.
+# complex Lie algebra, su(2) a real one.  Algebra vectors, cocycles and
+# subspace bases are all held in coordinates over this field (see
+# `AlgebraVector.from_coords`); a cocycle lists its generators' coordinates
+# one after another.
 _COEFFICIENT_FIELD = {SL2C: (complex, 3), SU2: (float, 3)}
 
 
@@ -400,10 +395,13 @@ def coefficient_field(group: str) -> tuple[type, int]:
     return _COEFFICIENT_FIELD[group]
 
 
-def algebra_dim(group: str) -> int:
-    """Real dimension of the coefficient Lie algebra."""
+def field_coords(group: str, vec, count: int = 1) -> np.ndarray:
+    """Checked field coordinates of `count` algebra vectors, one after another."""
     field, dim = coefficient_field(group)
-    return 2 * dim if field is complex else dim
+    vec = np.asarray(vec)
+    if vec.shape != (dim * count,) or (field is float and np.iscomplexobj(vec)):
+        raise DomainError(f"expected {dim * count} {field.__name__} coordinates for {group}")
+    return vec.astype(field)
 
 
 def _project_traceless(m: np.ndarray, antihermitian: bool) -> np.ndarray:
@@ -441,28 +439,20 @@ class AlgebraVector:
 
     @classmethod
     def from_coords(cls, group: str, vec) -> "AlgebraVector":
-        """Real coordinates: (re, im) of x, y, w in [[x, y], [w, -x]] for sl2(C),
-        and x, y, z in [[ix, y + iz], [-y + iz, -ix]] for su(2)."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (algebra_dim(group),):
-            raise DomainError(f"expected {algebra_dim(group)} real coordinates")
+        """The 3 coordinates over `coefficient_field(group)`: complex x, y, w of
+        [[x, y], [w, -x]] for sl2(C), real x, y, z of
+        [[ix, y + iz], [-y + iz, -ix]] for su(2)."""
+        x, y, t = field_coords(group, vec)
         if group == SL2C:
-            x, y, w = np.ascontiguousarray(vec).view(complex)
-            return cls(group, np.array([[x, y], [w, -x]]))
-        x, y, z = vec
-        return cls(group, np.array([[1j * x, y + 1j * z], [-y + 1j * z, -1j * x]]))
+            return cls(group, np.array([[x, y], [t, -x]]))
+        return cls(group, np.array([[1j * x, y + 1j * t], [-y + 1j * t, -1j * x]]))
 
     def coords(self) -> np.ndarray:
+        """Inverse of `from_coords`: complex for sl2(C), real for su(2)."""
         m = self.mat
         if self.group == SL2C:
-            return np.array([m[0, 0], m[0, 1], m[1, 0]]).view(float)
+            return np.array([m[0, 0], m[0, 1], m[1, 0]])
         return np.array([m[0, 0].imag, m[0, 1].real, m[0, 1].imag])
-
-    def j(self) -> "AlgebraVector":
-        """Complex structure: multiply by i (SL2C only)."""
-        if self.group != SL2C:
-            raise DomainError("complex structure only exists on sl2(C)")
-        return AlgebraVector(self.group, 1j * self.mat)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords()))
@@ -488,8 +478,9 @@ class AlgebraVector:
 
 @lru_cache(maxsize=None)
 def algebra_basis(group: str) -> tuple[AlgebraVector, ...]:
-    d = algebra_dim(group)
-    return tuple(AlgebraVector.from_coords(group, np.eye(d)[k]) for k in range(d))
+    """The basis over the coefficient field whose coordinates are the unit vectors."""
+    field, dim = coefficient_field(group)
+    return tuple(AlgebraVector.from_coords(group, e) for e in np.eye(dim, dtype=field))
 
 
 def ad_action(g: GroupElement, v: AlgebraVector) -> AlgebraVector:
@@ -508,11 +499,10 @@ def ad_action(g: GroupElement, v: AlgebraVector) -> AlgebraVector:
 
 
 def adjoint_matrix(g: GroupElement) -> np.ndarray:
-    """Ad(g) in closed form over the coefficient field.
+    """Ad(g) in closed form, acting on `AlgebraVector.coords`.
 
-    SL(2,C): complex 3x3 in the coordinates (x, y, w) of [[x, y], [w, -x]];
-    `realify` turns it into the real matrix in `AlgebraVector.coords` order.
-    SU(2): the rotation of its unit quaternion.
+    SL(2,C): complex 3x3 on the coordinates (x, y, w) of [[x, y], [w, -x]].
+    SU(2): real 3x3, the rotation of its unit quaternion.
     """
     if isinstance(g, Su2Element):
         return _quat_rotation(g.q)
@@ -528,14 +518,6 @@ def _quat_rotation(q: np.ndarray) -> np.ndarray:
     # q = (w, v) rotates u to (w^2 - |v|^2) u + 2 <v, u> v + 2 w v x u.
     w, v = q[0], q[1:]
     return (w * w - v @ v) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * hat(v)
-
-
-def realify(mat: np.ndarray) -> np.ndarray:
-    """Real matrix of a map over the coefficient field, in interleaved (re, im)
-    coordinates as `.view(float)` gives them: p + iq becomes [[p, -q], [q, p]]."""
-    if not np.iscomplexobj(mat):
-        return mat
-    return np.kron(mat.real, np.eye(2)) + np.kron(mat.imag, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def exp_algebra(v: AlgebraVector) -> GroupElement:
@@ -616,6 +598,8 @@ def complex_length_su2pair(g: Su2PairElement) -> tuple[float, float]:
     ell2 = x + y
     two_pi = 2.0 * math.pi
     ell2 %= two_pi
+    if ell2 >= two_pi:  # a tiny negative sum rounds up to 2 pi under %
+        ell2 = 0.0
     ell1 = _wrap_half_open(ell1)
     if abs(ell2) < 1e-12 and ell1 < 0.0:
         ell1 = -ell1

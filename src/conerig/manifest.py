@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,7 @@ from .liecore import (
     Sl2cElement,
     Su2Element,
     Su2PairElement,
-    validate_curvature,
+    VALID_CURVATURES,
 )
 from .spectral import SingularEdge, SingularVertex
 from .words import Presentation, Representation
@@ -52,9 +53,22 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ManifestError(path, message)
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """A JSON number of the given Python kind: JSON true and false are bools,
+    which Python also counts as ints, and are never numbers here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _as_list(doc: dict, key: str, path: str) -> list:
+    """The list at doc[key]; an absent key is an empty list."""
+    value = doc.get(key, [])
+    _require(isinstance(value, list), path, "expected a list")
+    return value
+
+
 def _as_complex(value, path: str) -> complex:
     _require(
-        isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value),
+        isinstance(value, list) and len(value) == 2 and all(_is_number(x) for x in value),
         path,
         "expected a [re, im] pair",
     )
@@ -63,7 +77,9 @@ def _as_complex(value, path: str) -> complex:
 
 
 def _require_finite(values: list, path: str) -> None:
-    _require(all(math.isfinite(x) for x in values), path, f"expected finite numbers, got {values}")
+    # An exact comparison: math.isfinite overflows on an int beyond the float range.
+    finite = all(abs(x) <= sys.float_info.max for x in values)
+    _require(finite, path, f"expected finite numbers, got {values}")
 
 
 def _as_matrix(value, path: str) -> np.ndarray:
@@ -76,7 +92,7 @@ def _as_matrix(value, path: str) -> np.ndarray:
 
 
 def _parse_su2(value, path: str) -> Su2Element:
-    if isinstance(value, list) and len(value) == 4 and all(isinstance(x, (int, float)) for x in value):
+    if isinstance(value, list) and len(value) == 4 and all(_is_number(x) for x in value):
         _require_finite(value, path)
         try:
             return Su2Element(np.array(value, dtype=float))
@@ -107,11 +123,15 @@ def _parse_image(value, group: str, path: str):
 
 def manifest_from_dict(doc: dict) -> Manifest:
     _require(isinstance(doc, dict), "", "manifest must be a JSON object")
-    _require(doc.get("schema") == SCHEMA_VERSION, "/schema", f"expected schema {SCHEMA_VERSION}")
-    try:
-        curvature = validate_curvature(doc.get("curvature"))
-    except DomainError as exc:
-        raise ManifestError("/curvature", str(exc)) from exc
+    schema, curvature = doc.get("schema"), doc.get("curvature")
+    _require(
+        _is_number(schema) and schema == SCHEMA_VERSION, "/schema", f"expected schema {SCHEMA_VERSION}"
+    )
+    _require(
+        _is_number(curvature) and curvature in VALID_CURVATURES,
+        "/curvature",
+        f"curvature must be one of {VALID_CURVATURES}, got {curvature!r}",
+    )
     group = doc.get("group")
     _require(group in GROUPS, "/group", f"group must be one of {list(GROUPS)}")
 
@@ -127,16 +147,14 @@ def manifest_from_dict(doc: dict) -> Manifest:
         "/relators",
         "expected a list of word strings",
     )
-    meridians_doc = doc.get("meridians", [])
-    _require(isinstance(meridians_doc, list), "/meridians", "expected a list")
     meridians = []
-    for k, m in enumerate(meridians_doc):
+    for k, m in enumerate(_as_list(doc, "meridians", "/meridians")):
         p = f"/meridians/{k}"
         _require(isinstance(m, dict), p, "expected an object")
         _require(isinstance(m.get("word"), str), f"{p}/word", "expected a word string")
-        _require(isinstance(m.get("edge_id"), int), f"{p}/edge_id", "expected an integer")
+        _require(_is_number(m.get("edge_id"), int), f"{p}/edge_id", "expected an integer")
         angle = m.get("cone_angle")
-        _require(isinstance(angle, (int, float)), f"{p}/cone_angle", "expected a number")
+        _require(_is_number(angle), f"{p}/cone_angle", "expected a number")
         _require(0.0 < angle <= 2.0 * math.pi, f"{p}/cone_angle", "must lie in (0, 2*pi]")
         meridians.append((m["word"], m["edge_id"], float(angle)))
     try:
@@ -153,10 +171,10 @@ def manifest_from_dict(doc: dict) -> Manifest:
     rho = Representation(group, tuple(images))
 
     boundary = []
-    for k, comp in enumerate(doc.get("boundary", []) or []):
+    for k, comp in enumerate(_as_list(doc, "boundary", "/boundary")):
         p = f"/boundary/{k}"
         _require(isinstance(comp, dict), p, "expected an object")
-        _require(isinstance(comp.get("genus"), int), f"{p}/genus", "expected an integer")
+        _require(_is_number(comp.get("genus"), int), f"{p}/genus", "expected an integer")
         _require(comp["genus"] <= MAX_SURFACE_GENUS, f"{p}/genus", GENUS_CAP)
         words = comp.get("generator_words")
         _require(
@@ -174,21 +192,21 @@ def manifest_from_dict(doc: dict) -> Manifest:
     graph = doc.get("singular_graph")
     if graph is not None:
         _require(isinstance(graph, dict), "/singular_graph", "expected an object")
-        for k, e in enumerate(graph.get("edges", [])):
+        for k, e in enumerate(_as_list(graph, "edges", "/singular_graph/edges")):
             p = f"/singular_graph/edges/{k}"
             _require(isinstance(e, dict), p, "expected an object")
-            _require(isinstance(e.get("id"), int), f"{p}/id", "expected an integer")
+            _require(_is_number(e.get("id"), int), f"{p}/id", "expected an integer")
             angle = e.get("angle")
-            _require(isinstance(angle, (int, float)), f"{p}/angle", "expected a number")
+            _require(_is_number(angle), f"{p}/angle", "expected a number")
             _require(0.0 < angle <= 2.0 * math.pi, f"{p}/angle", f"must lie in (0, 2*pi], got {angle}")
             edges.append(SingularEdge(e["id"], float(angle)))
         edge_ids = {e.id for e in edges}
-        for k, v in enumerate(graph.get("vertices", [])):
+        for k, v in enumerate(_as_list(graph, "vertices", "/singular_graph/vertices")):
             p = f"/singular_graph/vertices/{k}"
             _require(isinstance(v, dict), p, "expected an object")
             inc = v.get("incident")
             _require(
-                isinstance(inc, list) and len(inc) == 3 and all(isinstance(i, int) for i in inc),
+                isinstance(inc, list) and len(inc) == 3 and all(_is_number(i, int) for i in inc),
                 f"{p}/incident",
                 "vertices are trivalent: expected 3 incident edge ids",
             )
@@ -199,7 +217,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
     warnings = _genus_relation_warnings(edges, vertices, boundary)
     return Manifest(
         schema=SCHEMA_VERSION,
-        curvature=curvature,
+        curvature=int(curvature),
         group=group,
         presentation=pres,
         representation=rho,

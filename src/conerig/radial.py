@@ -37,10 +37,6 @@ class RadialGrid:
         if self.n < 64:
             raise DomainError(f"grid needs at least 64 nodes, got {self.n}")
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(1, self.n + 1) / self.n
-
 
 def _sample(g, xs: np.ndarray) -> np.ndarray:
     ys = np.asarray(g(xs), dtype=float)
@@ -71,22 +67,14 @@ def _weighted_integral(g, b: float, lo: float, hi: float, r: float, n: int) -> f
 
     Piecewise-linear g integrated exactly against the power weight per cell;
     this reduces to the composite trapezoid rule at b = 0 and handles the
-    rho^b singularity of the first cell exactly.
+    rho^b singularity of a first cell at lo = 0 (b > -1) exactly, since
+    0^(b+1) = 0 there.
     """
     xs = np.linspace(lo, hi, n + 1)
     ys = _sample(g, xs)
     x0, x1 = xs[:-1], xs[1:]
     g0, g1 = ys[:-1], ys[1:]
     h = x1 - x0
-    if lo == 0.0:
-        # leading cell separately: u0 = 0 is fine for b > -1
-        u1 = x1[0] / r
-        i0 = (r / (b + 1.0)) * u1 ** (b + 1.0)
-        i1 = (r * r / (b + 2.0)) * u1 ** (b + 2.0)
-        first = g0[0] * i0 + (g1[0] - g0[0]) / h[0] * i1
-        i0_rest, i1_rest = _power_cell_integrals(x0[1:], x1[1:], b, r)
-        rest = g0[1:] * i0_rest + (g1[1:] - g0[1:]) / h[1:] * (i1_rest - x0[1:] * i0_rest)
-        return float(first + rest.sum())
     i0, i1 = _power_cell_integrals(x0, x1, b, r)
     cells = g0 * i0 + (g1 - g0) / h * (i1 - x0 * i0)
     return float(cells.sum())

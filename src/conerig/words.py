@@ -18,12 +18,11 @@ from .liecore import (
     SU2XSU2,
     ad_action,
     adjoint_matrix,
-    algebra_dim,
     coefficient_field,
     exp_algebra,
+    field_coords,
     group_identity,
     group_of,
-    realify,
 )
 
 # A word is a sequence of (generator index, exponent) with exponent +/-1.
@@ -111,9 +110,6 @@ class Presentation:
         )
         return cls(gens, rel_words, tuple(relators), mers)
 
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.generators)
-
 
 @dataclass(frozen=True, eq=False)
 class Representation:
@@ -152,57 +148,38 @@ def check_representation(rho: Representation, pres: Presentation, tol: float = T
         raise InvalidRepresentation(f"relator residual {res:.3e} exceeds {tol:.1e}")
 
 
-@dataclass(frozen=True, eq=False)
-class Cocycle:
-    """Assignment of an algebra vector to each generator."""
-
-    group: str
-    values: tuple[AlgebraVector, ...]
-
-    def __post_init__(self):
-        for v in self.values:
-            if v.group != self.group:
-                raise DomainError(f"cocycle value group {v.group} != {self.group}")
-
-    @classmethod
-    def from_coords(cls, group: str, vec: np.ndarray, n_generators: int) -> "Cocycle":
-        d = algebra_dim(group)
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (d * n_generators,):
-            raise DomainError(f"expected {d * n_generators} coordinates")
-        vals = tuple(
-            AlgebraVector.from_coords(group, vec[d * k : d * (k + 1)]) for k in range(n_generators)
-        )
-        return cls(group, vals)
-
-    def coords(self) -> np.ndarray:
-        return np.concatenate([v.coords() for v in self.values])
+def _generator_values(rho: Representation, z) -> list[AlgebraVector]:
+    """The algebra vectors of a cocycle's field coordinates, one per generator."""
+    z = field_coords(rho.group, z, len(rho.images))
+    d = coefficient_field(rho.group)[1]
+    return [AlgebraVector.from_coords(rho.group, v) for v in z.reshape(-1, d)]
 
 
-def coboundary(rho: Representation, v: AlgebraVector) -> Cocycle:
-    """The coboundary of v: gamma -> v - Ad(rho(gamma)) v."""
-    vals = tuple(v - ad_action(g, v) for g in rho.images)
-    return Cocycle(rho.group, vals)
+def coboundary(rho: Representation, v: AlgebraVector) -> np.ndarray:
+    """Field coordinates of the coboundary of v: gamma -> v - Ad(rho(gamma)) v."""
+    return np.concatenate([(v - ad_action(g, v)).coords() for g in rho.images])
 
 
-def extend_cocycle(rho: Representation, z: Cocycle, word: Word) -> AlgebraVector:
-    """Extend generator values over a word by z(uv) = z(u) + Ad(rho(u)) z(v).
+def extend_cocycle(rho: Representation, z, word: Word) -> AlgebraVector:
+    """Extend a cocycle over a word by z(uv) = z(u) + Ad(rho(u)) z(v).
 
-    Inverse letters use z(g^-1) = -Ad(rho(g)^-1) z(g).  The word is
-    free-reduced first: the value is the same, and a cancelling pair would
-    add and subtract two terms as large as Ad of the prefix.
+    z holds the field coordinates of the generator values, generator after
+    generator, as `fox_derivatives` takes them.  Inverse letters use
+    z(g^-1) = -Ad(rho(g)^-1) z(g).  The word is free-reduced first: the
+    value is the same, and a cancelling pair would add and subtract two terms
+    as large as Ad of the prefix.  Letter by letter through `ad_action`, this
+    is the reference for the Fox pass.
     """
-    if z.group != rho.group:
-        raise DomainError(f"group mismatch: {z.group} vs {rho.group}")
+    values = _generator_values(rho, z)
     val = AlgebraVector.zero(rho.group)
     g = group_identity(rho.group)
     for i, e in free_reduce(word):
         if e > 0:
-            letter_val = z.values[i]
+            letter_val = values[i]
             letter_img = rho.images[i]
         else:
             letter_img = rho.images[i].inv()
-            letter_val = -ad_action(letter_img, z.values[i])
+            letter_val = -ad_action(letter_img, values[i])
         val = val + ad_action(g, letter_val)
         g = g.mul(letter_img)
     return val
@@ -243,21 +220,11 @@ def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
     return fox_derivatives(rho, pres.relators)
 
 
-def relator_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
-    """Linearized relations as a real matrix in `Cocycle.coords` order.
-
-    The realification of the Fox-calculus Jacobian `fox_jacobian`: column
-    (j, k) is the extension over each relator of the formal cocycle that
-    places the k-th real algebra basis vector on generator j and zero
-    elsewhere; the kernel is the cocycle space.
-    """
-    return realify(fox_jacobian(rho, pres))
-
-
-def deform(rho: Representation, z: Cocycle, t: float) -> Representation:
-    """First-order deformation rho_t(gamma) = exp(t z(gamma)) rho(gamma)."""
+def deform(rho: Representation, z, t: float) -> Representation:
+    """First-order deformation rho_t(gamma) = exp(t z(gamma)) rho(gamma) along
+    the cocycle with field coordinates z."""
     images = tuple(
-        exp_algebra(v.scaled(t)).mul(g) for v, g in zip(z.values, rho.images)
+        exp_algebra(v.scaled(t)).mul(g) for v, g in zip(_generator_values(rho, z), rho.images)
     )
     return Representation(rho.group, images)
 

@@ -21,7 +21,6 @@ from conerig.errors import DomainError
 from conerig.liecore import (
     AlgebraVector,
     Sl2cElement,
-    algebra_basis,
     ad_action,
     coefficient_field,
     complex_length_sl2c,
@@ -29,7 +28,6 @@ from conerig.liecore import (
 )
 from conerig.manifest import fixture_path, load_manifest
 from conerig.words import (
-    Cocycle,
     Presentation,
     Representation,
     coboundary,
@@ -65,59 +63,67 @@ def cusped():
     return load("cusped.json")
 
 
+def normal_coords(group, rng):
+    """Field coordinates with standard normal real (and, over C, imaginary) parts."""
+    if group == "SL2C":
+        xs = rng.standard_normal(6)
+        return xs[0::2] + 1j * xs[1::2]
+    return rng.standard_normal(3)
+
+
 def random_group_element(group, rng):
-    d = len(algebra_basis(group))
-    return exp_algebra(AlgebraVector.from_coords(group, rng.standard_normal(d) / d))
+    real_dim = 6 if group == "SL2C" else 3
+    return exp_algebra(AlgebraVector.from_coords(group, normal_coords(group, rng) / real_dim))
 
 
 class TestZ0:
     def test_torus_centralizer(self, torus):
         rho, pres, _ = torus
-        assert len(z0_space(rho, pres)) == 2  # the diagonal complex line
+        assert z0_space(rho, pres).shape[1] == 1  # the diagonal complex line
 
     def test_irreducible_surface_group(self, genus2):
         rho, pres, _ = genus2
-        assert len(z0_space(rho, pres)) == 0
+        assert z0_space(rho, pres).shape[1] == 0
 
     def test_trivial_representation(self):
         pres = Presentation.from_strings(["a", "b"], ["abAB"])
         rho = Representation(
             "SL2C", (Sl2cElement(np.eye(2)), Sl2cElement(np.eye(2)))
         )
-        assert len(z0_space(rho, pres)) == 6
+        assert z0_space(rho, pres).shape[1] == 3  # all of sl2(C)
 
 
 class TestCocycleSpaces:
     def test_torus_z1(self, torus):
         rho, pres, _ = torus
-        assert len(cocycle_space(rho, pres)) == 8  # complex dimension 4
+        assert cocycle_space(rho, pres).shape[1] == 4  # complex dimension 4
 
     def test_genus2_z1(self, genus2):
         rho, pres, _ = genus2
-        assert len(cocycle_space(rho, pres)) == 9
+        assert cocycle_space(rho, pres).shape[1] == 9
 
     def test_pants_z1(self, pants):
         rho, pres, _ = pants
-        assert len(cocycle_space(rho, pres)) == 12  # complex dimension 6
+        assert cocycle_space(rho, pres).shape[1] == 6  # complex dimension 6
 
     def test_torus_b1(self, torus):
         rho, pres, _ = torus
-        assert len(coboundary_space(rho, pres)) == 4  # complex dimension 2
+        assert coboundary_space(rho, pres).shape[1] == 2  # complex dimension 2
 
     def test_irreducible_b1_is_full(self, pants):
         rho, pres, _ = pants
-        assert len(coboundary_space(rho, pres)) == 6
+        assert coboundary_space(rho, pres).shape[1] == 3  # complex dimension 3
 
     def test_trivial_rep_b1_vanishes(self):
         pres = Presentation.from_strings(["a", "b"], ["abAB"])
         rho = Representation("SL2C", (Sl2cElement(np.eye(2)), Sl2cElement(np.eye(2))))
-        assert len(coboundary_space(rho, pres)) == 0
+        assert coboundary_space(rho, pres).shape[1] == 0
 
     def test_kernel_elements_satisfy_relators(self, cusped):
         from conerig.words import extend_cocycle
 
         rho, pres, _ = cusped
-        for z in cocycle_space(rho, pres):
+        for z in cocycle_space(rho, pres).T:
             for rel in pres.relators:
                 assert extend_cocycle(rho, z, rel).norm() < 1e-9
 
@@ -150,18 +156,15 @@ class TestH1:
         basis = rep.basis_H1
         gram = basis.conj().T @ basis
         assert np.linalg.norm(gram - np.eye(rep.dim_H1_complex)) < 1e-10
-        b1 = np.column_stack([z.coords().view(complex) for z in coboundary_space(rho, pres)])
+        b1 = coboundary_space(rho, pres)
         assert np.linalg.norm(b1.conj().T @ basis) < 1e-10
 
     def test_complex_structure_invariance(self, torus):
-        # J z stays in the kernel whenever z does
-        from conerig.words import relator_jacobian
-
+        # J z = i z stays in the kernel whenever z does
         rho, pres, _ = torus
-        jac = relator_jacobian(rho, pres)
-        for z in cocycle_space(rho, pres):
-            jz = np.concatenate([v.j().coords() for v in z.values])
-            assert np.linalg.norm(jac @ jz) < 1e-10
+        jac = fox_jacobian(rho, pres)
+        for z in cocycle_space(rho, pres).T:
+            assert np.linalg.norm(jac @ (1j * z)) < 1e-10
 
 
 class TestTraceDifferential:
@@ -197,7 +200,7 @@ class TestTraceDifferential:
         rho, pres, _ = cusped
         rng = np.random.default_rng(12)
         for _ in range(50):
-            v = AlgebraVector.from_coords("SL2C", rng.standard_normal(6))
+            v = AlgebraVector.from_coords("SL2C", normal_coords("SL2C", rng))
             z = coboundary(rho, v)
             for text in ("a", "ab", "bAb"):
                 w = parse_word(text, pres.generators)
@@ -252,10 +255,9 @@ class TestInvariants:
         # transported cocycles give the same trace differentials
         mu = pres.meridians[0].word
         for h in rep.basis_H1.T:
-            for coords in (h, 1j * h):
-                real = np.ascontiguousarray(coords).view(float)
-                z = Cocycle.from_coords("SL2C", real, len(pres.generators))
-                z_c = Cocycle("SL2C", tuple(ad_action(g, v) for v in z.values))
+            for z in (h, 1j * h):
+                values = (AlgebraVector.from_coords("SL2C", v) for v in z.reshape(-1, 3))
+                z_c = np.concatenate([ad_action(g, v).coords() for v in values])
                 assert abs(
                     trace_differential(rho, z, mu) - trace_differential(rho_c, z_c, mu)
                 ) < 1e-9
@@ -265,7 +267,7 @@ class TestInvariants:
         rng = np.random.default_rng(31)
         images = tuple(
             exp_algebra(
-                AlgebraVector.from_coords("SL2C", 1e-12 * rng.standard_normal(6))
+                AlgebraVector.from_coords("SL2C", 1e-12 * normal_coords("SL2C", rng))
             ).mul(img)
             for img in rho.images
         )
@@ -330,4 +332,40 @@ class TestPairsAreSplit:
         assert set(cocs) == {"ang", "shr", "tws", "len"}
         for pair in cocs.values():
             assert len(pair) == 2
-            assert all(isinstance(z, Cocycle) and z.group == "SU2" for z in pair)
+            assert all(z.shape == (6,) and z.dtype == float for z in pair)
+
+
+FIXTURES = [
+    "abelian-torus.json",
+    "cusped.json",
+    "genus2-su2.json",
+    "pants-conjugated.json",
+    "pants.json",
+    "spherical-torus.json",
+    "torus.json",
+]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_subspace_bases_are_orthonormal_field_matrices(name):
+    """z0_space, cocycle_space, coboundary_space and basis_H1 are matrices over
+    the coefficient field with orthonormal columns whose counts give the
+    reported dimensions; per SU(2) factor for SU(2)xSU(2)."""
+    rho, pres, _ = load(name)
+    for f in split_representation(rho) if rho.group == "SU2xSU2" else (rho,):
+        field, d = coefficient_field(f.group)
+        degree = 2 if field is complex else 1
+        report = h1_basis(f, pres)
+        z0, z1, b1 = z0_space(f, pres), cocycle_space(f, pres), coboundary_space(f, pres)
+        for basis, rows, dim in [
+            (z0, d, report.dim_Z0),
+            (z1, d * len(pres.generators), report.dim_Z1),
+            (b1, d * len(pres.generators), report.dim_B1),
+            (report.basis_H1, d * len(pres.generators), report.dim_H1),
+        ]:
+            assert basis.dtype == field and basis.shape[0] == rows
+            assert degree * basis.shape[1] == dim
+            gram = basis.conj().T @ basis
+            assert np.abs(gram - np.eye(basis.shape[1])).max(initial=0.0) < 1e-12
+        assert np.abs(fox_jacobian(f, pres) @ z1).max(initial=0.0) < 1e-12
+        assert np.abs(b1 - z1 @ (z1.conj().T @ b1)).max(initial=0.0) < 1e-12

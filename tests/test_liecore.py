@@ -35,8 +35,16 @@ def random_isom(kappa, rng=RNG):
     return IsomAlgebraElement(rng.standard_normal(3), rng.standard_normal(3), kappa)
 
 
+def normal_coords(group, rng):
+    """Field coordinates with standard normal real (and, over C, imaginary) parts."""
+    if group == "SL2C":
+        xs = rng.standard_normal(6)
+        return xs[0::2] + 1j * xs[1::2]
+    return rng.standard_normal(3)
+
+
 def random_sl2c(rng=RNG):
-    v = AlgebraVector.from_coords("SL2C", rng.standard_normal(6) / math.sqrt(6.0))
+    v = AlgebraVector.from_coords("SL2C", normal_coords("SL2C", rng) / math.sqrt(6.0))
     return exp_algebra(v)
 
 
@@ -340,8 +348,7 @@ class TestAlgebraVector:
     def test_coordinate_roundtrip(self):
         rng = np.random.default_rng(31)
         for group in ("SL2C", "SU2"):
-            dim = len(algebra_basis(group))
-            v = rng.standard_normal(dim)
+            v = normal_coords(group, rng)
             av = AlgebraVector.from_coords(group, v)
             assert np.linalg.norm(av.coords() - v) < 1e-14
 

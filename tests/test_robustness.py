@@ -1,4 +1,6 @@
 """Inputs that must end in a report or a documented exit code, never a traceback."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import conerig
 from conerig.cli import run
@@ -183,6 +187,125 @@ class TestGraphAndGenusAtLoad:
         assert len(surface_presentation(13).generators) == 26
         with pytest.raises(DomainError, match="single letters"):
             surface_presentation(14)
+
+
+class TestSectionShapesAtLoad:
+    """Every section the loader walks must be a list (or an object) where the
+    format says so, and no JSON true/false passes as a number."""
+
+    @pytest.mark.parametrize(
+        "fixture, pointer, value",
+        [
+            ("torus.json", "/boundary", 1),
+            ("torus.json", "/boundary", {"genus": 1}),
+            ("pants.json", "/singular_graph/edges", 1),
+            ("pants.json", "/singular_graph/vertices", 2.5),
+        ],
+    )
+    def test_non_list_section(self, tmp_path, capsys, fixture, pointer, value):
+        path = _write_with(tmp_path, fixture, pointer, value)
+        assert run(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {pointer}: expected a list" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fixture, pointer, reported",
+        [
+            ("torus.json", "/schema", "/schema"),
+            ("torus.json", "/curvature", "/curvature"),
+            ("torus.json", "/boundary/0/genus", "/boundary/0/genus"),
+            ("torus.json", "/meridians/0/cone_angle", "/meridians/0/cone_angle"),
+            ("torus.json", "/meridians/0/edge_id", "/meridians/0/edge_id"),
+            ("torus.json", "/holonomy/a/0/0/1", "/holonomy/a/0/0"),
+            ("genus2-su2.json", "/holonomy/b/0", "/holonomy/b"),
+            ("pants.json", "/singular_graph/edges/0/id", "/singular_graph/edges/0/id"),
+            ("pants.json", "/singular_graph/edges/0/angle", "/singular_graph/edges/0/angle"),
+            (
+                "pants.json",
+                "/singular_graph/vertices/0/incident/0",
+                "/singular_graph/vertices/0/incident",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, fixture, pointer, reported, value):
+        # `reported` is the entry, or the [re, im] pair or quaternion holding it.
+        path = _write_with(tmp_path, fixture, pointer, value)
+        assert run(["cohomology", str(path), "--audit"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {reported}: " in captured.err
+
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys):
+        path = _write_with(tmp_path, "torus.json", "/holonomy/a/0/0/1", 10**400)
+        assert run(["validate", str(path)]) == 2
+        assert "error: /holonomy/a/0/0: expected finite numbers" in capsys.readouterr().err
+
+
+FUZZ_FIXTURES = [
+    "abelian-torus.json",
+    "cusped.json",
+    "genus2-su2.json",
+    "pants-conjugated.json",
+    "pants.json",
+    "spherical-torus.json",
+    "torus.json",
+]
+FUZZ_COMMANDS = [("validate",), ("cohomology", "--audit"), ("rigidity",), ("admissibility",)]
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text("abAB01 ", max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text("abgx", max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _node_paths(node, path=()):
+    """Paths to every node of a JSON document, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_manifests(draw):
+    """A bundled fixture with one node replaced by a JSON value, or one key or
+    list entry deleted."""
+    doc = json.loads(fixture_path(draw(st.sampled_from(FUZZ_FIXTURES))).read_text())
+    path = draw(st.sampled_from(list(_node_paths(doc))))
+    if not path:
+        return draw(json_values)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_manifests())
+def test_mutated_fixtures_end_in_a_report_or_an_exit_code(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-manifest.json"
+    path.write_text(json.dumps(doc))
+    for command, *extra in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, str(path), *extra])
+        assert code in (0, 1, 2, 3)
+        if code == 2 and command == "validate" and out.getvalue():
+            # A manifest that loads but misses its relators is reported, not refused.
+            assert json.loads(out.getvalue())["valid"] is False
+        elif code == 2:
+            assert "error:" in err.getvalue()
 
 
 def test_module_entry_point_prints_the_report():
