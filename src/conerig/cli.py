@@ -18,7 +18,7 @@ from .cohomology import (
     h1_basis,
     rigidity_test,
 )
-from .errors import IllConditioned, ManifestError
+from .errors import IllConditioned, InvalidRepresentation, ManifestError
 from .liecore import SU2XSU2
 from .manifest import load_manifest, report_text, write_report
 from .radial import (
@@ -41,7 +41,7 @@ from .spectral import (
     cone_admissibility_verdict,
     link_B_spectrum,
 )
-from .words import relator_residual, split_representation, TOL_REP
+from .words import TOL_REP, check_relators, relator_distances, split_representation
 
 EXIT_OK = 0
 EXIT_FAILING = 1
@@ -80,8 +80,13 @@ def _emit(report, out_path) -> None:
 
 def _cmd_validate(args) -> tuple[int, dict]:
     m = load_manifest(args.manifest)
-    residual = relator_residual(m.representation, m.presentation)
+    dists = relator_distances(m.representation, m.presentation)
+    residual = float(np.max(dists, initial=0.0))
     ok = residual <= TOL_REP
+    try:
+        check_relators(dists)
+    except InvalidRepresentation as exc:  # still reported, and exit 2
+        sys.stderr.write(f"error: {exc}\n")
     report = {
         "manifest": str(args.manifest),
         "group": m.group,

@@ -10,6 +10,14 @@ generator after generator), and `z0_space`, `cocycle_space`,
 `coboundary_space` and `CohomologyReport.basis_H1` are matrices over the
 field with orthonormal columns.  Reported dimensions are real, twice the
 complex ones (the column counts) for SL(2,C).
+
+H^1 is Z^1 intersected with the orthocomplement of B^1.  With Z and B the
+orthonormal bases of Z^1 and B^1 (dim B^1 <= 3), C = Z^H B is small, and
+H^1 = Z Q[:, dim B^1:] for the complete Q of the QR factorisation of C.  In
+exact arithmetic B^1 lies in Z^1 and C has orthonormal columns.  The
+certificate is that of projecting Z off B: (I - B B^H) Z has singular values
+1 (dim H^1 times) and sqrt(1 - s_i(C)^2), and the cut between them must fall
+below 0.5, that is s_min(C) >= sqrt(3)/2; otherwise `IllConditioned`.
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ from .liecore import (
     AlgebraVector,
     GroupElement,
     SU2XSU2,
-    adjoint_matrix,
+    adjoint_stack,
     algebra_basis,
     coefficient_field,
     field_coords,
@@ -96,9 +104,10 @@ def _field_degree(group: str) -> int:
 def _z0_b1(rho: Representation) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal field bases of Z^0 and B^1 from one SVD of the stacked
     (I - Ad rho(gen)) blocks: Z^0 is their kernel, B^1 their column space."""
-    field, d = coefficient_field(rho.group)
-    blocks = [np.eye(d) - adjoint_matrix(g) for g in rho.images]
-    u, s, vt = np.linalg.svd(np.vstack([np.zeros((0, d), dtype=field), *blocks]))
+    d = coefficient_field(rho.group)[1]
+    blocks = (np.eye(d) - adjoint_stack(rho.group, rho.raw_images)).reshape(-1, d)
+    # Thin, unless no generator leaves fewer rows than the kernel needs.
+    u, s, vt = np.linalg.svd(blocks, full_matrices=len(blocks) < d)
     rank = _certified_rank(s, "B1")
     return vt[rank:].conj().T, u[:, :rank]
 
@@ -150,7 +159,8 @@ class CohomologyReport:
 
 
 def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
-    """Cohomology report: H^1 as the orthocomplement of B^1 inside Z^1.
+    """Cohomology report: H^1 as the orthocomplement of B^1 inside Z^1, from
+    the QR factorisation of Z^H B (see the module docstring).
 
     The Hermitian (Euclidean over R) inner product on stacked coordinates is
     used for orthonormalization (the Killing form is indefinite); only spans
@@ -165,15 +175,12 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     if dim_h1 < 0:
         raise IllConditioned(f"dim B1 {b1_rank} exceeds dim Z1 {dim_z1}")
 
-    # Project Z^1 basis off B^1 and re-orthonormalize; in exact arithmetic
-    # B^1 is contained in Z^1, so exactly dim_h1 singular values survive.
-    w = z1_basis - b1_basis @ (b1_basis.conj().T @ z1_basis)
-    h_basis = w[:, :0]
+    c = z1_basis.conj().T @ b1_basis
+    h_basis = z1_basis[:, :0]
     if dim_h1 > 0:
-        uw, sw, _ = np.linalg.svd(w)
-        if sw[dim_h1 - 1] < 0.5 or (sw.size > dim_h1 and sw[dim_h1] > 0.5):
+        if b1_rank and np.linalg.svd(c, compute_uv=False)[-1] < math.sqrt(3.0) / 2.0:
             raise IllConditioned("B1 is not numerically contained in Z1")
-        h_basis = uw[:, :dim_h1]
+        h_basis = z1_basis @ np.linalg.qr(c, mode="complete")[0][:, b1_rank:]
 
     degree = _field_degree(rho.group)
     dims_c = {}
@@ -203,12 +210,11 @@ def _trace_rows(rho: Representation, words) -> np.ndarray:
     """Row w maps a cocycle's field coordinates to tr(z(w) rho(w)): the
     covector v -> tr(v rho(w)) on the field basis times the Fox block of w."""
     field, d = coefficient_field(rho.group)
-    basis = algebra_basis(rho.group)
-    fox = fox_derivatives(rho, words)
-    rows = np.zeros((len(words), fox.shape[1]), dtype=complex)
-    for r, word in enumerate(words):
-        g = evaluate(rho, word).mat
-        rows[r] = [np.trace(e.mat @ g) for e in basis] @ fox[d * r : d * (r + 1)]
+    basis = np.array([e.mat for e in algebra_basis(rho.group)])
+    images = np.array([evaluate(rho, word).mat for word in words]).reshape(-1, 2, 2)
+    covectors = np.einsum("kij,rji->rk", basis, images)
+    fox = fox_derivatives(rho, words).reshape(len(words), d, d * len(rho.images))
+    rows = np.einsum("rk,rkc->rc", covectors, fox)
     return rows if field is complex else rows.real
 
 
@@ -259,16 +265,21 @@ class RigidityReport:
         return out
 
 
-def _image_is_abelian(rho: Representation, tol: float = 1e-10) -> bool:
-    imgs = rho.images
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            if imgs[i].mul(imgs[j]).dist(imgs[j].mul(imgs[i])) > tol:
-                return False
-    return True
+# A product gh of images rounds in proportion to |g| |h| (Frobenius norms,
+# sqrt(2) on unitary images), so gh = hg is tested to TOL_CENTRAL |g| |h| / 2,
+# and a meridian word is +/- identity to TOL_CENTRAL |g|^2 / 2 for the
+# largest image g.
+TOL_CENTRAL = 1e-10
 
 
-def _meridian_image_central(g: GroupElement, tol: float = 1e-10) -> bool:
+def _image_is_abelian(mats: np.ndarray, sizes: np.ndarray) -> bool:
+    """Whether the (n, 2, 2) image matrices, of norms `sizes`, commute pairwise."""
+    gh = mats[:, None] @ mats[None, :]
+    defect = np.linalg.norm(gh - gh.transpose(1, 0, 2, 3), axis=(2, 3))
+    return bool((defect <= TOL_CENTRAL * np.outer(sizes, sizes) / 2.0).all())
+
+
+def _meridian_image_central(g: GroupElement, tol: float) -> bool:
     return g.dist_to_identity() <= tol or float(np.linalg.norm(g.mat + np.eye(2))) <= tol
 
 
@@ -279,14 +290,17 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
     flags: list[str] = []
     notes: list[str] = []
 
-    if _image_is_abelian(rho):
+    mats = np.array([g.mat for g in rho.images]).reshape(-1, 2, 2)
+    sizes = np.linalg.norm(mats, axis=(1, 2))
+    if _image_is_abelian(mats, sizes):
         flags.append(FLAG_ABELIAN)
         notes.append("image group is abelian; the trace-rank criterion does not certify rigidity")
     if report.dim_Z0 > 0:
         flags.append(FLAG_REDUCIBLE)
         notes.append("nontrivial infinitesimal centralizer; smooth-point hypothesis unverified")
+    central_tol = TOL_CENTRAL * np.max(sizes, initial=math.sqrt(2.0)) ** 2 / 2.0
     for m in meridians:
-        if _meridian_image_central(evaluate(rho, m.word)):
+        if _meridian_image_central(evaluate(rho, m.word), central_tol):
             flags.append(FLAG_MERIDIAN_ID)
             notes.append(f"meridian {m.text!r} maps to +/- identity; complex length undefined")
             break

@@ -3,6 +3,16 @@
 Words are case-sensitive letter strings over the declared generators; an
 uppercase letter is the inverse of its lowercase generator.  Evaluation never
 free-reduces, so word identity stays traceable in reports.
+
+Every word is evaluated by one prefix walk (`prefix_walk`): p_0 = 1 and
+p_t = p_{t-1} g_t on raw arrays, a 2x2 complex matrix for SL(2,C) and a unit
+quaternion for SU(2), with the floating-point operations and re-projection
+rule of `GroupElement.mul` (`liecore.raw_product`), so a walk's last prefix
+equals the chain of `mul` calls bit for bit.  A representation holds the raw
+arrays of its images and their inverses from construction on.  `evaluate`,
+the relator check and the Fox derivatives read the walk; the Fox pass takes
+the Ad matrices of all the prefixes it needs in one stacked closed form
+(`liecore.adjoint_stack`).  SU(2)xSU(2) is walked per factor.
 """
 from __future__ import annotations
 
@@ -12,17 +22,22 @@ import numpy as np
 
 from .errors import DomainError, InvalidRepresentation, UnknownGenerator
 from .liecore import (
-    AlgebraVector,
-    GroupElement,
+    SL2C,
     SU2,
     SU2XSU2,
+    AlgebraVector,
+    GroupElement,
+    Sl2cElement,
+    Su2Element,
+    Su2PairElement,
     ad_action,
-    adjoint_matrix,
+    adjoint_stack,
     coefficient_field,
     exp_algebra,
     field_coords,
     group_identity,
     group_of,
+    raw_product,
 )
 
 # A word is a sequence of (generator index, exponent) with exponent +/-1.
@@ -111,6 +126,18 @@ class Presentation:
         return cls(gens, rel_words, tuple(relators), mers)
 
 
+def _raw(g: GroupElement) -> np.ndarray:
+    """The array an SL2C or SU2 element is held as: its matrix or its quaternion."""
+    return g.q if isinstance(g, Su2Element) else g.mat
+
+
+def _element(group: str, raw: np.ndarray) -> GroupElement:
+    return Sl2cElement(raw) if group == SL2C else Su2Element(raw)
+
+
+_IDENTITY = {group: _raw(group_identity(group)) for group in (SL2C, SU2)}
+
+
 @dataclass(frozen=True, eq=False)
 class Representation:
     """Group tag plus one image per generator."""
@@ -122,30 +149,72 @@ class Representation:
         for g in self.images:
             if group_of(g) != self.group:
                 raise DomainError(f"image {g!r} does not live in {self.group}")
+        if self.group != SU2XSU2:
+            # One read-only array each for the images and their inverses, not
+            # 2n small ones.
+            shape = (-1, *_IDENTITY[self.group].shape)
+            letters = []
+            for imgs in (self.images, [g.inv() for g in self.images]):
+                stack = np.array([_raw(g) for g in imgs]).reshape(shape)
+                stack.flags.writeable = False
+                letters.append(stack)
+            object.__setattr__(self, "_letters", tuple(letters))
 
     def image(self, index: int, exponent: int) -> GroupElement:
         g = self.images[index]
         return g if exponent > 0 else g.inv()
 
+    @property
+    def raw_images(self) -> np.ndarray:
+        """The images as one array: (n, 2, 2) matrices for SL2C, (n, 4)
+        quaternions for SU2."""
+        return self._letters[0]
+
+
+def prefix_walk(rho: Representation, word: Word) -> list[np.ndarray]:
+    """Raw prefixes p_0 = 1, p_t = p_{t-1} g_t of the image of a word, one
+    per letter after the identity, for an SL2C or SU2 representation."""
+    if rho.group == SU2XSU2:
+        raise DomainError("walk SU2xSU2 words per factor of split_representation")
+    images, inverses = rho._letters
+    p = _IDENTITY[rho.group]
+    prefixes = [p]
+    for i, e in word:
+        p = raw_product(rho.group, p, images[i] if e > 0 else inverses[i])
+        prefixes.append(p)
+    return prefixes
+
 
 def evaluate(rho: Representation, word: Word) -> GroupElement:
     """Product of generator images along the word; identity word maps to id."""
-    out = group_identity(rho.group)
-    for i, e in word:
-        out = out.mul(rho.image(i, e))
-    return out
+    if rho.group == SU2XSU2:
+        return Su2PairElement(*(evaluate(f, word) for f in split_representation(rho)))
+    return _element(rho.group, prefix_walk(rho, word)[-1])
+
+
+def relator_distances(rho: Representation, pres: Presentation) -> list[float]:
+    """Frobenius distance of each relator's image from the identity."""
+    return [evaluate(rho, rel).dist_to_identity() for rel in pres.relators]
 
 
 def relator_residual(rho: Representation, pres: Presentation) -> float:
     """Max Frobenius distance of relator images from the identity (NaN stays NaN)."""
-    dists = [evaluate(rho, rel).dist_to_identity() for rel in pres.relators]
-    return float(np.max(dists, initial=0.0))
+    return float(np.max(relator_distances(rho, pres), initial=0.0))
+
+
+def check_relators(dists: list[float], tol: float = TOL_REP) -> None:
+    """Refuse relator distances beyond tol, naming the worst relator by its
+    JSON pointer; a NaN distance counts as the worst."""
+    if dists:
+        k = int(np.argmax(dists))
+        if not dists[k] <= tol:
+            raise InvalidRepresentation(
+                f"/relators/{k}: relator residual {dists[k]:.3e} exceeds {tol:.1e}"
+            )
 
 
 def check_representation(rho: Representation, pres: Presentation, tol: float = TOL_REP) -> None:
-    res = relator_residual(rho, pres)
-    if not res <= tol:
-        raise InvalidRepresentation(f"relator residual {res:.3e} exceeds {tol:.1e}")
+    check_relators(relator_distances(rho, pres), tol)
 
 
 def _generator_values(rho: Representation, z) -> list[AlgebraVector]:
@@ -165,24 +234,47 @@ def extend_cocycle(rho: Representation, z, word: Word) -> AlgebraVector:
 
     z holds the field coordinates of the generator values, generator after
     generator, as `fox_derivatives` takes them.  Inverse letters use
-    z(g^-1) = -Ad(rho(g)^-1) z(g).  The word is free-reduced first: the
-    value is the same, and a cancelling pair would add and subtract two terms
-    as large as Ad of the prefix.  Letter by letter through `ad_action`, this
-    is the reference for the Fox pass.
+    z(g^-1) = -Ad(rho(g)^-1) z(g), so g^-1 at prefix p adds -Ad(p g^-1) z(g).
+    The word is free-reduced first: the value is the same, and a cancelling
+    pair would add and subtract two terms as large as Ad of the prefix.
+    Letter by letter through `ad_action` on the prefixes of `prefix_walk`,
+    this is the reference for the Fox pass.
     """
     values = _generator_values(rho, z)
     val = AlgebraVector.zero(rho.group)
-    g = group_identity(rho.group)
-    for i, e in free_reduce(word):
+    word = free_reduce(word)
+    prefixes = [_element(rho.group, p) for p in prefix_walk(rho, word)]
+    for t, (i, e) in enumerate(word):
         if e > 0:
-            letter_val = values[i]
-            letter_img = rho.images[i]
+            val = val + ad_action(prefixes[t], values[i])
         else:
-            letter_img = rho.images[i].inv()
-            letter_val = -ad_action(letter_img, values[i])
-        val = val + ad_action(g, letter_val)
-        g = g.mul(letter_img)
+            val = val - ad_action(prefixes[t + 1], values[i])
     return val
+
+
+def _fox_pass(rho: Representation, words) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Fox derivatives of the freely reduced words, and each reduced word's
+    last prefix; see `fox_derivatives`."""
+    field, d = coefficient_field(rho.group)
+    blocks = np.zeros((len(words), len(rho.images), d, d), dtype=field)
+    finals = []
+    for r, word in enumerate(words):
+        word = free_reduce(word)
+        prefixes = prefix_walk(rho, word)
+        finals.append(prefixes[-1])
+        if word:
+            gens, exps = np.array(word).T
+            # g_j adds Ad(p_{t-1}) to block j; g_j^-1 subtracts Ad(p_t).
+            ads = adjoint_stack(rho.group, np.array(prefixes)[np.arange(len(word)) + (exps < 0)])
+            np.add.at(blocks[r], gens, exps[:, None, None] * ads)
+    jac = blocks.transpose(0, 2, 1, 3).reshape(d * len(words), d * len(rho.images))
+    return jac, finals
+
+
+def _finite(jac: np.ndarray) -> np.ndarray:
+    if not np.isfinite(jac).all():
+        raise DomainError("Fox derivatives overflow: Ad of a word prefix is not finite")
+    return jac
 
 
 def fox_derivatives(rho: Representation, words) -> np.ndarray:
@@ -190,34 +282,30 @@ def fox_derivatives(rho: Representation, words) -> np.ndarray:
 
     Row block r maps a cocycle's field coordinates, generator after generator,
     to its value on word r; block (r, j) is the Fox derivative by generator j
-    acting through Ad.  One pass per word carries the prefix p: g_j adds Ad(p)
-    to block j, then p <- p g_j; g_j^-1 sets p <- p g_j^-1, then subtracts
-    Ad(p).  Ad(p) comes in closed form from p, not as a product of Ad
-    matrices, whose condition number is the square of p's.  Words are
-    free-reduced first, as in `extend_cocycle`.
+    acting through Ad.  One prefix walk per word: a letter g_j at prefix p
+    adds Ad(p) to block j, a letter g_j^-1 subtracts Ad(p g_j^-1).  Ad(p)
+    comes in closed form from p, not as a product of Ad matrices, whose
+    condition number is the square of p's.  Words are free-reduced first, as
+    in `extend_cocycle`.
     """
-    field, d = coefficient_field(rho.group)
-    inverses = [g.inv() for g in rho.images]
-    jac = np.zeros((d * len(words), d * len(rho.images)), dtype=field)
-    for r, word in enumerate(words):
-        rows = jac[d * r : d * (r + 1)]
-        prefix = group_identity(rho.group)
-        for j, e in free_reduce(word):
-            block = rows[:, d * j : d * (j + 1)]
-            if e > 0:
-                block += adjoint_matrix(prefix)
-                prefix = prefix.mul(rho.images[j])
-            else:
-                prefix = prefix.mul(inverses[j])
-                block -= adjoint_matrix(prefix)
-    return jac
+    return _finite(_fox_pass(rho, words)[0])
 
 
 def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
     """Linearized relations over the coefficient field: the Fox derivatives of
-    the relators, after checking them.  The kernel is the cocycle space."""
-    check_representation(rho, pres)
-    return fox_derivatives(rho, pres.relators)
+    the relators, after checking them.  The kernel is the cocycle space.
+
+    The check reads the relator images off the walks that give the Fox
+    blocks; a relator that free reduction shortens is also walked as given,
+    so the distances are those of `relator_distances`.
+    """
+    jac, finals = _fox_pass(rho, pres.relators)
+    images = [
+        _element(rho.group, p) if free_reduce(rel) == rel else evaluate(rho, rel)
+        for rel, p in zip(pres.relators, finals)
+    ]
+    check_relators([g.dist_to_identity() for g in images])
+    return _finite(jac)
 
 
 def deform(rho: Representation, z, t: float) -> Representation:

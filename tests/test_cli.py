@@ -29,6 +29,21 @@ class TestValidate:
         bad.write_text('{"schema": 1}')
         assert run(["validate", str(bad)]) == 2
 
+    def test_failing_relator_is_named(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("torus.json").read_text())
+        doc["relators"] = ["abAB", "a"]
+        bad = tmp_path / "bad-relator.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["validate", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["valid"] is False
+        assert captured.err.startswith("error: /relators/1: relator residual ")
+        assert captured.err.endswith(" exceeds 1.0e-08\n")
+        for command in ("cohomology", "rigidity"):
+            assert run([command, str(bad)]) == 2
+            assert capsys.readouterr().err == captured.err
+
 
 class TestCohomology:
     def test_torus_dims(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 from conerig.cohomology import (
     BoundaryComponent,
     FLAG_ABELIAN,
+    FLAG_REDUCIBLE,
     VERDICT_DEFICIENT,
     VERDICT_RIGID,
     coboundary_space,
@@ -232,6 +233,19 @@ class TestRigidity:
         rep = rigidity_test(rho, pres)
         assert FLAG_ABELIAN in rep.degenerate_flags
         assert rep.verdict == VERDICT_DEFICIENT
+
+    @pytest.mark.parametrize("scale", [30.0, 300.0])
+    def test_abelian_flag_survives_a_large_conjugate(self, torus, scale):
+        # Conjugated entries near 1e5 make g h - h g round to about 1e-5,
+        # far above an absolute 1e-10; the tolerance scales with |g| |h|.
+        rho, pres, _ = torus
+        h = np.diag([scale, 1.0 / scale]) @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ np.array(
+            [[1.0, 0.0], [1.0, 1.0]]
+        )
+        h_inv = np.linalg.inv(h)
+        rho_c = Representation("SL2C", tuple(Sl2cElement(h @ g.mat @ h_inv) for g in rho.images))
+        rep = rigidity_test(rho_c, pres)
+        assert rep.degenerate_flags == (FLAG_ABELIAN, FLAG_REDUCIBLE)
 
     def test_cusped_locally_rigid(self, cusped):
         rho, pres, _ = cusped

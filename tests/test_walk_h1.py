@@ -1,0 +1,292 @@
+"""Differential tests of the prefix walk and the QR construction of H^1
+against what they replace: the chain of element multiplications (bit for
+bit) and the projection SVD of the Z^1 basis (the same subspace).  A
+work-count guard keeps h1_basis free of per-letter objects and of SVDs wider
+than the coefficient algebra."""
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conerig import cohomology
+from conerig.cohomology import (
+    coboundary_space,
+    cocycle_space,
+    h1_basis,
+    surface_presentation,
+)
+from conerig.errors import IllConditioned
+from conerig.liecore import (
+    SU2XSU2,
+    AlgebraVector,
+    Sl2cElement,
+    Su2Element,
+    exp_algebra,
+    group_identity,
+)
+from conerig.manifest import fixture_path, load_manifest
+from conerig.words import (
+    Representation,
+    evaluate,
+    fox_jacobian,
+    parse_word,
+    prefix_walk,
+    split_representation,
+)
+
+FIXTURES = [
+    "torus.json",
+    "pants.json",
+    "pants-conjugated.json",
+    "cusped.json",
+    "genus2-su2.json",
+    "spherical-torus.json",
+    "abelian-torus.json",
+]
+GENERA = range(2, 14)
+
+
+def factors(rho):
+    return split_representation(rho) if rho.group == SU2XSU2 else (rho,)
+
+
+def element_quat_mul(p, q):
+    """The quaternion product on numpy float64 scalars, as the element
+    arithmetic first computed it."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return np.array(
+        [
+            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+        ]
+    )
+
+
+def raw(g):
+    return g.q if isinstance(g, Su2Element) else g.mat
+
+
+def mul_chain(rho, word):
+    """Raw prefixes of a word as a chain of element multiplications: the
+    reference for `prefix_walk`.  `mul` must still compute each product."""
+    out = group_identity(rho.group)
+    chain = [raw(out)]
+    for i, e in word:
+        g = rho.image(i, e)
+        if rho.group == "SU2":
+            nxt = Su2Element(element_quat_mul(out.q, g.q))
+        else:
+            nxt = Sl2cElement(out.mat @ g.mat)
+        assert raw(out.mul(g)).tobytes() == raw(nxt).tobytes()
+        out = nxt
+        chain.append(raw(out))
+    return chain
+
+
+def assert_walk_is_the_chain(rho, word):
+    walk, chain = prefix_walk(rho, word), mul_chain(rho, word)
+    assert len(walk) == len(chain)
+    for got, want in zip(walk, chain):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert raw(evaluate(rho, word)).tobytes() == chain[-1].tobytes()
+
+
+def fixture_words(name):
+    m = load_manifest(fixture_path(name))
+    gens = m.presentation.generators
+    words = list(m.presentation.relators) + [mer.word for mer in m.presentation.meridians]
+    words += [parse_word(w, gens) for comp in m.boundary for w in comp.generator_words]
+    return m.representation, words
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_walk_matches_element_arithmetic_on_fixture_words(name):
+    rho, words = fixture_words(name)
+    for f in factors(rho):
+        for word in words:
+            assert_walk_is_the_chain(f, word)
+
+
+coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+letter = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["SL2C", "SU2"]),
+    st.lists(coord, min_size=18, max_size=18),
+    st.lists(letter, max_size=12),
+)
+def test_walk_matches_element_arithmetic_on_random_words(group, coords, word):
+    xs = np.array(coords)
+    vals = xs[0::2] + 1j * xs[1::2] if group == "SL2C" else xs[:9]
+    images = tuple(
+        exp_algebra(AlgebraVector.from_coords(group, vals[3 * k : 3 * k + 3])) for k in range(3)
+    )
+    assert_walk_is_the_chain(Representation(group, images), tuple(word))
+
+
+@pytest.mark.parametrize("group", ["SL2C", "SU2"])
+def test_walk_reprojects_as_the_constructors_do(group):
+    # Images with det (|q|^2) = 1 + 9e-15 pass the constructors unchanged,
+    # inside the rounding allowance; their products leave it and must be
+    # re-projected exactly as `mul` re-projects them.
+    s = np.sqrt(1.0 + 9e-15)
+    if group == "SL2C":
+        images = tuple(Sl2cElement(s * np.diag([x, 1 / x])) for x in (1.2, 0.7j))
+    else:
+        images = tuple(Su2Element(s * np.array(q)) for q in ([0.6, 0.8, 0, 0], [0, 0, 0.8, 0.6]))
+    rho = Representation(group, images)
+    word = ((0, 1), (1, 1), (0, -1), (1, 1))
+    assert_walk_is_the_chain(rho, word)
+    a, b = (raw(g) for g in images)
+    unprojected = a @ b if group == "SL2C" else element_quat_mul(a, b)
+    assert prefix_walk(rho, word)[2].tobytes() != unprojected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# surface groups
+
+
+def su2_surface(genus, rng):
+    """Irreducible SU(2) images of a_1, b_1, ..., a_g, b_g.  The first g - 1
+    pairs are random; with T = h diag(m^2, conj(m)^2) h^-1 the inverse of
+    their commutator product, a_g = h diag(m, conj(m)) h^-1 and b_g = h w h^-1
+    for the quarter turn w, so that [a_g, b_g] = T."""
+    mats = []
+    for _ in range(2 * genus - 2):
+        q = rng.standard_normal(4)
+        mats.append(Su2Element(q / np.linalg.norm(q)).mat)
+    prod = np.eye(2, dtype=complex)
+    for a, b in zip(mats[0::2], mats[1::2]):
+        prod = prod @ a @ b @ a.conj().T @ b.conj().T
+    vals, vecs = np.linalg.eig(prod.conj().T)
+    v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    h = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+    m = np.sqrt(vals[0])
+    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    mats += [h @ np.diag([m, np.conj(m)]) @ h.conj().T, h @ w @ h.conj().T]
+    return Representation("SU2", tuple(Su2Element.from_matrix(x) for x in mats))
+
+
+def sl2c_diagonal_surface(genus, rng):
+    z = np.exp(rng.uniform(-0.5, 0.5, 2 * genus) + 1j * rng.uniform(0.3, 6.0, 2 * genus))
+    return Representation("SL2C", tuple(Sl2cElement(np.diag([x, 1.0 / x])) for x in z))
+
+
+SURFACES = [
+    pytest.param(make, genus, id=f"{make.__name__}-g{genus}")
+    for make in (su2_surface, sl2c_diagonal_surface)
+    for genus in GENERA
+]
+
+
+def surface(make, genus):
+    return make(genus, np.random.default_rng(genus)), surface_presentation(genus)
+
+
+@pytest.mark.parametrize("make,genus", SURFACES)
+def test_walk_matches_element_arithmetic_on_surface_relators(make, genus):
+    rho, pres = surface(make, genus)
+    assert_walk_is_the_chain(rho, pres.relators[0])
+
+
+# ---------------------------------------------------------------------------
+# H^1 against the projection SVD
+
+
+def projection_h1(z1, b1):
+    """H^1 by projecting the Z^1 basis off B^1 and taking the left singular
+    vectors of what survives, with its certificate."""
+    dim_h1 = z1.shape[1] - b1.shape[1]
+    w = z1 - b1 @ (b1.conj().T @ z1)
+    uw, sw, _ = np.linalg.svd(w)
+    assert dim_h1 == 0 or sw[dim_h1 - 1] >= 0.5
+    assert sw.size == dim_h1 or sw[dim_h1] <= 0.5
+    return uw[:, :dim_h1]
+
+
+def assert_same_h1(rho, pres):
+    rep = h1_basis(rho, pres)
+    z1, b1 = cocycle_space(rho, pres), coboundary_space(rho, pres)
+    want = projection_h1(z1, b1)
+    degree = 2 if rho.group == "SL2C" else 1
+    assert (rep.dim_Z1, rep.dim_B1, rep.dim_H1) == (
+        degree * z1.shape[1],
+        degree * b1.shape[1],
+        degree * want.shape[1],
+    )
+    got = rep.basis_H1
+    assert got.shape == want.shape
+    assert np.abs(got.conj().T @ got - np.eye(got.shape[1])).max(initial=0.0) <= 1e-12
+    assert np.abs(got @ got.conj().T - want @ want.conj().T).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_h1_matches_projection_on_fixtures(name):
+    m = load_manifest(fixture_path(name))
+    for f in factors(m.representation):
+        assert_same_h1(f, m.presentation)
+
+
+@pytest.mark.parametrize("make,genus", SURFACES)
+def test_h1_matches_projection_on_surface_groups(make, genus):
+    assert_same_h1(*surface(make, genus))
+
+
+@pytest.mark.parametrize("angle,raises", [(np.pi / 4, True), (0.1, False)])
+def test_b1_tilted_out_of_z1(monkeypatch, angle, raises):
+    # Tilt one B^1 column towards a direction orthogonal to Z^1 (a row of the
+    # Fox Jacobian): s_min(Z^H B) becomes cos(angle), against sqrt(3)/2.
+    rho, pres = su2_surface(2, np.random.default_rng(5)), surface_presentation(2)
+    z0, b1 = cohomology._z0_b1(rho)
+    normal = fox_jacobian(rho, pres)[0].conj()
+    normal /= np.linalg.norm(normal)
+    tilted = b1.copy()
+    tilted[:, 0] = np.cos(angle) * b1[:, 0] + np.sin(angle) * normal
+    monkeypatch.setattr(cohomology, "_z0_b1", lambda rho: (z0, tilted))
+    if raises:
+        with pytest.raises(IllConditioned, match="B1 is not numerically contained in Z1"):
+            h1_basis(rho, pres)
+    else:
+        assert h1_basis(rho, pres).dim_H1 == 6
+
+
+# ---------------------------------------------------------------------------
+# work-count guard
+
+
+def h1_work(monkeypatch, rho, pres):
+    """Element constructions and SVD shapes while h1_basis runs."""
+    built, shapes = Counter(), []
+    for cls in (Sl2cElement, Su2Element):
+        real_init = cls.__init__
+
+        def init(self, *args, real_init=real_init, name=cls.__name__):
+            built[name] += 1
+            real_init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    h1_basis(rho, pres)
+    monkeypatch.undo()
+    return sum(built.values()), shapes
+
+
+@pytest.mark.parametrize("make", [su2_surface, sl2c_diagonal_surface])
+def test_h1_basis_work_does_not_grow_with_the_relator(monkeypatch, make):
+    small, _ = h1_work(monkeypatch, *surface(make, 2))
+    large, shapes = h1_work(monkeypatch, *surface(make, 13))
+    assert large == small <= 2  # the relator's image, not one object per letter
+    assert shapes and all(min(shape) <= 3 for shape in shapes)
