@@ -4,7 +4,9 @@ Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
 SU(2).  SU(2)xSU(2) is split into its two SU(2) factors
 (`words.split_representation`) before any space is computed.  Relators and
-meridians go through one Fox-calculus pass (`words.fox_derivatives`).
+meridians go through one Fox-calculus pass (`words.fox_derivatives`), which
+also gives the meridian images that the trace rows and the +/- identity test
+read, so `rigidity_test` walks each meridian once.
 Cocycles are field coordinates (`liecore.AlgebraVector.from_coords`,
 generator after generator), and `z0_space`, `cocycle_space`,
 `coboundary_space` and `CohomologyReport.basis_H1` are matrices over the
@@ -29,12 +31,12 @@ import numpy as np
 from .errors import DomainError, IllConditioned
 from .liecore import (
     AlgebraVector,
-    GroupElement,
     SU2XSU2,
     adjoint_stack,
     algebra_basis,
     coefficient_field,
     field_coords,
+    matrix_stack,
     sigma_fields,
 )
 from .words import (
@@ -105,7 +107,7 @@ def _z0_b1(rho: Representation) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal field bases of Z^0 and B^1 from one SVD of the stacked
     (I - Ad rho(gen)) blocks: Z^0 is their kernel, B^1 their column space."""
     d = coefficient_field(rho.group)[1]
-    blocks = (np.eye(d) - adjoint_stack(rho.group, rho.raw_images)).reshape(-1, d)
+    blocks = (np.eye(d) - adjoint_stack(rho.group, rho.raw)).reshape(-1, d)
     # Thin, unless no generator leaves fewer rows than the kernel needs.
     u, s, vt = np.linalg.svd(blocks, full_matrices=len(blocks) < d)
     rank = _certified_rank(s, "B1")
@@ -206,16 +208,17 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
 # trace differentials
 
 
-def _trace_rows(rho: Representation, words) -> np.ndarray:
+def _trace_rows(rho: Representation, words) -> tuple[np.ndarray, np.ndarray]:
     """Row w maps a cocycle's field coordinates to tr(z(w) rho(w)): the
-    covector v -> tr(v rho(w)) on the field basis times the Fox block of w."""
+    covector v -> tr(v rho(w)) on the field basis times the Fox block of w.
+    Also the matrices rho(w) of the freely reduced words the Fox pass walked."""
     field, d = coefficient_field(rho.group)
     basis = np.array([e.mat for e in algebra_basis(rho.group)])
-    images = np.array([evaluate(rho, word).mat for word in words]).reshape(-1, 2, 2)
+    fox, raw = fox_derivatives(rho, words)
+    images = matrix_stack(rho.group, raw)
     covectors = np.einsum("kij,rji->rk", basis, images)
-    fox = fox_derivatives(rho, words).reshape(len(words), d, d * len(rho.images))
-    rows = np.einsum("rk,rkc->rc", covectors, fox)
-    return rows if field is complex else rows.real
+    rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(len(words), d, d * len(rho.images)))
+    return (rows if field is complex else rows.real), images
 
 
 def trace_differential(rho: Representation, z, word):
@@ -229,7 +232,7 @@ def trace_differential(rho: Representation, z, word):
     if isinstance(word, str):
         raise DomainError("pass a parsed Word, not a string")
     z = field_coords(rho.group, z, len(rho.images))
-    return (_trace_rows(rho, [word])[0] @ z).item()
+    return (_trace_rows(rho, [word])[0][0] @ z).item()
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +282,9 @@ def _image_is_abelian(mats: np.ndarray, sizes: np.ndarray) -> bool:
     return bool((defect <= TOL_CENTRAL * np.outer(sizes, sizes) / 2.0).all())
 
 
-def _meridian_image_central(g: GroupElement, tol: float) -> bool:
-    return g.dist_to_identity() <= tol or float(np.linalg.norm(g.mat + np.eye(2))) <= tol
+def _meridian_image_central(mat: np.ndarray, tol: float) -> bool:
+    one = np.eye(2)
+    return float(np.linalg.norm(mat - one)) <= tol or float(np.linalg.norm(mat + one)) <= tol
 
 
 def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityReport:
@@ -290,7 +294,7 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
     flags: list[str] = []
     notes: list[str] = []
 
-    mats = np.array([g.mat for g in rho.images]).reshape(-1, 2, 2)
+    mats = matrix_stack(rho.group, rho.raw)
     sizes = np.linalg.norm(mats, axis=(1, 2))
     if _image_is_abelian(mats, sizes):
         flags.append(FLAG_ABELIAN)
@@ -298,15 +302,16 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
     if report.dim_Z0 > 0:
         flags.append(FLAG_REDUCIBLE)
         notes.append("nontrivial infinitesimal centralizer; smooth-point hypothesis unverified")
+    rows, images = _trace_rows(rho, [m.word for m in meridians])
     central_tol = TOL_CENTRAL * np.max(sizes, initial=math.sqrt(2.0)) ** 2 / 2.0
-    for m in meridians:
-        if _meridian_image_central(evaluate(rho, m.word), central_tol):
+    for m, image in zip(meridians, images):
+        if _meridian_image_central(image, central_tol):
             flags.append(FLAG_MERIDIAN_ID)
             notes.append(f"meridian {m.text!r} maps to +/- identity; complex length undefined")
             break
 
     dim_h1 = report.basis_H1.shape[1]
-    jac = _trace_rows(rho, [m.word for m in meridians]) @ report.basis_H1
+    jac = rows @ report.basis_H1
 
     rank = matrix_rank(jac, "trace jacobian")
     if n_mer != dim_h1:

@@ -81,14 +81,6 @@ def hat(w) -> np.ndarray:
     )
 
 
-def unhat(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    defect = np.abs(mat + mat.T).max()
-    if defect > 1e-12:
-        raise DomainError(f"matrix is not antisymmetric (defect {defect:.3e})")
-    return np.array([mat[2, 1], mat[0, 2], mat[1, 0]])
-
-
 def _require_finite(a: np.ndarray) -> None:
     # NaN fails every tolerance comparison, so it must be refused explicitly.
     if not np.isfinite(a).all():
@@ -105,8 +97,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class IsomAlgebraElement:
     """Infinitesimal isometry (A, X) in so(3) + R^3 at curvature kappa.
 
-    ``rot`` may be given as a 3-vector (rotation axis) or a 3x3 antisymmetric
-    matrix; it is stored as the 3 independent entries.
+    The rotation part is given by its axis vector (3 entries) and stored as
+    ``rot_vec``; the property ``rot`` is the antisymmetric matrix hat(rot_vec).
     """
 
     rot_vec: np.ndarray
@@ -115,9 +107,7 @@ class IsomAlgebraElement:
 
     def __init__(self, rot, trans, kappa):
         rot = np.asarray(rot, dtype=float)
-        if rot.shape == (3, 3):
-            rot = unhat(rot)
-        elif rot.shape != (3,):
+        if rot.shape != (3,):
             raise DomainError(f"rotation part has shape {rot.shape}")
         trans = np.asarray(trans, dtype=float)
         if trans.shape != (3,):
@@ -556,6 +546,12 @@ def adjoint_stack(group: str, raw: np.ndarray) -> np.ndarray:
         (2.0 * c * d, -c * c, d * d),
     )
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def matrix_stack(group: str, raw: np.ndarray) -> np.ndarray:
+    """The (L, 2, 2) matrices of a stack of raw SL2C or SU2 elements, entry
+    for entry what `mat` gives one element at a time."""
+    return raw if group == SL2C else np.ascontiguousarray(_su2_matrix(raw.T).transpose(2, 0, 1))
 
 
 def exp_algebra(v: AlgebraVector) -> GroupElement:

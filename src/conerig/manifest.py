@@ -4,7 +4,13 @@ A manifest is a JSON document declaring the curvature, the holonomy group,
 a finite presentation with tagged meridians, generator images, and optional
 boundary and singular-graph data.  Complex numbers serialize as [re, im]
 pairs, matrices row-major; SU(2) images are accepted either as quaternions
-[a, b, c, d] or as 2x2 matrices and are normalized on load.
+[a, b, c, d] or as 2x2 matrices and are normalized on load, and SU(2)xSU(2)
+images are objects {"left": ..., "right": ...} of two SU(2) images.
+
+Each image is read once: every [re, im] pair and quaternion goes through one
+reader (`_numbers`) that refuses it at its own JSON pointer, and a domain
+error of the element built from it is reported at the image's pointer
+(`_built`), as are those of the presentation and the boundary components.
 """
 from __future__ import annotations
 
@@ -19,11 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .cohomology import GENUS_CAP, MAX_SURFACE_GENUS, BoundaryComponent
-from .errors import DomainError, ManifestError
+from .errors import ManifestError
 from .liecore import (
     GROUPS,
     SL2C,
     SU2,
+    SU2XSU2,
     Sl2cElement,
     Su2Element,
     Su2PairElement,
@@ -59,6 +66,14 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _built(path: str, make, *args):
+    """make(*args), with a domain error reported at the JSON pointer `path`."""
+    try:
+        return make(*args)
+    except ValueError as exc:  # DomainError, or UnknownGenerator from a word
+        raise ManifestError(path, str(exc)) from exc
+
+
 def _as_list(doc: dict, key: str, path: str) -> list:
     """The list at doc[key]; an absent key is an empty list."""
     value = doc.get(key, [])
@@ -66,59 +81,60 @@ def _as_list(doc: dict, key: str, path: str) -> list:
     return value
 
 
-def _as_complex(value, path: str) -> complex:
-    _require(
-        isinstance(value, list) and len(value) == 2 and all(_is_number(x) for x in value),
-        path,
-        "expected a [re, im] pair",
-    )
-    _require_finite(value, path)
-    return complex(value[0], value[1])
+def _object(value, path: str) -> dict:
+    _require(isinstance(value, dict), path, "expected an object")
+    return value
 
 
-def _require_finite(values: list, path: str) -> None:
+def _integer(obj: dict, key: str, path: str) -> int:
+    _require(_is_number(obj.get(key), int), f"{path}/{key}", "expected an integer")
+    return obj[key]
+
+
+def _angle(obj: dict, key: str, path: str) -> float:
+    angle = obj.get(key)
+    _require(_is_number(angle), f"{path}/{key}", "expected a number")
+    _require(0.0 < angle <= 2.0 * math.pi, f"{path}/{key}", f"must lie in (0, 2*pi], got {angle}")
+    return float(angle)
+
+
+def _words(value, path: str, message: str = "expected a list of word strings") -> list:
+    _require(isinstance(value, list) and all(isinstance(w, str) for w in value), path, message)
+    return value
+
+
+def _numbers(value, count: int, path: str) -> list:
+    """A list of `count` finite JSON numbers, an [re, im] pair or a
+    quaternion, refused at its own pointer."""
+    if not (isinstance(value, list) and len(value) == count and all(_is_number(x) for x in value)):
+        raise ManifestError(path, "expected a [re, im] pair" if count == 2 else f"expected {count} numbers")
     # An exact comparison: math.isfinite overflows on an int beyond the float range.
-    finite = all(abs(x) <= sys.float_info.max for x in values)
-    _require(finite, path, f"expected finite numbers, got {values}")
+    if not all(abs(x) <= sys.float_info.max for x in value):
+        raise ManifestError(path, f"expected finite numbers, got {value}")
+    return value
 
 
-def _as_matrix(value, path: str) -> np.ndarray:
+def _matrix(value, path: str) -> np.ndarray:
     _require(isinstance(value, list) and len(value) == 2, path, "expected a 2x2 matrix")
     rows = []
     for i, row in enumerate(value):
         _require(isinstance(row, list) and len(row) == 2, f"{path}/{i}", "expected a row of 2 entries")
-        rows.append([_as_complex(row[j], f"{path}/{i}/{j}") for j in range(2)])
+        rows.append([complex(*_numbers(z, 2, f"{path}/{i}/{j}")) for j, z in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 
-def _parse_su2(value, path: str) -> Su2Element:
-    if isinstance(value, list) and len(value) == 4 and all(_is_number(x) for x in value):
-        _require_finite(value, path)
-        try:
-            return Su2Element(np.array(value, dtype=float))
-        except DomainError as exc:
-            raise ManifestError(path, str(exc)) from exc
-    try:
-        return Su2Element.from_matrix(_as_matrix(value, path))
-    except DomainError as exc:
-        raise ManifestError(path, str(exc)) from exc
-
-
 def _parse_image(value, group: str, path: str):
+    """One image: a 2x2 matrix for SL2C; a quaternion or a 2x2 matrix for SU2;
+    an object of a left and a right SU2 image for SU2xSU2."""
+    if group == SU2XSU2:
+        pair = isinstance(value, dict) and set(value) == {"left", "right"}
+        _require(pair, path, "expected keys 'left' and 'right'")
+        return Su2PairElement(*(_parse_image(value[k], SU2, f"{path}/{k}") for k in ("left", "right")))
     if group == SL2C:
-        try:
-            return Sl2cElement(_as_matrix(value, path))
-        except DomainError as exc:
-            raise ManifestError(path, str(exc)) from exc
-    if group == SU2:
-        return _parse_su2(value, path)
-    if isinstance(value, dict):
-        _require(set(value) == {"left", "right"}, path, "expected keys 'left' and 'right'")
-        left, right = value["left"], value["right"]
-    else:
-        _require(isinstance(value, list) and len(value) == 2, path, "expected [left, right]")
-        left, right = value
-    return Su2PairElement(_parse_su2(left, f"{path}/left"), _parse_su2(right, f"{path}/right"))
+        return _built(path, Sl2cElement, _matrix(value, path))
+    if isinstance(value, list) and len(value) == 4:
+        return _built(path, Su2Element, np.array(_numbers(value, 4, path), dtype=float))
+    return _built(path, Su2Element.from_matrix, _matrix(value, path))
 
 
 def manifest_from_dict(doc: dict) -> Manifest:
@@ -135,32 +151,16 @@ def manifest_from_dict(doc: dict) -> Manifest:
     group = doc.get("group")
     _require(group in GROUPS, "/group", f"group must be one of {list(GROUPS)}")
 
-    gens = doc.get("generators")
-    _require(
-        isinstance(gens, list) and gens and all(isinstance(g, str) for g in gens),
-        "/generators",
-        "expected a nonempty list of generator letters",
-    )
-    relators = doc.get("relators", [])
-    _require(
-        isinstance(relators, list) and all(isinstance(r, str) for r in relators),
-        "/relators",
-        "expected a list of word strings",
-    )
+    # An empty generator list reads as a missing one.
+    gens = doc.get("generators") or None
+    _words(gens, "/generators", "expected a nonempty list of generator letters")
+    relators = _words(doc.get("relators", []), "/relators")
     meridians = []
     for k, m in enumerate(_as_list(doc, "meridians", "/meridians")):
         p = f"/meridians/{k}"
-        _require(isinstance(m, dict), p, "expected an object")
-        _require(isinstance(m.get("word"), str), f"{p}/word", "expected a word string")
-        _require(_is_number(m.get("edge_id"), int), f"{p}/edge_id", "expected an integer")
-        angle = m.get("cone_angle")
-        _require(_is_number(angle), f"{p}/cone_angle", "expected a number")
-        _require(0.0 < angle <= 2.0 * math.pi, f"{p}/cone_angle", "must lie in (0, 2*pi]")
-        meridians.append((m["word"], m["edge_id"], float(angle)))
-    try:
-        pres = Presentation.from_strings(gens, relators, meridians)
-    except (DomainError, ValueError) as exc:
-        raise ManifestError("/generators", str(exc)) from exc
+        _require(isinstance(_object(m, p).get("word"), str), f"{p}/word", "expected a word string")
+        meridians.append((m["word"], _integer(m, "edge_id", p), _angle(m, "cone_angle", p)))
+    pres = _built("/generators", Presentation.from_strings, gens, relators, meridians)
 
     hol = doc.get("holonomy")
     _require(isinstance(hol, dict), "/holonomy", "expected an object keyed by generator")
@@ -173,38 +173,23 @@ def manifest_from_dict(doc: dict) -> Manifest:
     boundary = []
     for k, comp in enumerate(_as_list(doc, "boundary", "/boundary")):
         p = f"/boundary/{k}"
-        _require(isinstance(comp, dict), p, "expected an object")
-        _require(_is_number(comp.get("genus"), int), f"{p}/genus", "expected an integer")
-        _require(comp["genus"] <= MAX_SURFACE_GENUS, f"{p}/genus", GENUS_CAP)
-        words = comp.get("generator_words")
-        _require(
-            isinstance(words, list) and all(isinstance(w, str) for w in words),
-            f"{p}/generator_words",
-            "expected a list of word strings",
-        )
-        try:
-            boundary.append(BoundaryComponent(comp["genus"], tuple(words)))
-        except DomainError as exc:
-            raise ManifestError(p, str(exc)) from exc
+        genus = _integer(_object(comp, p), "genus", p)
+        _require(genus <= MAX_SURFACE_GENUS, f"{p}/genus", GENUS_CAP)
+        words = _words(comp.get("generator_words"), f"{p}/generator_words")
+        boundary.append(_built(p, BoundaryComponent, genus, tuple(words)))
 
     edges: list[SingularEdge] = []
     vertices: list[SingularVertex] = []
     graph = doc.get("singular_graph")
     if graph is not None:
-        _require(isinstance(graph, dict), "/singular_graph", "expected an object")
+        _object(graph, "/singular_graph")
         for k, e in enumerate(_as_list(graph, "edges", "/singular_graph/edges")):
             p = f"/singular_graph/edges/{k}"
-            _require(isinstance(e, dict), p, "expected an object")
-            _require(_is_number(e.get("id"), int), f"{p}/id", "expected an integer")
-            angle = e.get("angle")
-            _require(_is_number(angle), f"{p}/angle", "expected a number")
-            _require(0.0 < angle <= 2.0 * math.pi, f"{p}/angle", f"must lie in (0, 2*pi], got {angle}")
-            edges.append(SingularEdge(e["id"], float(angle)))
+            edges.append(SingularEdge(_integer(_object(e, p), "id", p), _angle(e, "angle", p)))
         edge_ids = {e.id for e in edges}
         for k, v in enumerate(_as_list(graph, "vertices", "/singular_graph/vertices")):
             p = f"/singular_graph/vertices/{k}"
-            _require(isinstance(v, dict), p, "expected an object")
-            inc = v.get("incident")
+            inc = _object(v, p).get("incident")
             _require(
                 isinstance(inc, list) and len(inc) == 3 and all(_is_number(i, int) for i in inc),
                 f"{p}/incident",

@@ -20,6 +20,11 @@ from .liecore import sn_cs_ct, validate_curvature
 # integral values by well under 1e-6 on band-limited inputs.
 QUAD_SAMPLES = 16384
 
+# Largest grid and quadrature sizes, refused above before any array is made:
+# 16x the largest tested grid (4096) and the default quadrature.
+MAX_GRID = 2**16
+MAX_QUAD_SAMPLES = 2**18
+
 PROFILES = ("ang", "shr", "tws", "len")
 
 DIVERGENT = "Divergent"
@@ -34,8 +39,8 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if self.n < 64:
-            raise DomainError(f"grid needs at least 64 nodes, got {self.n}")
+        if not 64 <= self.n <= MAX_GRID:
+            raise DomainError(f"grid takes 64 to {MAX_GRID} nodes, got {self.n}")
 
 
 def _sample(g, xs: np.ndarray) -> np.ndarray:
@@ -70,6 +75,8 @@ def _weighted_integral(g, b: float, lo: float, hi: float, r: float, n: int) -> f
     rho^b singularity of a first cell at lo = 0 (b > -1) exactly, since
     0^(b+1) = 0 there.
     """
+    if n > MAX_QUAD_SAMPLES:
+        raise DomainError(f"quadrature takes at most {MAX_QUAD_SAMPLES} samples, got {n}")
     xs = np.linspace(lo, hi, n + 1)
     ys = _sample(g, xs)
     x0, x1 = xs[:-1], xs[1:]

@@ -35,6 +35,10 @@ CONTEXTS = (CONTEXT_SPHERICAL, CONTEXT_HYPERBOLIC, CONTEXT_TRANSLATIONAL)
 # eigenvalue of an admissible link; possibly not optimal.
 LAMBDA1_GUARANTEED = 1.0
 
+# Most values one spectrum may enumerate.  A window, cone angle, holonomy
+# angle or multiplicity that needs more is refused before any is computed.
+MAX_SPECTRUM_VALUES = 10**6
+
 
 @dataclass(frozen=True)
 class ConePoint:
@@ -133,6 +137,19 @@ class SpectrumReport:
         }
 
 
+def _check_size(count: int) -> None:
+    if count > MAX_SPECTRUM_VALUES:
+        raise DomainError(f"the spectrum would take more than {MAX_SPECTRUM_VALUES} values")
+
+
+def _modes(reach: float, values_per_mode: int) -> range:
+    """Modes |n| <= ceil(reach / 2 pi) + 1 of values_per_mode values each, within
+    the cap; the reach is clipped first, so an infinite one never meets int()."""
+    n_max = int(math.ceil(min(MAX_SPECTRUM_VALUES, reach / TWO_PI))) + 1
+    _check_size((2 * n_max + 1) * max(values_per_mode, 1))
+    return range(-n_max, n_max + 1)
+
+
 def _in_gap(x: float) -> bool:
     return GAP_LO + MERGE_TOL < x < GAP_HI - MERGE_TOL
 
@@ -152,8 +169,7 @@ def circle_dirac_spectrum(alpha: float, a: float, window: float) -> SpectrumRepo
     values: list[float] = []
     witnesses: list[dict] = []
     gap_ok = True
-    n_max = int(math.ceil((abs(a) + (window + 1.0) * alpha) / TWO_PI)) + 1
-    for n in range(-n_max, n_max + 1):
+    for n in _modes(abs(a) + (window + 1.0) * alpha, 2):
         v = abs(TWO_PI * n - a) / alpha
         if v <= MERGE_TOL:
             values.append(0.0)
@@ -178,9 +194,9 @@ def circle_B_spectrum(cp: ConePoint, window: float) -> SpectrumReport:
     values: list[float] = []
     witnesses: list[dict] = []
     gap_ok = True
-    n_max = int(math.ceil((TWO_PI + (window + 2.0) * alpha) / TWO_PI)) + 1
+    modes = _modes(TWO_PI + (window + 2.0) * alpha, 2 * len(cp.holonomy_angles) + cp.trivial_rank)
     for a in cp.holonomy_angles:
-        for n in range(-n_max, n_max + 1):
+        for n in modes:
             v = abs(TWO_PI * n - a) / alpha
             if v <= MERGE_TOL:
                 values.append(-0.5)
@@ -189,19 +205,14 @@ def circle_B_spectrum(cp: ConePoint, window: float) -> SpectrumReport:
             if _in_gap(-0.5 + v):
                 gap_ok = False
                 witnesses.append({"n": n, "holonomy_angle": a, "alpha": alpha, "value": -0.5 + v})
-    for n in range(-n_max, n_max + 1):
+    for n in modes:
         x = -0.5 + TWO_PI * n / alpha
         values.extend([x] * cp.trivial_rank)
         if cp.trivial_rank and _in_gap(x):
             gap_ok = False
             witnesses.append({"n": n, "holonomy_angle": 0.0, "alpha": alpha, "value": x})
-    return _finish(
-        values,
-        window,
-        f"circle-B(alpha={alpha!r}, angles={list(cp.holonomy_angles)!r}, trivial={cp.trivial_rank})",
-        gap_ok,
-        witnesses,
-    )
+    source = f"circle-B(alpha={alpha!r}, angles={list(cp.holonomy_angles)!r}, trivial={cp.trivial_rank})"
+    return _finish(values, window, source, gap_ok, witnesses)
 
 
 def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
@@ -218,9 +229,10 @@ def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
     values: list[float] = []
     witnesses: list[dict] = []
     gap_ok = True
+    pairs = [(lam, 1) if np.isscalar(lam) else tuple(lam) for lam in lambda_list]
+    _check_size(2 * h0_dim + 4 * sum(max(int(mult), 0) for _, mult in pairs))
     values.extend([1.0] * h0_dim)
     values.extend([-1.0] * h0_dim)
-    pairs = [(lam, 1) if np.isscalar(lam) else tuple(lam) for lam in lambda_list]
     for lam, mult in pairs:
         lam = float(lam)
         mult = int(mult)
@@ -237,9 +249,7 @@ def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
             if _in_gap(x):
                 gap_ok = False
                 witnesses.append({"lambda": lam, "value": x})
-    return _finish(
-        values, window, f"link-B(h0_dim={h0_dim})", gap_ok, witnesses
-    )
+    return _finish(values, window, f"link-B(h0_dim={h0_dim})", gap_ok, witnesses)
 
 
 def link_bundle_decomposition(link: LinkSurface, context: str) -> list[ConePoint]:

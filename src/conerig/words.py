@@ -8,11 +8,12 @@ Every word is evaluated by one prefix walk (`prefix_walk`): p_0 = 1 and
 p_t = p_{t-1} g_t on raw arrays, a 2x2 complex matrix for SL(2,C) and a unit
 quaternion for SU(2), with the floating-point operations and re-projection
 rule of `GroupElement.mul` (`liecore.raw_product`), so a walk's last prefix
-equals the chain of `mul` calls bit for bit.  A representation holds the raw
-arrays of its images and their inverses from construction on.  `evaluate`,
-the relator check and the Fox derivatives read the walk; the Fox pass takes
-the Ad matrices of all the prefixes it needs in one stacked closed form
-(`liecore.adjoint_stack`).  SU(2)xSU(2) is walked per factor.
+equals the chain of `mul` calls bit for bit.  A representation stacks the
+raw arrays of its images and of their inverses, in closed form, once.
+`evaluate`, the relator check and the Fox derivatives read the walk; the Fox
+pass takes the Ad matrices of all its prefixes in one stacked closed form
+(`liecore.adjoint_stack`) and hands out the images of its words with them.
+SU(2)xSU(2) is walked per factor.
 """
 from __future__ import annotations
 
@@ -42,8 +43,6 @@ from .liecore import (
 
 # A word is a sequence of (generator index, exponent) with exponent +/-1.
 Word = tuple[tuple[int, int], ...]
-
-IDENTITY_WORD: Word = ()
 
 # Acceptance tolerance for a representation read from a manifest.
 TOL_REP = 1e-8
@@ -110,12 +109,7 @@ class Presentation:
             seen.add(g)
 
     @classmethod
-    def from_strings(
-        cls,
-        generators,
-        relators,
-        meridians=(),
-    ) -> "Presentation":
+    def from_strings(cls, generators, relators, meridians=()) -> "Presentation":
         """Build from letter strings; meridians are (text, edge_id, cone_angle)."""
         gens = tuple(generators)
         rel_words = tuple(parse_word(r, gens) for r in relators)
@@ -140,7 +134,13 @@ _IDENTITY = {group: _raw(group_identity(group)) for group in (SL2C, SU2)}
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Group tag plus one image per generator."""
+    """Group tag plus one image per generator.
+
+    SL2C and SU2 images are also stacked as read-only (n, 2, 2) matrices or
+    (n, 4) quaternions: `raw`, and `raw_inverses` in closed form, the
+    adjugate [[d, -b], [-c, a]] or the conjugate quaternion.  That is `inv()`
+    bit for bit: an inverse has its image's determinant (squared norm), so
+    the constructor's rule would not re-project it."""
 
     group: str
     images: tuple[GroupElement, ...]
@@ -150,25 +150,13 @@ class Representation:
             if group_of(g) != self.group:
                 raise DomainError(f"image {g!r} does not live in {self.group}")
         if self.group != SU2XSU2:
-            # One read-only array each for the images and their inverses, not
-            # 2n small ones.
-            shape = (-1, *_IDENTITY[self.group].shape)
-            letters = []
-            for imgs in (self.images, [g.inv() for g in self.images]):
-                stack = np.array([_raw(g) for g in imgs]).reshape(shape)
-                stack.flags.writeable = False
-                letters.append(stack)
-            object.__setattr__(self, "_letters", tuple(letters))
-
-    def image(self, index: int, exponent: int) -> GroupElement:
-        g = self.images[index]
-        return g if exponent > 0 else g.inv()
-
-    @property
-    def raw_images(self) -> np.ndarray:
-        """The images as one array: (n, 2, 2) matrices for SL2C, (n, 4)
-        quaternions for SU2."""
-        return self._letters[0]
+            raw = np.array([_raw(g) for g in self.images]).reshape(-1, *_IDENTITY[self.group].shape)
+            a, b, c, d = raw.reshape(-1, 4).T
+            inverses = np.stack([d, -b, -c, a] if self.group == SL2C else [a, -b, -c, -d], -1)
+            inverses = inverses.reshape(raw.shape)
+            raw.flags.writeable = inverses.flags.writeable = False
+            object.__setattr__(self, "raw", raw)
+            object.__setattr__(self, "raw_inverses", inverses)
 
 
 def prefix_walk(rho: Representation, word: Word) -> list[np.ndarray]:
@@ -176,7 +164,7 @@ def prefix_walk(rho: Representation, word: Word) -> list[np.ndarray]:
     per letter after the identity, for an SL2C or SU2 representation."""
     if rho.group == SU2XSU2:
         raise DomainError("walk SU2xSU2 words per factor of split_representation")
-    images, inverses = rho._letters
+    images, inverses = rho.raw, rho.raw_inverses
     p = _IDENTITY[rho.group]
     prefixes = [p]
     for i, e in word:
@@ -199,22 +187,26 @@ def relator_distances(rho: Representation, pres: Presentation) -> list[float]:
 
 def relator_residual(rho: Representation, pres: Presentation) -> float:
     """Max Frobenius distance of relator images from the identity (NaN stays NaN)."""
-    return float(np.max(relator_distances(rho, pres), initial=0.0))
+    return worst_relator(relator_distances(rho, pres))[0]
 
 
-def check_relators(dists: list[float], tol: float = TOL_REP) -> None:
-    """Refuse relator distances beyond tol, naming the worst relator by its
-    JSON pointer; a NaN distance counts as the worst."""
-    if dists:
-        k = int(np.argmax(dists))
-        if not dists[k] <= tol:
-            raise InvalidRepresentation(
-                f"/relators/{k}: relator residual {dists[k]:.3e} exceeds {tol:.1e}"
-            )
+def worst_relator(dists: list[float]) -> tuple[float, str | None]:
+    """The largest relator distance, NaN when one is NaN, and, unless it is
+    within TOL_REP, a message naming that relator by its JSON pointer."""
+    worst = float(np.max(dists, initial=0.0))
+    if worst <= TOL_REP:
+        return worst, None
+    return worst, f"/relators/{np.argmax(dists)}: relator residual {worst:.3e} exceeds {TOL_REP:.1e}"
 
 
-def check_representation(rho: Representation, pres: Presentation, tol: float = TOL_REP) -> None:
-    check_relators(relator_distances(rho, pres), tol)
+def check_relators(dists: list[float]) -> None:
+    """Refuse relator distances beyond TOL_REP, naming the worst relator."""
+    if failure := worst_relator(dists)[1]:
+        raise InvalidRepresentation(failure)
+
+
+def check_representation(rho: Representation, pres: Presentation) -> None:
+    check_relators(relator_distances(rho, pres))
 
 
 def _generator_values(rho: Representation, z) -> list[AlgebraVector]:
@@ -252,9 +244,9 @@ def extend_cocycle(rho: Representation, z, word: Word) -> AlgebraVector:
     return val
 
 
-def _fox_pass(rho: Representation, words) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Fox derivatives of the freely reduced words, and each reduced word's
-    last prefix; see `fox_derivatives`."""
+def _fox_pass(rho: Representation, words) -> tuple[np.ndarray, np.ndarray]:
+    """Fox derivatives of the freely reduced words, and the stack of their
+    raw images, each reduced word's last prefix; see `fox_derivatives`."""
     field, d = coefficient_field(rho.group)
     blocks = np.zeros((len(words), len(rho.images), d, d), dtype=field)
     finals = []
@@ -268,7 +260,7 @@ def _fox_pass(rho: Representation, words) -> tuple[np.ndarray, list[np.ndarray]]
             ads = adjoint_stack(rho.group, np.array(prefixes)[np.arange(len(word)) + (exps < 0)])
             np.add.at(blocks[r], gens, exps[:, None, None] * ads)
     jac = blocks.transpose(0, 2, 1, 3).reshape(d * len(words), d * len(rho.images))
-    return jac, finals
+    return jac, np.array(finals).reshape(-1, *_IDENTITY[rho.group].shape)
 
 
 def _finite(jac: np.ndarray) -> np.ndarray:
@@ -277,8 +269,9 @@ def _finite(jac: np.ndarray) -> np.ndarray:
     return jac
 
 
-def fox_derivatives(rho: Representation, words) -> np.ndarray:
-    """Fox derivatives of words over the coefficient field, g^n -> g^{#words}.
+def fox_derivatives(rho: Representation, words) -> tuple[np.ndarray, np.ndarray]:
+    """Fox derivatives of words over the coefficient field, g^n -> g^{#words},
+    and the raw images of the words from the same walks.
 
     Row block r maps a cocycle's field coordinates, generator after generator,
     to its value on word r; block (r, j) is the Fox derivative by generator j
@@ -286,19 +279,17 @@ def fox_derivatives(rho: Representation, words) -> np.ndarray:
     adds Ad(p) to block j, a letter g_j^-1 subtracts Ad(p g_j^-1).  Ad(p)
     comes in closed form from p, not as a product of Ad matrices, whose
     condition number is the square of p's.  Words are free-reduced first, as
-    in `extend_cocycle`.
+    in `extend_cocycle`; the images, stacked as `raw`, are the reduced words'.
     """
-    return _finite(_fox_pass(rho, words)[0])
+    jac, images = _fox_pass(rho, words)
+    return _finite(jac), images
 
 
 def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
-    """Linearized relations over the coefficient field: the Fox derivatives of
-    the relators, after checking them.  The kernel is the cocycle space.
-
-    The check reads the relator images off the walks that give the Fox
-    blocks; a relator that free reduction shortens is also walked as given,
-    so the distances are those of `relator_distances`.
-    """
+    """Linearized relations over the coefficient field, whose kernel is the
+    cocycle space: the Fox derivatives of the relators, after checking the
+    relator images that their walks give.  A relator that free reduction
+    shortens is also walked as given, as `relator_distances` walks it."""
     jac, finals = _fox_pass(rho, pres.relators)
     images = [
         _element(rho.group, p) if free_reduce(rel) == rel else evaluate(rho, rel)

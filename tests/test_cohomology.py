@@ -6,6 +6,7 @@ import pytest
 from conerig.cohomology import (
     BoundaryComponent,
     FLAG_ABELIAN,
+    FLAG_MERIDIAN_ID,
     FLAG_REDUCIBLE,
     VERDICT_DEFICIENT,
     VERDICT_RIGID,
@@ -252,6 +253,33 @@ class TestRigidity:
         rep = rigidity_test(rho, pres)
         assert rep.verdict == VERDICT_RIGID
         assert rep.meridian_count == 1 and rep.rank == 1
+
+    @pytest.mark.parametrize("sign, word", [(1.0, "abAB"), (1.0, "bB"), (-1.0, "a")])
+    def test_meridian_at_plus_minus_identity_is_flagged(self, sign, word):
+        rho = Representation(
+            "SL2C", (Sl2cElement(sign * np.eye(2)), Sl2cElement(np.diag([2.0, 0.5])))
+        )
+        pres = Presentation.from_strings(["a", "b"], ["abAB"], [(word, 0, 1.0), ("b", 1, 1.0)])
+        rep = rigidity_test(rho, pres)
+        assert FLAG_MERIDIAN_ID in rep.degenerate_flags
+        assert f"meridian {word!r} maps to +/- identity; complex length undefined" in rep.notes
+        assert rep.verdict == VERDICT_DEFICIENT
+
+    @pytest.mark.parametrize(
+        "name, word, unreduced", [("torus.json", "b", "bBb"), ("pants.json", "a", "aAa")]
+    )
+    def test_unreduced_meridian_word(self, name, word, unreduced):
+        # The trace rows and the +/- identity test read the image of the
+        # freely reduced word, which is the meridian's own image.
+        rho, pres, _ = load(name)
+        meridians = [
+            (unreduced if m.text == word else m.text, m.edge_id, m.cone_angle) for m in pres.meridians
+        ]
+        longer = Presentation.from_strings(pres.generators, pres.relator_texts, meridians)
+        a, b = rigidity_test(rho, pres), rigidity_test(rho, longer)
+        assert (a.rank, a.verdict, a.degenerate_flags) == (b.rank, b.verdict, b.degenerate_flags)
+        sa, sb = (np.linalg.svd(r.trace_jacobian, compute_uv=False) for r in (a, b))
+        assert np.abs(sa - sb).max() <= 1e-12
 
 
 class TestInvariants:

@@ -23,6 +23,8 @@ from conerig.words import (
     extend_cocycle,
     fox_derivatives,
     fox_jacobian,
+    free_reduce,
+    prefix_walk,
     split_representation,
 )
 
@@ -129,9 +131,11 @@ def test_fox_derivatives_match_cocycle_extension(group, image_coords, cocycle_co
     rho = Representation(group, images)
     z = draw_coords(group, cocycle_coords, 3)
     word = tuple(word)
-    got = fox_derivatives(rho, [word]) @ z
+    jac, image = fox_derivatives(rho, [word])
     want = extend_cocycle(rho, z, word).coords()
-    assert_close(got, want, 1e-12)
+    assert_close(jac @ z, want, 1e-12)
+    # The image comes from the same walk: that of the freely reduced word.
+    assert image[0].tobytes() == prefix_walk(rho, free_reduce(word))[-1].tobytes()
 
 
 def assert_trace_jacobian_matches_reference(rho, pres):

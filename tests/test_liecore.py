@@ -360,3 +360,10 @@ class TestAlgebraVector:
     def test_traceless_rejection(self):
         with pytest.raises(DomainError):
             AlgebraVector("SL2C", np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_rotation_part_is_an_axis_vector():
+    x = IsomAlgebraElement([1.0, -2.0, 0.5], np.zeros(3), 0)
+    assert np.array_equal(x.rot @ np.array([0.0, 1.0, 0.0]), np.cross(x.rot_vec, [0.0, 1.0, 0.0]))
+    with pytest.raises(DomainError, match="rotation part has shape"):
+        IsomAlgebraElement(x.rot, np.zeros(3), 0)

@@ -14,13 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import conerig
-from conerig.cli import run
+from conerig.cli import MAX_DECAY_SAMPLES, run
 from conerig.errors import DomainError, InvalidRepresentation
 from conerig.cohomology import surface_presentation
 from conerig.liecore import AlgebraVector, Sl2cElement, Su2Element
-from conerig import words
+from conerig import spectral, words
 from conerig.manifest import fixture_path, load_manifest
-from conerig.spectral import link_B_spectrum
+from conerig.radial import MAX_GRID, MAX_QUAD_SAMPLES, RadialGrid, t_b0
+from conerig.spectral import MAX_SPECTRUM_VALUES, TWO_PI, circle_dirac_spectrum, link_B_spectrum
 from conerig.words import Presentation
 
 SRC = Path(conerig.__file__).resolve().parents[1]
@@ -236,10 +237,70 @@ class TestSectionShapesAtLoad:
         assert captured.out == ""
         assert f"error: {reported}: " in captured.err
 
+    def test_pair_image_as_a_list(self, tmp_path, capsys):
+        # Pair images are objects only: a [left, right] list is refused at
+        # its own pointer, not at one of keys it does not have.
+        doc = json.loads(fixture_path("spherical-torus.json").read_text())
+        value = [doc["holonomy"]["a"]["left"], [0.5, 0.5, 0.5, 0.6]]
+        path = _write_with(tmp_path, "spherical-torus.json", "/holonomy/a", value)
+        assert run(["validate", str(path)]) == 2
+        assert "error: /holonomy/a: expected keys 'left' and 'right'\n" == capsys.readouterr().err
+
     def test_integer_beyond_the_float_range(self, tmp_path, capsys):
         path = _write_with(tmp_path, "torus.json", "/holonomy/a/0/0/1", 10**400)
         assert run(["validate", str(path)]) == 2
         assert "error: /holonomy/a/0/0: expected finite numbers" in capsys.readouterr().err
+
+
+class TestSizeCaps:
+    """Sizes above a documented cap are refused with exit 2 before any work.
+    Each refused value is just above its cap, or the cap is lowered, so a
+    program without the cap would still finish quickly."""
+
+    def test_radial_caps(self):
+        assert RadialGrid(MAX_GRID).n == MAX_GRID
+        with pytest.raises(DomainError, match=f"64 to {MAX_GRID} nodes"):
+            RadialGrid(2**40)
+        with pytest.raises(DomainError, match=f"at most {MAX_QUAD_SAMPLES} samples"):
+            t_b0(np.cos, 0.0, 0.5, n=MAX_QUAD_SAMPLES + 1)
+
+    def test_spectrum_cap(self):
+        # At cone angle 2 pi the values are +/- n, twice each (from n and -n),
+        # and 0; window 250000 enumerates 2 (2 * 250002 + 1) of them.
+        assert len(circle_dirac_spectrum(TWO_PI, 0.0, 1000.0).values) == 4 * 1000 + 1
+        with pytest.raises(DomainError, match=f"more than {MAX_SPECTRUM_VALUES} values"):
+            circle_dirac_spectrum(TWO_PI, 0.0, 250000.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--grid", str(MAX_GRID + 1), "--samples", "1", "--b", "1"],
+            ["oracle", "--quad-samples", str(MAX_QUAD_SAMPLES + 1), "--samples", "1", "--b", "1"],
+            ["oracle", "--samples", str(MAX_DECAY_SAMPLES + 1), "--quad-samples", "8", "--b", "1"],
+        ],
+    )
+    def test_oracle_sizes(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "circle", "--window", "1000"],
+            ["spectrum", "circle", "--alpha", "1500"],
+            ["spectrum", "circle", "--hol-angle", "6000"],
+            ["spectrum", "circle", "--operator", "b", "--trivial-rank", "100"],
+            ["spectrum", "link", "--h0-dim", "600"],
+            ["admissibility", str(fixture_path("torus.json")), "--window", "1000"],
+        ],
+    )
+    def test_spectrum_sizes(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(spectral, "MAX_SPECTRUM_VALUES", 1000)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the spectrum would take more than 1000 values\n"
 
 
 FUZZ_FIXTURES = [

@@ -1,8 +1,10 @@
 """Differential tests of the prefix walk and the QR construction of H^1
 against what they replace: the chain of element multiplications (bit for
-bit) and the projection SVD of the Z^1 basis (the same subspace).  A
-work-count guard keeps h1_basis free of per-letter objects and of SVDs wider
-than the coefficient algebra."""
+bit) and the projection SVD of the Z^1 basis (the same subspace).  Work-count
+guards keep h1_basis free of per-letter objects and of SVDs wider than the
+coefficient algebra, and every CLI run to one element per image read and per
+relator checked."""
+import json
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conerig import cohomology
+from conerig import cli, cohomology
 from conerig.cohomology import (
     coboundary_space,
     cocycle_space,
@@ -26,7 +28,7 @@ from conerig.liecore import (
     exp_algebra,
     group_identity,
 )
-from conerig.manifest import fixture_path, load_manifest
+from conerig.manifest import Manifest, fixture_path, load_manifest, manifest_to_dict
 from conerig.words import (
     Representation,
     evaluate,
@@ -77,7 +79,7 @@ def mul_chain(rho, word):
     out = group_identity(rho.group)
     chain = [raw(out)]
     for i, e in word:
-        g = rho.image(i, e)
+        g = rho.images[i] if e > 0 else rho.images[i].inv()
         if rho.group == "SU2":
             nxt = Su2Element(element_quat_mul(out.q, g.q))
         else:
@@ -86,6 +88,17 @@ def mul_chain(rho, word):
         out = nxt
         chain.append(raw(out))
     return chain
+
+
+def assert_inverses_are_inv(rho):
+    """The stacked images and closed-form inverses are the arrays of the
+    elements and of `inv()`, bit for bit, and read-only."""
+    assert rho.raw.shape == rho.raw_inverses.shape == (len(rho.images), *raw(rho.images[0]).shape)
+    for g, got, got_inv in zip(rho.images, rho.raw, rho.raw_inverses):
+        want, want_inv = raw(g), raw(g.inv())
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_inv.dtype == want_inv.dtype and got_inv.tobytes() == want_inv.tobytes()
+    assert not rho.raw.flags.writeable and not rho.raw_inverses.flags.writeable
 
 
 def assert_walk_is_the_chain(rho, word):
@@ -108,6 +121,7 @@ def fixture_words(name):
 def test_walk_matches_element_arithmetic_on_fixture_words(name):
     rho, words = fixture_words(name)
     for f in factors(rho):
+        assert_inverses_are_inv(f)
         for word in words:
             assert_walk_is_the_chain(f, word)
 
@@ -142,6 +156,7 @@ def test_walk_reprojects_as_the_constructors_do(group):
     else:
         images = tuple(Su2Element(s * np.array(q)) for q in ([0.6, 0.8, 0, 0], [0, 0, 0.8, 0.6]))
     rho = Representation(group, images)
+    assert_inverses_are_inv(rho)
     word = ((0, 1), (1, 1), (0, -1), (1, 1))
     assert_walk_is_the_chain(rho, word)
     a, b = (raw(g) for g in images)
@@ -261,9 +276,9 @@ def test_b1_tilted_out_of_z1(monkeypatch, angle, raises):
 # work-count guard
 
 
-def h1_work(monkeypatch, rho, pres):
-    """Element constructions and SVD shapes while h1_basis runs."""
-    built, shapes = Counter(), []
+def count_constructions(monkeypatch) -> Counter:
+    """Wrap the SL2C and SU2 constructors; the counter counts their calls."""
+    built = Counter()
     for cls in (Sl2cElement, Su2Element):
         real_init = cls.__init__
 
@@ -272,6 +287,12 @@ def h1_work(monkeypatch, rho, pres):
             real_init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+def h1_work(monkeypatch, rho, pres):
+    """Element constructions and SVD shapes while h1_basis runs."""
+    built, shapes = count_constructions(monkeypatch), []
     real_svd = np.linalg.svd
 
     def svd(a, *args, **kwargs):
@@ -290,3 +311,57 @@ def test_h1_basis_work_does_not_grow_with_the_relator(monkeypatch, make):
     large, shapes = h1_work(monkeypatch, *surface(make, 13))
     assert large == small <= 2  # the relator's image, not one object per letter
     assert shapes and all(min(shape) <= 3 for shape in shapes)
+
+
+def surface_manifest(tmp_path, make, genus):
+    rho, pres = surface(make, genus)
+    doc = manifest_to_dict(
+        Manifest(
+            schema=1,
+            curvature=1 if rho.group == "SU2" else -1,
+            group=rho.group,
+            presentation=pres,
+            representation=rho,
+            boundary=(),
+            singular_edges=(),
+            singular_vertices=(),
+            warnings=(),
+        )
+    )
+    path = tmp_path / f"{make.__name__}-g{genus}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def cli_constructions(monkeypatch, capsys, argv, exit_code):
+    """Group elements built by one completed `cli.run`."""
+    built = count_constructions(monkeypatch)
+    code = cli.run(argv)
+    monkeypatch.undo()
+    assert code == exit_code and capsys.readouterr().out
+    return sum(built.values())
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+@pytest.mark.parametrize("make", [su2_surface, sl2c_diagonal_surface])
+def test_cli_builds_each_surface_image_once(monkeypatch, capsys, tmp_path, make, command):
+    # 26 images read and one relator checked; no inverse or word objects.
+    path = str(surface_manifest(tmp_path, make, 13))
+    assert cli_constructions(monkeypatch, capsys, [command, path], 0) <= 27
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, most",
+    [
+        pytest.param(["rigidity", "pants.json"], 0, 7, id="rigidity-pants"),
+        pytest.param(["rigidity", "genus2-su2.json"], 1, 5, id="rigidity-genus2-su2"),
+        pytest.param(["cohomology", "cusped.json", "--audit"], 0, 6, id="audit-cusped"),
+        pytest.param(["cohomology", "spherical-torus.json", "--audit"], 1, 12, id="audit-spherical"),
+    ],
+)
+def test_cli_builds_each_fixture_image_once(monkeypatch, capsys, argv, exit_code, most):
+    # Meridians are walked once, by the Fox pass, and give their images to
+    # the +/- identity test: no element per meridian.
+    command, name, *extra = argv
+    argv = [command, str(fixture_path(name)), *extra]
+    assert cli_constructions(monkeypatch, capsys, argv, exit_code) <= most
