@@ -19,7 +19,6 @@ from .cohomology import (
     rigidity_test,
 )
 from .errors import DomainError, IllConditioned, ManifestError
-from .liecore import SU2XSU2
 from .manifest import load_manifest, report_text, write_report
 from .radial import (
     CONVERGENT,
@@ -41,7 +40,7 @@ from .spectral import (
     cone_admissibility_verdict,
     link_B_spectrum,
 )
-from .words import TOL_REP, relator_distances, split_representation, worst_relator
+from .words import TOL_REP, checked_factors, relator_distances, worst_relator
 
 EXIT_OK = 0
 EXIT_FAILING = 1
@@ -101,11 +100,11 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 def _cmd_cohomology(args) -> tuple[int, dict]:
     m = load_manifest(args.manifest)
-    pair = m.group == SU2XSU2
-    factors = split_representation(m.representation) if pair else (m.representation,)
+    factors = checked_factors(m.representation, m.presentation)
     interior = tuple(h1_basis(factor, m.presentation) for factor in factors)
     dims = [r.dims_dict() for r in interior]
-    report = {"manifest": str(args.manifest), "cohomology": {"factors": dims} if pair else dims[0]}
+    cohomology = {"factors": dims} if len(dims) > 1 else dims[0]
+    report = {"manifest": str(args.manifest), "cohomology": cohomology}
     if args.audit:
         audit = dimension_audit(m.representation, m.presentation, m.boundary, interior)
         report["audit"] = audit.to_dict()

@@ -2,11 +2,14 @@
 
 Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
-SU(2).  SU(2)xSU(2) is split into its two SU(2) factors
-(`words.split_representation`) before any space is computed.  Relators and
-meridians go through one Fox-calculus pass (`words.fox_derivatives`), which
-also gives the meridian images that the trace rows and the +/- identity test
-read, so `rigidity_test` walks each meridian once.
+SU(2).  SU(2)xSU(2) is computed on the two SU(2) factors it holds, which
+`words.checked_factors` hands out after checking the pair's relators by the
+hypot of the factors' distances; every subcommand checks a pair by that rule.
+Relators are checked on their free reductions, on the walks of the Fox pass
+(`words.fox_jacobian`).  Relators and meridians go through one Fox-calculus
+pass (`words.fox_derivatives`), which also gives the meridian images that the
+trace rows and the +/- identity test read, so `rigidity_test` walks each
+meridian once.
 Cocycles are field coordinates (`liecore.AlgebraVector.from_coords`,
 generator after generator), and `z0_space`, `cocycle_space`,
 `coboundary_space` and `CohomologyReport.basis_H1` are matrices over the
@@ -43,11 +46,11 @@ from .words import (
     Presentation,
     Representation,
     check_representation,
+    checked_factors,
     evaluate,
     fox_derivatives,
     fox_jacobian,
     parse_word,
-    split_representation,
 )
 
 # Singular values below RANK_REL_TOL * sigma_max count as zero; a spectral
@@ -208,13 +211,14 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
 # trace differentials
 
 
-def _trace_rows(rho: Representation, words) -> tuple[np.ndarray, np.ndarray]:
+def _trace_rows(rho: Representation, words, where="word {}") -> tuple[np.ndarray, np.ndarray]:
     """Row w maps a cocycle's field coordinates to tr(z(w) rho(w)): the
     covector v -> tr(v rho(w)) on the field basis times the Fox block of w.
-    Also the matrices rho(w) of the freely reduced words the Fox pass walked."""
+    Also the matrices rho(w) of the freely reduced words the Fox pass walked;
+    `where` names a word as in `fox_derivatives`."""
     field, d = coefficient_field(rho.group)
     basis = np.array([e.mat for e in algebra_basis(rho.group)])
-    fox, raw = fox_derivatives(rho, words)
+    fox, raw = fox_derivatives(rho, words, where)
     images = matrix_stack(rho.group, raw)
     covectors = np.einsum("kij,rji->rk", basis, images)
     rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(len(words), d, d * len(rho.images)))
@@ -302,7 +306,7 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
     if report.dim_Z0 > 0:
         flags.append(FLAG_REDUCIBLE)
         notes.append("nontrivial infinitesimal centralizer; smooth-point hypothesis unverified")
-    rows, images = _trace_rows(rho, [m.word for m in meridians])
+    rows, images = _trace_rows(rho, [m.word for m in meridians], "/meridians/{}/word")
     central_tol = TOL_CENTRAL * np.max(sizes, initial=math.sqrt(2.0)) ** 2 / 2.0
     for m, image in zip(meridians, images):
         if _meridian_image_central(image, central_tol):
@@ -336,10 +340,9 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
 
 def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport:
     """Meridian trace-rank test; per factor for SU(2)xSU(2)."""
+    reports = tuple(_single_group_rigidity(f, pres) for f in checked_factors(rho, pres))
     if rho.group != SU2XSU2:
-        return _single_group_rigidity(rho, pres)
-    left, right = split_representation(rho)
-    reports = (_single_group_rigidity(left, pres), _single_group_rigidity(right, pres))
+        return reports[0]
     flags = tuple(dict.fromkeys(reports[0].degenerate_flags + reports[1].degenerate_flags))
     notes = tuple(dict.fromkeys(reports[0].notes + reports[1].notes))
     rigid = all(r.verdict == VERDICT_RIGID for r in reports)
@@ -488,26 +491,24 @@ def dimension_audit(
             boundary_dims=(),
             notices=("no boundary components declared; audit skipped",),
         )
-    notices: list[str] = []
     identities: list[AuditIdentity] = []
     boundary_dims: list[dict] = []
-    factors = split_representation(rho) if rho.group == SU2XSU2 else (rho,)
+    factors = checked_factors(rho, pres)
     if interior is None:
         interior = tuple(h1_basis(factor, pres) for factor in factors)
-    if rho.group == SU2XSU2:
-        for tag, factor, report in zip(("left", "right"), factors, interior):
-            ids, dims = _audit_one_group(factor, pres, boundary, report)
-            identities.extend(
-                AuditIdentity(f"{tag}.{i.name}", i.lhs, i.rhs, i.holds) for i in ids
-            )
-            boundary_dims.extend({"factor": tag, **d} for d in dims)
-    else:
-        identities, boundary_dims = _audit_one_group(rho, pres, boundary, interior[0])
+    tags = ("left", "right") if rho.group == SU2XSU2 else (None,)
+    for tag, factor, report in zip(tags, factors, interior):
+        ids, dims = _audit_one_group(factor, pres, boundary, report)
+        if tag:
+            ids = [AuditIdentity(f"{tag}.{i.name}", i.lhs, i.rhs, i.holds) for i in ids]
+            dims = [{"factor": tag, **d} for d in dims]
+        identities.extend(ids)
+        boundary_dims.extend(dims)
     return DimensionAudit(
         skipped=False,
         identities=tuple(identities),
         boundary_dims=tuple(boundary_dims),
-        notices=tuple(notices),
+        notices=(),
     )
 
 

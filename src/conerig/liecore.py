@@ -81,10 +81,10 @@ def hat(w) -> np.ndarray:
     )
 
 
-def _require_finite(a: np.ndarray) -> None:
+def _require_finite(a: np.ndarray, message: str | None = None) -> None:
     # NaN fails every tolerance comparison, so it must be refused explicitly.
     if not np.isfinite(a).all():
-        raise DomainError("entries must be finite numbers")
+        raise DomainError(message or "entries must be finite numbers")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -184,32 +184,49 @@ def killing_form(x: IsomAlgebraElement, y: IsomAlgebraElement) -> float:
 # group elements
 
 
-def _det_rule(mat: np.ndarray) -> np.ndarray:
+# A product or an inverse of group elements, "derived" from them, can miss
+# the group only through rounding.  The rules below refuse such an array only
+# when it is not finite (an overflow), re-project it as they re-project an
+# input within TOL_GROUP, and keep it as computed beyond that.
+
+
+def _det_rule(mat: np.ndarray, derived: bool = False) -> np.ndarray:
     """A finite 2x2 complex matrix with det 1 up to TOL_GROUP, re-projected
-    onto det = 1; anything else is refused."""
+    onto det = 1; anything else is refused, unless it is `derived`."""
     (a, b), (c, d) = mat.tolist()
     ad, bc = a * d, b * c
-    if not (cmath.isfinite(ad) and cmath.isfinite(bc)):
-        _require_finite(mat)  # a non-finite entry makes ad or bc non-finite
-    det = ad - bc
     # The rounding of det itself grows with |ad| + |bc|: a large product
     # of SL(2,C) elements is off by that much, and dividing by a det that
     # is off by rounding alone would inject it into every entry.
-    rounding = 1e-14 * (abs(ad) + abs(bc))
-    if abs(det - 1.0) > TOL_GROUP + rounding:
+    try:
+        rounding = 1e-14 * (abs(ad) + abs(bc))
+    except OverflowError:  # abs of a finite complex number beyond the float range
+        rounding = math.inf
+    if not math.isfinite(rounding):  # ad or bc overflows, or an entry is not finite
+        _require_finite(mat, "product is not finite (overflow)" if derived else None)
+        if not derived:
+            raise DomainError("determinant overflows: the entries are too large")
+        return mat
+    det = ad - bc
+    defect = abs(det - 1.0)
+    if defect > TOL_GROUP + rounding:
+        if derived:
+            return mat
         raise DomainError(f"determinant {det} is not 1 within {TOL_GROUP}")
-    if abs(det - 1.0) > rounding:  # re-project, but stay idempotent at rounding level
+    if defect > rounding:  # re-project, but stay idempotent at rounding level
         mat = mat / cmath.sqrt(det)
     return mat
 
 
-def _norm_rule(q: np.ndarray) -> np.ndarray:
+def _norm_rule(q: np.ndarray, derived: bool = False) -> np.ndarray:
     """A finite quaternion of norm 1 up to TOL_GROUP, re-projected onto the
-    unit sphere; anything else is refused."""
+    unit sphere; anything else is refused, unless it is `derived`."""
     n2 = float(q @ q)
     if not math.isfinite(n2):
-        _require_finite(q)  # a non-finite entry makes n2 non-finite
+        _require_finite(q, "product is not finite (overflow)" if derived else None)
     if abs(n2 - 1.0) > TOL_GROUP:
+        if derived:
+            return q
         raise DomainError(f"|q|^2 = {n2} is not 1 within {TOL_GROUP}")
     if abs(n2 - 1.0) > 1e-14:  # re-project, but stay idempotent at rounding level
         q = q / math.sqrt(n2)
@@ -218,40 +235,50 @@ def _norm_rule(q: np.ndarray) -> np.ndarray:
 
 def raw_product(group: str, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The raw array of `mul` for raw arrays p and g of an SL2C or SU2 group:
-    the same floating-point operations and the same re-projection rule."""
+    the same floating-point operations and the same rule for a derived array.
+    Run it under `np.errstate(over="ignore", invalid="ignore")`, as `mul` and
+    `words.prefix_walk` do: an overflow is refused here, not warned about."""
     if group == SU2:
-        return _norm_rule(_quat_mul(p, g))
-    return _det_rule(p @ g)
+        return _norm_rule(_quat_mul(p, g), derived=True)
+    return _det_rule(p @ g, derived=True)
+
+
+def identity_distance(group: str, raw: np.ndarray) -> float:
+    """`dist_to_identity` of the SL2C matrix or SU2 quaternion `raw`."""
+    return float(np.linalg.norm((raw if group == SL2C else _su2_matrix(raw)) - _ID2))
 
 
 @dataclass(frozen=True, eq=False)
 class Sl2cElement:
-    """Element of SL(2,C); determinant is re-normalized on construction."""
+    """Element of SL(2,C); determinant is re-normalized on construction.
+    `derived=True` marks a product or an inverse of elements, which is
+    refused only when it is not finite (see `_det_rule`)."""
 
     mat: np.ndarray
 
-    def __init__(self, mat):
+    def __init__(self, mat, derived: bool = False):
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (2, 2):
             raise DomainError(f"expected 2x2 matrix, got shape {mat.shape}")
-        object.__setattr__(self, "mat", _frozen(_det_rule(mat)))
+        object.__setattr__(self, "mat", _frozen(_det_rule(mat, derived)))
 
     @classmethod
     def identity(cls) -> "Sl2cElement":
         return cls(_ID2)
 
     def mul(self, other: "Sl2cElement") -> "Sl2cElement":
-        return Sl2cElement(self.mat @ other.mat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Sl2cElement(self.mat @ other.mat, derived=True)
 
     def inv(self) -> "Sl2cElement":
         a, b, c, d = self.mat.ravel()
-        return Sl2cElement(np.array([[d, -b], [-c, a]]))
+        return Sl2cElement(np.array([[d, -b], [-c, a]]), derived=True)
 
     def trace(self) -> complex:
         return complex(self.mat[0, 0] + self.mat[1, 1])
 
     def dist_to_identity(self) -> float:
-        return float(np.linalg.norm(self.mat - _ID2))
+        return identity_distance(SL2C, self.mat)
 
     def dist(self, other: "Sl2cElement") -> float:
         return float(np.linalg.norm(self.mat - other.mat))
@@ -263,11 +290,11 @@ class Su2Element:
 
     q: np.ndarray
 
-    def __init__(self, q):
+    def __init__(self, q, derived: bool = False):
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise DomainError(f"expected quaternion of shape (4,), got {q.shape}")
-        object.__setattr__(self, "q", _frozen(_norm_rule(q)))
+        object.__setattr__(self, "q", _frozen(_norm_rule(q, derived)))
 
     @classmethod
     def identity(cls) -> "Su2Element":
@@ -293,17 +320,17 @@ class Su2Element:
         return _su2_matrix(self.q)
 
     def mul(self, other: "Su2Element") -> "Su2Element":
-        return Su2Element(_quat_mul(self.q, other.q))
+        return Su2Element(_quat_mul(self.q, other.q), derived=True)
 
     def inv(self) -> "Su2Element":
         a, b, c, d = self.q
-        return Su2Element(np.array([a, -b, -c, -d]))
+        return Su2Element(np.array([a, -b, -c, -d]), derived=True)
 
     def trace(self) -> float:
         return 2.0 * float(self.q[0])
 
     def dist_to_identity(self) -> float:
-        return float(np.linalg.norm(self.mat - _ID2))
+        return identity_distance(SU2, self.q)
 
     def dist(self, other: "Su2Element") -> float:
         return float(np.linalg.norm(self.mat - other.mat))

@@ -1,22 +1,31 @@
 """Group presentations, words, representations and the cocycle calculus.
 
 Words are case-sensitive letter strings over the declared generators; an
-uppercase letter is the inverse of its lowercase generator.  Evaluation never
-free-reduces, so word identity stays traceable in reports.
+uppercase letter is the inverse of its lowercase generator.  `evaluate`
+never free-reduces, so word identity stays traceable in reports.
 
 Every word is evaluated by one prefix walk (`prefix_walk`): p_0 = 1 and
 p_t = p_{t-1} g_t on raw arrays, a 2x2 complex matrix for SL(2,C) and a unit
 quaternion for SU(2), with the floating-point operations and re-projection
 rule of `GroupElement.mul` (`liecore.raw_product`), so a walk's last prefix
 equals the chain of `mul` calls bit for bit.  A representation stacks the
-raw arrays of its images and of their inverses, in closed form, once.
-`evaluate`, the relator check and the Fox derivatives read the walk; the Fox
-pass takes the Ad matrices of all its prefixes in one stacked closed form
+raw arrays of its images and of their inverses, in closed form, once; an
+SU(2)xSU(2) representation holds its two SU(2) factor representations
+instead, built once, and is walked per factor.  The Fox pass takes the Ad
+matrices of all its prefixes in one stacked closed form
 (`liecore.adjoint_stack`) and hands out the images of its words with them.
-SU(2)xSU(2) is walked per factor.
+A walk that overflows is refused at the JSON pointer of its word.
+
+Relators are checked by one rule in every subcommand:
+- a relator is checked on its free reduction: its distance from the
+  identity is read off the last prefix of that walk (`relator_distances`,
+  which `fox_jacobian` feeds with the images of its own walks);
+- an SU(2)xSU(2) representation is checked by the hypot of its two factors'
+  distances, before it is split (`checked_factors`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +47,7 @@ from .liecore import (
     field_coords,
     group_identity,
     group_of,
+    identity_distance,
     raw_product,
 )
 
@@ -126,7 +136,8 @@ def _raw(g: GroupElement) -> np.ndarray:
 
 
 def _element(group: str, raw: np.ndarray) -> GroupElement:
-    return Sl2cElement(raw) if group == SL2C else Su2Element(raw)
+    """The element of a walk's prefix, a product of images."""
+    return Sl2cElement(raw, derived=True) if group == SL2C else Su2Element(raw, derived=True)
 
 
 _IDENTITY = {group: _raw(group_identity(group)) for group in (SL2C, SU2)}
@@ -140,7 +151,8 @@ class Representation:
     (n, 4) quaternions: `raw`, and `raw_inverses` in closed form, the
     adjugate [[d, -b], [-c, a]] or the conjugate quaternion.  That is `inv()`
     bit for bit: an inverse has its image's determinant (squared norm), so
-    the constructor's rule would not re-project it."""
+    the constructor's rule would not re-project it.  An SU2xSU2
+    representation holds its two SU2 factors instead, `factors`."""
 
     group: str
     images: tuple[GroupElement, ...]
@@ -157,32 +169,48 @@ class Representation:
             raw.flags.writeable = inverses.flags.writeable = False
             object.__setattr__(self, "raw", raw)
             object.__setattr__(self, "raw_inverses", inverses)
+        else:
+            halves = (tuple(g.left for g in self.images), tuple(g.right for g in self.images))
+            object.__setattr__(self, "factors", tuple(Representation(SU2, h) for h in halves))
 
 
-def prefix_walk(rho: Representation, word: Word) -> list[np.ndarray]:
+def prefix_walk(rho: Representation, word: Word, where: str = "word") -> list[np.ndarray]:
     """Raw prefixes p_0 = 1, p_t = p_{t-1} g_t of the image of a word, one
-    per letter after the identity, for an SL2C or SU2 representation."""
+    per letter after the identity, for an SL2C or SU2 representation.  A
+    prefix that overflows is refused at `where`, the word's JSON pointer,
+    with no numpy warning."""
     if rho.group == SU2XSU2:
         raise DomainError("walk SU2xSU2 words per factor of split_representation")
     images, inverses = rho.raw, rho.raw_inverses
     p = _IDENTITY[rho.group]
     prefixes = [p]
-    for i, e in word:
-        p = raw_product(rho.group, p, images[i] if e > 0 else inverses[i])
-        prefixes.append(p)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, e in word:
+                p = raw_product(rho.group, p, images[i] if e > 0 else inverses[i])
+                prefixes.append(p)
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from None
     return prefixes
 
 
 def evaluate(rho: Representation, word: Word) -> GroupElement:
     """Product of generator images along the word; identity word maps to id."""
     if rho.group == SU2XSU2:
-        return Su2PairElement(*(evaluate(f, word) for f in split_representation(rho)))
+        return Su2PairElement(*(evaluate(f, word) for f in rho.factors))
     return _element(rho.group, prefix_walk(rho, word)[-1])
 
 
-def relator_distances(rho: Representation, pres: Presentation) -> list[float]:
-    """Frobenius distance of each relator's image from the identity."""
-    return [evaluate(rho, rel).dist_to_identity() for rel in pres.relators]
+def relator_distances(rho: Representation, pres: Presentation, finals=None) -> list[float]:
+    """`dist_to_identity` of each relator's free reduction, read off its walk
+    or `finals`, the last prefixes a Fox pass gave; for a pair, the hypot."""
+    if rho.group == SU2XSU2:
+        left, right = (relator_distances(f, pres) for f in rho.factors)
+        return [math.hypot(x, y) for x, y in zip(left, right)]
+    if finals is None:
+        rels = enumerate(pres.relators)
+        finals = [prefix_walk(rho, free_reduce(r), f"/relators/{k}")[-1] for k, r in rels]
+    return [identity_distance(rho.group, p) for p in finals]
 
 
 def relator_residual(rho: Representation, pres: Presentation) -> float:
@@ -199,14 +227,18 @@ def worst_relator(dists: list[float]) -> tuple[float, str | None]:
     return worst, f"/relators/{np.argmax(dists)}: relator residual {worst:.3e} exceeds {TOL_REP:.1e}"
 
 
-def check_relators(dists: list[float]) -> None:
-    """Refuse relator distances beyond TOL_REP, naming the worst relator."""
-    if failure := worst_relator(dists)[1]:
+def check_representation(rho: Representation, pres: Presentation, finals=None) -> None:
+    """Refuse `relator_distances` beyond TOL_REP, naming the worst relator."""
+    if failure := worst_relator(relator_distances(rho, pres, finals))[1]:
         raise InvalidRepresentation(failure)
 
 
-def check_representation(rho: Representation, pres: Presentation) -> None:
-    check_relators(relator_distances(rho, pres))
+def checked_factors(rho: Representation, pres: Presentation) -> tuple[Representation, ...]:
+    """rho, which `fox_jacobian` checks, or a pair's factors after its check."""
+    if rho.group != SU2XSU2:
+        return (rho,)
+    check_representation(rho, pres)
+    return rho.factors
 
 
 def _generator_values(rho: Representation, z) -> list[AlgebraVector]:
@@ -244,32 +276,9 @@ def extend_cocycle(rho: Representation, z, word: Word) -> AlgebraVector:
     return val
 
 
-def _fox_pass(rho: Representation, words) -> tuple[np.ndarray, np.ndarray]:
-    """Fox derivatives of the freely reduced words, and the stack of their
-    raw images, each reduced word's last prefix; see `fox_derivatives`."""
-    field, d = coefficient_field(rho.group)
-    blocks = np.zeros((len(words), len(rho.images), d, d), dtype=field)
-    finals = []
-    for r, word in enumerate(words):
-        word = free_reduce(word)
-        prefixes = prefix_walk(rho, word)
-        finals.append(prefixes[-1])
-        if word:
-            gens, exps = np.array(word).T
-            # g_j adds Ad(p_{t-1}) to block j; g_j^-1 subtracts Ad(p_t).
-            ads = adjoint_stack(rho.group, np.array(prefixes)[np.arange(len(word)) + (exps < 0)])
-            np.add.at(blocks[r], gens, exps[:, None, None] * ads)
-    jac = blocks.transpose(0, 2, 1, 3).reshape(d * len(words), d * len(rho.images))
-    return jac, np.array(finals).reshape(-1, *_IDENTITY[rho.group].shape)
-
-
-def _finite(jac: np.ndarray) -> np.ndarray:
-    if not np.isfinite(jac).all():
-        raise DomainError("Fox derivatives overflow: Ad of a word prefix is not finite")
-    return jac
-
-
-def fox_derivatives(rho: Representation, words) -> tuple[np.ndarray, np.ndarray]:
+def fox_derivatives(
+    rho: Representation, words, where: str = "word {}"
+) -> tuple[np.ndarray, np.ndarray]:
     """Fox derivatives of words over the coefficient field, g^n -> g^{#words},
     and the raw images of the words from the same walks.
 
@@ -279,24 +288,35 @@ def fox_derivatives(rho: Representation, words) -> tuple[np.ndarray, np.ndarray]
     adds Ad(p) to block j, a letter g_j^-1 subtracts Ad(p g_j^-1).  Ad(p)
     comes in closed form from p, not as a product of Ad matrices, whose
     condition number is the square of p's.  Words are free-reduced first, as
-    in `extend_cocycle`; the images, stacked as `raw`, are the reduced words'.
+    in `extend_cocycle`; the images, stacked as `raw`, are the reduced words'
+    last prefixes.  An overflow is refused naming word r as `where.format(r)`.
     """
-    jac, images = _fox_pass(rho, words)
-    return _finite(jac), images
+    field, d = coefficient_field(rho.group)
+    blocks = np.zeros((len(words), len(rho.images), d, d), dtype=field)
+    finals = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, word in enumerate(words):
+            word = free_reduce(word)
+            prefixes = prefix_walk(rho, word, where.format(r))
+            finals.append(prefixes[-1])
+            if word:
+                gens, exps = np.array(word).T
+                # g_j adds Ad(p_{t-1}) to block j; g_j^-1 subtracts Ad(p_t).
+                ads = adjoint_stack(rho.group, np.array(prefixes)[np.arange(len(word)) + (exps < 0)])
+                np.add.at(blocks[r], gens, exps[:, None, None] * ads)
+                if not np.isfinite(blocks[r]).all():
+                    raise DomainError(f"{where.format(r)}: Fox derivatives overflow")
+    jac = blocks.transpose(0, 2, 1, 3).reshape(d * len(words), d * len(rho.images))
+    return jac, np.array(finals).reshape(-1, *_IDENTITY[rho.group].shape)
 
 
 def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
     """Linearized relations over the coefficient field, whose kernel is the
     cocycle space: the Fox derivatives of the relators, after checking the
-    relator images that their walks give.  A relator that free reduction
-    shortens is also walked as given, as `relator_distances` walks it."""
-    jac, finals = _fox_pass(rho, pres.relators)
-    images = [
-        _element(rho.group, p) if free_reduce(rel) == rel else evaluate(rho, rel)
-        for rel, p in zip(pres.relators, finals)
-    ]
-    check_relators([g.dist_to_identity() for g in images])
-    return _finite(jac)
+    relator images that their walks give (`check_representation`)."""
+    jac, finals = fox_derivatives(rho, pres.relators, "/relators/{}")
+    check_representation(rho, pres, finals)
+    return jac
 
 
 def deform(rho: Representation, z, t: float) -> Representation:
@@ -309,9 +329,7 @@ def deform(rho: Representation, z, t: float) -> Representation:
 
 
 def split_representation(rho: Representation) -> tuple[Representation, Representation]:
-    """Factor representations of an SU(2)xSU(2) representation."""
+    """Factor representations of an SU(2)xSU(2) representation, the ones it holds."""
     if rho.group != SU2XSU2:
         raise DomainError("only SU2xSU2 representations split")
-    left = Representation(SU2, tuple(g.left for g in rho.images))
-    right = Representation(SU2, tuple(g.right for g in rho.images))
-    return left, right
+    return rho.factors

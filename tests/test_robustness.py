@@ -66,12 +66,7 @@ class TestNonFiniteInput:
     def test_residual_keeps_nan(self, monkeypatch):
         # max(0.5, nan) is 0.5: a NaN distance must not be dropped that way.
         dists = iter([0.5, math.nan, 0.25])
-
-        class Image:
-            def dist_to_identity(self):
-                return next(dists)
-
-        monkeypatch.setattr(words, "evaluate", lambda rho, word: Image())
+        monkeypatch.setattr(words, "identity_distance", lambda group, raw: next(dists))
         m = load_manifest(fixture_path("torus.json"))
         pres = Presentation.from_strings(["a", "b"], ["abAB", "ab", "ba"])
         assert math.isnan(words.relator_residual(m.representation, pres))

@@ -2,8 +2,8 @@
 against what they replace: the chain of element multiplications (bit for
 bit) and the projection SVD of the Z^1 basis (the same subspace).  Work-count
 guards keep h1_basis free of per-letter objects and of SVDs wider than the
-coefficient algebra, and every CLI run to one element per image read and per
-relator checked."""
+coefficient algebra, and every CLI run to one element per image read, with
+none per relator checked or meridian walked."""
 import json
 from collections import Counter
 
@@ -282,9 +282,9 @@ def count_constructions(monkeypatch) -> Counter:
     for cls in (Sl2cElement, Su2Element):
         real_init = cls.__init__
 
-        def init(self, *args, real_init=real_init, name=cls.__name__):
+        def init(self, *args, real_init=real_init, name=cls.__name__, **kwargs):
             built[name] += 1
-            real_init(self, *args)
+            real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", init)
     return built
@@ -309,7 +309,7 @@ def h1_work(monkeypatch, rho, pres):
 def test_h1_basis_work_does_not_grow_with_the_relator(monkeypatch, make):
     small, _ = h1_work(monkeypatch, *surface(make, 2))
     large, shapes = h1_work(monkeypatch, *surface(make, 13))
-    assert large == small <= 2  # the relator's image, not one object per letter
+    assert large == small == 0  # the relator is checked on its walk: no object at all
     assert shapes and all(min(shape) <= 3 for shape in shapes)
 
 
@@ -333,35 +333,51 @@ def surface_manifest(tmp_path, make, genus):
     return path
 
 
-def cli_constructions(monkeypatch, capsys, argv, exit_code):
-    """Group elements built by one completed `cli.run`."""
+def cli_constructions(monkeypatch, capsys, argv, exit_code) -> Counter:
+    """Group elements (under "elements") and representations built by one
+    completed `cli.run`."""
     built = count_constructions(monkeypatch)
+    real_post_init = Representation.__post_init__
+
+    def post_init(self):
+        built["Representation"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(Representation, "__post_init__", post_init)
     code = cli.run(argv)
     monkeypatch.undo()
     assert code == exit_code and capsys.readouterr().out
-    return sum(built.values())
+    built["elements"] = built["Sl2cElement"] + built["Su2Element"]
+    return built
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology"])
 @pytest.mark.parametrize("make", [su2_surface, sl2c_diagonal_surface])
 def test_cli_builds_each_surface_image_once(monkeypatch, capsys, tmp_path, make, command):
-    # 26 images read and one relator checked; no inverse or word objects.
+    # 26 images read; the relator is checked on its walk, with no element.
     path = str(surface_manifest(tmp_path, make, 13))
-    assert cli_constructions(monkeypatch, capsys, [command, path], 0) <= 27
+    assert cli_constructions(monkeypatch, capsys, [command, path], 0)["elements"] <= 26
 
 
 @pytest.mark.parametrize(
-    "argv, exit_code, most",
+    "argv, exit_code, most, most_representations",
     [
-        pytest.param(["rigidity", "pants.json"], 0, 7, id="rigidity-pants"),
-        pytest.param(["rigidity", "genus2-su2.json"], 1, 5, id="rigidity-genus2-su2"),
-        pytest.param(["cohomology", "cusped.json", "--audit"], 0, 6, id="audit-cusped"),
-        pytest.param(["cohomology", "spherical-torus.json", "--audit"], 1, 12, id="audit-spherical"),
+        pytest.param(["rigidity", "pants.json"], 0, 3, 1, id="rigidity-pants"),
+        pytest.param(["rigidity", "genus2-su2.json"], 1, 4, 1, id="rigidity-genus2-su2"),
+        pytest.param(["cohomology", "cusped.json", "--audit"], 0, 4, 2, id="audit-cusped"),
+        pytest.param(["validate", "spherical-torus.json"], 0, 4, 3, id="validate-spherical"),
+        pytest.param(["rigidity", "spherical-torus.json"], 1, 4, 3, id="rigidity-spherical"),
+        pytest.param(["cohomology", "spherical-torus.json", "--audit"], 1, 8, 5, id="audit-spherical"),
     ],
 )
-def test_cli_builds_each_fixture_image_once(monkeypatch, capsys, argv, exit_code, most):
+def test_cli_builds_each_fixture_image_once(
+    monkeypatch, capsys, argv, exit_code, most, most_representations
+):
     # Meridians are walked once, by the Fox pass, and give their images to
-    # the +/- identity test: no element per meridian.
+    # the +/- identity test; relators are checked on their walks: no element
+    # per meridian or relator.  A pair is split once, when it is built, and
+    # the audit builds one representation per factor and boundary component.
     command, name, *extra = argv
     argv = [command, str(fixture_path(name)), *extra]
-    assert cli_constructions(monkeypatch, capsys, argv, exit_code) <= most
+    built = cli_constructions(monkeypatch, capsys, argv, exit_code)
+    assert built["elements"] <= most and built["Representation"] <= most_representations
