@@ -397,10 +397,14 @@ def surface_presentation(genus: int) -> Presentation:
 
 
 def induced_boundary_representation(
-    rho: Representation, pres: Presentation, comp: BoundaryComponent
+    rho: Representation, pres: Presentation, comp: BoundaryComponent, where: str = "boundary"
 ) -> tuple[Representation, Presentation]:
+    """Images of a boundary component's generator words; an overflowing word
+    is refused at `where`/generator_words/<k>, `where` the component's pointer."""
     words = [parse_word(w, pres.generators) for w in comp.generator_words]
-    images = tuple(evaluate(rho, w) for w in words)
+    images = tuple(
+        evaluate(rho, w, f"{where}/generator_words/{k}") for k, w in enumerate(words)
+    )
     sub_pres = surface_presentation(comp.genus)
     return Representation(rho.group, images), sub_pres
 
@@ -445,8 +449,8 @@ def _audit_one_group(
 
     boundary_dims = []
     boundary_h1 = 0
-    for comp in boundary:
-        sub_rho, sub_pres = induced_boundary_representation(rho, pres, comp)
+    for c, comp in enumerate(boundary):
+        sub_rho, sub_pres = induced_boundary_representation(rho, pres, comp, f"/boundary/{c}")
         rep = h1_basis(sub_rho, sub_pres)
         dim = rep.dim_H1 // degree
         boundary_h1 += dim

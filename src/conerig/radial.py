@@ -7,6 +7,7 @@ deformation forms on a singular tube.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,20 +51,23 @@ def _sample(g, xs: np.ndarray) -> np.ndarray:
     return ys
 
 
-def _power_cell_integrals(x0, x1, b: float, r: float):
-    """Exact integrals of (rho/r)^b and (rho/r)^b * rho over cells [x0, x1].
+def _power_cell_integrals(xs: np.ndarray, b: float, r: float):
+    """Exact integrals of (rho/r)^b and (rho/r)^b * rho over the cells of xs.
 
-    Scaling by r keeps magnitudes tame for large |b|.
+    Scaling by r keeps magnitudes tame for large |b|.  Each node's power
+    p = (x/r)^(b+1) is taken once; p * (x/r) stands in for the (b+2)-th.
     """
-    u0, u1 = x0 / r, x1 / r
+    u = xs / r
+    p = u ** (b + 1.0)
     if b == -1.0:
-        i0 = r * np.log(u1 / u0)
+        i0 = r * np.log(u[1:] / u[:-1])
     else:
-        i0 = (r / (b + 1.0)) * (u1 ** (b + 1.0) - u0 ** (b + 1.0))
+        i0 = (r / (b + 1.0)) * (p[1:] - p[:-1])
     if b == -2.0:
-        i1 = r * r * np.log(u1 / u0)
+        i1 = r * r * np.log(u[1:] / u[:-1])
     else:
-        i1 = (r * r / (b + 2.0)) * (u1 ** (b + 2.0) - u0 ** (b + 2.0))
+        q = p * u
+        i1 = (r * r / (b + 2.0)) * (q[1:] - q[:-1])
     return i0, i1
 
 
@@ -73,49 +77,88 @@ def _weighted_integral(g, b: float, lo: float, hi: float, r: float, n: int) -> f
     Piecewise-linear g integrated exactly against the power weight per cell;
     this reduces to the composite trapezoid rule at b = 0 and handles the
     rho^b singularity of a first cell at lo = 0 (b > -1) exactly, since
-    0^(b+1) = 0 there.
+    0^(b+1) = 0 there.  A cell of width 0 (hi - lo within a few ulps) adds 0.
     """
-    if n > MAX_QUAD_SAMPLES:
-        raise DomainError(f"quadrature takes at most {MAX_QUAD_SAMPLES} samples, got {n}")
     xs = np.linspace(lo, hi, n + 1)
     ys = _sample(g, xs)
-    x0, x1 = xs[:-1], xs[1:]
+    x0 = xs[:-1]
     g0, g1 = ys[:-1], ys[1:]
-    h = x1 - x0
-    i0, i1 = _power_cell_integrals(x0, x1, b, r)
-    cells = g0 * i0 + (g1 - g0) / h * (i1 - x0 * i0)
+    h = xs[1:] - x0
+    slope = np.divide(g1 - g0, h, out=np.zeros_like(h), where=h > 0.0)
+    i0, i1 = _power_cell_integrals(xs, b, r)
+    cells = g0 * i0 + slope * (i1 - x0 * i0)
     return float(cells.sum())
 
 
+def _decay_function(b_floor: float | None):
+    """Shared argument check and finiteness guard of the four decay functions.
+
+    b must be finite (and above b_floor when given), r must lie in (0, 1],
+    and n in 1..MAX_QUAD_SAMPLES.  A value that is not finite (the power
+    weight or g overflows) raises DomainError naming b and r, and no numpy
+    warning is printed.
+    """
+
+    def decorate(compute):
+        name = compute.__name__
+
+        @functools.wraps(compute)
+        def checked(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
+            if not math.isfinite(b) or (b_floor is not None and b <= b_floor):
+                floor = "" if b_floor is None else f" above {b_floor}"
+                raise DomainError(f"{name} requires a finite b{floor}, got {b!r}")
+            if not 0.0 < r <= 1.0:
+                raise DomainError(f"{name}: radius must lie in (0, 1], got {r!r}")
+            if not 1 <= n <= MAX_QUAD_SAMPLES:
+                raise DomainError(
+                    f"quadrature takes at least 1 and at most {MAX_QUAD_SAMPLES} samples, got {n}"
+                )
+            try:
+                with np.errstate(all="ignore"):
+                    value = compute(g, b, r, n)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"{name} at b = {b!r}, r = {r!r} is not finite ({value!r}): "
+                    "the power weight or g overflows a float"
+                )
+            return value
+
+        return checked
+
+    return decorate
+
+
+def _l2_norm(g, r: float, n: int) -> float:
+    """||g||_{L2(0,r)} by the trapezoid rule on g^2."""
+    return math.sqrt(_weighted_integral(lambda x: _sample(g, np.asarray(x)) ** 2, 0.0, 0.0, r, 1.0, n))
+
+
+@_decay_function(b_floor=-0.5)
 def t_b0(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
     """Weighted average r^-b * integral_0^r rho^b g(rho) drho for b > -1/2."""
-    if b <= -0.5:
-        raise DomainError(f"t_b0 requires b > -1/2, got {b}")
-    if not (0.0 < r <= 1.0):
-        raise DomainError(f"radius must lie in (0, 1], got {r}")
     return _weighted_integral(g, b, 0.0, r, r, n)
 
 
+@_decay_function(b_floor=-0.5)
 def t_b0_bound(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
     """Cauchy-Schwarz bound r^(1/2) (2b+1)^(-1/2) ||g||_{L2(0,r)}."""
-    if b <= -0.5:
-        raise DomainError(f"bound requires b > -1/2, got {b}")
-    l2 = math.sqrt(_weighted_integral(lambda x: _sample(g, np.asarray(x)) ** 2, 0.0, 0.0, r, 1.0, n))
-    return math.sqrt(r) / math.sqrt(2.0 * b + 1.0) * l2
+    return math.sqrt(r) / math.sqrt(2.0 * b + 1.0) * _l2_norm(g, r, n)
 
 
+@_decay_function(b_floor=None)
 def t_b1(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
     """Weighted integral r^-b * integral_1^r rho^b g(rho) drho."""
-    if not (0.0 < r <= 1.0):
-        raise DomainError(f"radius must lie in (0, 1], got {r}")
     if r == 1.0:
         return 0.0
     return -_weighted_integral(g, b, r, 1.0, r, n)
 
 
+@_decay_function(b_floor=None)
 def t_b1_bound(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
     """Three-case decay bound with ||g||_{L2(0,1)} on the right-hand side."""
-    l2 = math.sqrt(_weighted_integral(lambda x: _sample(g, np.asarray(x)) ** 2, 0.0, 0.0, 1.0, 1.0, n))
+    l2 = _l2_norm(g, 1.0, n)
     if b < -0.5:
         return math.sqrt(r) / math.sqrt(abs(2.0 * b + 1.0)) * l2
     if b == -0.5:

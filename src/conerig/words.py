@@ -194,11 +194,12 @@ def prefix_walk(rho: Representation, word: Word, where: str = "word") -> list[np
     return prefixes
 
 
-def evaluate(rho: Representation, word: Word) -> GroupElement:
-    """Product of generator images along the word; identity word maps to id."""
+def evaluate(rho: Representation, word: Word, where: str = "word") -> GroupElement:
+    """Product of generator images along the word; identity word maps to id.
+    An overflow is refused at `where`, the word's JSON pointer."""
     if rho.group == SU2XSU2:
-        return Su2PairElement(*(evaluate(f, word) for f in rho.factors))
-    return _element(rho.group, prefix_walk(rho, word)[-1])
+        return Su2PairElement(*(evaluate(f, word, where) for f in rho.factors))
+    return _element(rho.group, prefix_walk(rho, word, where)[-1])
 
 
 def relator_distances(rho: Representation, pres: Presentation, finals=None) -> list[float]:

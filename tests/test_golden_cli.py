@@ -44,6 +44,8 @@ RADIAL_CASES = {
     for argv in [
         ["oracle", "--b", "1", "--b", "2", "--b", "4", "--b", "8", "--grid", "256"],
         ["oracle", "--grid", "512", "--kappa", "1"],
+        ["oracle", "--grid", "256", "--b", "1", "--samples", "200"],
+        ["oracle", "--grid", "256", "--b", "1", "--quad-samples", "16384"],
         *(
             ["forms", "--profile", profile, "--kappa", kappa]
             for profile in ("ang", "shr", "tws", "len")

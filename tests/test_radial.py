@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conerig import radial
+from conerig import cli, radial
 from conerig.errors import DomainError, IllConditioned
 from conerig.radial import (
     CONVERGENT,
@@ -349,3 +350,181 @@ class TestHalvingDeltas:
     def test_underflow_or_bad_eps(self, eps, count):
         with pytest.raises(DomainError, match="fewer halvings"):
             halving_deltas(eps, count)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature kernel against the one it replaced, which took both powers
+# at both ends of every cell
+
+
+def reference_power_cell_integrals(x0, x1, b, r):
+    u0, u1 = x0 / r, x1 / r
+    if b == -1.0:
+        i0 = r * np.log(u1 / u0)
+    else:
+        i0 = (r / (b + 1.0)) * (u1 ** (b + 1.0) - u0 ** (b + 1.0))
+    if b == -2.0:
+        i1 = r * r * np.log(u1 / u0)
+    else:
+        i1 = (r * r / (b + 2.0)) * (u1 ** (b + 2.0) - u0 ** (b + 2.0))
+    return i0, i1
+
+
+def reference_weighted_integral(g, b, lo, hi, r, n):
+    xs = np.linspace(lo, hi, n + 1)
+    ys = radial._sample(g, xs)
+    x0, x1 = xs[:-1], xs[1:]
+    g0, g1 = ys[:-1], ys[1:]
+    h = x1 - x0
+    i0, i1 = reference_power_cell_integrals(x0, x1, b, r)
+    cells = g0 * i0 + (g1 - g0) / h * (i1 - x0 * i0)
+    return float(cells.sum())
+
+
+def cell_gaps(xs, b, r):
+    """Per cell, how far the second cell integral i1 may lie from the
+    reference's.  The kernel takes the (b+2)-th power as p * u, the power
+    fl(b+1) + 1 of u, where the reference takes the power fl(b+2): the two
+    exponents differ by eps (|b+1| + |b+2|) / 2 at most, which moves u^(b+2)
+    by that times |ln u|, and the pow, the product and the difference add a
+    few ulps.  The first integral and both log branches are the reference's
+    bit for bit."""
+    if b == -2.0:
+        return np.zeros(len(xs) - 1)
+    u = xs / r
+    with np.errstate(divide="ignore"):
+        log_u = np.where(u > 0.0, np.abs(np.log(u)), 0.0)
+    q = u ** (b + 2.0)
+    gap = np.finfo(float).eps * q * (4.0 + (abs(b + 1.0) + abs(b + 2.0)) * log_u)
+    return r * r / abs(b + 2.0) * (gap[1:] + gap[:-1])
+
+
+def quadrature_gap(g, b, lo, hi, r, n):
+    """How far the weighted sum may move when each i1 moves by its cell gap:
+    near b = -2 or r = 1 the (b+2)-th power's cell differences cancel, and
+    either kernel keeps fewer digits there."""
+    xs = np.linspace(lo, hi, n + 1)
+    ys = radial._sample(g, xs)
+    return float((np.abs(np.diff(ys) / np.diff(xs)) * cell_gaps(xs, b, r)).sum())
+
+
+def band_limited_from(coef):
+    """Reference: the decay suite's input summed term by term, six trig sweeps."""
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for k in range(3):
+            out = out + coef[2 * k] * np.cos(2.0 * math.pi * k * x)
+            out = out + coef[2 * k + 1] * np.sin(2.0 * math.pi * (k + 1) * x)
+        return out
+
+    return g
+
+
+coefficients = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=6, max_size=6)
+
+
+class TestQuadratureAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(-4.0, 4.0), st.floats(0.05, 1.0), st.sampled_from([64, 4096]), coefficients)
+    @example(-2.0, 0.5, 64, [1.0, 0.5, -0.3, 0.2, 0.1, -0.4])
+    @example(-1.0, 0.5, 4096, [1.0, 0.5, -0.3, 0.2, 0.1, -0.4])
+    @example(-0.5, 0.3, 64, [0.2, -1.0, 0.5, 0.0, 0.3, 0.1])
+    @example(0.0, 1.0, 4096, [0.2, -1.0, 0.5, 0.0, 0.3, 0.1])
+    def test_decay_functions_match(self, b, r, n, coef):
+        # the reference divides 0 by 0 on cells of width 0 (r within ulps of 1)
+        assume(np.all(np.diff(np.linspace(r, 1.0, n + 1)) > 0.0) or r == 1.0)
+        g = band_limited_from(coef)
+        functions = [(t_b1, r, 1.0), (t_b1_bound, None, None)]
+        if b > -0.5:
+            functions += [(t_b0, 0.0, r), (t_b0_bound, None, None)]
+        for f, lo, hi in functions:
+            got = f(g, b, r, n)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(radial, "_weighted_integral", reference_weighted_integral)
+                want = f(g, b, r, n)
+            # the bounds weigh g^2 by rho^0, where both kernels take u and u * u
+            gap = 0.0 if lo is None or lo == hi else quadrature_gap(g, b, lo, hi, r, n)
+            assert abs(got - want) <= 1e-13 * abs(want) + gap, (f.__name__, got, want, gap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-4.0, 4.0), st.floats(0.05, 1.0), st.floats(0.0, 0.95), st.sampled_from([64, 4096]))
+    @example(-2.0, 0.5, 0.5, 64)
+    @example(-1.0, 0.5, 0.5, 64)
+    def test_cells_match(self, b, r, lo, n):
+        # grids start at 0 only where the weight is integrable there, b > -1
+        xs = np.linspace(r * lo if b > -1.0 else r * max(lo, 0.05), r, n + 1)
+        i0, i1 = radial._power_cell_integrals(xs, b, r)
+        want0, want1 = reference_power_cell_integrals(xs[:-1], xs[1:], b, r)
+        assert np.array_equal(i0, want0)
+        assert np.all(np.abs(i1 - want1) <= cell_gaps(xs, b, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficients, st.floats(0.05, 1.0), st.sampled_from([64, 4096]))
+def test_suite_input_from_one_cos_and_one_sin(coef, r, n):
+    # P(c) + s Q(c) against the six-trig sum, on the grids of t_b0 and t_b1
+    xs = np.concatenate([np.linspace(0.0, r, n + 1), np.linspace(r, 1.0, n + 1)])
+    got = cli._trig_input(coef)(xs)
+    assert np.abs(got - band_limited_from(coef)(xs)).max() <= 1e-14
+
+
+class TestDecayDomain:
+    """Each decay function refuses an argument it cannot compute on, and a
+    value that is not finite, with a DomainError and no numpy warning."""
+
+    FUNCTIONS = [t_b0, t_b0_bound, t_b1, t_b1_bound]
+
+    @pytest.mark.parametrize("f", FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("r", [0.0, -0.5, 2.0, 3.0, math.nan, math.inf])
+    def test_radius_outside_the_unit_interval(self, f, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"radius must lie in \(0, 1\]"):
+                f(ONE, 1.0, r)
+
+    @pytest.mark.parametrize("f", FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_b_not_finite(self, f, b):
+        with pytest.raises(DomainError, match="finite b"):
+            f(ONE, b, 0.5)
+
+    @pytest.mark.parametrize("f", [t_b0, t_b0_bound], ids=lambda f: f.__name__)
+    def test_b_at_or_below_minus_one_half(self, f):
+        with pytest.raises(DomainError, match="above -0.5"):
+            f(ONE, -0.5, 0.5)
+
+    @pytest.mark.parametrize("f", FUNCTIONS, ids=lambda f: f.__name__)
+    def test_no_quadrature_samples(self, f):
+        with pytest.raises(DomainError, match="at least 1"):
+            f(ONE, 1.0, 0.5, n=0)
+
+    @pytest.mark.parametrize("f", [t_b1, t_b1_bound], ids=lambda f: f.__name__)
+    def test_overflow_names_b_and_r(self, f):
+        # the true values are about 20^300 / 301, beyond every float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"at b = 300.0, r = 0.05 is not finite"):
+                f(ONE, 300.0, 0.05)
+
+    def test_an_input_that_overflows(self):
+        huge = lambda x: np.full_like(np.asarray(x, dtype=float), 1e300)  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="t_b0_bound at b = 1.0, r = 0.5"):
+                t_b0_bound(huge, 1.0, 0.5)
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_radius_a_few_ulps_below_one(self, n):
+        # most cells of [r, 1] have width 0 and add 0, not 0/0
+        r = 1.0 - 2.0**-53
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(t_b1(ONE, 1.0, r, n)) <= 2.0**-52
+            assert abs(t_b1(np.cos, -2.0, r, n)) <= 2.0**-52
+
+    def test_values_in_range_are_kept(self):
+        assert t_b1(ONE, 2.0, 1.0) == 0.0
+        assert t_b1_bound(ONE, -0.5, 1.0) == 0.0
+        assert t_b0(ONE, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)

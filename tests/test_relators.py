@@ -245,6 +245,12 @@ def overflowing_meridian(tmp_path):
     return write(tmp_path, "overflow-meridian.json", doc)
 
 
+def overflowing_boundary_word(tmp_path):
+    doc = fixture_doc("torus.json")
+    doc["boundary"][0]["generator_words"][0] = "a" * 6680
+    return write(tmp_path, "overflow-boundary.json", doc)
+
+
 def run_quietly(argv, capsys):
     """`cli.run` with every warning an error; the exit code and stderr."""
     with warnings.catch_warnings():
@@ -271,6 +277,11 @@ def test_an_overflowing_meridian_names_its_pointer(tmp_path, capsys):
     assert (code, err) == (2, "error: /meridians/0/word: product is not finite (overflow)\n")
 
 
+def test_an_overflowing_boundary_word_names_its_pointer(tmp_path, capsys):
+    code, err = run_quietly(["cohomology", "--audit", overflowing_boundary_word(tmp_path)], capsys)
+    assert (code, err) == (2, "error: /boundary/0/generator_words/0: product is not finite (overflow)\n")
+
+
 def test_an_overflowing_image_is_refused_at_load(tmp_path, capsys):
     doc = fixture_doc("torus.json")
     doc["holonomy"]["a"] = [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]
@@ -284,6 +295,7 @@ MANIFESTS = [
 ] + [
     pytest.param(overflowing_relator, id="overflow-relator"),
     pytest.param(overflowing_meridian, id="overflow-meridian"),
+    pytest.param(overflowing_boundary_word, id="overflow-boundary-word"),
 ]
 
 
