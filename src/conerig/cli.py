@@ -225,14 +225,16 @@ def _cmd_oracle(args) -> tuple[int, dict]:
         raise DomainError(f"--samples takes at most {MAX_DECAY_SAMPLES}, got {args.samples}")
     grid = RadialGrid(args.grid)
     bs = args.b or [1.0, 2.0, 4.0, 8.0]
-    sigmas = [pb_min_singular(b, args.kappa, grid) for b in bs]
-    monotone = all(x < y for x, y in zip(sigmas, sigmas[1:])) if len(sigmas) > 1 else True
+    # one sigma per distinct b; monotonicity is judged over them in ascending order
+    sigma_of = {b: pb_min_singular(b, args.kappa, grid) for b in sorted(set(bs))}
+    sigmas = list(sigma_of.values())
+    monotone = all(x < y for x, y in zip(sigmas, sigmas[1:]))
     decay = _decay_suite(args.samples, args.quad_samples)
     report = {
         "grid": args.grid,
         "kappa": args.kappa,
         "radial_lower_bound": [
-            {"b": b, "sigma_min": s} for b, s in zip(bs, sigmas)
+            {"b": b, "sigma_min": sigma_of[b]} for b in bs
         ],
         "monotone_in_b": monotone,
         "decay_bounds": decay,

@@ -131,8 +131,10 @@ def _decay_function(b_floor: float | None):
 
 
 def _l2_norm(g, r: float, n: int) -> float:
-    """||g||_{L2(0,r)} by the trapezoid rule on g^2."""
-    return math.sqrt(_weighted_integral(lambda x: _sample(g, np.asarray(x)) ** 2, 0.0, 0.0, r, 1.0, n))
+    """||g||_{L2(0,r)} by the trapezoid rule on g^2 over n cells."""
+    ys = _sample(g, np.linspace(0.0, r, n + 1))
+    squares = ys * ys
+    return math.sqrt(r / n * (squares.sum() - 0.5 * (squares[0] + squares[-1])))
 
 
 @_decay_function(b_floor=-0.5)
@@ -181,17 +183,48 @@ def pb_min_singular(b: float, kappa: int, grid: RadialGrid) -> float:
     these two bands are stored: time and memory are O(n).  sigma_min comes
     from inverse iteration on the tridiagonal M^T M through its LDL^T
     (Thomas) factorisation, with shifts kept below sigma_min^2 (see
-    `_bidiagonal_sigma_min`), and is read back as ||Mv|| / ||v|| from the
-    bands of M, so the reported value is never squared.  One Golub-Kahan
-    Sturm count on the bidiagonal (Demmel and Kahan, SIAM J. Sci. Stat.
-    Comput. 11, 1990) then certifies that no singular value lies below
-    sigma (1 - 1e-10): the result is an upper bound within 1e-10 relative of
-    sigma_min, and agrees with a dense SVD to about 1e-13.  An iteration
-    that does not converge, or a certificate that fails, raises
-    `IllConditioned` (CLI exit 3); a b so large that the bands overflow
-    raises `DomainError`.
+    `_bidiagonal_sigma_min`).  On grids of 256 nodes or more the iteration
+    starts from the same operator's solution on the 64-cell grid: its
+    singular vector, interpolated linearly onto the fine nodes, and a first
+    shift just below its sigma_min, kept only if the fine factorisation
+    shows that shift to lie below the fine sigma_min.  Otherwise (or if the
+    coarse solve fails) the iteration starts from the vector of ones at
+    shift 0, as on smaller grids.  Either way sigma is read back as
+    ||Mv|| / ||v|| from the fine bands of M, so the reported value is never
+    squared, and one Golub-Kahan Sturm count on the fine bidiagonal (Demmel
+    and Kahan, SIAM J. Sci. Stat. Comput. 11, 1990) then certifies that no
+    singular value lies below sigma (1 - 1e-10): the result is an upper
+    bound within 1e-10 relative of sigma_min, and agrees with a dense SVD
+    to about 1e-13.  An iteration that does not converge, or a certificate
+    that fails, raises `IllConditioned` (CLI exit 3); a b so large that the
+    bands overflow raises `DomainError`.
     """
     n = grid.n
+    diag, sub, scale = _bands(b, kappa, n)
+    start = None
+    if n >= 4 * _COARSE_GRID:
+        coarse_diag, coarse_sub, coarse_scale = _bands(b, kappa, _COARSE_GRID)
+        try:
+            coarse_sigma, coarse_x = _bidiagonal_sigma_min(coarse_diag, coarse_sub, certify=False)
+        except IllConditioned:
+            pass
+        else:
+            # the coarse vector holds f at the nodes j/64, j = 1..63; f = 0 at r = 0 and 1
+            coarse_f = np.zeros(_COARSE_GRID + 1)
+            coarse_f[1:-1] = coarse_x
+            fine_f = np.interp(np.arange(1, n) / n, np.arange(_COARSE_GRID + 1) / _COARSE_GRID, coarse_f)
+            trial = coarse_sigma * (1.0 - _COARSE_SHIFT_MARGIN) * (coarse_scale / scale)
+            start = (fine_f.tolist(), trial)
+    return scale * _bidiagonal_sigma_min(diag, sub, start)[0]
+
+
+def _bands(b: float, kappa: int, n: int):
+    """The two bands of the n-cell operator divided by a power of two, and that power.
+
+    sigma_min scales with M; a power of two scales exactly and keeps the
+    squares in M^T M within range for every finite b.  Bands that overflow
+    raise DomainError naming b and n.
+    """
     h = 1.0 / n
     sn = sn_cs_ct(kappa, (np.arange(n) + 0.5) / n)[0]
     with np.errstate(over="ignore"):
@@ -202,34 +235,45 @@ def pb_min_singular(b: float, kappa: int, grid: RadialGrid) -> float:
         sub = -1.0 / h + pot[1:] / 2.0
     if not (np.isfinite(diag).all() and np.isfinite(sub).all()):
         raise DomainError(f"b = {b!r} is too large for grid {n}: the operator's entries overflow")
-    # sigma_min scales with M; a power of two scales exactly and keeps the
-    # squares in M^T M within range for every finite b
     scale = math.ldexp(1.0, math.frexp(max(np.abs(diag).max(), np.abs(sub).max()))[1])
-    return scale * _bidiagonal_sigma_min(diag / scale, sub / scale)
+    return diag / scale, sub / scale, scale
 
 
+# Grid of the coarse solve that starts the fine iteration; grids below
+# 4 x 64 start cold, since there the coarse solve would cost about as much.
+_COARSE_GRID = 64
+# The first fine shift lies this far (relative) below the coarse sigma_min.
+_COARSE_SHIFT_MARGIN = 1e-3
 # The certificate asks every singular value to exceed sigma (1 - margin).  A
 # Golub-Kahan count is exact for a bidiagonal within about 2n eps relative of
 # the computed one, so the margin holds with room to spare for n up to 10^5.
 _CERTIFY_MARGIN = 1e-10
 # Iterations stop once sigma moves by at most this much relative.
-_CONVERGED = 8.0 * np.finfo(float).eps
-# Each iteration shrinks the bracket [lo, hi] around sigma_min by 3/4 or more,
-# and the Rayleigh quotient converges far faster than that: 19 iterations at
-# most on n = 64..4096, |b| <= 10^4, every curvature.
+_CONVERGED = 1e-12
+# Each iteration cuts the bracket [lo, hi] around sigma_min to at most 7/8
+# of its width (to 1/8 when the trial shift is kept), and the Rayleigh
+# quotient converges far faster than that: 26 iterations at most on
+# n = 64..4096, |b| <= 10^4, every curvature.
 _MAX_ITERATIONS = 200
 
 
-def _bidiagonal_sigma_min(diag: np.ndarray, sub: np.ndarray) -> float:
-    """sigma_min of the (k+1) x k lower-bidiagonal matrix M = (diag, sub).
+def _bidiagonal_sigma_min(diag: np.ndarray, sub: np.ndarray, start=None, certify: bool = True):
+    """sigma_min of the (k+1) x k lower-bidiagonal matrix M = (diag, sub),
+    and its unit singular vector as a list.
 
     Inverse iteration on M^T M = tridiag(e, a, e).  Every step solves with
     the LDL^T factorisation of M^T M - lo^2, where lo is a lower bound for
     sigma_min: a factorisation whose pivots are all positive shows that
     lo^2 lies below the smallest eigenvalue, so the shift never passes it
     and the iteration converges to the smallest singular vector.  Each step
-    then tries to raise lo a quarter of the way from lo to the current upper
-    bound, the Rayleigh value ||Mv|| / ||v||.
+    then tries to raise lo to hi - (hi - lo)/8, where hi is the current
+    upper bound, the Rayleigh value ||Mv|| / ||v||.
+
+    start = (v, trial) begins from the vector v with lo = trial if the
+    pivots of M^T M - trial^2 are all positive; otherwise, and with no
+    start, the iteration begins from the vector of ones with lo = 0.  With
+    certify, a Golub-Kahan count checks that no singular value lies below
+    sigma (1 - 1e-10).
     """
     k = len(diag)
     a = (diag * diag + sub * sub).tolist()
@@ -243,18 +287,24 @@ def _bidiagonal_sigma_min(diag: np.ndarray, sub: np.ndarray) -> float:
         mx[1:] += sub * x
         return float(np.linalg.norm(mx)), x.tolist()
 
-    sigma, x = rayleigh([1.0] * k)
-    lo, hi = 0.0, sigma
-    factors = _ldl_pivots(a, e, 0.0)
+    factors = None
+    if start is not None:
+        x, lo = start
+        factors = _ldl_pivots(a, e, lo * lo)
     if factors is None:
-        raise IllConditioned("radial operator: M^T M has a nonpositive pivot")
+        x, lo = [1.0] * k, 0.0
+        factors = _ldl_pivots(a, e, 0.0)
+        if factors is None:
+            raise IllConditioned("radial operator: M^T M has a nonpositive pivot")
+    sigma, x = rayleigh(x)
+    hi = sigma
     for _ in range(_MAX_ITERATIONS):
         new, x = rayleigh(_ldl_solve(*factors, x))
         if sigma - new <= _CONVERGED * new:
             break
         sigma = new
         hi = min(hi, sigma)
-        trial = hi - 0.25 * (hi - lo)
+        trial = hi - 0.125 * (hi - lo)
         trial_factors = _ldl_pivots(a, e, trial * trial)
         if trial_factors is None:
             hi = trial
@@ -264,12 +314,13 @@ def _bidiagonal_sigma_min(diag: np.ndarray, sub: np.ndarray) -> float:
         raise IllConditioned(
             f"radial operator: inverse iteration did not converge in {_MAX_ITERATIONS} steps"
         )
-    floor = new * (1.0 - _CERTIFY_MARGIN)
-    if _count_singular_values_above(diag, sub, floor) != k:
-        raise IllConditioned(
-            f"radial operator: a singular value lies below {floor!r}, sigma_min is not certified"
-        )
-    return new
+    if certify:
+        floor = new * (1.0 - _CERTIFY_MARGIN)
+        if _count_singular_values_above(diag, sub, floor) != k:
+            raise IllConditioned(
+                f"radial operator: a singular value lies below {floor!r}, sigma_min is not certified"
+            )
+    return new, x
 
 
 def _ldl_pivots(a: list, e: list, mu: float):
@@ -341,6 +392,11 @@ def norm_profile(name_or_profile, r, kappa: int | None = None):
     if name not in PROFILES:
         raise DomainError(f"unknown profile {name!r}")
     sn, cs, _ = sn_cs_ct(kappa, r)
+    return _profile(name, kappa, sn, cs)
+
+
+def _profile(name: str, kappa: int, sn, cs):
+    """The squared norm of profile `name` from sn and cs at the radii."""
     k2 = float(kappa * kappa)
     if name == "ang":
         return (sn * sn + cs * cs) / (sn * sn)
@@ -395,7 +451,7 @@ def _tube_segment(fp: FormProfile, lo: float, hi: float, n: int) -> float:
     us = np.linspace(math.log(lo), math.log(hi), n + 1)
     rs = np.exp(us)
     sn, cs, _ = sn_cs_ct(fp.kappa, rs)
-    vals = norm_profile(fp, rs) * (sn * cs)
+    vals = _profile(fp.name, fp.kappa, sn, cs) * (sn * cs)
     integrand = vals * rs  # dr = r du
     weights = np.full(n + 1, 1.0)
     weights[0] = weights[-1] = 0.5

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conerig import cli
 from conerig.cli import run
 from conerig.manifest import fixture_path
 
@@ -180,6 +181,28 @@ class TestOracle:
         assert code == 0
         assert report["monotone_in_b"] is True
         assert report["decay_bounds"]["pass"] is True
+
+    @pytest.mark.parametrize("bs", [["1", "2"], ["2", "1"], ["1", "1"]])
+    def test_monotonicity_ignores_order_and_repetition_of_b(self, capsys, bs, monkeypatch):
+        calls = []
+        original = cli.pb_min_singular
+
+        def counted(b, kappa, grid):
+            calls.append(b)
+            return original(b, kappa, grid)
+
+        monkeypatch.setattr(cli, "pb_min_singular", counted)
+        argv = ["oracle", "--grid", "64", "--samples", "1"]
+        for b in bs:
+            argv += ["--b", b]
+        code, report = invoke(capsys, argv)
+        assert code == 0
+        assert report["monotone_in_b"] is True
+        # the report keeps the given order; sigma is computed once per distinct b
+        assert [row["b"] for row in report["radial_lower_bound"]] == [float(b) for b in bs]
+        assert sorted(calls) == sorted({float(b) for b in bs})
+        sigma = {row["b"]: row["sigma_min"] for row in report["radial_lower_bound"]}
+        assert all(row["sigma_min"] == sigma[row["b"]] for row in report["radial_lower_bound"])
 
 
 class TestContract:

@@ -233,6 +233,114 @@ class TestPbMinSingularAgainstDenseSvd:
             pb_min_singular(1.7e308, 0, RadialGrid(64))
 
 
+# the benchmark's oracle ladder: 7 grids, each with these 5 values of b
+LADDER = [(256, -1), (256, 0), (256, 1), (512, -1), (512, 0), (512, 1), (1024, 0)]
+LADDER_BS = (0.0, 1.0, 2.0, 4.0, 8.0)
+
+
+def cold_sigma_min(b, kappa, n):
+    """sigma_min from the iteration started at the vector of ones, lo = 0."""
+    diag, sub, scale = radial._bands(b, kappa, n)
+    return scale * radial._bidiagonal_sigma_min(diag, sub)[0]
+
+
+class TestCoarseStart:
+    """Grids of 256 nodes and more start from the 64-cell solution."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(256, 640),
+        st.sampled_from([-1, 0, 1]),
+        st.floats(-9.0, 9.0, allow_nan=False),
+    )
+    @example(256, 0, 3.0)
+    @example(256, 0, -3.0)
+    @example(256, 0, -1.0)
+    @example(512, 0, 3.0)
+    @example(512, 0, -3.0)
+    @example(512, 0, -1.0)
+    def test_matches_dense_svd(self, n, kappa, b):
+        got = pb_min_singular(b, kappa, RadialGrid(n))
+        want = dense_sigma_min(b, kappa, n)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("b", [-1e200, 1e100, -1e7, 1e4])
+    def test_large_b(self, b):
+        got = pb_min_singular(b, 1, RadialGrid(256))
+        assert abs(got - dense_sigma_min(b, 1, 256)) <= 1e-12 * got
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(radial, "_count_singular_values_above", lambda d, s, floor: len(d) - 1)
+        with pytest.raises(IllConditioned, match="not certified"):
+            pb_min_singular(1.0, 0, RadialGrid(512))
+
+    def test_unconverged_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(radial, "_MAX_ITERATIONS", 1)
+        with pytest.raises(IllConditioned, match="did not converge"):
+            pb_min_singular(1.0, 0, RadialGrid(512))
+
+    @pytest.mark.parametrize("b", [-3.0, 1.0, 8.0])
+    def test_a_failed_coarse_solve_starts_cold(self, b, monkeypatch):
+        original = radial._bidiagonal_sigma_min
+        sizes = []
+
+        def coarse_fails(diag, sub, start=None, certify=True):
+            sizes.append(len(diag))
+            if len(diag) == radial._COARSE_GRID - 1:
+                raise IllConditioned("coarse solve forced to fail")
+            return original(diag, sub, start, certify)
+
+        monkeypatch.setattr(radial, "_bidiagonal_sigma_min", coarse_fails)
+        got = pb_min_singular(b, 0, RadialGrid(512))
+        assert sizes == [63, 511]
+        monkeypatch.setattr(radial, "_bidiagonal_sigma_min", original)
+        assert got == cold_sigma_min(b, 0, 512)
+
+    @pytest.mark.parametrize("n,kappa", LADDER)
+    def test_ladder_matches_the_cold_start(self, n, kappa, monkeypatch):
+        original = radial._ldl_pivots
+        fine_shifts = []
+
+        def recorded(a, e, mu):
+            factors = original(a, e, mu)
+            if len(a) == n - 1:
+                fine_shifts.append((mu, factors is not None))
+            return factors
+
+        for b in LADDER_BS:
+            fine_shifts.clear()
+            monkeypatch.setattr(radial, "_ldl_pivots", recorded)
+            got = pb_min_singular(b, kappa, RadialGrid(n))
+            monkeypatch.setattr(radial, "_ldl_pivots", original)
+            # the first fine factorisation takes the coarse shift, and its pivots certify it
+            mu, accepted = fine_shifts[0]
+            assert mu > 0.0 and accepted
+            want = cold_sigma_min(b, kappa, n)
+            assert abs(got - want) <= 1e-13 * want
+
+    def test_ladder_sweeps_at_most_half_the_elements(self, monkeypatch):
+        # elements swept by LDL^T factorisations and solves over the ladder;
+        # started cold (vector of ones, lo = 0, steps of a quarter, stop at
+        # 8 eps) every sigma took 219,186, and half of that is the bound
+        swept = [0]
+        pivots, solve = radial._ldl_pivots, radial._ldl_solve
+
+        def counted_pivots(a, e, mu):
+            swept[0] += len(a)
+            return pivots(a, e, mu)
+
+        def counted_solve(p, m, v):
+            swept[0] += len(v)
+            return solve(p, m, v)
+
+        monkeypatch.setattr(radial, "_ldl_pivots", counted_pivots)
+        monkeypatch.setattr(radial, "_ldl_solve", counted_solve)
+        for n, kappa in LADDER:
+            for b in LADDER_BS:
+                pb_min_singular(b, kappa, RadialGrid(n))
+        assert swept[0] <= 109_593, swept[0]
+
+
 class TestNormProfile:
     def test_flat_case(self):
         r = 0.3
