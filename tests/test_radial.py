@@ -307,11 +307,10 @@ class TestCoarseStart:
                 fine_shifts.append((mu, factors is not None))
             return factors
 
+        monkeypatch.setattr(radial, "_ldl_pivots", recorded)
         for b in LADDER_BS:
             fine_shifts.clear()
-            monkeypatch.setattr(radial, "_ldl_pivots", recorded)
             got = pb_min_singular(b, kappa, RadialGrid(n))
-            monkeypatch.setattr(radial, "_ldl_pivots", original)
             # the first fine factorisation takes the coarse shift, and its pivots certify it
             mu, accepted = fine_shifts[0]
             assert mu > 0.0 and accepted
