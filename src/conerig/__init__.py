@@ -28,7 +28,6 @@ from .liecore import (
     Sl2cElement,
     Su2Element,
     Su2PairElement,
-    ad_action,
     ad_matrix,
     bracket,
     complex_length_sl2c,
@@ -42,9 +41,7 @@ from .words import (
     Meridian,
     Presentation,
     Representation,
-    coboundary,
     evaluate,
-    extend_cocycle,
     parse_word,
     relator_residual,
     split_representation,

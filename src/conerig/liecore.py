@@ -8,6 +8,9 @@ antisymmetry is exact.  The matrix Lie algebras sl2(C) (over C) and su(2)
 are only converted where a formula demands it.  SU(2)xSU(2) has no
 coefficient algebra of its own: its so(4) = su(2) + su(2) cohomology is the
 sum of two SU(2) ones, solved per factor after `words.split_representation`.
+Each group has one product, inverse and exponential, on raw arrays, of
+which element `mul`, `inv` and `exp_algebra` are views.  Ad is in closed
+form; g v g^-1 letter by letter is the reference in tests/cocycle_reference.py.
 """
 from __future__ import annotations
 
@@ -220,10 +223,13 @@ def _det_rule(mat: np.ndarray, derived: bool = False) -> np.ndarray:
 
 def _norm_rule(q: np.ndarray, derived: bool = False) -> np.ndarray:
     """A finite quaternion of norm 1 up to TOL_GROUP, re-projected onto the
-    unit sphere; anything else is refused, unless it is `derived`."""
+    unit sphere; anything else is refused, unless it is `derived`.  Run it
+    under `np.errstate(over="ignore", invalid="ignore")`, as `raw_product`."""
     n2 = float(q @ q)
-    if not math.isfinite(n2):
+    if not math.isfinite(n2):  # |q|^2 overflows, or an entry is not finite
         _require_finite(q, "product is not finite (overflow)" if derived else None)
+        if not derived:
+            raise DomainError("|q|^2 overflows: the entries are too large")
     if abs(n2 - 1.0) > TOL_GROUP:
         if derived:
             return q
@@ -234,13 +240,43 @@ def _norm_rule(q: np.ndarray, derived: bool = False) -> np.ndarray:
 
 
 def raw_product(group: str, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The raw array of `mul` for raw arrays p and g of an SL2C or SU2 group:
-    the same floating-point operations and the same rule for a derived array.
-    Run it under `np.errstate(over="ignore", invalid="ignore")`, as `mul` and
+    """The product of raw arrays p and g of an SL2C or SU2 group, under the
+    rule for a derived array; element `mul` is a view of it.  Run it under
+    `np.errstate(over="ignore", invalid="ignore")`, as `mul` and
     `words.prefix_walk` do: an overflow is refused here, not warned about."""
-    if group == SU2:
-        return _norm_rule(_quat_mul(p, g), derived=True)
-    return _det_rule(p @ g, derived=True)
+    if group == SL2C:
+        return _det_rule(p @ g, derived=True)
+    # Python floats round exactly as numpy float64 scalars, in a fraction of the time.
+    p0, p1, p2, p3 = p.tolist()
+    q0, q1, q2, q3 = g.tolist()
+    q = [
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+    ]
+    return _norm_rule(np.array(q), derived=True)
+
+
+def raw_inverse(group: str, raw: np.ndarray) -> np.ndarray:
+    """The inverse of a raw SL2C or SU2 element, or of a stack of them, in
+    closed form: the adjugate [[d, -b], [-c, a]] or the conjugate quaternion.
+    An inverse has its element's determinant (squared norm), so the rules
+    above keep it as computed."""
+    a, b, c, d = raw.reshape(-1, 4).T
+    return np.stack([d, -b, -c, a] if group == SL2C else [a, -b, -c, -d], -1).reshape(raw.shape)
+
+
+def exp_raw(group: str, coords) -> np.ndarray:
+    """The exponential of the algebra vector with field coordinates `coords`
+    as a raw SL2C matrix or SU2 quaternion, under the rule for an input."""
+    m = _exp_traceless(AlgebraVector.from_coords(group, coords).mat)
+    if group == SL2C:
+        return _det_rule(m)
+    # the quaternion of a + bj -> [[a, b], [-conj(b), conj(a)]], read off both rows
+    a = 0.5 * (m[0, 0] + np.conj(m[1, 1]))
+    b = 0.5 * (m[0, 1] - np.conj(m[1, 0]))
+    return _norm_rule(np.array([a.real, a.imag, b.real, b.imag]))
 
 
 def identity_distance(group: str, raw: np.ndarray) -> float:
@@ -268,11 +304,10 @@ class Sl2cElement:
 
     def mul(self, other: "Sl2cElement") -> "Sl2cElement":
         with np.errstate(over="ignore", invalid="ignore"):
-            return Sl2cElement(self.mat @ other.mat, derived=True)
+            return Sl2cElement(raw_product(SL2C, self.mat, other.mat), derived=True)
 
     def inv(self) -> "Sl2cElement":
-        a, b, c, d = self.mat.ravel()
-        return Sl2cElement(np.array([[d, -b], [-c, a]]), derived=True)
+        return Sl2cElement(raw_inverse(SL2C, self.mat), derived=True)
 
     def trace(self) -> complex:
         return complex(self.mat[0, 0] + self.mat[1, 1])
@@ -294,7 +329,8 @@ class Su2Element:
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise DomainError(f"expected quaternion of shape (4,), got {q.shape}")
-        object.__setattr__(self, "q", _frozen(_norm_rule(q, derived)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "q", _frozen(_norm_rule(q, derived)))
 
     @classmethod
     def identity(cls) -> "Su2Element":
@@ -307,10 +343,14 @@ class Su2Element:
         if mat.shape != (2, 2):
             raise DomainError(f"expected 2x2 matrix, got shape {mat.shape}")
         _require_finite(mat)
-        a = 0.5 * (mat[0, 0] + np.conj(mat[1, 1]))
-        b = 0.5 * (mat[0, 1] - np.conj(mat[1, 0]))
-        q = np.array([a.real, a.imag, b.real, b.imag])
-        defect = float(np.linalg.norm(mat - _su2_matrix(q / np.linalg.norm(q))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = 0.5 * (mat[0, 0] + np.conj(mat[1, 1]))
+            b = 0.5 * (mat[0, 1] - np.conj(mat[1, 0]))
+            q = np.array([a.real, a.imag, b.real, b.imag])
+            norm = float(np.linalg.norm(q))
+            defect = float(np.linalg.norm(mat - _su2_matrix(q / norm)))
+        if not math.isfinite(norm):  # the entries of the finite mat overflow
+            raise DomainError("|q|^2 overflows: the entries are too large")
         if defect > TOL_GROUP:
             raise DomainError(f"matrix is not in SU(2) within {TOL_GROUP} (defect {defect:.3e})")
         return cls(q)
@@ -320,11 +360,11 @@ class Su2Element:
         return _su2_matrix(self.q)
 
     def mul(self, other: "Su2Element") -> "Su2Element":
-        return Su2Element(_quat_mul(self.q, other.q), derived=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Su2Element(raw_product(SU2, self.q, other.q), derived=True)
 
     def inv(self) -> "Su2Element":
-        a, b, c, d = self.q
-        return Su2Element(np.array([a, -b, -c, -d]), derived=True)
+        return Su2Element(raw_inverse(SU2, self.q), derived=True)
 
     def trace(self) -> float:
         return 2.0 * float(self.q[0])
@@ -348,20 +388,6 @@ def _su2_matrix(q: np.ndarray) -> np.ndarray:
     a = q[0] + 1j * q[1]
     b = q[2] + 1j * q[3]
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
-
-
-def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # Python floats round exactly as numpy float64 scalars, in a fraction of the time.
-    p0, p1, p2, p3 = p.tolist()
-    q0, q1, q2, q3 = q.tolist()
-    return np.array(
-        [
-            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -523,30 +549,6 @@ def algebra_basis(group: str) -> tuple[AlgebraVector, ...]:
     return tuple(AlgebraVector.from_coords(group, e) for e in np.eye(dim, dtype=field))
 
 
-def ad_action(g: GroupElement, v: AlgebraVector) -> AlgebraVector:
-    """Adjoint action Ad(g) v = g v g^-1."""
-    group = group_of(g)
-    if group != v.group:
-        raise DomainError(f"group mismatch: {group} vs {v.group}")
-    m = g.mat
-    mi = np.conj(m.T) if group == SU2 else np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    conj = m @ v.mat @ mi
-    # g v g^-1 is traceless; the trace left by rounding grows like |g|^2 |v|
-    # and would fail the absolute trace check of a large conjugate.
-    x = 0.5 * (conj[0, 0] - conj[1, 1])
-    conj[0, 0], conj[1, 1] = x, -x
-    return AlgebraVector(group, conj)
-
-
-def adjoint_matrix(g: GroupElement) -> np.ndarray:
-    """Ad(g) in closed form, acting on `AlgebraVector.coords`; see `adjoint_stack`."""
-    if isinstance(g, Su2Element):
-        return adjoint_stack(SU2, g.q[None])[0]
-    if not isinstance(g, Sl2cElement):
-        raise DomainError(f"Ad matrices exist for SL2C and SU2 elements, not {group_of(g)}")
-    return adjoint_stack(SL2C, g.mat[None])[0]
-
-
 def adjoint_stack(group: str, raw: np.ndarray) -> np.ndarray:
     """Ad of a stack of raw elements in closed form, (L, 3, 3), acting on
     `AlgebraVector.coords`.
@@ -582,9 +584,9 @@ def matrix_stack(group: str, raw: np.ndarray) -> np.ndarray:
 
 
 def exp_algebra(v: AlgebraVector) -> GroupElement:
-    """Exponential of a coefficient algebra vector into its group."""
-    m = _exp_traceless(v.mat)
-    return Sl2cElement(m) if v.group == SL2C else Su2Element.from_matrix(m)
+    """Exponential of a coefficient algebra vector into its group; see `exp_raw`."""
+    raw = exp_raw(v.group, v.coords())
+    return Sl2cElement(raw) if v.group == SL2C else Su2Element(raw)
 
 
 def _exp_traceless(m: np.ndarray) -> np.ndarray:

@@ -474,10 +474,12 @@ def l2_tube_verdict(fp: FormProfile, eps: float, deltas, n: int = 2048) -> TubeV
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise DomainError("deltas must be strictly decreasing")
 
-    segments = [_tube_segment(fp, deltas[0], eps, n)]
-    for a, b in zip(deltas, deltas[1:]):
-        segments.append(_tube_segment(fp, b, a, n))
-    integrals = tuple(np.cumsum(segments).tolist())
+    # sn^2 underflows at tiny radii, and a profile that divides by it overflows.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        segments = [_tube_segment(fp, lo, hi, n) for lo, hi in zip(deltas, [eps, *deltas])]
+        integrals = tuple(np.cumsum(segments).tolist())
+    if not np.isfinite(integrals).all():
+        raise DomainError(f"tube integral from delta = {deltas[-1]!r} to eps = {eps!r} is not finite")
     increments = tuple(segments[1:])
 
     verdict = INCONCLUSIVE

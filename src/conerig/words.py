@@ -1,4 +1,4 @@
-"""Group presentations, words, representations and the cocycle calculus.
+"""Group presentations, words, representations and the Fox calculus.
 
 Words are case-sensitive letter strings over the declared generators; an
 uppercase letter is the inverse of its lowercase generator.  `evaluate`
@@ -6,15 +6,17 @@ never free-reduces, so word identity stays traceable in reports.
 
 Every word is evaluated by one prefix walk (`prefix_walk`): p_0 = 1 and
 p_t = p_{t-1} g_t on raw arrays, a 2x2 complex matrix for SL(2,C) and a unit
-quaternion for SU(2), with the floating-point operations and re-projection
-rule of `GroupElement.mul` (`liecore.raw_product`), so a walk's last prefix
-equals the chain of `mul` calls bit for bit.  A representation stacks the
-raw arrays of its images and of their inverses, in closed form, once; an
-SU(2)xSU(2) representation holds its two SU(2) factor representations
-instead, built once, and is walked per factor.  The Fox pass takes the Ad
-matrices of all its prefixes in one stacked closed form
+quaternion for SU(2), by `liecore.raw_product`, of which element `mul` is a
+view.  A representation stacks the raw arrays of its images and of their
+inverses once; an SU(2)xSU(2) representation holds its two SU(2) factor
+representations instead, built once, and is walked per factor.
+
+Cocycles are evaluated only by the Fox pass (`fox_derivatives`): it takes
+the Ad matrices of all its prefixes in one stacked closed form
 (`liecore.adjoint_stack`) and hands out the images of its words with them.
-A walk that overflows is refused at the JSON pointer of its word.
+The letter-by-letter calculus z(uv) = z(u) + Ad(rho(u)) z(v) is its
+reference, in `tests/cocycle_reference.py`.  A walk that overflows is
+refused at the JSON pointer of its word.
 
 Relators are checked by one rule in every subcommand:
 - a relator is checked on its free reduction: its distance from the
@@ -35,19 +37,18 @@ from .liecore import (
     SL2C,
     SU2,
     SU2XSU2,
-    AlgebraVector,
     GroupElement,
     Sl2cElement,
     Su2Element,
     Su2PairElement,
-    ad_action,
     adjoint_stack,
     coefficient_field,
-    exp_algebra,
+    exp_raw,
     field_coords,
     group_identity,
     group_of,
     identity_distance,
+    raw_inverse,
     raw_product,
 )
 
@@ -148,11 +149,9 @@ class Representation:
     """Group tag plus one image per generator.
 
     SL2C and SU2 images are also stacked as read-only (n, 2, 2) matrices or
-    (n, 4) quaternions: `raw`, and `raw_inverses` in closed form, the
-    adjugate [[d, -b], [-c, a]] or the conjugate quaternion.  That is `inv()`
-    bit for bit: an inverse has its image's determinant (squared norm), so
-    the constructor's rule would not re-project it.  An SU2xSU2
-    representation holds its two SU2 factors instead, `factors`."""
+    (n, 4) quaternions: `raw`, and `raw_inverses` from `liecore.raw_inverse`,
+    the closed form that `inv()` also takes.  An SU2xSU2 representation holds
+    its two SU2 factors instead, `factors`."""
 
     group: str
     images: tuple[GroupElement, ...]
@@ -163,9 +162,7 @@ class Representation:
                 raise DomainError(f"image {g!r} does not live in {self.group}")
         if self.group != SU2XSU2:
             raw = np.array([_raw(g) for g in self.images]).reshape(-1, *_IDENTITY[self.group].shape)
-            a, b, c, d = raw.reshape(-1, 4).T
-            inverses = np.stack([d, -b, -c, a] if self.group == SL2C else [a, -b, -c, -d], -1)
-            inverses = inverses.reshape(raw.shape)
+            inverses = raw_inverse(self.group, raw)
             raw.flags.writeable = inverses.flags.writeable = False
             object.__setattr__(self, "raw", raw)
             object.__setattr__(self, "raw_inverses", inverses)
@@ -242,41 +239,6 @@ def checked_factors(rho: Representation, pres: Presentation) -> tuple[Representa
     return rho.factors
 
 
-def _generator_values(rho: Representation, z) -> list[AlgebraVector]:
-    """The algebra vectors of a cocycle's field coordinates, one per generator."""
-    z = field_coords(rho.group, z, len(rho.images))
-    d = coefficient_field(rho.group)[1]
-    return [AlgebraVector.from_coords(rho.group, v) for v in z.reshape(-1, d)]
-
-
-def coboundary(rho: Representation, v: AlgebraVector) -> np.ndarray:
-    """Field coordinates of the coboundary of v: gamma -> v - Ad(rho(gamma)) v."""
-    return np.concatenate([(v - ad_action(g, v)).coords() for g in rho.images])
-
-
-def extend_cocycle(rho: Representation, z, word: Word) -> AlgebraVector:
-    """Extend a cocycle over a word by z(uv) = z(u) + Ad(rho(u)) z(v).
-
-    z holds the field coordinates of the generator values, generator after
-    generator, as `fox_derivatives` takes them.  Inverse letters use
-    z(g^-1) = -Ad(rho(g)^-1) z(g), so g^-1 at prefix p adds -Ad(p g^-1) z(g).
-    The word is free-reduced first: the value is the same, and a cancelling
-    pair would add and subtract two terms as large as Ad of the prefix.
-    Letter by letter through `ad_action` on the prefixes of `prefix_walk`,
-    this is the reference for the Fox pass.
-    """
-    values = _generator_values(rho, z)
-    val = AlgebraVector.zero(rho.group)
-    word = free_reduce(word)
-    prefixes = [_element(rho.group, p) for p in prefix_walk(rho, word)]
-    for t, (i, e) in enumerate(word):
-        if e > 0:
-            val = val + ad_action(prefixes[t], values[i])
-        else:
-            val = val - ad_action(prefixes[t + 1], values[i])
-    return val
-
-
 def fox_derivatives(
     rho: Representation, words, where: str = "word {}"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -288,9 +250,10 @@ def fox_derivatives(
     acting through Ad.  One prefix walk per word: a letter g_j at prefix p
     adds Ad(p) to block j, a letter g_j^-1 subtracts Ad(p g_j^-1).  Ad(p)
     comes in closed form from p, not as a product of Ad matrices, whose
-    condition number is the square of p's.  Words are free-reduced first, as
-    in `extend_cocycle`; the images, stacked as `raw`, are the reduced words'
-    last prefixes.  An overflow is refused naming word r as `where.format(r)`.
+    condition number is the square of p's.  Words are free-reduced first: a
+    cancelling pair would add and subtract two terms as large as Ad of the
+    prefix.  The images, stacked as `raw`, are the reduced words' last
+    prefixes.  An overflow is refused naming word r as `where.format(r)`.
     """
     field, d = coefficient_field(rho.group)
     blocks = np.zeros((len(words), len(rho.images), d, d), dtype=field)
@@ -322,11 +285,11 @@ def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
 
 def deform(rho: Representation, z, t: float) -> Representation:
     """First-order deformation rho_t(gamma) = exp(t z(gamma)) rho(gamma) along
-    the cocycle with field coordinates z."""
-    images = tuple(
-        exp_algebra(v.scaled(t)).mul(g) for v, g in zip(_generator_values(rho, z), rho.images)
-    )
-    return Representation(rho.group, images)
+    the cocycle with field coordinates z, on the raw images."""
+    z = field_coords(rho.group, z, len(rho.images)).reshape(len(rho.images), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raws = [raw_product(rho.group, exp_raw(rho.group, t * v), g) for v, g in zip(z, rho.raw)]
+    return Representation(rho.group, tuple(_element(rho.group, p) for p in raws))
 
 
 def split_representation(rho: Representation) -> tuple[Representation, Representation]:

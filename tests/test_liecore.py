@@ -16,7 +16,6 @@ from conerig.liecore import (
     Sl2cElement,
     Su2Element,
     Su2PairElement,
-    ad_action,
     ad_matrix,
     algebra_basis,
     bracket,
@@ -27,6 +26,8 @@ from conerig.liecore import (
     sigma_fields,
     sn_cs_ct,
 )
+
+from cocycle_reference import ad_action
 
 RNG = np.random.default_rng(42)
 

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -405,6 +406,30 @@ class TestTubeVerdict:
         with pytest.raises(DomainError):
             l2_tube_verdict(fp, 1.6, [0.1])
 
+    @pytest.mark.parametrize("name,kappa,eps,count", [
+        ("ang", 0, 1e-152, 10),
+        ("shr", 1, 1e-200, 2),
+        ("ang", 0, 1e-154, 1),
+    ])
+    def test_integral_that_is_not_finite_names_eps_and_delta(self, name, kappa, eps, count):
+        """sn^2 underflows at radii below about 1e-154, and ang and shr divide by it."""
+        fp = FormProfile(name, kappa, alpha=math.pi / 2, length=1.0)
+        deltas = halving_deltas(eps, count)
+        want = f"tube integral from delta = {deltas[-1]!r} to eps = {eps!r} is not finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                l2_tube_verdict(fp, eps, deltas)
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("name,kappa,eps", [("tws", 0, 1e-300), ("ang", -1, 1e-150)])
+    def test_tiny_radius_with_finite_integrals(self, name, kappa, eps):
+        fp = FormProfile(name, kappa, alpha=math.pi / 2, length=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = l2_tube_verdict(fp, eps, halving_deltas(eps, 10))
+        assert np.isfinite(verdict.integrals).all()
+
 
 def scalar_tube_segment(fp, lo, hi, n):
     """Reference: the tube trapezoid with one scalar profile evaluation per radius."""
@@ -568,13 +593,28 @@ class TestQuadratureAgainstReference:
         assert np.all(np.abs(i1 - want1) <= cell_gaps(xs, b, r))
 
 
+def exact_trig_input(coef, x):
+    """The decay suite's input at the binary x, summed in 200-bit arithmetic."""
+    with mpmath.workprec(200):
+        t = 2 * mpmath.pi * mpmath.mpf(x)
+        c0, c1, c2, c3, c4, c5 = (mpmath.mpf(c) for c in coef)
+        value = c0 + c2 * mpmath.cos(t) + c4 * mpmath.cos(2 * t)
+        value += c1 * mpmath.sin(t) + c3 * mpmath.sin(2 * t) + c5 * mpmath.sin(3 * t)
+        return float(value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(coefficients, st.floats(0.05, 1.0), st.sampled_from([64, 4096]))
+@example([0.0, 0.0, 0.0, 2.0, 3.0, 3.0], 0.99999, 4096)
+@example([3.0, 0.0, 3.0, 0.0, 3.0, 3.0], 0.75, 4096)
 def test_suite_input_from_one_cos_and_one_sin(coef, r, n):
-    # P(c) + s Q(c) against the six-trig sum, on the grids of t_b0 and t_b1
-    xs = np.concatenate([np.linspace(0.0, r, n + 1), np.linspace(r, 1.0, n + 1)])
+    # P(c) + s Q(c) against the exact sum at about 64 nodes of each of the
+    # grids of t_b0 and t_b1, both ends and r among them
+    picks = np.unique(np.linspace(0, n, 64).round().astype(int))
+    xs = np.concatenate([np.linspace(0.0, r, n + 1)[picks], np.linspace(r, 1.0, n + 1)[picks]])
     got = cli._trig_input(coef)(xs)
-    assert np.abs(got - band_limited_from(coef)(xs)).max() <= 1e-14
+    want = np.array([exact_trig_input(coef, x) for x in xs.tolist()])
+    assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * sum(map(abs, coef))
 
 
 class TestDecayDomain:

@@ -290,6 +290,19 @@ def test_an_overflowing_image_is_refused_at_load(tmp_path, capsys):
     assert err == "error: /holonomy/a: determinant overflows: the entries are too large\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "rigidity"])
+@pytest.mark.parametrize(
+    "image",
+    [[0, 0, 0, 1.3407807929942597e154], [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]],
+    ids=["quaternion", "matrix"],
+)
+def test_an_overflowing_su2_image_is_refused_at_load(tmp_path, capsys, command, image):
+    doc = fixture_doc("genus2-su2.json")
+    doc["holonomy"]["a"] = image
+    code, err = run_quietly([command, write(tmp_path, "big.json", doc)], capsys)
+    assert (code, err) == (2, "error: /holonomy/a: |q|^2 overflows: the entries are too large\n")
+
+
 MANIFESTS = [
     pytest.param(lambda tmp_path, name=name: str(fixture_path(name)), id=name) for name in FIXTURES
 ] + [

@@ -134,6 +134,9 @@ class TestNonFiniteOptions:
         ["forms", "--profile", "ang", "--kappa", "0", "--eps", "1e-300", "--halvings", "100"],
         ["forms", "--profile", "ang", "--kappa", "0", "--halvings", "0"],
         ["forms", "--profile", "ang", "--kappa", "0", "--halvings", "ten"],
+        ["forms", "--profile", "ang", "--kappa", "0", "--eps", "1e-152"],
+        ["forms", "--profile", "shr", "--kappa", "1", "--eps", "1e-200", "--halvings", "2"],
+        ["forms", "--profile", "ang", "--kappa", "0", "--eps", "1e-154", "--halvings", "1"],
     ],
 )
 def test_input_that_cannot_be_reported_exits_2(argv, tmp_path, capsys):
@@ -142,6 +145,7 @@ def test_input_that_cannot_be_reported_exits_2(argv, tmp_path, capsys):
     assert captured.out == ""
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
+    assert "Warning" not in captured.err
 
 
 def test_runs_share_no_parser_state(capsys):
