@@ -18,7 +18,7 @@ from .cohomology import (
     h1_basis,
     rigidity_test,
 )
-from .errors import DomainError, IllConditioned, ManifestError
+from .errors import DomainError, IllConditioned
 from .manifest import load_manifest, report_text, write_report
 from .radial import (
     CONVERGENT,
@@ -107,7 +107,7 @@ def _cmd_cohomology(args) -> tuple[int, dict]:
     report = {"manifest": str(args.manifest), "cohomology": cohomology}
     if args.audit:
         audit = dimension_audit(m.representation, m.presentation, m.boundary, interior)
-        report["audit"] = audit.to_dict()
+        report["audit"] = audit
         if not audit.skipped and not audit.all_hold:
             return EXIT_FAILING, report
     return EXIT_OK, report
@@ -125,7 +125,7 @@ def _cmd_admissibility(args) -> tuple[int, dict]:
     verdict = cone_admissibility_verdict(
         m.singular_edges, m.singular_vertices, m.curvature, window=args.window
     )
-    report = {"manifest": str(args.manifest), "admissibility": verdict.to_dict()}
+    report = {"manifest": str(args.manifest), "admissibility": verdict}
     return (EXIT_OK if verdict.admissible else EXIT_FAILING), report
 
 
@@ -143,7 +143,7 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
     else:
         lams = [(v, 1) for v in (args.lam or [1.0])]
         rep = link_B_spectrum(lams, args.h0_dim, args.window)
-    return (EXIT_OK if rep.gap_ok else EXIT_FAILING), {"spectrum": rep.to_dict()}
+    return (EXIT_OK if rep.gap_ok else EXIT_FAILING), {"spectrum": rep}
 
 
 _EXPECTED_TUBE = {"ang": DIVERGENT, "shr": DIVERGENT, "tws": CONVERGENT, "len": CONVERGENT}
@@ -161,7 +161,7 @@ def _cmd_forms(args) -> tuple[int, dict]:
         "length": args.length,
         "eps": args.eps,
         "expected": expected,
-        "tube": verdict.to_dict(),
+        "tube": verdict,
     }
     if verdict.verdict == expected:
         return EXIT_OK, report
@@ -324,9 +324,6 @@ def run(argv) -> int:
     try:
         code, report = args.func(args)
         _emit(report, getattr(args, "out", None))
-    except ManifestError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except IllConditioned as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ILL_CONDITIONED

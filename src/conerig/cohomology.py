@@ -255,6 +255,8 @@ class RigidityReport:
     trace_jacobian: np.ndarray | None
     factors: tuple["RigidityReport", ...] = ()
 
+    # The one report with its own to_dict: its keys depend on the group, as a
+    # pair report has no trace_jacobian and a single-group report no factors.
     def to_dict(self) -> dict:
         out = {
             "group": self.group,
@@ -421,23 +423,12 @@ class AuditIdentity:
 class DimensionAudit:
     skipped: bool
     identities: tuple[AuditIdentity, ...]
-    boundary_dims: tuple[dict, ...]
+    boundary: tuple[dict, ...]
     notices: tuple[str, ...]
 
     @property
     def all_hold(self) -> bool:
         return not self.skipped and all(i.holds for i in self.identities)
-
-    def to_dict(self) -> dict:
-        return {
-            "skipped": self.skipped,
-            "identities": [
-                {"name": i.name, "lhs": i.lhs, "rhs": i.rhs, "holds": i.holds}
-                for i in self.identities
-            ],
-            "boundary": list(self.boundary_dims),
-            "notices": list(self.notices),
-        }
 
 
 def _audit_one_group(
@@ -492,7 +483,7 @@ def dimension_audit(
         return DimensionAudit(
             skipped=True,
             identities=(),
-            boundary_dims=(),
+            boundary=(),
             notices=("no boundary components declared; audit skipped",),
         )
     identities: list[AuditIdentity] = []
@@ -511,7 +502,7 @@ def dimension_audit(
     return DimensionAudit(
         skipped=False,
         identities=tuple(identities),
-        boundary_dims=tuple(boundary_dims),
+        boundary=tuple(boundary_dims),
         notices=(),
     )
 

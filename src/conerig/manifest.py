@@ -286,7 +286,7 @@ def _encode(obj) -> str:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         if hasattr(obj, "to_dict"):
             return _encode(obj.to_dict())
-        return _encode(dataclasses.asdict(obj))
+        return _encode({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         body = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in items)

@@ -432,15 +432,6 @@ class TubeVerdict:
     deltas: tuple[float, ...]
     last_increment: float | None  # None with fewer than two deltas
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "deltas": list(self.deltas),
-            "integrals": list(self.integrals),
-            "increments": list(self.increments),
-            "last_increment": self.last_increment,
-        }
-
 
 def _tube_segment(fp: FormProfile, lo: float, hi: float, n: int) -> float:
     """alpha * L * integral of profile * sn * cs over [lo, hi].

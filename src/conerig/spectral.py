@@ -7,6 +7,9 @@ circle links the spectra are explicit in the cone angle and the holonomy
 angle of each flat line bundle summand; for surface links they are expressed
 through the positive spectrum of the Laplacian on functions, for which the
 guaranteed lower bound is 1.
+
+Every spectrum records a witness for each of its values that lies in the
+gap, and the gap holds exactly when there is no witness.
 """
 from __future__ import annotations
 
@@ -114,9 +117,10 @@ class SpectrumReport:
     """Eigenvalues in [-W, W] with multiplicity plus the gap verdict.
 
     gap_ok is decided from the full spectrum, not just the reported window,
-    so enlarging the window never changes it.  min_abs is None when no value
-    lies in the window.  Witnesses record offending (n, holonomy angle, cone
-    angle, value) tuples for circle spectra.
+    so enlarging the window never changes it: it holds exactly when no
+    witness is recorded.  min_abs is None when no value lies in the window.
+    Witnesses record offending (n, holonomy angle, cone angle, value) tuples
+    for circle spectra and (lambda, value) for surface links.
     """
 
     values: tuple[float, ...]
@@ -125,16 +129,6 @@ class SpectrumReport:
     window: float
     source: str
     witnesses: tuple[dict, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "gap_ok": self.gap_ok,
-            "min_abs": self.min_abs,
-            "window": self.window,
-            "source": self.source,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def _check_size(count: int) -> None:
@@ -154,10 +148,24 @@ def _in_gap(x: float) -> bool:
     return GAP_LO + MERGE_TOL < x < GAP_HI - MERGE_TOL
 
 
-def _finish(values: list[float], window: float, source: str, gap_ok: bool, witnesses) -> SpectrumReport:
+def _finish(values: list[float], window: float, source: str, witnesses) -> SpectrumReport:
     vals = tuple(sorted(v for v in values if abs(v) <= window + MERGE_TOL))
     min_abs = min((abs(v) for v in vals), default=None)
-    return SpectrumReport(vals, gap_ok, min_abs, window, source, tuple(witnesses))
+    return SpectrumReport(vals, not witnesses, min_abs, window, source, tuple(witnesses))
+
+
+def _twisted_circle(alpha: float, a: float, shift: float, modes, values: list, witnesses: list) -> None:
+    """Append shift +/- |2 pi n - a| / alpha over the modes n to `values`, a
+    zero mode giving shift once, and a witness for each shift + |2 pi n - a| / alpha
+    in the gap to `witnesses`."""
+    for n in modes:
+        v = abs(TWO_PI * n - a) / alpha
+        if v <= MERGE_TOL:
+            values.append(shift)
+        else:
+            values.extend((shift + v, shift - v))
+        if _in_gap(shift + v):
+            witnesses.append({"n": n, "holonomy_angle": a, "alpha": alpha, "value": shift + v})
 
 
 def circle_dirac_spectrum(alpha: float, a: float, window: float) -> SpectrumReport:
@@ -168,17 +176,8 @@ def circle_dirac_spectrum(alpha: float, a: float, window: float) -> SpectrumRepo
         raise DomainError(f"window must be positive, got {window}")
     values: list[float] = []
     witnesses: list[dict] = []
-    gap_ok = True
-    for n in _modes(abs(a) + (window + 1.0) * alpha, 2):
-        v = abs(TWO_PI * n - a) / alpha
-        if v <= MERGE_TOL:
-            values.append(0.0)
-        else:
-            values.extend((v, -v))
-        if _in_gap(v):
-            gap_ok = False
-            witnesses.append({"n": n, "holonomy_angle": a, "alpha": alpha, "value": v})
-    return _finish(values, window, f"circle-dirac(alpha={alpha!r}, a={a!r})", gap_ok, witnesses)
+    _twisted_circle(alpha, a, 0.0, _modes(abs(a) + (window + 1.0) * alpha, 2), values, witnesses)
+    return _finish(values, window, f"circle-dirac(alpha={alpha!r}, a={a!r})", witnesses)
 
 
 def circle_B_spectrum(cp: ConePoint, window: float) -> SpectrumReport:
@@ -193,26 +192,16 @@ def circle_B_spectrum(cp: ConePoint, window: float) -> SpectrumReport:
     alpha = cp.alpha
     values: list[float] = []
     witnesses: list[dict] = []
-    gap_ok = True
     modes = _modes(TWO_PI + (window + 2.0) * alpha, 2 * len(cp.holonomy_angles) + cp.trivial_rank)
     for a in cp.holonomy_angles:
-        for n in modes:
-            v = abs(TWO_PI * n - a) / alpha
-            if v <= MERGE_TOL:
-                values.append(-0.5)
-            else:
-                values.extend((-0.5 + v, -0.5 - v))
-            if _in_gap(-0.5 + v):
-                gap_ok = False
-                witnesses.append({"n": n, "holonomy_angle": a, "alpha": alpha, "value": -0.5 + v})
+        _twisted_circle(alpha, a, -0.5, modes, values, witnesses)
     for n in modes:
         x = -0.5 + TWO_PI * n / alpha
         values.extend([x] * cp.trivial_rank)
         if cp.trivial_rank and _in_gap(x):
-            gap_ok = False
             witnesses.append({"n": n, "holonomy_angle": 0.0, "alpha": alpha, "value": x})
     source = f"circle-B(alpha={alpha!r}, angles={list(cp.holonomy_angles)!r}, trivial={cp.trivial_rank})"
-    return _finish(values, window, source, gap_ok, witnesses)
+    return _finish(values, window, source, witnesses)
 
 
 def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
@@ -228,7 +217,6 @@ def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
         raise DomainError(f"window must be positive, got {window}")
     values: list[float] = []
     witnesses: list[dict] = []
-    gap_ok = True
     pairs = [(lam, 1) if np.isscalar(lam) else tuple(lam) for lam in lambda_list]
     _check_size(2 * h0_dim + 4 * sum(max(int(mult), 0) for _, mult in pairs))
     values.extend([1.0] * h0_dim)
@@ -247,9 +235,8 @@ def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
         for x in (-0.5 - s, -0.5 + s, 0.5 - s, 0.5 + s):
             values.extend([x] * mult)
             if _in_gap(x):
-                gap_ok = False
                 witnesses.append({"lambda": lam, "value": x})
-    return _finish(values, window, f"link-B(h0_dim={h0_dim})", gap_ok, witnesses)
+    return _finish(values, window, f"link-B(h0_dim={h0_dim})", witnesses)
 
 
 def link_bundle_decomposition(link: LinkSurface, context: str) -> list[ConePoint]:
@@ -309,12 +296,7 @@ def _link_h0_dim(link: LinkSurface, copies: int) -> int:
     return 0
 
 
-def _context_for_curvature(kappa: int) -> str:
-    if kappa == 1:
-        return CONTEXT_SPHERICAL
-    if kappa == -1:
-        return CONTEXT_HYPERBOLIC
-    return CONTEXT_TRANSLATIONAL
+CONTEXT_OF_CURVATURE = {1: CONTEXT_SPHERICAL, -1: CONTEXT_HYPERBOLIC, 0: CONTEXT_TRANSLATIONAL}
 
 
 @dataclass(frozen=True)
@@ -329,19 +311,6 @@ class PointVerdict:
     min_abs_circle: float | None
     min_abs_link: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "angles": list(self.angles),
-            "circle_gap_ok": self.circle_gap_ok,
-            "link_gap_ok": self.link_gap_ok,
-            "admissible": self.admissible,
-            "witnesses": list(self.witnesses),
-            "min_abs_circle": self.min_abs_circle,
-            "min_abs_link": self.min_abs_link,
-        }
-
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
@@ -349,14 +318,6 @@ class AdmissibilityVerdict:
     context: str
     points: tuple[PointVerdict, ...]
     notices: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "context": self.context,
-            "points": [p.to_dict() for p in self.points],
-            "notices": list(self.notices),
-        }
 
 
 def _check_point(kind: str, label: str, link: LinkSurface, context: str, window: float) -> PointVerdict:
@@ -405,10 +366,7 @@ def cone_admissibility_verdict(
     processed and produce failing subchecks rather than errors; an empty
     graph is vacuously admissible.
     """
-    validate_curvature(kappa)
-    context = _context_for_curvature(kappa)
-    edges = [e if isinstance(e, SingularEdge) else SingularEdge(*e) for e in edges]
-    vertices = [v if isinstance(v, SingularVertex) else SingularVertex(tuple(v)) for v in vertices]
+    context = CONTEXT_OF_CURVATURE[validate_curvature(kappa)]
     angle_of = {e.id: e.angle for e in edges}
     notices: list[str] = []
     points: list[PointVerdict] = []

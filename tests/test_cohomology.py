@@ -347,7 +347,7 @@ class TestDimensionAudit:
         rho, pres, man = genus2
         comp = BoundaryComponent(2, ("a", "b", "c", "d"))
         audit = dimension_audit(rho, pres, (comp,))
-        assert audit.boundary_dims[0]["dim_H1"] == 6
+        assert audit.boundary[0]["dim_H1"] == 6
         half = [i for i in audit.identities if i.name.startswith("half_dimension")][0]
         assert half.rhs == 3.0  # audit expects a 3-dimensional interior over R
 

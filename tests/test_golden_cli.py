@@ -1,16 +1,19 @@
 """Golden CLI snapshot: exit codes and reports of the manifest subcommands on
-every bundled fixture, and of `oracle` and `forms`, compared with
-`tests/golden_cli.json`.
+every bundled fixture, of `spectrum`, and of `oracle` and `forms`, compared
+with `tests/golden_cli.json`.
 
 Manifest reports are compared exactly except each `trace_jacobian`, whose
 entries depend on the gauge (sign or phase) LAPACK picks for the H1 basis;
 its singular values are compared to 1e-12 instead.  The `manifest` key
-echoes the path and is not recorded.  In `oracle` and `forms` reports every
-float is compared to 1e-12 relative and everything else exactly, so that
-the radial kernels may change their order of summation.
+echoes the path and is not recorded.  `spectrum` reports are compared
+exactly.  In `oracle` and `forms` reports every float is compared to 1e-12
+relative and everything else exactly, so that the radial kernels may change
+their order of summation.
 
-Rewrite the snapshot after an intended change of output with
+Record the cases missing from the snapshot with
     PYTHONPATH=src python tests/test_golden_cli.py
+It leaves every recorded entry as it is; to re-record an entry after an
+intended change of output, delete its key from the snapshot first.
 """
 import contextlib
 import io
@@ -53,7 +56,22 @@ RADIAL_CASES = {
         ),
     ]
 }
-CASES = {**MANIFEST_CASES, **RADIAL_CASES}
+SPECTRUM_CASES = {
+    " ".join(argv): argv
+    for argv in [
+        ["spectrum", "circle", "--alpha", "3.14159265", "--hol-angle", "3.14159265", "--window", "4"],
+        ["spectrum", "circle", "--alpha", "2.5", "--hol-angle", "0.5", "--window", "4"],
+        [
+            "spectrum", "circle", "--operator", "b", "--alpha", "1.5707963267948966",
+            "--hol-angle", "0.3", "--trivial-rank", "1", "--window", "3",
+        ],
+        ["spectrum", "circle", "--alpha", "1", "--hol-angle", "3.14159265", "--window", "0.001"],
+        ["spectrum", "link", "--lambda", "1.0", "--h0-dim", "0", "--window", "3"],
+        ["spectrum", "link", "--lambda", "0.5", "--lambda", "2.0", "--h0-dim", "2", "--window", "3"],
+        ["spectrum", "link", "--h0-dim", "1", "--window", "0.5"],
+    ]
+}
+CASES = {**MANIFEST_CASES, **SPECTRUM_CASES, **RADIAL_CASES}
 
 
 def capture(case: str) -> dict:
@@ -113,6 +131,11 @@ def test_radial_output_matches_snapshot(case, golden):
     assert_close(capture(case), golden[case])
 
 
+@pytest.mark.parametrize("case", list(SPECTRUM_CASES))
+def test_spectrum_output_matches_snapshot(case, golden):
+    assert capture(case) == golden[case]
+
+
 @pytest.mark.parametrize("case", list(MANIFEST_CASES))
 def test_cli_output_matches_snapshot(case, golden):
     got_svals, want_svals = [], []
@@ -126,5 +149,6 @@ def test_cli_output_matches_snapshot(case, golden):
 
 
 if __name__ == "__main__":
-    snapshot = {case: capture(case) for case in CASES}
+    snapshot = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    snapshot.update({case: capture(case) for case in CASES if case not in snapshot})
     GOLDEN.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")
