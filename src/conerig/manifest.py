@@ -37,7 +37,7 @@ from .liecore import (
     VALID_CURVATURES,
 )
 from .spectral import SingularEdge, SingularVertex
-from .words import Presentation, Representation
+from .words import Meridian, Presentation, Representation, check_generators, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -154,13 +154,16 @@ def manifest_from_dict(doc: dict) -> Manifest:
     # An empty generator list reads as a missing one.
     gens = doc.get("generators") or None
     _words(gens, "/generators", "expected a nonempty list of generator letters")
+    gens = _built("/generators", check_generators, gens)
     relators = _words(doc.get("relators", []), "/relators")
+    relator_words = tuple(_built(f"/relators/{k}", parse_word, r, gens) for k, r in enumerate(relators))
     meridians = []
     for k, m in enumerate(_as_list(doc, "meridians", "/meridians")):
         p = f"/meridians/{k}"
         _require(isinstance(_object(m, p).get("word"), str), f"{p}/word", "expected a word string")
-        meridians.append((m["word"], _integer(m, "edge_id", p), _angle(m, "cone_angle", p)))
-    pres = _built("/generators", Presentation.from_strings, gens, relators, meridians)
+        word = _built(f"{p}/word", parse_word, m["word"], gens)
+        meridians.append(Meridian(word, m["word"], _integer(m, "edge_id", p), _angle(m, "cone_angle", p)))
+    pres = Presentation(gens, relator_words, tuple(relators), tuple(meridians))
 
     hol = doc.get("holonomy")
     _require(isinstance(hol, dict), "/holonomy", "expected an object keyed by generator")
@@ -177,6 +180,8 @@ def manifest_from_dict(doc: dict) -> Manifest:
         _require(genus <= MAX_SURFACE_GENUS, f"{p}/genus", GENUS_CAP)
         words = _words(comp.get("generator_words"), f"{p}/generator_words")
         boundary.append(_built(p, BoundaryComponent, genus, tuple(words)))
+        for j, w in enumerate(words):
+            _built(f"{p}/generator_words/{j}", parse_word, w, gens)
 
     edges: list[SingularEdge] = []
     vertices: list[SingularVertex] = []

@@ -101,28 +101,33 @@ class Meridian:
             raise DomainError(f"cone angle must lie in (0, 2*pi], got {self.cone_angle}")
 
 
+def check_generators(generators) -> tuple[str, ...]:
+    """The generators as a tuple, refused unless they are distinct single
+    lowercase letters; checked before any word over them is parsed."""
+    seen = set()
+    for g in generators:
+        if len(g) != 1 or not ("a" <= g <= "z"):
+            raise DomainError(f"generators must be single lowercase letters, got {g!r}")
+        if g in seen:
+            raise DomainError(f"duplicate generator {g!r}")
+        seen.add(g)
+    return tuple(generators)
+
+
 @dataclass(frozen=True)
 class Presentation:
-    """Finite presentation with tagged meridian words."""
+    """Finite presentation with tagged meridian words, over generators that
+    passed `check_generators`."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     relator_texts: tuple[str, ...]
     meridians: tuple[Meridian, ...]
 
-    def __post_init__(self):
-        seen = set()
-        for g in self.generators:
-            if len(g) != 1 or not ("a" <= g <= "z"):
-                raise DomainError(f"generators must be single lowercase letters, got {g!r}")
-            if g in seen:
-                raise DomainError(f"duplicate generator {g!r}")
-            seen.add(g)
-
     @classmethod
     def from_strings(cls, generators, relators, meridians=()) -> "Presentation":
         """Build from letter strings; meridians are (text, edge_id, cone_angle)."""
-        gens = tuple(generators)
+        gens = check_generators(generators)
         rel_words = tuple(parse_word(r, gens) for r in relators)
         mers = tuple(
             Meridian(parse_word(text, gens), text, int(edge_id), float(angle))

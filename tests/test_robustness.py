@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from conerig.cli import MAX_DECAY_SAMPLES, run
 from conerig.errors import DomainError, InvalidRepresentation
 from conerig.cohomology import surface_presentation
 from conerig.liecore import AlgebraVector, Sl2cElement, Su2Element
-from conerig import spectral, words
+from conerig import cohomology, manifest, spectral, words
 from conerig.manifest import fixture_path, load_manifest
 from conerig.radial import MAX_GRID, MAX_QUAD_SAMPLES, RadialGrid, t_b0
 from conerig.spectral import MAX_SPECTRUM_VALUES, TWO_PI, circle_dirac_spectrum, link_B_spectrum
@@ -325,6 +326,15 @@ json_values = st.recursive(
 )
 
 
+def _word_paths(doc):
+    """Paths to every word of a manifest: relators, meridian words and
+    boundary generator words."""
+    yield from (("relators", k) for k in range(len(doc["relators"])))
+    yield from (("meridians", k, "word") for k in range(len(doc.get("meridians", []))))
+    for c, comp in enumerate(doc.get("boundary", [])):
+        yield from (("boundary", c, "generator_words", j) for j in range(len(comp["generator_words"])))
+
+
 def _node_paths(node, path=()):
     """Paths to every node of a JSON document, the root first."""
     yield path
@@ -336,24 +346,35 @@ def _node_paths(node, path=()):
 @st.composite
 def mutated_manifests(draw):
     """A bundled fixture with one node replaced by a JSON value, or one key or
-    list entry deleted."""
+    list entry deleted, or one undeclared letter put into one word.  Returns
+    the document and, for the last, the error line every command must print."""
     doc = json.loads(fixture_path(draw(st.sampled_from(FUZZ_FIXTURES))).read_text())
-    path = draw(st.sampled_from(list(_node_paths(doc))))
+    mutation = draw(st.sampled_from(["replace", "delete", "letter"]))
+    path = draw(st.sampled_from(list(_word_paths(doc) if mutation == "letter" else _node_paths(doc))))
     if not path:
-        return draw(json_values)
+        return draw(json_values), None
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if draw(st.booleans()):
+    if mutation == "delete":
         del parent[path[-1]]
-    else:
+    elif mutation == "replace":
         parent[path[-1]] = draw(json_values)
-    return doc
+    else:
+        word = parent[path[-1]]
+        declared = "".join(doc["generators"])
+        letter = draw(st.sampled_from(sorted(set(string.ascii_letters) - set(declared + declared.upper()))))
+        at = draw(st.integers(0, len(word)))
+        parent[path[-1]] = word[:at] + letter + word[at:]
+        pointer = "/" + "/".join(map(str, path))
+        return doc, f"error: {pointer}: unknown generator {letter!r} at position {at}\n"
+    return doc, None
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(doc=mutated_manifests())
-def test_mutated_fixtures_end_in_a_report_or_an_exit_code(tmp_path_factory, doc):
+@given(mutated=mutated_manifests())
+def test_mutated_fixtures_end_in_a_report_or_an_exit_code(tmp_path_factory, mutated):
+    doc, refusal = mutated
     path = tmp_path_factory.getbasetemp() / "fuzzed-manifest.json"
     path.write_text(json.dumps(doc))
     for command, *extra in FUZZ_COMMANDS:
@@ -361,11 +382,63 @@ def test_mutated_fixtures_end_in_a_report_or_an_exit_code(tmp_path_factory, doc)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run([command, str(path), *extra])
         assert code in (0, 1, 2, 3)
+        if refusal:
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", refusal)
         if code == 2:
             assert "error:" in err.getvalue()
         if code == 2 and command == "validate" and out.getvalue():
             # A manifest that loads but misses its relators is reported, not refused.
             assert json.loads(out.getvalue())["valid"] is False
+
+
+class TestWordsAtTheirPointers:
+    """Every word is parsed once, at load, and an undeclared letter is refused
+    at that word's pointer by every manifest command."""
+
+    @pytest.mark.parametrize(
+        "pointer, value, message",
+        [
+            ("/relators/0", "abAz", "unknown generator 'z' at position 3"),
+            ("/meridians/0/word", "bz", "unknown generator 'z' at position 1"),
+            ("/boundary/0/generator_words/0", "az", "unknown generator 'z' at position 1"),
+            ("/boundary/0/generator_words/1", "Q", "unknown generator 'Q' at position 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", FUZZ_COMMANDS)
+    def test_undeclared_letter(self, tmp_path, capsys, pointer, value, message, command):
+        path = _write_with(tmp_path, "torus.json", pointer, value)
+        assert run([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {pointer}: {message}\n")
+
+    @pytest.mark.parametrize("command", FUZZ_COMMANDS)
+    def test_generator_errors_keep_their_pointer(self, tmp_path, capsys, command):
+        doc = json.loads(fixture_path("torus.json").read_text())
+        doc["generators"] = ["a", "B"]
+        doc["holonomy"]["B"] = doc["holonomy"].pop("b")
+        doc["relators"] = ["aBAb"]
+        path = tmp_path / "upper-generator.json"
+        path.write_text(json.dumps(doc))
+        assert run([command[0], str(path), *command[1:]]) == 2
+        expected = "error: /generators: generators must be single lowercase letters, got 'B'\n"
+        assert capsys.readouterr() == ("", expected)
+
+    def test_a_surface_relator_is_parsed_once(self, monkeypatch):
+        parsed = []
+        original = words.parse_word
+
+        def parse_word(text, generators):
+            parsed.append(text)
+            return original(text, generators)
+
+        monkeypatch.setattr(manifest, "parse_word", parse_word)
+        for module in (words, cohomology):  # no parse after the loader
+            monkeypatch.setattr(module, "parse_word", None)
+        path = str(fixture_path("genus2-su2.json"))
+        for command in ("validate", "cohomology"):
+            parsed.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run([command, path]) == 0
+            assert parsed == ["abABcdCD"]
 
 
 def test_module_entry_point_prints_the_report():
