@@ -480,7 +480,9 @@ def _project_traceless(m: np.ndarray, antihermitian: bool) -> np.ndarray:
         defect = float(np.linalg.norm(m + np.conj(m.T)))
         if defect > TOL_GROUP:
             raise DomainError(f"matrix is not anti-hermitian within {TOL_GROUP}")
-        m = 0.5 * (m - np.conj(m.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = 0.5 * (m - np.conj(m.T))
+        _require_finite(m, "entries beyond half the float range")
     return m
 
 
@@ -589,18 +591,43 @@ def exp_algebra(v: AlgebraVector) -> GroupElement:
     return Sl2cElement(raw) if v.group == SL2C else Su2Element(raw)
 
 
+# A diagonal entry of exp(m) formed next to one of modulus X loses about
+# X^2 eps of det exp(m) = 1; from X = 8 on, that is beyond the 1e-14 rounding
+# that `_det_rule` allows, and the entry is taken from the determinant.
+_EXP_DET_SWITCH = 8.0
+
+
 def _exp_traceless(m: np.ndarray) -> np.ndarray:
-    # For traceless 2x2, m^2 = -det(m) I; the series sums to
-    # cosh(mu) I + sinh(mu)/mu m with mu^2 = -det(m) (branch-independent).
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    mu = cmath.sqrt(-det)
-    if abs(mu) < 1e-8:
-        c = 1.0 + mu**2 / 2.0 + mu**4 / 24.0
-        s = 1.0 + mu**2 / 6.0 + mu**4 / 120.0
-    else:
-        c = cmath.cosh(mu)
-        s = cmath.sinh(mu) / mu
-    return c * _ID2 + s * m
+    """exp(m) of a traceless 2x2 matrix [[a, b], [c, d]], or a DomainError
+    when it leaves the float range.
+
+    m^2 = -det(m) I, so the series sums to cosh(mu) I + sinh(mu)/mu m with
+    mu^2 = -det(m) (branch-independent).  Of the diagonal entries
+    cosh(mu) + a sinh(mu)/mu and cosh(mu) + d sinh(mu)/mu, the larger in
+    modulus sums without cancellation.  From _EXP_DET_SWITCH on, the other is
+    taken from det exp(m) = 1 instead, so that it keeps its digits down to
+    e^-|mu|.
+    """
+    (a, b), (c, d) = m.tolist()  # Python numbers overflow without a numpy warning
+    mu = cmath.sqrt(-(a * d - b * c))
+    try:
+        if abs(mu) < 1e-8:
+            ch = 1.0 + mu**2 / 2.0 + mu**4 / 24.0
+            sh = 1.0 + mu**2 / 6.0 + mu**4 / 120.0
+        else:
+            ch = cmath.cosh(mu)
+            sh = cmath.sinh(mu) / mu
+    except (OverflowError, ValueError):  # |mu| beyond the float range
+        raise DomainError("the exponential leaves the float range") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ch * _ID2 + sh * m
+    _require_finite(out, "the exponential leaves the float range")
+    (x, b), (c, y) = out.tolist()
+    if abs(x) >= max(abs(y), _EXP_DET_SWITCH):
+        out[1, 1] = (1.0 + b * c) / x
+    elif abs(y) >= max(abs(x), _EXP_DET_SWITCH):
+        out[0, 0] = (1.0 + b * c) / y
+    return out
 
 
 # ---------------------------------------------------------------------------

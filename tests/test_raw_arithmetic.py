@@ -95,7 +95,7 @@ def test_deform_matches_the_element_path_on_random_coordinates(group, images, co
     st.sampled_from([1e-12, 1e-8, 1e-4, 1.0, 4.0]),
 )
 def test_exp_algebra_matches_the_matrix_exponential(group, xs, scale):
-    # |x| = 8 already puts det exp(x) of SL(2,C) beyond TOL_GROUP: both refuse it
+    # both read the same `_exp_traceless`: the same element or the same refusal
     def outcome(exp):
         try:
             g = exp(v)
