@@ -622,11 +622,11 @@ def _exp_traceless(m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         out = ch * _ID2 + sh * m
     _require_finite(out, "the exponential leaves the float range")
-    (x, b), (c, y) = out.tolist()
+    (x, p), (q, y) = out.tolist()
     if abs(x) >= max(abs(y), _EXP_DET_SWITCH):
-        out[1, 1] = (1.0 + b * c) / x
+        out[1, 1] = (1.0 + p * q) / x
     elif abs(y) >= max(abs(x), _EXP_DET_SWITCH):
-        out[0, 0] = (1.0 + b * c) / y
+        out[0, 0] = (1.0 + p * q) / y
     return out
 
 
