@@ -3,10 +3,11 @@ evaluated by mpmath with 200 bits beyond the cancellation of its diagonal.
 
 Every input ends in an element or a DomainError, with no warning, and only
 an exponential near the float range is refused.  An accepted element has
-every entry within a few hundred eps (1 + |mu|) of its scale: its own
-modulus, except for the smaller diagonal entry of an SL(2,C) exponential,
-whose scale is (1 + |bc|) / |larger diagonal entry|, the rounding of
-det exp(m) = 1.  So the small eigenvalue e^-|mu| keeps its digits.
+every entry within 32 eps (1 + |mu|) of its scale: the size
+(|cosh mu| + |sinh mu|) (delta_ij + |m_ij| / max(1, |mu|)) of the terms it
+sums, and for the smaller diagonal entry at most (1 + |bc|) / |larger
+diagonal entry|, the rounding of det exp(m) = 1.  So the small eigenvalue
+e^-|mu| of an SL(2,C) exponential keeps its digits.
 
 Random coordinates are multiples of one power of two with at most 21
 significant bits, so that mu^2 = a^2 + bc is exact in double precision: the
@@ -27,7 +28,7 @@ from conerig.errors import DomainError
 from conerig.liecore import SL2C, SU2, exp_raw
 
 EPS = np.finfo(float).eps
-ULPS = 256  # eps per (1 + |mu|) allowed on the scale of each entry
+ULPS = 32  # eps per (1 + |mu|) allowed on the scale of each entry
 NEAR_OVERFLOW = 1e300
 
 
@@ -65,14 +66,16 @@ def check(group, coords):
         ch = mpmath.cosh(root)
         sh = mpmath.sinh(root) / root if root != 0 else mpmath.mpf(1)
         want = [[ch + sh * a, sh * b], [sh * c, ch + sh * d]]
+        terms = abs(ch) + abs(mpmath.sinh(root))
     if isinstance(got, DomainError):
         size = max(max(abs(w) for row in want for w in row), abs(want[0][1] * want[1][0]))
         assert size > NEAR_OVERFLOW, f"{coords} refused: {got}"
         return
-    scale = [[abs(w) for w in row] for row in want]
-    big, small = (0, 1) if scale[0][0] >= scale[1][1] else (1, 0)
-    det_rounding = (1 + abs(want[0][1] * want[1][0])) / scale[big][big]
-    scale[small][small] = max(scale[small][small], det_rounding)
+    m = [[a, b], [c, d]]
+    scale = [[terms * ((i == j) + abs(m[i][j]) / max(1.0, mu)) for j in range(2)] for i in range(2)]
+    small = 1 if abs(want[0][0]) >= abs(want[1][1]) else 0
+    det_rounding = (1 + abs(want[0][1] * want[1][0])) / abs(want[1 - small][1 - small])
+    scale[small][small] = min(scale[small][small], det_rounding)
     bound = ULPS * EPS * (1.0 + mu)
     for i in range(2):
         for j in range(2):
