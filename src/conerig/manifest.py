@@ -10,7 +10,14 @@ images are objects {"left": ..., "right": ...} of two SU(2) images.
 Each image is read once: every [re, im] pair and quaternion goes through one
 reader (`_numbers`) that refuses it at its own JSON pointer, and a domain
 error of the element built from it is reported at the image's pointer
-(`_built`), as are those of the presentation and the boundary components.
+(`_built`), as are those of the boundary components.  The generators are
+checked first, at /generators; then every word is parsed once, at its own
+pointer: /relators/<k>, /meridians/<k>/word and
+/boundary/<c>/generator_words/<j>.
+
+Reports are encoded from the fields of their dataclasses, in sorted key
+order (`_encode`); `RigidityReport` is the one exception, with a `to_dict`
+whose keys depend on the group.
 """
 from __future__ import annotations
 

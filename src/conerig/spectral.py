@@ -14,7 +14,7 @@ gap, and the gap holds exactly when there is no witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +128,7 @@ class SpectrumReport:
     min_abs: float | None
     window: float
     source: str
-    witnesses: tuple[dict, ...] = field(default_factory=tuple)
+    witnesses: tuple[dict, ...]
 
 
 def _check_size(count: int) -> None:

@@ -392,8 +392,8 @@ def test_mutated_fixtures_end_in_a_report_or_an_exit_code(tmp_path_factory, muta
 
 
 class TestWordsAtTheirPointers:
-    """Every word is parsed once, at load, and an undeclared letter is refused
-    at that word's pointer by every manifest command."""
+    """Every word is parsed at load, and an undeclared letter is refused at
+    that word's pointer by every manifest command."""
 
     @pytest.mark.parametrize(
         "pointer, value, message",
