@@ -8,7 +8,9 @@ its singular values are compared to 1e-12 instead.  The `manifest` key
 echoes the path and is not recorded.  `spectrum` reports are compared
 exactly.  In `oracle` and `forms` reports every float is compared to 1e-12
 relative and everything else exactly, so that the radial kernels may change
-their order of summation.
+their order of summation.  Each refusal case changes one node of a fixture
+and records the exit code and stderr of every manifest subcommand on it,
+compared exactly.
 
 Record the cases missing from the snapshot with
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -18,6 +20,7 @@ intended change of output, delete its key from the snapshot first.
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +74,58 @@ SPECTRUM_CASES = {
         ["spectrum", "link", "--h0-dim", "1", "--window", "0.5"],
     ]
 }
-CASES = {**MANIFEST_CASES, **SPECTRUM_CASES, **RADIAL_CASES}
+# (fixture, JSON pointer, new value): one edited node per refused manifest.
+REFUSALS = [
+    ("torus.json", "/holonomy/a/0/0", [float("nan"), 0.0]),
+    ("torus.json", "/holonomy/a/1/1", [0.6, 0.0]),
+    ("torus.json", "/holonomy/a/0/0", [1e200, 0.0]),
+    ("torus.json", "/holonomy/a", [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]),
+    ("torus.json", "/holonomy/b/1", [[0.0, 0.0]]),
+    ("genus2-su2.json", "/holonomy/a", [1.0, 1.0, 0.0, 0.0]),
+    ("genus2-su2.json", "/holonomy/a", [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),
+    ("genus2-su2.json", "/holonomy/a", [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    ("spherical-torus.json", "/holonomy/a", {"left": [1.0, 0.0, 0.0, 0.0]}),
+    ("spherical-torus.json", "/holonomy/b/right", [2.0, 0.0, 0.0, 0.0]),
+    ("cusped.json", "/boundary/0/generator_words/1", "z"),
+    ("cusped.json", "/boundary/0/generator_words", ["az"]),
+    ("cusped.json", "/boundary/0", {"genus": 0, "generator_words": ["az"]}),
+]
+REFUSAL_CASES = {
+    f"refuse {name} {pointer}={json.dumps(value)}": (name, pointer, value)
+    for name, pointer, value in REFUSALS
+}
+CASES = {**MANIFEST_CASES, **SPECTRUM_CASES, **RADIAL_CASES, **REFUSAL_CASES}
+
+
+def edited(name: str, pointer: str, value, directory: str) -> Path:
+    """A copy of the fixture `name` in `directory` with the node at `pointer` set to `value`."""
+    doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    *parents, leaf = pointer.strip("/").split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(leaf) if isinstance(node, list) else leaf] = value
+    path = Path(directory) / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def capture_refusal(case: str) -> dict:
+    """Exit code and stderr of each manifest subcommand on the edited fixture."""
+    out = {}
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(edited(*REFUSAL_CASES[case], directory))
+        for command, *extra in COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run([command, path, *extra])
+            out[command] = {"exit": code, "stderr": err.getvalue()}
+    return out
 
 
 def capture(case: str) -> dict:
+    if case in REFUSAL_CASES:
+        return capture_refusal(case)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(CASES[case])
@@ -133,6 +184,11 @@ def test_radial_output_matches_snapshot(case, golden):
 
 @pytest.mark.parametrize("case", list(SPECTRUM_CASES))
 def test_spectrum_output_matches_snapshot(case, golden):
+    assert capture(case) == golden[case]
+
+
+@pytest.mark.parametrize("case", list(REFUSAL_CASES))
+def test_refusal_matches_snapshot(case, golden):
     assert capture(case) == golden[case]
 
 
