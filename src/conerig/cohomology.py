@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,12 +46,12 @@ from .liecore import (
 from .words import (
     Presentation,
     Representation,
+    Word,
     check_representation,
     checked_factors,
-    evaluate,
     fox_derivatives,
     fox_jacobian,
-    parse_word,
+    prefix_walk,
 )
 
 # Singular values below RANK_REL_TOL * sigma_max count as zero; a spectral
@@ -221,7 +222,7 @@ def _trace_rows(rho: Representation, words, where="word {}") -> tuple[np.ndarray
     fox, raw = fox_derivatives(rho, words, where)
     images = matrix_stack(rho.group, raw)
     covectors = np.einsum("kij,rji->rk", basis, images)
-    rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(len(words), d, d * len(rho.images)))
+    rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(len(words), d, d * len(rho.raw)))
     return (rows if field is complex else rows.real), images
 
 
@@ -235,7 +236,7 @@ def trace_differential(rho: Representation, z, word):
     """
     if isinstance(word, str):
         raise DomainError("pass a parsed Word, not a string")
-    z = field_coords(rho.group, z, len(rho.images))
+    z = field_coords(rho.group, z, len(rho.raw))
     return (_trace_rows(rho, [word])[0][0] @ z).item()
 
 
@@ -365,18 +366,24 @@ def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport:
 # dimension audit
 
 
+def check_boundary(genus: int, word_count: int) -> None:
+    """Refuse a boundary genus below 1, or other than 2 * genus generator words."""
+    if genus < 1:
+        raise DomainError(f"boundary genus must be >= 1, got {genus}")
+    if word_count != 2 * genus:
+        raise DomainError(f"genus {genus} boundary needs {2 * genus} generator words")
+
+
 @dataclass(frozen=True)
 class BoundaryComponent:
+    """A boundary surface, its generator words parsed next to their texts."""
+
     genus: int
+    words: tuple[Word, ...]
     generator_words: tuple[str, ...]
 
     def __post_init__(self):
-        if self.genus < 1:
-            raise DomainError(f"boundary genus must be >= 1, got {self.genus}")
-        if len(self.generator_words) != 2 * self.genus:
-            raise DomainError(
-                f"genus {self.genus} boundary needs {2 * self.genus} generator words"
-            )
+        check_boundary(self.genus, len(self.generator_words))
 
 
 MAX_SURFACE_GENUS = 13
@@ -386,8 +393,9 @@ GENUS_CAP = (
 )
 
 
+@lru_cache(maxsize=None)
 def surface_presentation(genus: int) -> Presentation:
-    """Standard presentation of a closed orientable surface group."""
+    """Standard presentation of a closed orientable surface group, parsed once per genus."""
     if genus > MAX_SURFACE_GENUS:
         raise DomainError(f"{GENUS_CAP}, got {genus}")
     letters = [chr(ord("a") + k) for k in range(2 * genus)]
@@ -399,16 +407,14 @@ def surface_presentation(genus: int) -> Presentation:
 
 
 def induced_boundary_representation(
-    rho: Representation, pres: Presentation, comp: BoundaryComponent, where: str = "boundary"
+    rho: Representation, comp: BoundaryComponent, where: str = "boundary"
 ) -> tuple[Representation, Presentation]:
-    """Images of a boundary component's generator words; an overflowing word
-    is refused at `where`/generator_words/<k>, `where` the component's pointer."""
-    words = [parse_word(w, pres.generators) for w in comp.generator_words]
-    images = tuple(
-        evaluate(rho, w, f"{where}/generator_words/{k}") for k, w in enumerate(words)
-    )
-    sub_pres = surface_presentation(comp.genus)
-    return Representation(rho.group, images), sub_pres
+    """The stacked images of a boundary component's parsed words under an SL2C
+    or SU2 rho; an overflowing word is refused at `where`/generator_words/<k>,
+    `where` the component's pointer."""
+    where += "/generator_words/{}"
+    raw = [prefix_walk(rho, w, where.format(k))[-1] for k, w in enumerate(comp.words)]
+    return Representation(rho.group, np.array(raw)), surface_presentation(comp.genus)
 
 
 @dataclass(frozen=True)
@@ -432,7 +438,7 @@ class DimensionAudit:
 
 
 def _audit_one_group(
-    rho, pres, boundary, interior: CohomologyReport
+    rho, boundary, interior: CohomologyReport
 ) -> tuple[list[AuditIdentity], list[dict]]:
     degree = _field_degree(rho.group)
     tau = sum(1 for c in boundary if c.genus == 1)
@@ -441,7 +447,7 @@ def _audit_one_group(
     boundary_dims = []
     boundary_h1 = 0
     for c, comp in enumerate(boundary):
-        sub_rho, sub_pres = induced_boundary_representation(rho, pres, comp, f"/boundary/{c}")
+        sub_rho, sub_pres = induced_boundary_representation(rho, comp, f"/boundary/{c}")
         rep = h1_basis(sub_rho, sub_pres)
         dim = rep.dim_H1 // degree
         boundary_h1 += dim
@@ -493,7 +499,7 @@ def dimension_audit(
         interior = tuple(h1_basis(factor, pres) for factor in factors)
     tags = ("left", "right") if rho.group == SU2XSU2 else (None,)
     for tag, factor, report in zip(tags, factors, interior):
-        ids, dims = _audit_one_group(factor, pres, boundary, report)
+        ids, dims = _audit_one_group(factor, boundary, report)
         if tag:
             ids = [AuditIdentity(f"{tag}.{i.name}", i.lhs, i.rhs, i.holds) for i in ids]
             dims = [{"factor": tag, **d} for d in dims]

@@ -339,21 +339,7 @@ class Su2Element:
     @classmethod
     def from_matrix(cls, mat) -> "Su2Element":
         """Inverse of the a + bj -> [[a, b], [-conj(b), conj(a)]] embedding."""
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (2, 2):
-            raise DomainError(f"expected 2x2 matrix, got shape {mat.shape}")
-        _require_finite(mat)
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = 0.5 * (mat[0, 0] + np.conj(mat[1, 1]))
-            b = 0.5 * (mat[0, 1] - np.conj(mat[1, 0]))
-            q = np.array([a.real, a.imag, b.real, b.imag])
-            norm = float(np.linalg.norm(q))
-            defect = float(np.linalg.norm(mat - _su2_matrix(q / norm)))
-        if not math.isfinite(norm):  # the entries of the finite mat overflow
-            raise DomainError("|q|^2 overflows: the entries are too large")
-        if defect > TOL_GROUP:
-            raise DomainError(f"matrix is not in SU(2) within {TOL_GROUP} (defect {defect:.3e})")
-        return cls(q)
+        return cls(su2_quaternion(mat))
 
     @property
     def mat(self) -> np.ndarray:
@@ -384,6 +370,26 @@ class Su2Element:
         return v / s, math.atan2(s, float(self.q[0]))
 
 
+def su2_quaternion(mat) -> np.ndarray:
+    """The quaternion a + bj of [[a, b], [-conj(b), conj(a)]], unless the matrix
+    is not in SU(2) within TOL_GROUP; its norm is left to `_norm_rule`."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (2, 2):
+        raise DomainError(f"expected 2x2 matrix, got shape {mat.shape}")
+    _require_finite(mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = 0.5 * (mat[0, 0] + np.conj(mat[1, 1]))
+        b = 0.5 * (mat[0, 1] - np.conj(mat[1, 0]))
+        q = np.array([a.real, a.imag, b.real, b.imag])
+        norm = float(np.linalg.norm(q))
+        defect = float(np.linalg.norm(mat - _su2_matrix(q / norm)))
+    if not math.isfinite(norm):  # the entries of the finite mat overflow
+        raise DomainError("|q|^2 overflows: the entries are too large")
+    if defect > TOL_GROUP:
+        raise DomainError(f"matrix is not in SU(2) within {TOL_GROUP} (defect {defect:.3e})")
+    return q
+
+
 def _su2_matrix(q: np.ndarray) -> np.ndarray:
     a = q[0] + 1j * q[1]
     b = q[2] + 1j * q[3]
@@ -396,10 +402,6 @@ class Su2PairElement:
 
     left: Su2Element
     right: Su2Element
-
-    @classmethod
-    def identity(cls) -> "Su2PairElement":
-        return cls(Su2Element.identity(), Su2Element.identity())
 
     def mul(self, other: "Su2PairElement") -> "Su2PairElement":
         return Su2PairElement(self.left.mul(other.left), self.right.mul(other.right))
@@ -418,26 +420,6 @@ class Su2PairElement:
 
 
 GroupElement = Sl2cElement | Su2Element | Su2PairElement
-
-
-def group_identity(group: str) -> GroupElement:
-    if group == SL2C:
-        return Sl2cElement.identity()
-    if group == SU2:
-        return Su2Element.identity()
-    if group == SU2XSU2:
-        return Su2PairElement.identity()
-    raise DomainError(f"unknown group tag {group!r}")
-
-
-def group_of(g: GroupElement) -> str:
-    if isinstance(g, Sl2cElement):
-        return SL2C
-    if isinstance(g, Su2Element):
-        return SU2
-    if isinstance(g, Su2PairElement):
-        return SU2XSU2
-    raise DomainError(f"not a group element: {g!r}")
 
 
 # ---------------------------------------------------------------------------

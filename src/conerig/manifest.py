@@ -7,13 +7,14 @@ pairs, matrices row-major; SU(2) images are accepted either as quaternions
 [a, b, c, d] or as 2x2 matrices and are normalized on load, and SU(2)xSU(2)
 images are objects {"left": ..., "right": ...} of two SU(2) images.
 
-Each image is read once: every [re, im] pair and quaternion goes through one
-reader (`_numbers`) that refuses it at its own JSON pointer, and a domain
-error of the element built from it is reported at the image's pointer
-(`_built`), as are those of the boundary components.  The generators are
-checked first, at /generators; then every word is parsed once, at its own
-pointer: /relators/<k>, /meridians/<k>/word and
-/boundary/<c>/generator_words/<j>.
+Each image is read once, to its raw array: every [re, im] pair and
+quaternion goes through one reader (`_numbers`) that refuses it at its own
+JSON pointer, and the array is checked by the rules of the element
+constructors, whose domain errors are reported at the image's pointer
+(`_built`); no element object is built.  The generators are checked first,
+at /generators; then every word is parsed once, at its own pointer:
+/relators/<k>, /meridians/<k>/word and /boundary/<c>/generator_words/<j>,
+after its component's genus and word count are checked at /boundary/<c>.
 
 Reports are encoded from the fields of their dataclasses, in sorted key
 order (`_encode`); `RigidityReport` is the one exception, with a `to_dict`
@@ -31,17 +32,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohomology import GENUS_CAP, MAX_SURFACE_GENUS, BoundaryComponent
+from .cohomology import GENUS_CAP, MAX_SURFACE_GENUS, BoundaryComponent, check_boundary
 from .errors import ManifestError
 from .liecore import (
     GROUPS,
     SL2C,
     SU2,
     SU2XSU2,
-    Sl2cElement,
-    Su2Element,
-    Su2PairElement,
     VALID_CURVATURES,
+    _det_rule,
+    _norm_rule,
+    su2_quaternion,
 )
 from .spectral import SingularEdge, SingularVertex
 from .words import Meridian, Presentation, Representation, check_generators, parse_word
@@ -130,18 +131,21 @@ def _matrix(value, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_image(value, group: str, path: str):
-    """One image: a 2x2 matrix for SL2C; a quaternion or a 2x2 matrix for SU2;
-    an object of a left and a right SU2 image for SU2xSU2."""
+def _parse_image(value, group: str, path: str) -> np.ndarray:
+    """One image's raw array, by the element constructors' rules: a 2x2 matrix for
+    SL2C; a quaternion, or one off a 2x2 matrix, for SU2; a left and a right one for SU2xSU2."""
     if group == SU2XSU2:
         pair = isinstance(value, dict) and set(value) == {"left", "right"}
         _require(pair, path, "expected keys 'left' and 'right'")
-        return Su2PairElement(*(_parse_image(value[k], SU2, f"{path}/{k}") for k in ("left", "right")))
+        return np.array([_parse_image(value[k], SU2, f"{path}/{k}") for k in ("left", "right")])
     if group == SL2C:
-        return _built(path, Sl2cElement, _matrix(value, path))
+        return _built(path, _det_rule, _matrix(value, path))
     if isinstance(value, list) and len(value) == 4:
-        return _built(path, Su2Element, np.array(_numbers(value, 4, path), dtype=float))
-    return _built(path, Su2Element.from_matrix, _matrix(value, path))
+        q = np.array(_numbers(value, 4, path), dtype=float)
+    else:
+        q = _built(path, su2_quaternion, _matrix(value, path))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _built(path, _norm_rule, q)
 
 
 def manifest_from_dict(doc: dict) -> Manifest:
@@ -178,17 +182,19 @@ def manifest_from_dict(doc: dict) -> Manifest:
     for g in gens:
         _require(g in hol, f"/holonomy/{g}", f"missing image for generator {g!r}")
         images.append(_parse_image(hol[g], group, f"/holonomy/{g}"))
-    rho = Representation(group, tuple(images))
+    rho = Representation(group, np.array(images))
 
     boundary = []
     for k, comp in enumerate(_as_list(doc, "boundary", "/boundary")):
         p = f"/boundary/{k}"
         genus = _integer(_object(comp, p), "genus", p)
         _require(genus <= MAX_SURFACE_GENUS, f"{p}/genus", GENUS_CAP)
-        words = _words(comp.get("generator_words"), f"{p}/generator_words")
-        boundary.append(_built(p, BoundaryComponent, genus, tuple(words)))
-        for j, w in enumerate(words):
-            _built(f"{p}/generator_words/{j}", parse_word, w, gens)
+        texts = tuple(_words(comp.get("generator_words"), f"{p}/generator_words"))
+        _built(p, check_boundary, genus, len(texts))  # before any of its words
+        words = tuple(
+            _built(f"{p}/generator_words/{j}", parse_word, w, gens) for j, w in enumerate(texts)
+        )
+        boundary.append(BoundaryComponent(genus, words, texts))
 
     edges: list[SingularEdge] = []
     vertices: list[SingularVertex] = []
@@ -331,8 +337,8 @@ def manifest_to_dict(m: Manifest) -> dict:
             for mer in pres.meridians
         ],
         "holonomy": {
-            g: _image_payload(img, m.group)
-            for g, img in zip(pres.generators, m.representation.images)
+            g: _image_payload(raw, m.group)
+            for g, raw in zip(pres.generators, m.representation.raw)
         },
     }
     if m.boundary:
@@ -347,15 +353,12 @@ def manifest_to_dict(m: Manifest) -> dict:
     return doc
 
 
-def _image_payload(img, group: str):
+def _image_payload(raw: np.ndarray, group: str):
     if group == SL2C:
-        return [[[z.real, z.imag] for z in row] for row in np.asarray(img.mat).tolist()]
+        return [[[z.real, z.imag] for z in row] for row in raw.tolist()]
     if group == SU2:
-        return [float(x) for x in img.q]
-    return {
-        "left": [float(x) for x in img.left.q],
-        "right": [float(x) for x in img.right.q],
-    }
+        return raw.tolist()
+    return dict(zip(("left", "right"), raw.tolist()))
 
 
 def fixture_path(name: str) -> Path:

@@ -7,9 +7,9 @@ never free-reduces, so word identity stays traceable in reports.
 Every word is evaluated by one prefix walk (`prefix_walk`): p_0 = 1 and
 p_t = p_{t-1} g_t on raw arrays, a 2x2 complex matrix for SL(2,C) and a unit
 quaternion for SU(2), by `liecore.raw_product`, of which element `mul` is a
-view.  A representation stacks the raw arrays of its images and of their
-inverses once; an SU(2)xSU(2) representation holds its two SU(2) factor
-representations instead, built once, and is walked per factor.
+view.  A representation holds its images once, as the stack of those arrays
+(`Representation.raw`); an SU(2)xSU(2) one is walked per factor, on views of
+its stack.  No element object is built between a manifest and a report.
 
 Cocycles are evaluated only by the Fox pass (`fox_derivatives`): it takes
 the Ad matrices of all its prefixes in one stacked closed form
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,6 @@ from .liecore import (
     coefficient_field,
     exp_raw,
     field_coords,
-    group_identity,
-    group_of,
     identity_distance,
     raw_inverse,
     raw_product,
@@ -69,14 +68,6 @@ def parse_word(text: str, generators: tuple[str, ...] | list[str]) -> Word:
             raise UnknownGenerator(ch, pos)
         letters.append((index[low], 1 if ch == low else -1))
     return tuple(letters)
-
-
-def word_text(word: Word, generators: tuple[str, ...]) -> str:
-    return "".join(generators[i] if e > 0 else generators[i].upper() for i, e in word)
-
-
-def word_inverse(word: Word) -> Word:
-    return tuple((i, -e) for i, e in reversed(word))
 
 
 def free_reduce(word: Word) -> Word:
@@ -136,44 +127,61 @@ class Presentation:
         return cls(gens, rel_words, tuple(relators), mers)
 
 
-def _raw(g: GroupElement) -> np.ndarray:
-    """The array an SL2C or SU2 element is held as: its matrix or its quaternion."""
-    return g.q if isinstance(g, Su2Element) else g.mat
-
-
 def _element(group: str, raw: np.ndarray) -> GroupElement:
-    """The element of a walk's prefix, a product of images."""
+    """The element of a raw SL2C matrix or SU2 quaternion, a product of images."""
     return Sl2cElement(raw, derived=True) if group == SL2C else Su2Element(raw, derived=True)
 
 
-_IDENTITY = {group: _raw(group_identity(group)) for group in (SL2C, SU2)}
+_IDENTITY = {SL2C: np.eye(2, dtype=complex), SU2: np.array([1.0, 0.0, 0.0, 0.0])}
+_IMAGE = {SL2C: ((2, 2), "complex128"), SU2: ((4,), "float64"), SU2XSU2: ((2, 4), "float64")}
 
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Group tag plus one image per generator.
-
-    SL2C and SU2 images are also stacked as read-only (n, 2, 2) matrices or
-    (n, 4) quaternions: `raw`, and `raw_inverses` from `liecore.raw_inverse`,
-    the closed form that `inv()` also takes.  An SU2xSU2 representation holds
-    its two SU2 factors instead, `factors`."""
+    """The generators' images as one read-only stack `raw`: (n, 2, 2) complex
+    matrices for SL2C, (n, 4) quaternions for SU2, (n, 2, 4) left and right
+    quaternions for SU2xSU2, whose SU2 `factors` hold views of it.  SL2C and
+    SU2 stack `raw_inverses` too.  Group membership is checked where a stack
+    is read (`manifest`) or its elements are built (`from_images`); `images`
+    are element views of `raw`, built on first use."""
 
     group: str
-    images: tuple[GroupElement, ...]
+    raw: np.ndarray
 
     def __post_init__(self):
-        for g in self.images:
-            if group_of(g) != self.group:
-                raise DomainError(f"image {g!r} does not live in {self.group}")
-        if self.group != SU2XSU2:
-            raw = np.array([_raw(g) for g in self.images]).reshape(-1, *_IDENTITY[self.group].shape)
-            inverses = raw_inverse(self.group, raw)
-            raw.flags.writeable = inverses.flags.writeable = False
-            object.__setattr__(self, "raw", raw)
-            object.__setattr__(self, "raw_inverses", inverses)
+        shape, dtype = _IMAGE.get(self.group, (None, None))
+        raw = np.asarray(self.raw)
+        if shape is None or raw.shape[1:] != shape or raw.dtype != dtype:
+            raise DomainError(f"expected an (n, *{shape}) {dtype} stack of {self.group} images")
+        if not np.isfinite(raw).all():
+            raise DomainError("images must have finite entries")
+        if raw.flags.writeable:  # the caller's array: hold a frozen copy
+            raw = raw.copy()
+            raw.flags.writeable = False
+        object.__setattr__(self, "raw", raw)
+        if self.group == SU2XSU2:
+            factors = (Representation(SU2, raw[:, 0]), Representation(SU2, raw[:, 1]))
+            object.__setattr__(self, "factors", factors)
         else:
-            halves = (tuple(g.left for g in self.images), tuple(g.right for g in self.images))
-            object.__setattr__(self, "factors", tuple(Representation(SU2, h) for h in halves))
+            inverses = raw_inverse(self.group, raw)
+            inverses.flags.writeable = False
+            object.__setattr__(self, "raw_inverses", inverses)
+
+    @classmethod
+    def from_images(cls, group: str, images) -> "Representation":
+        """The representation with these element objects as images."""
+        element = {SL2C: Sl2cElement, SU2: Su2Element, SU2XSU2: Su2PairElement}.get(group)
+        if stray := [g for g in images if type(g) is not element]:
+            raise DomainError(f"image {stray[0]!r} does not live in {group}")
+        if group == SU2XSU2:
+            return cls(group, np.array([(g.left.q, g.right.q) for g in images]))
+        return cls(group, np.array([g.q if group == SU2 else g.mat for g in images]))
+
+    @cached_property
+    def images(self) -> tuple[GroupElement, ...]:
+        if self.group == SU2XSU2:
+            return tuple(map(Su2PairElement, *(f.images for f in self.factors)))
+        return tuple(_element(self.group, g) for g in self.raw)
 
 
 def prefix_walk(rho: Representation, word: Word, where: str = "word") -> list[np.ndarray]:
@@ -261,7 +269,7 @@ def fox_derivatives(
     prefixes.  An overflow is refused naming word r as `where.format(r)`.
     """
     field, d = coefficient_field(rho.group)
-    blocks = np.zeros((len(words), len(rho.images), d, d), dtype=field)
+    blocks = np.zeros((len(words), len(rho.raw), d, d), dtype=field)
     finals = []
     with np.errstate(over="ignore", invalid="ignore"):
         for r, word in enumerate(words):
@@ -275,8 +283,8 @@ def fox_derivatives(
                 np.add.at(blocks[r], gens, exps[:, None, None] * ads)
                 if not np.isfinite(blocks[r]).all():
                     raise DomainError(f"{where.format(r)}: Fox derivatives overflow")
-    jac = blocks.transpose(0, 2, 1, 3).reshape(d * len(words), d * len(rho.images))
-    return jac, np.array(finals).reshape(-1, *_IDENTITY[rho.group].shape)
+    jac = blocks.transpose(0, 2, 1, 3).reshape(d * len(words), d * len(rho.raw))
+    return jac, np.array(finals).reshape(-1, *rho.raw.shape[1:])
 
 
 def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
@@ -291,10 +299,10 @@ def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
 def deform(rho: Representation, z, t: float) -> Representation:
     """First-order deformation rho_t(gamma) = exp(t z(gamma)) rho(gamma) along
     the cocycle with field coordinates z, on the raw images."""
-    z = field_coords(rho.group, z, len(rho.images)).reshape(len(rho.images), -1)
+    z = field_coords(rho.group, z, len(rho.raw)).reshape(len(rho.raw), -1)
     with np.errstate(over="ignore", invalid="ignore"):
         raws = [raw_product(rho.group, exp_raw(rho.group, t * v), g) for v, g in zip(z, rho.raw)]
-    return Representation(rho.group, tuple(_element(rho.group, p) for p in raws))
+    return Representation(rho.group, np.array(raws, dtype=rho.raw.dtype).reshape(rho.raw.shape))
 
 
 def split_representation(rho: Representation) -> tuple[Representation, Representation]:

@@ -16,14 +16,13 @@ from conerig.liecore import (
     _exp_traceless,
     coefficient_field,
     field_coords,
-    group_of,
 )
 from conerig.words import Representation, Word, free_reduce, prefix_walk
 
 
 def ad_action(g: GroupElement, v: AlgebraVector) -> AlgebraVector:
     """Adjoint action Ad(g) v = g v g^-1."""
-    group = group_of(g)
+    group = {Sl2cElement: SL2C, Su2Element: SU2}.get(type(g))
     if group != v.group:
         raise DomainError(f"group mismatch: {group} vs {v.group}")
     m = g.mat
@@ -76,7 +75,7 @@ def deform_reference(rho: Representation, z, t: float) -> Representation:
     """`words.deform` on element objects: exp(t z(gamma)) rho(gamma) by `mul`."""
     values = _generator_values(rho, z)
     images = tuple(exp_algebra_reference(v.scaled(t)).mul(g) for v, g in zip(values, rho.images))
-    return Representation(rho.group, images)
+    return Representation.from_images(rho.group, images)
 
 
 def exp_algebra_reference(v: AlgebraVector) -> GroupElement:

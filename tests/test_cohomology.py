@@ -89,7 +89,7 @@ class TestZ0:
 
     def test_trivial_representation(self):
         pres = Presentation.from_strings(["a", "b"], ["abAB"])
-        rho = Representation(
+        rho = Representation.from_images(
             "SL2C", (Sl2cElement(np.eye(2)), Sl2cElement(np.eye(2)))
         )
         assert z0_space(rho, pres).shape[1] == 3  # all of sl2(C)
@@ -118,7 +118,7 @@ class TestCocycleSpaces:
 
     def test_trivial_rep_b1_vanishes(self):
         pres = Presentation.from_strings(["a", "b"], ["abAB"])
-        rho = Representation("SL2C", (Sl2cElement(np.eye(2)), Sl2cElement(np.eye(2))))
+        rho = Representation.from_images("SL2C", (Sl2cElement(np.eye(2)), Sl2cElement(np.eye(2))))
         assert coboundary_space(rho, pres).shape[1] == 0
 
     def test_kernel_elements_satisfy_relators(self, cusped):
@@ -242,7 +242,7 @@ class TestRigidity:
             [[1.0, 0.0], [1.0, 1.0]]
         )
         h_inv = np.linalg.inv(h)
-        rho_c = Representation("SL2C", tuple(Sl2cElement(h @ g.mat @ h_inv) for g in rho.images))
+        rho_c = Representation.from_images("SL2C", tuple(Sl2cElement(h @ g.mat @ h_inv) for g in rho.images))
         rep = rigidity_test(rho_c, pres)
         assert rep.degenerate_flags == (FLAG_ABELIAN, FLAG_REDUCIBLE)
 
@@ -254,7 +254,7 @@ class TestRigidity:
 
     @pytest.mark.parametrize("sign, word", [(1.0, "abAB"), (1.0, "bB"), (-1.0, "a")])
     def test_meridian_at_plus_minus_identity_is_flagged(self, sign, word):
-        rho = Representation(
+        rho = Representation.from_images(
             "SL2C", (Sl2cElement(sign * np.eye(2)), Sl2cElement(np.diag([2.0, 0.5])))
         )
         pres = Presentation.from_strings(["a", "b"], ["abAB"], [(word, 0, 1.0), ("b", 1, 1.0)])
@@ -285,7 +285,7 @@ class TestInvariants:
         rho, pres, _ = cusped
         rng = np.random.default_rng(21)
         g = random_group_element("SL2C", rng)
-        rho_c = Representation(
+        rho_c = Representation.from_images(
             "SL2C", tuple(g.mul(img).mul(g.inv()) for img in rho.images)
         )
         rep = h1_basis(rho, pres)
@@ -311,7 +311,7 @@ class TestInvariants:
             ).mul(img)
             for img in rho.images
         )
-        rho_p = Representation("SL2C", images)
+        rho_p = Representation.from_images("SL2C", images)
         a, b = h1_basis(rho, pres), h1_basis(rho_p, pres)
         assert a.dims_dict() == b.dims_dict()
         assert rigidity_test(rho, pres).rank == rigidity_test(rho_p, pres).rank
@@ -345,7 +345,8 @@ class TestDimensionAudit:
     def test_genus2_boundary_dimension(self, genus2):
         # used as a boundary datum, the genus-2 surface contributes dim 6 over R
         rho, pres, man = genus2
-        comp = BoundaryComponent(2, ("a", "b", "c", "d"))
+        texts = ("a", "b", "c", "d")
+        comp = BoundaryComponent(2, tuple(parse_word(w, pres.generators) for w in texts), texts)
         audit = dimension_audit(rho, pres, (comp,))
         assert audit.boundary[0]["dim_H1"] == 6
         half = [i for i in audit.identities if i.name.startswith("half_dimension")][0]

@@ -105,7 +105,7 @@ def test_fox_jacobian_matches_on_conjugates(name, coords):
     rho, pres = load(name)
     for k, f in enumerate(factors(rho)):
         g = exp_algebra(AlgebraVector.from_coords(f.group, draw_coords(f.group, coords[3 * k :])))
-        rho_c = Representation(f.group, tuple(g.mul(x).mul(g.inv()) for x in f.images))
+        rho_c = Representation.from_images(f.group, tuple(g.mul(x).mul(g.inv()) for x in f.images))
         assert_close(fox_jacobian(rho_c, pres), reference_fox_jacobian(rho_c, pres), 1e-12)
 
 
@@ -128,7 +128,7 @@ def test_fox_derivatives_match_cocycle_extension(group, image_coords, cocycle_co
         exp_algebra(AlgebraVector.from_coords(group, image_vals[3 * k : 3 * (k + 1)]))
         for k in range(3)
     )
-    rho = Representation(group, images)
+    rho = Representation.from_images(group, images)
     z = draw_coords(group, cocycle_coords, 3)
     word = tuple(word)
     jac, image = fox_derivatives(rho, [word])
@@ -156,7 +156,7 @@ def test_trace_jacobian_matches_on_conjugates(name, coords):
     rho, pres = load(name)
     for k, f in enumerate(factors(rho)):
         g = exp_algebra(AlgebraVector.from_coords(f.group, draw_coords(f.group, coords[3 * k :])))
-        rho_c = Representation(f.group, tuple(g.mul(x).mul(g.inv()) for x in f.images))
+        rho_c = Representation.from_images(f.group, tuple(g.mul(x).mul(g.inv()) for x in f.images))
         assert_trace_jacobian_matches_reference(rho_c, pres)
 
 

@@ -22,7 +22,6 @@ from conerig.words import (
     Representation,
     evaluate,
     parse_word,
-    word_text,
 )
 
 from cocycle_reference import ad_action, extend_cocycle
@@ -80,20 +79,6 @@ def test_circle_gap_matches_closed_form(alpha, a):
     assert rep.gap_ok == expected
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2**24))
-def test_word_parse_roundtrip(bits):
-    gens = ("a", "b", "c")
-    letters = []
-    n = bits
-    while n:
-        idx, sign = (n % 8) // 2, n % 2
-        letters.append((idx % 3, 1 if sign else -1))
-        n //= 8
-    word = tuple(letters)
-    assert parse_word(word_text(word, gens), gens) == word
-
-
 @st.composite
 def su2_elements(draw):
     q = np.array([draw(finite), draw(finite), draw(finite), draw(finite)])
@@ -147,7 +132,7 @@ def test_extend_cocycle_additivity(data):
         xs = rng.standard_normal(6 * count)
         return xs[0::2] + 1j * xs[1::2]
 
-    rho = Representation(
+    rho = Representation.from_images(
         "SL2C",
         tuple(exp_algebra(AlgebraVector.from_coords("SL2C", normal_coords(1) / 6)) for _ in range(2)),
     )

@@ -1,7 +1,7 @@
 """Element arithmetic is a view of the raw-array arithmetic: `deform`,
 `exp_algebra` and the closed-form inverse against the element-path
 references of `cocycle_reference`, bit for bit, and a work-count guard that
-keeps `deform` on raw arrays."""
+keeps `deform` on raw arrays, with no element built."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +83,7 @@ def test_deform_matches_the_element_path_on_fixtures(name):
     st.sampled_from(STEPS) | st.floats(-1.0, 1.0, allow_nan=False),
 )
 def test_deform_matches_the_element_path_on_random_coordinates(group, images, cocycle, t):
-    rho = Representation(group, tuple(exp_of(group, images[k::2]) for k in range(2)))
+    rho = Representation.from_images(group, tuple(exp_of(group, images[k::2]) for k in range(2)))
     z = np.concatenate([field_vector(group, cocycle[k::2]) for k in range(2)])
     assert_same_bits(deform(rho, z, t).raw, deform_reference(rho, z, t).raw)
 
@@ -131,8 +131,10 @@ def test_deform_refuses_an_unsplit_pair():
 
 
 @pytest.mark.parametrize("name", ["pants.json", "genus2-su2.json"])
-def test_deform_builds_one_element_per_image_and_calls_no_mul(name, monkeypatch):
+def test_deform_builds_no_element_and_calls_no_mul(name, monkeypatch):
     (rho,) = fixture_factors(name)
+    field, d = coefficient_field(rho.group)
+    z = np.ones(d * len(rho.raw), dtype=field)
     built = []
     for cls in (Sl2cElement, Su2Element):
         init = cls.__init__
@@ -146,6 +148,5 @@ def test_deform_builds_one_element_per_image_and_calls_no_mul(name, monkeypatch)
 
         monkeypatch.setattr(cls, "__init__", counted)
         monkeypatch.setattr(cls, "mul", refused)
-    field, d = coefficient_field(rho.group)
-    deformed = deform(rho, np.ones(d * len(rho.images), dtype=field), 0.1)
-    assert len(built) == len(rho.images) == len(deformed.images)
+    deformed = deform(rho, z, 0.1)
+    assert built == [] and deformed.raw.shape == rho.raw.shape

@@ -88,7 +88,7 @@ def test_raw_distances_are_the_element_distances_on_random_words(group, coords, 
         images = tuple(Su2PairElement(image(SU2, x[:3]), image(SU2, x[3:6])) for x in xs)
     else:
         images = tuple(image(group, x) for x in xs)
-    rho = Representation(group, images)
+    rho = Representation.from_images(group, images)
     pres = Presentation.from_strings("abc", relators)
     assert_same_floats(relator_distances(rho, pres), element_distances(rho, pres))
 
@@ -172,7 +172,7 @@ def random_draws(count=300):
             for u, v in ((rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.5, 1.5, 3)) for _ in range(3))
         )
         letters = rng.choice(list("abcABC"), rng.integers(1, 40))
-        yield Representation(SL2C, images), parse_word("".join(letters), "abc")
+        yield Representation.from_images(SL2C, images), parse_word("".join(letters), "abc")
 
 
 def test_products_are_refused_only_when_not_finite():

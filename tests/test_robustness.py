@@ -422,7 +422,28 @@ class TestWordsAtTheirPointers:
         expected = "error: /generators: generators must be single lowercase letters, got 'B'\n"
         assert capsys.readouterr() == ("", expected)
 
+    @pytest.mark.parametrize(
+        "pointer, value, message",
+        [
+            ("/boundary/0/generator_words", ["az"], "genus 1 boundary needs 2 generator words"),
+            (
+                "/boundary/0",
+                {"genus": 0, "generator_words": ["az"]},
+                "boundary genus must be >= 1, got 0",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", FUZZ_COMMANDS)
+    def test_word_count_is_refused_before_a_word(
+        self, tmp_path, capsys, pointer, value, message, command
+    ):
+        path = _write_with(tmp_path, "cusped.json", pointer, value)
+        assert run([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: /boundary/0: {message}\n")
+
     def test_a_surface_relator_is_parsed_once(self, monkeypatch):
+        # The loader parses each manifest word; `surface_presentation`, through
+        # words, parses a surface relator once per genus; nothing else parses.
         parsed = []
         original = words.parse_word
 
@@ -430,15 +451,22 @@ class TestWordsAtTheirPointers:
             parsed.append(text)
             return original(text, generators)
 
-        monkeypatch.setattr(manifest, "parse_word", parse_word)
-        for module in (words, cohomology):  # no parse after the loader
-            monkeypatch.setattr(module, "parse_word", None)
+        for module in (manifest, words):
+            monkeypatch.setattr(module, "parse_word", parse_word)
+        assert not hasattr(cohomology, "parse_word")
         path = str(fixture_path("genus2-su2.json"))
         for command in ("validate", "cohomology"):
             parsed.clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run([command, path]) == 0
             assert parsed == ["abABcdCD"]
+        cohomology.surface_presentation.cache_clear()
+        cusped = ["abaBAbaBABabAB", "a", "baBAbaabABabAAAA", "a"]  # relator, meridian, boundary
+        for surface in (["abAB"], []):
+            parsed.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["cohomology", str(fixture_path("cusped.json")), "--audit"]) == 0
+            assert parsed == cusped + surface
 
 
 def test_module_entry_point_prints_the_report():

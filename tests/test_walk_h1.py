@@ -2,8 +2,9 @@
 against what they replace: the chain of element multiplications (bit for
 bit) and the projection SVD of the Z^1 basis (the same subspace).  Work-count
 guards keep h1_basis free of per-letter objects and of SVDs wider than the
-coefficient algebra, and every CLI run to one element per image read, with
-none per relator checked or meridian walked."""
+coefficient algebra, and every CLI run free of element objects: the images
+are read to raw stacks, and `Representation.images` are views of them built
+only on first use."""
 import json
 from collections import Counter
 
@@ -25,8 +26,8 @@ from conerig.liecore import (
     AlgebraVector,
     Sl2cElement,
     Su2Element,
+    Su2PairElement,
     exp_algebra,
-    group_identity,
 )
 from conerig.manifest import Manifest, fixture_path, load_manifest, manifest_to_dict
 from conerig.words import (
@@ -76,7 +77,7 @@ def raw(g):
 def mul_chain(rho, word):
     """Raw prefixes of a word as a chain of element multiplications: the
     reference for `prefix_walk`.  `mul` must still compute each product."""
-    out = group_identity(rho.group)
+    out = Su2Element.identity() if rho.group == "SU2" else Sl2cElement.identity()
     chain = [raw(out)]
     for i, e in word:
         g = rho.images[i] if e > 0 else rho.images[i].inv()
@@ -118,6 +119,21 @@ def fixture_words(name):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
+def test_images_are_views_of_the_stack(name):
+    rho = load_manifest(fixture_path(name)).representation
+    for k, g in enumerate(rho.images):
+        if rho.group == SU2XSU2:
+            for side, (half, f) in enumerate(zip((g.left, g.right), rho.factors)):
+                assert half.q.tobytes() == f.raw[k].tobytes() == rho.raw[k, side].tobytes()
+        else:
+            assert raw(g).dtype == rho.raw.dtype and raw(g).tobytes() == rho.raw[k].tobytes()
+    stacks = [rho.raw] + [s for f in factors(rho) for s in (f.raw, f.raw_inverses)]
+    assert not any(s.flags.writeable for s in stacks)
+    if rho.group == SU2XSU2:
+        assert all(np.shares_memory(f.raw, rho.raw) for f in rho.factors)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
 def test_walk_matches_element_arithmetic_on_fixture_words(name):
     rho, words = fixture_words(name)
     for f in factors(rho):
@@ -142,7 +158,7 @@ def test_walk_matches_element_arithmetic_on_random_words(group, coords, word):
     images = tuple(
         exp_algebra(AlgebraVector.from_coords(group, vals[3 * k : 3 * k + 3])) for k in range(3)
     )
-    assert_walk_is_the_chain(Representation(group, images), tuple(word))
+    assert_walk_is_the_chain(Representation.from_images(group, images), tuple(word))
 
 
 @pytest.mark.parametrize("group", ["SL2C", "SU2"])
@@ -155,7 +171,7 @@ def test_walk_reprojects_as_the_constructors_do(group):
         images = tuple(Sl2cElement(s * np.diag([x, 1 / x])) for x in (1.2, 0.7j))
     else:
         images = tuple(Su2Element(s * np.array(q)) for q in ([0.6, 0.8, 0, 0], [0, 0, 0.8, 0.6]))
-    rho = Representation(group, images)
+    rho = Representation.from_images(group, images)
     assert_inverses_are_inv(rho)
     word = ((0, 1), (1, 1), (0, -1), (1, 1))
     assert_walk_is_the_chain(rho, word)
@@ -186,12 +202,12 @@ def su2_surface(genus, rng):
     m = np.sqrt(vals[0])
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     mats += [h @ np.diag([m, np.conj(m)]) @ h.conj().T, h @ w @ h.conj().T]
-    return Representation("SU2", tuple(Su2Element.from_matrix(x) for x in mats))
+    return Representation.from_images("SU2", tuple(Su2Element.from_matrix(x) for x in mats))
 
 
 def sl2c_diagonal_surface(genus, rng):
     z = np.exp(rng.uniform(-0.5, 0.5, 2 * genus) + 1j * rng.uniform(0.3, 6.0, 2 * genus))
-    return Representation("SL2C", tuple(Sl2cElement(np.diag([x, 1.0 / x])) for x in z))
+    return Representation.from_images("SL2C", tuple(Sl2cElement(np.diag([x, 1.0 / x])) for x in z))
 
 
 SURFACES = [
@@ -277,9 +293,9 @@ def test_b1_tilted_out_of_z1(monkeypatch, angle, raises):
 
 
 def count_constructions(monkeypatch) -> Counter:
-    """Wrap the SL2C and SU2 constructors; the counter counts their calls."""
+    """Wrap the element constructors; the counter counts their calls."""
     built = Counter()
-    for cls in (Sl2cElement, Su2Element):
+    for cls in (Sl2cElement, Su2Element, Su2PairElement):
         real_init = cls.__init__
 
         def init(self, *args, real_init=real_init, name=cls.__name__, **kwargs):
@@ -347,37 +363,49 @@ def cli_constructions(monkeypatch, capsys, argv, exit_code) -> Counter:
     code = cli.run(argv)
     monkeypatch.undo()
     assert code == exit_code and capsys.readouterr().out
-    built["elements"] = built["Sl2cElement"] + built["Su2Element"]
+    built["elements"] = built["Sl2cElement"] + built["Su2Element"] + built["Su2PairElement"]
     return built
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology"])
 @pytest.mark.parametrize("make", [su2_surface, sl2c_diagonal_surface])
-def test_cli_builds_each_surface_image_once(monkeypatch, capsys, tmp_path, make, command):
-    # 26 images read; the relator is checked on its walk, with no element.
+def test_cli_builds_no_element_for_a_surface(monkeypatch, capsys, tmp_path, make, command):
+    # 26 images read to a raw stack; the relator is checked on its walk.
     path = str(surface_manifest(tmp_path, make, 13))
-    assert cli_constructions(monkeypatch, capsys, [command, path], 0)["elements"] <= 26
+    assert cli_constructions(monkeypatch, capsys, [command, path], 0)["elements"] == 0
 
 
 @pytest.mark.parametrize(
-    "argv, exit_code, most, most_representations",
+    "argv, exit_code, most_representations",
     [
-        pytest.param(["rigidity", "pants.json"], 0, 3, 1, id="rigidity-pants"),
-        pytest.param(["rigidity", "genus2-su2.json"], 1, 4, 1, id="rigidity-genus2-su2"),
-        pytest.param(["cohomology", "cusped.json", "--audit"], 0, 4, 2, id="audit-cusped"),
-        pytest.param(["validate", "spherical-torus.json"], 0, 4, 3, id="validate-spherical"),
-        pytest.param(["rigidity", "spherical-torus.json"], 1, 4, 3, id="rigidity-spherical"),
-        pytest.param(["cohomology", "spherical-torus.json", "--audit"], 1, 8, 5, id="audit-spherical"),
+        pytest.param(["rigidity", "pants.json"], 0, 1, id="rigidity-pants"),
+        pytest.param(["rigidity", "genus2-su2.json"], 1, 1, id="rigidity-genus2-su2"),
+        pytest.param(["cohomology", "cusped.json", "--audit"], 0, 2, id="audit-cusped"),
+        pytest.param(["validate", "spherical-torus.json"], 0, 3, id="validate-spherical"),
+        pytest.param(["rigidity", "spherical-torus.json"], 1, 3, id="rigidity-spherical"),
+        pytest.param(["cohomology", "spherical-torus.json", "--audit"], 1, 5, id="audit-spherical"),
     ],
 )
-def test_cli_builds_each_fixture_image_once(
-    monkeypatch, capsys, argv, exit_code, most, most_representations
+def test_cli_builds_no_element_and_few_representations(
+    monkeypatch, capsys, argv, exit_code, most_representations
 ):
     # Meridians are walked once, by the Fox pass, and give their images to
-    # the +/- identity test; relators are checked on their walks: no element
-    # per meridian or relator.  A pair is split once, when it is built, and
-    # the audit builds one representation per factor and boundary component.
+    # the +/- identity test; relators are checked on their walks.  A pair
+    # holds its factors from when it is built, and the audit builds one
+    # representation per factor and boundary component.
     command, name, *extra = argv
     argv = [command, str(fixture_path(name)), *extra]
     built = cli_constructions(monkeypatch, capsys, argv, exit_code)
-    assert built["elements"] <= most and built["Representation"] <= most_representations
+    assert built["elements"] == 0 and built["Representation"] <= most_representations
+
+
+def test_no_manifest_command_builds_an_element(monkeypatch, capsys):
+    built = count_constructions(monkeypatch)
+    commands = [("validate",), ("cohomology", "--audit"), ("rigidity",), ("admissibility",)]
+    for name in FIXTURES:
+        for command, *extra in commands:
+            assert cli.run([command, str(fixture_path(name)), *extra]) in (0, 1)
+            assert capsys.readouterr().out
+    assert sum(built.values()) == 0
+    Su2PairElement(Su2Element.identity(), Su2Element.identity())  # the counter counts
+    assert built == {"Su2Element": 2, "Su2PairElement": 1}

@@ -23,7 +23,6 @@ from conerig.words import (
     free_reduce,
     parse_word,
     relator_residual,
-    word_inverse,
 )
 
 from cocycle_reference import ad_action, coboundary, extend_cocycle
@@ -32,7 +31,7 @@ GENS = ("a", "b")
 
 
 def torus_rep(eta=cmath.exp(0.3 + 0.7j), xi=cmath.exp(1j * math.pi / 4)):
-    return Representation(
+    return Representation.from_images(
         "SL2C",
         (Sl2cElement(np.diag([eta, 1 / eta])), Sl2cElement(np.diag([xi, 1 / xi]))),
     )
@@ -54,13 +53,13 @@ def random_coords(group, rng, count=1):
 def random_rep(group, n, rng):
     if group == "SU2xSU2":
         left, right = random_rep("SU2", n, rng), random_rep("SU2", n, rng)
-        return Representation(group, tuple(map(Su2PairElement, left.images, right.images)))
+        return Representation.from_images(group, tuple(map(Su2PairElement, left.images, right.images)))
     real_dim = 6 if group == "SL2C" else 3
     images = tuple(
         exp_algebra(AlgebraVector.from_coords(group, random_coords(group, rng) / real_dim))
         for _ in range(n)
     )
-    return Representation(group, images)
+    return Representation.from_images(group, images)
 
 
 class TestParseWord:
@@ -95,6 +94,48 @@ class TestPresentation:
             Presentation.from_strings(["a"], [], [("a", 0, 7.0)])
 
 
+class TestRepresentationStack:
+    """A representation holds one read-only stack of the shape and dtype of
+    its group, with finite entries."""
+
+    @pytest.mark.parametrize(
+        "group, raw",
+        [
+            ("SL2C", np.zeros((2, 4), dtype=complex)),  # quaternions
+            ("SL2C", np.eye(2)[None]),  # a real matrix
+            ("SL2C", np.eye(2, dtype=complex)),  # one matrix, not a stack
+            ("SU2", np.zeros((2, 2, 2), dtype=complex)),
+            ("SU2", np.zeros((2, 4), dtype=complex)),
+            ("SU2xSU2", np.zeros((2, 4))),
+            ("SU2xSU2", np.zeros((2, 3, 4))),
+            ("SO3", np.zeros((2, 4))),
+        ],
+    )
+    def test_refuses_a_stack_of_the_wrong_shape_or_dtype(self, group, raw):
+        with pytest.raises(DomainError, match="stack of"):
+            Representation(group, raw)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("group", ["SL2C", "SU2", "SU2xSU2"])
+    def test_refuses_a_non_finite_stack(self, group, bad):
+        raw = torus_rep().raw if group == "SL2C" else np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
+        raw = np.array(raw if group != "SU2xSU2" else np.stack([raw, raw], axis=1))
+        raw[(1,) * raw.ndim] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Representation(group, raw)
+
+    def test_holds_a_frozen_copy_of_the_callers_stack(self):
+        raw = np.array(torus_rep().raw)
+        rho = Representation("SL2C", raw)
+        raw[0, 0, 0] = 5.0
+        assert rho.raw[0, 0, 0] != 5.0
+        assert not rho.raw.flags.writeable and not rho.raw_inverses.flags.writeable
+
+    def test_from_images_refuses_an_image_of_another_group(self):
+        with pytest.raises(DomainError, match="does not live in SU2"):
+            Representation.from_images("SU2", torus_rep().images)
+
+
 class TestEvaluate:
     def test_commutator_at_torus_rep(self):
         rho = torus_rep()
@@ -105,7 +146,8 @@ class TestEvaluate:
         rng = np.random.default_rng(1)
         rho = random_rep("SL2C", 2, rng)
         w = parse_word("abaBAb", GENS)
-        g = evaluate(rho, w).mul(evaluate(rho, word_inverse(w)))
+        inverse = tuple((i, -e) for i, e in reversed(w))
+        g = evaluate(rho, w).mul(evaluate(rho, inverse))
         assert g.dist_to_identity() < 1e-12
 
     def test_product_of_generators(self):
@@ -129,7 +171,7 @@ class TestRelatorResidual:
 
     def test_perturbed_torus(self):
         xi = cmath.exp(1j * math.pi / 4)
-        rho = Representation(
+        rho = Representation.from_images(
             "SL2C",
             (
                 torus_rep().images[0],
