@@ -44,7 +44,7 @@ from .liecore import (
     _norm_rule,
     su2_quaternion,
 )
-from .spectral import SingularEdge, SingularVertex
+from .spectral import MERGE_TOL, SingularEdge, SingularVertex
 from .words import Meridian, Presentation, Representation, check_generators, parse_word
 
 SCHEMA_VERSION = 1
@@ -216,6 +216,16 @@ def manifest_from_dict(doc: dict) -> Manifest:
             unknown = [i for i in inc if i not in edge_ids]
             _require(not unknown, f"{p}/incident", f"undeclared edge id(s) {unknown}")
             vertices.append(SingularVertex(tuple(inc)))
+    angles = {e.id: e.angle for e in edges}
+    for k, m in enumerate(meridians):  # each meridian goes around a declared edge
+        p = f"/meridians/{k}"
+        _require(m.edge_id in angles, f"{p}/edge_id", f"undeclared edge id {m.edge_id}")
+        edge_angle = angles[m.edge_id]
+        _require(
+            abs(m.cone_angle - edge_angle) <= MERGE_TOL,
+            f"{p}/cone_angle",
+            f"cone angle {m.cone_angle} differs from the angle {edge_angle} of edge {m.edge_id}",
+        )
 
     warnings = _genus_relation_warnings(edges, vertices, boundary)
     return Manifest(

@@ -89,6 +89,8 @@ REFUSALS = [
     ("cusped.json", "/boundary/0/generator_words/1", "z"),
     ("cusped.json", "/boundary/0/generator_words", ["az"]),
     ("cusped.json", "/boundary/0", {"genus": 0, "generator_words": ["az"]}),
+    ("cusped.json", "/meridians/0/edge_id", 7),
+    ("cusped.json", "/meridians/0/cone_angle", 1.0),
 ]
 REFUSAL_CASES = {
     f"refuse {name} {pointer}={json.dumps(value)}": (name, pointer, value)

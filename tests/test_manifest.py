@@ -98,7 +98,7 @@ class TestLoad:
         # theta graph (2 trivalent vertices, 3 edges) bounds genus 2, not 3
         doc = torus_doc()
         doc["singular_graph"] = {
-            "edges": [{"id": k, "angle": 1.0} for k in range(3)],
+            "edges": [{"id": k, "angle": math.pi / 2 if k == 0 else 1.0} for k in range(3)],
             "vertices": [{"incident": [0, 1, 2]}, {"incident": [0, 1, 2]}],
         }
         doc["boundary"] = [{"genus": 3, "generator_words": ["a", "b", "a", "b", "a", "b"]}]

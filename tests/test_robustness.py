@@ -469,6 +469,43 @@ class TestWordsAtTheirPointers:
             assert parsed == cusped + surface
 
 
+class TestMeridiansOnTheirEdges:
+    """A meridian names a declared singular edge and carries its angle, to
+    MERGE_TOL; otherwise every manifest command refuses it at its pointer."""
+
+    @pytest.mark.parametrize(
+        "pointer, value, message",
+        [
+            ("/meridians/0/edge_id", 7, "undeclared edge id 7"),
+            (
+                "/meridians/0/cone_angle",
+                1.0,
+                "cone angle 1.0 differs from the angle 2.0943951023931953 of edge 0",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", FUZZ_COMMANDS)
+    def test_refused_at_its_pointer(self, tmp_path, capsys, pointer, value, message, command):
+        path = _write_with(tmp_path, "cusped.json", pointer, value)
+        assert run([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {pointer}: {message}\n")
+
+    def test_no_singular_graph_declares_no_edge(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("torus.json").read_text())
+        del doc["singular_graph"]
+        path = tmp_path / "no-graph.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: /meridians/0/edge_id: undeclared edge id 0\n"
+
+    @pytest.mark.parametrize("offset, code", [(0.5 * spectral.MERGE_TOL, 0), (4 * spectral.MERGE_TOL, 2)])
+    def test_angles_agree_to_merge_tol(self, tmp_path, capsys, offset, code):
+        angle = json.loads(fixture_path("pants.json").read_text())["meridians"][2]["cone_angle"]
+        path = _write_with(tmp_path, "pants.json", "/meridians/2/cone_angle", angle + offset)
+        assert run(["validate", str(path)]) == code
+        assert ("/meridians/2/cone_angle:" in capsys.readouterr().err) == (code == 2)
+
+
 def test_module_entry_point_prints_the_report():
     proc = subprocess.run(
         [sys.executable, "-m", "conerig.cli", "validate", str(fixture_path("torus.json"))],
