@@ -25,14 +25,10 @@ from .liecore import (
     SU2XSU2,
     AlgebraVector,
     IsomAlgebraElement,
-    Sl2cElement,
-    Su2Element,
-    Su2PairElement,
     ad_matrix,
     bracket,
     complex_length_sl2c,
     complex_length_su2pair,
-    exp_algebra,
     killing_form,
     sigma_fields,
     sn_cs_ct,

@@ -1,22 +1,24 @@
 """Isometry groups of the three constant-curvature model spaces.
 
-Group elements live in SL(2,C), SU(2) or SU(2)xSU(2); unit quaternions back
-the SU(2) arithmetic.  The algebra of infinitesimal isometries is modelled as
+A group element has one form, its raw array: a (2, 2) complex128 matrix in
+SL(2,C), a (4,) unit quaternion in SU(2), a (2, 4) left and right pair of
+them in SU(2)xSU(2).  The algebra of infinitesimal isometries is modelled as
 so(3) + R^3 with a curvature tag; rotations are stored by axis vector so that
 antisymmetry is exact.  The matrix Lie algebras sl2(C) (over C) and su(2)
 (over R) are a separate type used for cocycle coefficients; the two pictures
 are only converted where a formula demands it.  SU(2)xSU(2) has no
 coefficient algebra of its own: its so(4) = su(2) + su(2) cohomology is the
 sum of two SU(2) ones, solved per factor after `words.split_representation`.
-Each group has one product, inverse and exponential, on raw arrays, of
-which element `mul`, `inv` and `exp_algebra` are views.  Ad is in closed
-form; g v g^-1 letter by letter is the reference in tests/cocycle_reference.py.
+Each group has one product, inverse and exponential on raw arrays, and
+group membership is checked where an array enters (`_det_rule`, `_norm_rule`,
+`su2_quaternion`).  Ad is in closed form; g v g^-1 letter by letter is the
+reference in tests/cocycle_reference.py.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -241,9 +243,9 @@ def _norm_rule(q: np.ndarray, derived: bool = False) -> np.ndarray:
 
 def raw_product(group: str, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The product of raw arrays p and g of an SL2C or SU2 group, under the
-    rule for a derived array; element `mul` is a view of it.  Run it under
-    `np.errstate(over="ignore", invalid="ignore")`, as `mul` and
-    `words.prefix_walk` do: an overflow is refused here, not warned about."""
+    rule for a derived array.  Run it under
+    `np.errstate(over="ignore", invalid="ignore")`, as `words.prefix_walk`
+    does: an overflow is refused here, not warned about."""
     if group == SL2C:
         return _det_rule(p @ g, derived=True)
     # Python floats round exactly as numpy float64 scalars, in a fraction of the time.
@@ -280,94 +282,11 @@ def exp_raw(group: str, coords) -> np.ndarray:
 
 
 def identity_distance(group: str, raw: np.ndarray) -> float:
-    """`dist_to_identity` of the SL2C matrix or SU2 quaternion `raw`."""
-    return float(np.linalg.norm((raw if group == SL2C else _su2_matrix(raw)) - _ID2))
-
-
-@dataclass(frozen=True, eq=False)
-class Sl2cElement:
-    """Element of SL(2,C); determinant is re-normalized on construction.
-    `derived=True` marks a product or an inverse of elements, which is
-    refused only when it is not finite (see `_det_rule`)."""
-
-    mat: np.ndarray
-
-    def __init__(self, mat, derived: bool = False):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (2, 2):
-            raise DomainError(f"expected 2x2 matrix, got shape {mat.shape}")
-        object.__setattr__(self, "mat", _frozen(_det_rule(mat, derived)))
-
-    @classmethod
-    def identity(cls) -> "Sl2cElement":
-        return cls(_ID2)
-
-    def mul(self, other: "Sl2cElement") -> "Sl2cElement":
-        with np.errstate(over="ignore", invalid="ignore"):
-            return Sl2cElement(raw_product(SL2C, self.mat, other.mat), derived=True)
-
-    def inv(self) -> "Sl2cElement":
-        return Sl2cElement(raw_inverse(SL2C, self.mat), derived=True)
-
-    def trace(self) -> complex:
-        return complex(self.mat[0, 0] + self.mat[1, 1])
-
-    def dist_to_identity(self) -> float:
-        return identity_distance(SL2C, self.mat)
-
-    def dist(self, other: "Sl2cElement") -> float:
-        return float(np.linalg.norm(self.mat - other.mat))
-
-
-@dataclass(frozen=True, eq=False)
-class Su2Element:
-    """Element of SU(2) stored as a unit quaternion a + bi + cj + dk."""
-
-    q: np.ndarray
-
-    def __init__(self, q, derived: bool = False):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (4,):
-            raise DomainError(f"expected quaternion of shape (4,), got {q.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            object.__setattr__(self, "q", _frozen(_norm_rule(q, derived)))
-
-    @classmethod
-    def identity(cls) -> "Su2Element":
-        return cls(np.array([1.0, 0.0, 0.0, 0.0]))
-
-    @classmethod
-    def from_matrix(cls, mat) -> "Su2Element":
-        """Inverse of the a + bj -> [[a, b], [-conj(b), conj(a)]] embedding."""
-        return cls(su2_quaternion(mat))
-
-    @property
-    def mat(self) -> np.ndarray:
-        return _su2_matrix(self.q)
-
-    def mul(self, other: "Su2Element") -> "Su2Element":
-        with np.errstate(over="ignore", invalid="ignore"):
-            return Su2Element(raw_product(SU2, self.q, other.q), derived=True)
-
-    def inv(self) -> "Su2Element":
-        return Su2Element(raw_inverse(SU2, self.q), derived=True)
-
-    def trace(self) -> float:
-        return 2.0 * float(self.q[0])
-
-    def dist_to_identity(self) -> float:
-        return identity_distance(SU2, self.q)
-
-    def dist(self, other: "Su2Element") -> float:
-        return float(np.linalg.norm(self.mat - other.mat))
-
-    def rotation_axis_angle(self) -> tuple[np.ndarray, float]:
-        """Unit axis and angle in [0, pi] of the quaternion, q = cos + sin*axis."""
-        v = self.q[1:]
-        s = float(np.linalg.norm(v))
-        if s < TOL_GROUP:
-            raise DegenerateElement("no axis at +/- identity")
-        return v / s, math.atan2(s, float(self.q[0]))
+    """Frobenius distance of the SL2C matrix or SU2 quaternion `raw` from
+    the identity, as 2x2 matrices; inf, with no numpy warning, when its
+    square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm((raw if group == SL2C else _su2_matrix(raw)) - _ID2))
 
 
 def su2_quaternion(mat) -> np.ndarray:
@@ -394,32 +313,6 @@ def _su2_matrix(q: np.ndarray) -> np.ndarray:
     a = q[0] + 1j * q[1]
     b = q[2] + 1j * q[3]
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
-
-
-@dataclass(frozen=True)
-class Su2PairElement:
-    """Element of SU(2) x SU(2) with componentwise group law."""
-
-    left: Su2Element
-    right: Su2Element
-
-    def mul(self, other: "Su2PairElement") -> "Su2PairElement":
-        return Su2PairElement(self.left.mul(other.left), self.right.mul(other.right))
-
-    def inv(self) -> "Su2PairElement":
-        return Su2PairElement(self.left.inv(), self.right.inv())
-
-    def trace(self) -> tuple[float, float]:
-        return (self.left.trace(), self.right.trace())
-
-    def dist_to_identity(self) -> float:
-        return math.hypot(self.left.dist_to_identity(), self.right.dist_to_identity())
-
-    def dist(self, other: "Su2PairElement") -> float:
-        return math.hypot(self.left.dist(other.left), self.right.dist(other.right))
-
-
-GroupElement = Sl2cElement | Su2Element | Su2PairElement
 
 
 # ---------------------------------------------------------------------------
@@ -562,15 +455,10 @@ def adjoint_stack(group: str, raw: np.ndarray) -> np.ndarray:
 
 
 def matrix_stack(group: str, raw: np.ndarray) -> np.ndarray:
-    """The (L, 2, 2) matrices of a stack of raw SL2C or SU2 elements, entry
-    for entry what `mat` gives one element at a time."""
+    """The (L, 2, 2) matrices of a stack of raw SL2C or SU2 elements: the
+    matrices themselves, or a + bj -> [[a, b], [-conj(b), conj(a)]] of each
+    quaternion."""
     return raw if group == SL2C else np.ascontiguousarray(_su2_matrix(raw.T).transpose(2, 0, 1))
-
-
-def exp_algebra(v: AlgebraVector) -> GroupElement:
-    """Exponential of a coefficient algebra vector into its group; see `exp_raw`."""
-    raw = exp_raw(v.group, v.coords())
-    return Sl2cElement(raw) if v.group == SL2C else Su2Element(raw)
 
 
 # A diagonal entry of exp(m) formed next to one of modulus X loses about
@@ -616,14 +504,14 @@ def _exp_traceless(m: np.ndarray) -> np.ndarray:
 # complex length and standard deformation directions
 
 
-def complex_length_sl2c(g: Sl2cElement) -> complex:
-    """Complex length L with tr g = +/- 2 cosh(L/2).
+def complex_length_sl2c(raw: np.ndarray) -> complex:
+    """Complex length L with tr g = +/- 2 cosh(L/2) of the raw SL2C matrix g.
 
     Branch: Im L in [0, pi]; ties at Im in {0, pi} resolved by Re L >= 0.
     """
-    t = g.trace()
+    t = complex(raw[0, 0] + raw[1, 1])
     if abs(t - 2.0) <= TOL_GROUP or abs(t + 2.0) <= TOL_GROUP:
-        if g.dist_to_identity() <= TOL_GROUP or Sl2cElement(-g.mat).dist_to_identity() <= TOL_GROUP:
+        if min(identity_distance(SL2C, raw), identity_distance(SL2C, -raw)) <= TOL_GROUP:
             raise DegenerateElement("complex length undefined at +/- identity")
         raise NotSemisimple(f"parabolic element (trace {t})")
     lam = (t + cmath.sqrt(t * t - 4.0)) / 2.0
@@ -651,8 +539,18 @@ def _normalize_complex_length(ell: complex) -> complex:
     return inside[0]
 
 
-def complex_length_su2pair(g: Su2PairElement) -> tuple[float, float]:
-    """Translation lengths (L1, L2) along the invariant pair of axes.
+def _axis_angle(q: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit axis and angle in [0, pi] of the quaternion, q = cos + sin*axis."""
+    v = q[1:]
+    s = float(np.linalg.norm(v))
+    if s < TOL_GROUP:
+        raise DegenerateElement("no axis at +/- identity")
+    return v / s, math.atan2(s, float(q[0]))
+
+
+def complex_length_su2pair(raw_pair: np.ndarray) -> tuple[float, float]:
+    """Translation lengths (L1, L2) along the invariant pair of axes of the
+    raw SU2xSU2 pair, a (2, 4) stack of the left and right quaternions.
 
     tr left = +/- 2 cos((L1+L2)/2) and tr right = +/- 2 cos((-L1+L2)/2) with
     a common sign (the windowed representative may differ from the raw angle
@@ -661,8 +559,8 @@ def complex_length_su2pair(g: Su2PairElement) -> tuple[float, float]:
     in [0, pi] from the traces.  Normalization: L2 in [0, 2pi), L1 in
     (-pi, pi], and L1 >= 0 when L2 = 0.
     """
-    axis_l, x = g.left.rotation_axis_angle()
-    axis_r, y = g.right.rotation_axis_angle()
+    axis_l, x = _axis_angle(raw_pair[0])
+    axis_r, y = _axis_angle(raw_pair[1])
     dot = float(axis_l @ axis_r)
     if dot < -(1.0 - 1e-9):
         y = -y

@@ -9,9 +9,9 @@ images are objects {"left": ..., "right": ...} of two SU(2) images.
 
 Each image is read once, to its raw array: every [re, im] pair and
 quaternion goes through one reader (`_numbers`) that refuses it at its own
-JSON pointer, and the array is checked by the rules of the element
-constructors, whose domain errors are reported at the image's pointer
-(`_built`); no element object is built.  The generators are checked first,
+JSON pointer, and the array is checked by the group membership rules of
+`liecore` (`_det_rule`, `_norm_rule`, `su2_quaternion`), whose domain errors
+are reported at the image's pointer (`_built`).  The generators are checked first,
 at /generators; then every word is parsed once, at its own pointer:
 /relators/<k>, /meridians/<k>/word and /boundary/<c>/generator_words/<j>,
 after its component's genus and word count are checked at /boundary/<c>.
@@ -132,7 +132,7 @@ def _matrix(value, path: str) -> np.ndarray:
 
 
 def _parse_image(value, group: str, path: str) -> np.ndarray:
-    """One image's raw array, by the element constructors' rules: a 2x2 matrix for
+    """One image's raw array, by the group membership rules: a 2x2 matrix for
     SL2C; a quaternion, or one off a 2x2 matrix, for SU2; a left and a right one for SU2xSU2."""
     if group == SU2XSU2:
         pair = isinstance(value, dict) and set(value) == {"left", "right"}

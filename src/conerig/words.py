@@ -6,10 +6,10 @@ never free-reduces, so word identity stays traceable in reports.
 
 Every word is evaluated by one prefix walk (`prefix_walk`): p_0 = 1 and
 p_t = p_{t-1} g_t on raw arrays, a 2x2 complex matrix for SL(2,C) and a unit
-quaternion for SU(2), by `liecore.raw_product`, of which element `mul` is a
-view.  A representation holds its images once, as the stack of those arrays
-(`Representation.raw`); an SU(2)xSU(2) one is walked per factor, on views of
-its stack.  No element object is built between a manifest and a report.
+quaternion for SU(2), by `liecore.raw_product`.  A representation holds its
+images once, as the stack of those arrays (`Representation.raw`); an
+SU(2)xSU(2) one is walked per factor, on views of its stack.  Every image,
+product and prefix is such an array; there is no other element form.
 
 Cocycles are evaluated only by the Fox pass (`fox_derivatives`): it takes
 the Ad matrices of all its prefixes in one stacked closed form
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +37,6 @@ from .liecore import (
     SL2C,
     SU2,
     SU2XSU2,
-    GroupElement,
-    Sl2cElement,
-    Su2Element,
-    Su2PairElement,
     adjoint_stack,
     coefficient_field,
     exp_raw,
@@ -127,12 +122,9 @@ class Presentation:
         return cls(gens, rel_words, tuple(relators), mers)
 
 
-def _element(group: str, raw: np.ndarray) -> GroupElement:
-    """The element of a raw SL2C matrix or SU2 quaternion, a product of images."""
-    return Sl2cElement(raw, derived=True) if group == SL2C else Su2Element(raw, derived=True)
-
-
 _IDENTITY = {SL2C: np.eye(2, dtype=complex), SU2: np.array([1.0, 0.0, 0.0, 0.0])}
+for _one in _IDENTITY.values():  # the walk of the identity word hands it out
+    _one.flags.writeable = False
 _IMAGE = {SL2C: ((2, 2), "complex128"), SU2: ((4,), "float64"), SU2XSU2: ((2, 4), "float64")}
 
 
@@ -141,9 +133,9 @@ class Representation:
     """The generators' images as one read-only stack `raw`: (n, 2, 2) complex
     matrices for SL2C, (n, 4) quaternions for SU2, (n, 2, 4) left and right
     quaternions for SU2xSU2, whose SU2 `factors` hold views of it.  SL2C and
-    SU2 stack `raw_inverses` too.  Group membership is checked where a stack
-    is read (`manifest`) or its elements are built (`from_images`); `images`
-    are element views of `raw`, built on first use."""
+    SU2 stack `raw_inverses` too.  Group membership is checked where an
+    image is read (`manifest`) or made (`liecore.exp_raw`); here only the
+    shape, dtype and finiteness of the stack."""
 
     group: str
     raw: np.ndarray
@@ -167,22 +159,6 @@ class Representation:
             inverses.flags.writeable = False
             object.__setattr__(self, "raw_inverses", inverses)
 
-    @classmethod
-    def from_images(cls, group: str, images) -> "Representation":
-        """The representation with these element objects as images."""
-        element = {SL2C: Sl2cElement, SU2: Su2Element, SU2XSU2: Su2PairElement}.get(group)
-        if stray := [g for g in images if type(g) is not element]:
-            raise DomainError(f"image {stray[0]!r} does not live in {group}")
-        if group == SU2XSU2:
-            return cls(group, np.array([(g.left.q, g.right.q) for g in images]))
-        return cls(group, np.array([g.q if group == SU2 else g.mat for g in images]))
-
-    @cached_property
-    def images(self) -> tuple[GroupElement, ...]:
-        if self.group == SU2XSU2:
-            return tuple(map(Su2PairElement, *(f.images for f in self.factors)))
-        return tuple(_element(self.group, g) for g in self.raw)
-
 
 def prefix_walk(rho: Representation, word: Word, where: str = "word") -> list[np.ndarray]:
     """Raw prefixes p_0 = 1, p_t = p_{t-1} g_t of the image of a word, one
@@ -204,24 +180,30 @@ def prefix_walk(rho: Representation, word: Word, where: str = "word") -> list[np
     return prefixes
 
 
-def evaluate(rho: Representation, word: Word, where: str = "word") -> GroupElement:
-    """Product of generator images along the word; identity word maps to id.
-    An overflow is refused at `where`, the word's JSON pointer."""
+def evaluate(rho: Representation, word: Word, where: str = "word") -> np.ndarray:
+    """The raw product of generator images along the word, the last prefix
+    of its walk; the identity word maps to the identity.  For SU2xSU2, the
+    (2, 4) stack of its factors' products.  An overflow is refused at
+    `where`, the word's JSON pointer."""
     if rho.group == SU2XSU2:
-        return Su2PairElement(*(evaluate(f, word, where) for f in rho.factors))
-    return _element(rho.group, prefix_walk(rho, word, where)[-1])
+        return np.array([evaluate(f, word, where) for f in rho.factors])
+    return prefix_walk(rho, word, where)[-1]
 
 
 def relator_distances(rho: Representation, pres: Presentation, finals=None) -> list[float]:
-    """`dist_to_identity` of each relator's free reduction, read off its walk
-    or `finals`, the last prefixes a Fox pass gave; for a pair, the hypot."""
+    """`identity_distance` of each relator's free reduction, read off its walk
+    or `finals`, the last prefixes a Fox pass gave; for a pair, the hypot.
+    A distance that overflows is refused at its relator's JSON pointer."""
     if rho.group == SU2XSU2:
         left, right = (relator_distances(f, pres) for f in rho.factors)
         return [math.hypot(x, y) for x, y in zip(left, right)]
     if finals is None:
         rels = enumerate(pres.relators)
         finals = [prefix_walk(rho, free_reduce(r), f"/relators/{k}")[-1] for k, r in rels]
-    return [identity_distance(rho.group, p) for p in finals]
+    dists = [identity_distance(rho.group, p) for p in finals]
+    if math.inf in dists:
+        raise DomainError(f"/relators/{dists.index(math.inf)}: relator residual overflows")
+    return dists
 
 
 def relator_residual(rho: Representation, pres: Presentation) -> float:

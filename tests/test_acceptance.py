@@ -67,8 +67,8 @@ def test_02_torus_trace_differentials_analytic_and_fd():
     rho, pres, _ = load("torus.json")
     alpha = pres.meridians[0].cone_angle
     mu = pres.meridians[0].word
-    xi = rho.images[1].mat[0, 0]
-    ell = complex_length_sl2c(rho.images[0])
+    xi = rho.raw[1][0, 0]
+    ell = complex_length_sl2c(rho.raw[0])
     cocs = standard_torus_cocycles("SL2C", alpha, ell.imag, ell.real)
 
     dt_ang = trace_differential(rho, cocs["ang"], mu)
@@ -85,8 +85,8 @@ def test_02_torus_trace_differentials_analytic_and_fd():
     # central-difference oracle along rho_t = exp(t z) rho
     h = 1e-5
     for name, dt in (("ang", dt_ang), ("shr", dt_shr), ("tws", dt_tws), ("len", dt_len)):
-        plus = evaluate(deform(rho, cocs[name], h), mu).trace()
-        minus = evaluate(deform(rho, cocs[name], -h), mu).trace()
+        plus = np.trace(evaluate(deform(rho, cocs[name], h), mu))
+        minus = np.trace(evaluate(deform(rho, cocs[name], -h), mu))
         fd = (plus - minus) / (2 * h)
         ok = ok and abs(fd - dt) < 1e-6
     _report(2, ok, "torus trace differentials match closed forms and FD oracle")
@@ -96,7 +96,7 @@ def test_03_spherical_torus_pair_differentials():
     rho, pres, _ = load("spherical-torus.json")
     alpha = pres.meridians[0].cone_angle
     mu = pres.meridians[0].word
-    xi = rho.images[1].left.mat[0, 0]
+    xi = complex(*rho.raw[1, 0, :2])  # the (0, 0) entry a of the left quaternion a + bj
     cocs = standard_torus_cocycles("SU2xSU2", alpha, 0.0, 1.0)
     left, right = split_representation(rho)
     dT_ang = [trace_differential(f, z, mu) for f, z in zip((left, right), cocs["ang"])]

@@ -80,6 +80,7 @@ REFUSALS = [
     ("torus.json", "/holonomy/a/1/1", [0.6, 0.0]),
     ("torus.json", "/holonomy/a/0/0", [1e200, 0.0]),
     ("torus.json", "/holonomy/a", [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]),
+    ("torus.json", "/holonomy/a/0/1", [1e200, 0.0]),
     ("torus.json", "/holonomy/b/1", [[0.0, 0.0]]),
     ("genus2-su2.json", "/holonomy/a", [1.0, 1.0, 0.0, 0.0]),
     ("genus2-su2.json", "/holonomy/a", [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),

@@ -11,23 +11,28 @@ from conerig.errors import (
     NotSemisimple,
 )
 from conerig.liecore import (
+    SL2C,
+    SU2,
+    SU2XSU2,
     AlgebraVector,
     IsomAlgebraElement,
-    Sl2cElement,
-    Su2Element,
-    Su2PairElement,
+    _det_rule,
+    _norm_rule,
     ad_matrix,
     algebra_basis,
     bracket,
     complex_length_sl2c,
     complex_length_su2pair,
-    exp_algebra,
+    exp_raw,
+    identity_distance,
     killing_form,
+    raw_inverse,
     sigma_fields,
     sn_cs_ct,
+    su2_quaternion,
 )
 
-from cocycle_reference import ad_action
+from cocycle_reference import ad_action, dist, element_matrix, mul
 
 RNG = np.random.default_rng(42)
 
@@ -45,17 +50,31 @@ def normal_coords(group, rng):
 
 
 def random_sl2c(rng=RNG):
-    v = AlgebraVector.from_coords("SL2C", normal_coords("SL2C", rng) / math.sqrt(6.0))
-    return exp_algebra(v)
+    return exp_raw(SL2C, normal_coords(SL2C, rng) / math.sqrt(6.0))
 
 
 def random_su2(rng=RNG):
     q = rng.standard_normal(4)
-    return Su2Element(q / np.linalg.norm(q))
+    return _norm_rule(q / np.linalg.norm(q))
 
 
 def random_pair(rng=RNG):
-    return Su2PairElement(random_su2(rng), random_su2(rng))
+    return np.array([random_su2(rng), random_su2(rng)])
+
+
+def su2_of(mat):
+    """The raw quaternion of an SU(2) matrix, as the loader reads it."""
+    return _norm_rule(su2_quaternion(mat))
+
+
+def inv(group, g):
+    return raw_inverse(SU2 if group == SU2XSU2 else group, g)
+
+
+def dist_to_identity(group, g):
+    if group == SU2XSU2:
+        return math.hypot(identity_distance(SU2, g[0]), identity_distance(SU2, g[1]))
+    return identity_distance(group, g)
 
 
 class TestSnCsCt:
@@ -197,115 +216,123 @@ class TestAdMatrix:
 class TestGroupElements:
     def test_group_axioms(self):
         rng = np.random.default_rng(99)
-        makers = [random_sl2c, random_su2, random_pair]
-        for make in makers:
+        makers = [(SL2C, random_sl2c), (SU2, random_su2), (SU2XSU2, random_pair)]
+        for group, make in makers:
             for _ in range(1000):
                 g, h, k = make(rng), make(rng), make(rng)
-                assert g.mul(h).mul(k).dist(g.mul(h.mul(k))) < 1e-13
-                assert g.mul(g.inv()).dist_to_identity() < 1e-13
-                assert g.inv().inv().dist(g) < 1e-13
+                assert dist(mul(group, mul(group, g, h), k), mul(group, g, mul(group, h, k))) < 1e-13
+                assert dist_to_identity(group, mul(group, g, inv(group, g))) < 1e-13
+                assert dist(inv(group, inv(group, g)), g) < 1e-13
 
     def test_su2_matrix_isomorphism(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             g, h = random_su2(rng), random_su2(rng)
-            assert np.linalg.norm(g.mul(h).mat - g.mat @ h.mat) < 1e-14
-        i_mat = Su2Element(np.array([0.0, 1.0, 0.0, 0.0])).mat
+            product = element_matrix(mul(SU2, g, h))
+            assert np.linalg.norm(product - element_matrix(g) @ element_matrix(h)) < 1e-14
+        i_mat = element_matrix(np.array([0.0, 1.0, 0.0, 0.0]))
         assert np.allclose(i_mat, np.diag([1j, -1j]))
-        j_mat = Su2Element(np.array([0.0, 0.0, 1.0, 0.0])).mat
+        j_mat = element_matrix(np.array([0.0, 0.0, 1.0, 0.0]))
         assert np.allclose(j_mat, np.array([[0, 1], [-1, 0]]))
-        k_mat = Su2Element(np.array([0.0, 0.0, 0.0, 1.0])).mat
+        k_mat = element_matrix(np.array([0.0, 0.0, 0.0, 1.0]))
         assert np.allclose(k_mat, np.array([[0, 1j], [1j, 0]]))
 
     def test_membership_rejection(self):
         with pytest.raises(DomainError):
-            Sl2cElement(np.diag([1.001, 1.0]))
+            _det_rule(np.diag([1.001, 1.0]).astype(complex))
         with pytest.raises(DomainError):
-            Su2Element(np.array([1.0, 0.1, 0.0, 0.0]))
+            _norm_rule(np.array([1.0, 0.1, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            su2_quaternion(np.diag([1.001, 1.0 / 1.001]))
 
     def test_membership_reprojection(self):
-        g = Sl2cElement((1.0 + 3e-11) * np.eye(2))
-        det = np.linalg.det(g.mat)
+        g = _det_rule((1.0 + 3e-11) * np.eye(2, dtype=complex))
+        det = np.linalg.det(g)
         assert abs(det - 1.0) < 1e-15
+        q = _norm_rule((1.0 + 3e-11) * np.array([0.6, 0.0, 0.8, 0.0]))
+        assert abs(q @ q - 1.0) < 1e-15
 
-    def test_exp_algebra_inverse(self):
-        for group in ("SL2C", "SU2"):
+    def test_exp_raw_inverse(self):
+        for group in (SL2C, SU2):
             for e in algebra_basis(group):
-                g = exp_algebra(e.scaled(0.37))
-                gi = exp_algebra(e.scaled(-0.37))
-                assert g.mul(gi).dist_to_identity() < 1e-13
+                g = exp_raw(group, e.scaled(0.37).coords())
+                gi = exp_raw(group, e.scaled(-0.37).coords())
+                assert dist_to_identity(group, mul(group, g, gi)) < 1e-13
 
 
 class TestComplexLengthSl2c:
     def test_pure_rotation(self):
-        g = Sl2cElement(np.diag([cmath.exp(1j * math.pi / 4), cmath.exp(-1j * math.pi / 4)]))
+        g = np.diag([cmath.exp(1j * math.pi / 4), cmath.exp(-1j * math.pi / 4)])
         assert complex_length_sl2c(g) == pytest.approx(1j * math.pi / 2, abs=1e-12)
 
     def test_pure_translation(self):
-        g = Sl2cElement(np.diag([math.exp(0.3), math.exp(-0.3)]))
+        g = np.diag([math.exp(0.3), math.exp(-0.3)]).astype(complex)
         assert complex_length_sl2c(g) == pytest.approx(0.6, abs=1e-12)
 
     def test_conjugation_invariance_and_trace(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             g = random_sl2c(rng)
-            if abs(abs(g.trace()) - 2.0) < 1e-3:
+            if abs(abs(np.trace(g)) - 2.0) < 1e-3:
                 continue
             h = random_sl2c(rng)
             ell = complex_length_sl2c(g)
-            ell_conj = complex_length_sl2c(h.mul(g).mul(h.inv()))
+            ell_conj = complex_length_sl2c(mul(SL2C, mul(SL2C, h, g), inv(SL2C, h)))
             assert abs(ell - ell_conj) < 1e-10
             assert min(
-                abs(g.trace() - 2.0 * cmath.cosh(ell / 2.0)),
-                abs(g.trace() + 2.0 * cmath.cosh(ell / 2.0)),
+                abs(np.trace(g) - 2.0 * cmath.cosh(ell / 2.0)),
+                abs(np.trace(g) + 2.0 * cmath.cosh(ell / 2.0)),
             ) < 1e-10
 
-    def test_parabolic_rejected(self):
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_parabolic_rejected(self, sign):
         with pytest.raises(NotSemisimple):
-            complex_length_sl2c(Sl2cElement(np.array([[1.0, 1.0], [0.0, 1.0]])))
+            complex_length_sl2c(sign * np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
     def test_identity_rejected(self):
         with pytest.raises(DegenerateElement):
-            complex_length_sl2c(Sl2cElement(np.eye(2)))
+            complex_length_sl2c(np.eye(2, dtype=complex))
         with pytest.raises(DegenerateElement):
-            complex_length_sl2c(Sl2cElement(-np.eye(2)))
+            complex_length_sl2c(-np.eye(2, dtype=complex))
+        with pytest.raises(DegenerateElement):  # within TOL_GROUP of -I
+            complex_length_sl2c(-np.eye(2, dtype=complex) + 1e-12)
 
 
 class TestComplexLengthSu2Pair:
     def test_pure_rotation(self):
         alpha = 1.1
-        g = Su2Element.from_matrix(np.diag([cmath.exp(1j * alpha / 2), cmath.exp(-1j * alpha / 2)]))
-        ell1, ell2 = complex_length_su2pair(Su2PairElement(g, g))
+        g = su2_of(np.diag([cmath.exp(1j * alpha / 2), cmath.exp(-1j * alpha / 2)]))
+        ell1, ell2 = complex_length_su2pair(np.array([g, g]))
         assert ell1 == pytest.approx(0.0, abs=1e-12)
         assert ell2 == pytest.approx(alpha, abs=1e-12)
 
     def test_pure_translation(self):
         x = 0.7
-        g = Su2Element.from_matrix(np.diag([cmath.exp(1j * x), cmath.exp(-1j * x)]))
-        ell1, ell2 = complex_length_su2pair(Su2PairElement(g, g.inv()))
+        g = su2_of(np.diag([cmath.exp(1j * x), cmath.exp(-1j * x)]))
+        ell1, ell2 = complex_length_su2pair(np.array([g, inv(SU2, g)]))
         assert ell2 == pytest.approx(0.0, abs=1e-12)
         assert ell1 == pytest.approx(2 * x, abs=1e-12)
 
     def test_axis_reversal_reads_signed_angle(self):
         # conjugating a diagonal by j inverts it: opposite axes, pure translation
         x = 0.8
-        g = Su2Element.from_matrix(np.diag([cmath.exp(1j * x), cmath.exp(-1j * x)]))
-        j = Su2Element(np.array([0.0, 0.0, 1.0, 0.0]))
-        h = j.mul(g).mul(j.inv())
-        assert h.dist(g.inv()) < 1e-14
-        ell1, ell2 = complex_length_su2pair(Su2PairElement(g, h))
+        g = su2_of(np.diag([cmath.exp(1j * x), cmath.exp(-1j * x)]))
+        j = np.array([0.0, 0.0, 1.0, 0.0])
+        h = mul(SU2, mul(SU2, j, g), inv(SU2, j))
+        assert dist(h, inv(SU2, g)) < 1e-14
+        ell1, ell2 = complex_length_su2pair(np.array([g, h]))
         assert ell2 == pytest.approx(0.0, abs=1e-12)
         assert ell1 == pytest.approx(2 * x, abs=1e-12)
 
     def test_non_coaxial_from_traces(self):
         # oblique conjugation: axes are genuinely distinct, traces decide
         x = 0.8
-        g = Su2Element.from_matrix(np.diag([cmath.exp(1j * x), cmath.exp(-1j * x)]))
+        g = su2_of(np.diag([cmath.exp(1j * x), cmath.exp(-1j * x)]))
         t = 0.3
-        c = Su2Element(np.array([math.cos(t), 0.0, math.sin(t) / math.sqrt(2), math.sin(t) / math.sqrt(2)]))
-        h = c.mul(g).mul(c.inv())
-        ell1, ell2 = complex_length_su2pair(Su2PairElement(g, h))
-        tl, tr = g.trace(), h.trace()
+        c = np.array([math.cos(t), 0.0, math.sin(t) / math.sqrt(2), math.sin(t) / math.sqrt(2)])
+        h = mul(SU2, mul(SU2, c, g), inv(SU2, c))
+        ell1, ell2 = complex_length_su2pair(np.array([g, h]))
+        tl, tr = 2.0 * g[0], 2.0 * h[0]
         assert tl == pytest.approx(2.0 * math.cos((ell1 + ell2) / 2.0), abs=1e-12)
         assert tr == pytest.approx(2.0 * math.cos((-ell1 + ell2) / 2.0), abs=1e-12)
         assert ell1 == pytest.approx(0.0, abs=1e-12)
@@ -315,16 +342,18 @@ class TestComplexLengthSu2Pair:
         rng = np.random.default_rng(23)
         for _ in range(200):
             g = random_pair(rng)
-            if min(abs(abs(t) - 2.0) for t in g.trace()) < 1e-3:
+            tl, tr = 2.0 * g[:, 0]
+            if min(abs(abs(tl) - 2.0), abs(abs(tr) - 2.0)) < 1e-3:
                 continue
             ell1, ell2 = complex_length_su2pair(g)
-            tl, tr = g.trace()
             assert tl == pytest.approx(2.0 * math.cos((ell1 + ell2) / 2.0), abs=1e-10)
             assert tr == pytest.approx(2.0 * math.cos((-ell1 + ell2) / 2.0), abs=1e-10)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateElement):
-            complex_length_su2pair(Su2PairElement(Su2Element.identity(), random_su2()))
+            complex_length_su2pair(np.array([[1.0, 0.0, 0.0, 0.0], random_su2()]))
+        with pytest.raises(DegenerateElement):
+            complex_length_su2pair(np.array([random_su2(), [-1.0, 0.0, 0.0, 0.0]]))
 
 
 class TestSigmaFields:

@@ -15,6 +15,8 @@ from conerig.manifest import (
 )
 from conerig.words import relator_residual, TOL_REP
 
+from cocycle_reference import dist
+
 FIXTURES = [
     "torus.json",
     "pants.json",
@@ -92,7 +94,7 @@ class TestLoad:
             [[-b.real, b.imag], [a.real, -a.imag]],
         ]
         man_m = manifest_from_dict(doc)
-        assert man_q.representation.images[0].dist(man_m.representation.images[0]) < 1e-12
+        assert dist(man_q.representation.raw[0], man_m.representation.raw[0]) < 1e-12
 
     def test_genus_relation_warning(self):
         # theta graph (2 trivalent vertices, 3 edges) bounds genus 2, not 3

@@ -7,15 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conerig.liecore import (
-    AlgebraVector,
+    SL2C,
     IsomAlgebraElement,
-    Su2Element,
-    Su2PairElement,
+    _norm_rule,
     bracket,
     complex_length_sl2c,
     complex_length_su2pair,
-    exp_algebra,
+    exp_raw,
     killing_form,
+    raw_inverse,
 )
 from conerig.spectral import ConePoint, circle_B_spectrum
 from conerig.words import (
@@ -24,7 +24,7 @@ from conerig.words import (
     parse_word,
 )
 
-from cocycle_reference import ad_action, extend_cocycle
+from cocycle_reference import ad_action, extend_cocycle, mul
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,23 +86,23 @@ def su2_elements(draw):
     if norm < 0.1:
         q = np.array([1.0, 0.0, 0.0, 0.0])
         norm = 1.0
-    return Su2Element(q / norm)
+    return _norm_rule(q / norm)
 
 
 @settings(max_examples=200, deadline=None)
 @given(su2_elements(), su2_elements())
 # axis angles pi/2 - 6e-16 and -pi/2: the angle sum is a tiny negative number
-@example(Su2Element(np.array([6.066396e-16, 0.0, 0.0, 1.0])), Su2Element(np.array([0.0, 0.0, 0.0, -1.0])))
+@example(_norm_rule(np.array([6.066396e-16, 0.0, 0.0, 1.0])), _norm_rule(np.array([0.0, 0.0, 0.0, -1.0])))
 def test_su2pair_length_trace_relation(left, right):
-    if min(abs(abs(2.0 * g.q[0]) - 2.0) for g in (left, right)) < 1e-6:
+    if min(abs(abs(2.0 * g[0]) - 2.0) for g in (left, right)) < 1e-6:
         return
-    ell1, ell2 = complex_length_su2pair(Su2PairElement(left, right))
+    ell1, ell2 = complex_length_su2pair(np.array([left, right]))
     # the windowed representative fixes the traces up to one common sign
     for sign in (1.0, -1.0):
-        if abs(2.0 * left.q[0] - sign * 2.0 * math.cos((ell1 + ell2) / 2.0)) < 1e-9:
+        if abs(2.0 * left[0] - sign * 2.0 * math.cos((ell1 + ell2) / 2.0)) < 1e-9:
             break
-    assert 2.0 * left.q[0] == pytest.approx(sign * 2.0 * math.cos((ell1 + ell2) / 2.0), abs=1e-9)
-    assert 2.0 * right.q[0] == pytest.approx(sign * 2.0 * math.cos((-ell1 + ell2) / 2.0), abs=1e-9)
+    assert 2.0 * left[0] == pytest.approx(sign * 2.0 * math.cos((ell1 + ell2) / 2.0), abs=1e-9)
+    assert 2.0 * right[0] == pytest.approx(sign * 2.0 * math.cos((-ell1 + ell2) / 2.0), abs=1e-9)
     assert -math.pi < ell1 <= math.pi
     assert 0.0 <= ell2 < TWO_PI
 
@@ -110,17 +110,16 @@ def test_su2pair_length_trace_relation(left, right):
 @st.composite
 def sl2c_elements(draw):
     xs = np.array([draw(finite) for _ in range(6)]) / 4.0
-    return exp_algebra(AlgebraVector.from_coords("SL2C", xs[0::2] + 1j * xs[1::2]))
+    return exp_raw(SL2C, xs[0::2] + 1j * xs[1::2])
 
 
 @settings(max_examples=200, deadline=None)
 @given(sl2c_elements(), sl2c_elements())
 def test_complex_length_conjugation_invariant(g, h):
-    if abs(abs(g.trace()) - 2.0) < 1e-4:
+    if abs(abs(np.trace(g)) - 2.0) < 1e-4:
         return
-    assert abs(
-        complex_length_sl2c(g) - complex_length_sl2c(h.mul(g).mul(h.inv()))
-    ) < 1e-9
+    conjugate = mul(SL2C, mul(SL2C, h, g), raw_inverse(SL2C, h))
+    assert abs(complex_length_sl2c(g) - complex_length_sl2c(conjugate)) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,10 +131,7 @@ def test_extend_cocycle_additivity(data):
         xs = rng.standard_normal(6 * count)
         return xs[0::2] + 1j * xs[1::2]
 
-    rho = Representation.from_images(
-        "SL2C",
-        tuple(exp_algebra(AlgebraVector.from_coords("SL2C", normal_coords(1) / 6)) for _ in range(2)),
-    )
+    rho = Representation(SL2C, np.array([exp_raw(SL2C, normal_coords(1) / 6) for _ in range(2)]))
     z = normal_coords(2)
     letters = "abAB"
     u = parse_word("".join(rng.choice(list(letters), size=rng.integers(0, 6))), ("a", "b"))

@@ -1,7 +1,7 @@
-"""Element arithmetic is a view of the raw-array arithmetic: `deform`,
-`exp_algebra` and the closed-form inverse against the element-path
-references of `cocycle_reference`, bit for bit, and a work-count guard that
-keeps `deform` on raw arrays, with no element built."""
+"""The raw-array arithmetic against the references of `cocycle_reference`,
+bit for bit: `deform`, `exp_raw` and the closed-form inverse; and a
+work-count guard that keeps `deform` at one exponential and one product per
+generator."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +13,11 @@ from conerig.liecore import (
     SU2,
     SU2XSU2,
     AlgebraVector,
-    Sl2cElement,
-    Su2Element,
     coefficient_field,
-    exp_algebra,
+    exp_raw,
     raw_inverse,
 )
+from conerig import words
 from conerig.manifest import fixture_path, load_manifest
 from conerig.words import Representation, deform, split_representation
 
@@ -38,12 +37,8 @@ STEPS = [1e-8, 1e-5, 1e-2, 0.3]
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
-def raw(g):
-    return g.q if isinstance(g, Su2Element) else g.mat
-
-
 def exp_of(group, xs):
-    return exp_algebra(AlgebraVector.from_coords(group, field_vector(group, xs)))
+    return exp_raw(group, field_vector(group, xs))
 
 
 def field_vector(group, xs):
@@ -63,16 +58,16 @@ def fixture_factors(name):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_deform_matches_the_element_path_on_fixtures(name):
+def test_deform_matches_the_reference_on_fixtures(name):
     rng = np.random.default_rng(14)
     for rho in fixture_factors(name):
         field, d = coefficient_field(rho.group)
         for _ in range(5):
-            z = rng.standard_normal(d * len(rho.images))
+            z = rng.standard_normal(d * len(rho.raw))
             if field is complex:
                 z = z + 1j * rng.standard_normal(z.shape)
             for t in STEPS:
-                assert_same_bits(deform(rho, z, t).raw, deform_reference(rho, z, t).raw)
+                assert_same_bits(deform(rho, z, t).raw, deform_reference(rho, z, t))
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,10 +77,10 @@ def test_deform_matches_the_element_path_on_fixtures(name):
     st.lists(coord, min_size=12, max_size=12),
     st.sampled_from(STEPS) | st.floats(-1.0, 1.0, allow_nan=False),
 )
-def test_deform_matches_the_element_path_on_random_coordinates(group, images, cocycle, t):
-    rho = Representation.from_images(group, tuple(exp_of(group, images[k::2]) for k in range(2)))
+def test_deform_matches_the_reference_on_random_coordinates(group, images, cocycle, t):
+    rho = Representation(group, np.array([exp_of(group, images[k::2]) for k in range(2)]))
     z = np.concatenate([field_vector(group, cocycle[k::2]) for k in range(2)])
-    assert_same_bits(deform(rho, z, t).raw, deform_reference(rho, z, t).raw)
+    assert_same_bits(deform(rho, z, t).raw, deform_reference(rho, z, t))
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,34 +89,33 @@ def test_deform_matches_the_element_path_on_random_coordinates(group, images, co
     st.lists(coord, min_size=6, max_size=6),
     st.sampled_from([1e-12, 1e-8, 1e-4, 1.0, 4.0]),
 )
-def test_exp_algebra_matches_the_matrix_exponential(group, xs, scale):
-    # both read the same `_exp_traceless`: the same element or the same refusal
-    def outcome(exp):
+def test_exp_raw_matches_the_matrix_exponential(group, xs, scale):
+    # both read the same `_exp_traceless`: the same array or the same refusal
+    def outcome(exp, *args):
         try:
-            g = exp(v)
+            g = exp(*args)
         except DomainError as exc:
             return str(exc)
-        return raw(g).dtype, raw(g).tobytes()
+        return g.dtype, g.shape, g.tobytes()
 
-    v = AlgebraVector.from_coords(group, scale * field_vector(group, xs))
-    assert outcome(exp_algebra) == outcome(exp_algebra_reference)
+    coords = scale * field_vector(group, xs)
+    v = AlgebraVector.from_coords(group, coords)
+    assert outcome(exp_raw, group, coords) == outcome(exp_algebra_reference, v)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([SL2C, SU2]), st.lists(coord, min_size=18, max_size=18))
-def test_raw_inverse_is_inv_on_one_array_and_on_a_stack(group, xs):
+def test_raw_inverse_is_the_adjugate_on_one_array_and_on_a_stack(group, xs):
     images = [exp_of(group, xs[6 * k :]) for k in range(3)]
-    stack = np.array([raw(g) for g in images])
-    inverses = raw_inverse(group, stack)
+    inverses = raw_inverse(group, np.array(images))
     for g, got in zip(images, inverses):
-        want = raw(g.inv())
-        assert_same_bits(raw_inverse(group, raw(g)), want)
-        assert_same_bits(got, want)
         if group == SL2C:
-            (a, b), (c, d) = raw(g)
-            assert_same_bits(got, np.array([[d, -b], [-c, a]]))
+            (a, b), (c, d) = g
+            want = np.array([[d, -b], [-c, a]])
         else:
-            assert_same_bits(got, raw(g) * np.array([1.0, -1.0, -1.0, -1.0]))
+            want = g * np.array([1.0, -1.0, -1.0, -1.0])
+        assert_same_bits(raw_inverse(group, g), want)
+        assert_same_bits(got, want)
 
 
 def test_deform_refuses_an_unsplit_pair():
@@ -131,22 +125,19 @@ def test_deform_refuses_an_unsplit_pair():
 
 
 @pytest.mark.parametrize("name", ["pants.json", "genus2-su2.json"])
-def test_deform_builds_no_element_and_calls_no_mul(name, monkeypatch):
+def test_deform_takes_one_exponential_and_one_product_per_generator(name, monkeypatch):
     (rho,) = fixture_factors(name)
     field, d = coefficient_field(rho.group)
     z = np.ones(d * len(rho.raw), dtype=field)
-    built = []
-    for cls in (Sl2cElement, Su2Element):
-        init = cls.__init__
+    calls = []
+    for fn in ("exp_raw", "raw_product"):
+        real = getattr(words, fn)
 
-        def counted(self, *args, _init=init, **kwargs):
-            built.append(type(self))
-            _init(self, *args, **kwargs)
+        def counted(*args, _real=real, _fn=fn):
+            calls.append(_fn)
+            return _real(*args)
 
-        def refused(self, other):
-            raise AssertionError("deform multiplies element objects")
-
-        monkeypatch.setattr(cls, "__init__", counted)
-        monkeypatch.setattr(cls, "mul", refused)
+        monkeypatch.setattr(words, fn, counted)
     deformed = deform(rho, z, 0.1)
-    assert built == [] and deformed.raw.shape == rho.raw.shape
+    assert sorted(calls) == sorted(["exp_raw", "raw_product"] * len(rho.raw))
+    assert deformed.raw.shape == rho.raw.shape

@@ -18,11 +18,9 @@ from conerig.liecore import (
     SU2,
     SU2XSU2,
     TOL_GROUP,
-    AlgebraVector,
-    Sl2cElement,
-    Su2Element,
-    Su2PairElement,
-    exp_algebra,
+    _det_rule,
+    _norm_rule,
+    exp_raw,
 )
 from conerig.manifest import fixture_path, load_manifest
 from conerig.words import (
@@ -40,6 +38,8 @@ from conerig.words import (
     split_representation,
 )
 
+from cocycle_reference import element_matrix, mul
+
 FIXTURES = [
     "torus.json",
     "pants.json",
@@ -51,9 +51,17 @@ FIXTURES = [
 ]
 
 
+def element_distance(g):
+    """Frobenius distance from the identity of the matrix of a raw element;
+    for an SU2xSU2 pair, the hypot of its factors' distances."""
+    if g.shape == (2, 4):
+        return math.hypot(element_distance(g[0]), element_distance(g[1]))
+    return float(np.linalg.norm(element_matrix(g) - np.eye(2)))
+
+
 def element_distances(rho, pres):
-    """The distances the relator check took from group-element objects."""
-    return [evaluate(rho, free_reduce(rel)).dist_to_identity() for rel in pres.relators]
+    """The distances of the relators' evaluated free reductions, one by one."""
+    return [element_distance(evaluate(rho, free_reduce(rel))) for rel in pres.relators]
 
 
 def assert_same_floats(got, want):
@@ -73,7 +81,7 @@ relator = st.text(alphabet="abcABC", max_size=30)
 
 def image(group, xs):
     vals = xs[0:6:2] + 1j * xs[1:6:2] if group == SL2C else xs[:3]
-    return exp_algebra(AlgebraVector.from_coords(group, vals))
+    return exp_raw(group, vals)
 
 
 @settings(max_examples=150, deadline=None)
@@ -85,10 +93,10 @@ def image(group, xs):
 def test_raw_distances_are_the_element_distances_on_random_words(group, coords, relators):
     xs = [np.array(c) for c in coords]
     if group == SU2XSU2:
-        images = tuple(Su2PairElement(image(SU2, x[:3]), image(SU2, x[3:6])) for x in xs)
+        images = [(image(SU2, x[:3]), image(SU2, x[3:6])) for x in xs]
     else:
-        images = tuple(image(group, x) for x in xs)
-    rho = Representation.from_images(group, images)
+        images = [image(group, x) for x in xs]
+    rho = Representation(group, np.array(images))
     pres = Presentation.from_strings("abc", relators)
     assert_same_floats(relator_distances(rho, pres), element_distances(rho, pres))
 
@@ -142,8 +150,8 @@ def test_a_pair_is_split_once(name):
     assert again[0] is left and again[1] is right
     assert checked_factors(rho, load_manifest(fixture_path(name)).presentation) == (left, right)
     assert all(f.group == SU2 for f in (left, right))
-    assert [g.left for g in rho.images] == list(left.images)
-    assert [g.right for g in rho.images] == list(right.images)
+    assert left.raw.tobytes() == rho.raw[:, 0].tobytes()
+    assert right.raw.tobytes() == rho.raw[:, 1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +175,19 @@ def old_det_rule(mat):
 def random_draws(count=300):
     rng = np.random.default_rng(0)
     for _ in range(count):
-        images = tuple(
-            exp_algebra(AlgebraVector.from_coords(SL2C, u + 1j * v))
+        images = [
+            exp_raw(SL2C, u + 1j * v)
             for u, v in ((rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.5, 1.5, 3)) for _ in range(3))
-        )
+        ]
         letters = rng.choice(list("abcABC"), rng.integers(1, 40))
-        yield Representation.from_images(SL2C, images), parse_word("".join(letters), "abc")
+        yield Representation(SL2C, np.array(images)), parse_word("".join(letters), "abc")
 
 
 def test_products_are_refused_only_when_not_finite():
     refused = 0
     for rho, word in random_draws():
         walk = prefix_walk(rho, word)
-        assert evaluate(rho, word).mat.tobytes() == walk[-1].tobytes()
+        assert evaluate(rho, word).tobytes() == walk[-1].tobytes()
         p = walk[0]
         for t, (i, e) in enumerate(word, 1):
             g = rho.raw[i] if e > 0 else rho.raw_inverses[i]
@@ -199,15 +207,15 @@ def test_an_input_whose_determinant_overflows_is_refused(entry):
     # det = 1e400 once passed as valid, and a finite det beyond the float
     # range in absolute value raised OverflowError.
     with pytest.raises(DomainError, match="determinant overflows"):
-        Sl2cElement(np.diag([entry, entry]))
+        _det_rule(np.diag([entry, entry]).astype(complex))
 
 
 def test_an_overflowing_product_is_refused_without_a_warning():
-    g = Sl2cElement(np.diag([1e160, 1e-160]))
+    rho = Representation(SL2C, _det_rule(np.diag([1e160, 1e-160]).astype(complex))[None])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="product is not finite"):
-            g.mul(g)
+        with pytest.raises(DomainError, match="aa: product is not finite"):
+            prefix_walk(rho, parse_word("aa", "a"), "aa")
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +235,10 @@ def fixture_doc(name):
 def pair_just_beyond_tolerance(tmp_path):
     """Each factor's residual is 8e-9 and within TOL_REP; their hypot is not."""
     doc = fixture_doc("spherical-torus.json")
-    turn = Su2Element([np.cos(4e-9), 0.0, np.sin(4e-9), 0.0])
+    turn = _norm_rule(np.array([np.cos(4e-9), 0.0, np.sin(4e-9), 0.0]))
     for side in ("left", "right"):
-        doc["holonomy"]["a"][side] = Su2Element(doc["holonomy"]["a"][side]).mul(turn).q.tolist()
+        q = _norm_rule(np.array(doc["holonomy"]["a"][side]))
+        doc["holonomy"]["a"][side] = mul(SU2, q, turn).tolist()
     return write(tmp_path, "pair-hypot.json", doc)
 
 
@@ -251,6 +260,13 @@ def overflowing_boundary_word(tmp_path):
     return write(tmp_path, "overflow-boundary.json", doc)
 
 
+def overflowing_relator_residual(tmp_path):
+    """Finite relator images whose distance from the identity overflows."""
+    doc = fixture_doc("torus.json")
+    doc["holonomy"]["a"][0][1] = [1e200, 0.0]
+    return write(tmp_path, "overflow-residual.json", doc)
+
+
 def run_quietly(argv, capsys):
     """`cli.run` with every warning an error; the exit code and stderr."""
     with warnings.catch_warnings():
@@ -270,6 +286,23 @@ def test_a_pair_gets_one_verdict(tmp_path, capsys, command):
 def test_an_overflowing_relator_names_its_pointer(tmp_path, capsys, command):
     code, err = run_quietly([command, overflowing_relator(tmp_path)], capsys)
     assert (code, err) == (2, "error: /relators/0: product is not finite (overflow)\n")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("validate", "relator residual overflows"),
+        ("cohomology", "Fox derivatives overflow"),
+        ("rigidity", "Fox derivatives overflow"),
+    ],
+)
+def test_an_overflowing_relator_residual_names_its_pointer(tmp_path, capsys, command, message):
+    # refused with no report, as a walk that overflows is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run([command, overflowing_relator_residual(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (2, f"error: /relators/0: {message}\n", "")
 
 
 def test_an_overflowing_meridian_names_its_pointer(tmp_path, capsys):
@@ -307,6 +340,7 @@ MANIFESTS = [
     pytest.param(lambda tmp_path, name=name: str(fixture_path(name)), id=name) for name in FIXTURES
 ] + [
     pytest.param(overflowing_relator, id="overflow-relator"),
+    pytest.param(overflowing_relator_residual, id="overflow-relator-residual"),
     pytest.param(overflowing_meridian, id="overflow-meridian"),
     pytest.param(overflowing_boundary_word, id="overflow-boundary-word"),
 ]

@@ -18,7 +18,7 @@ import conerig
 from conerig.cli import MAX_DECAY_SAMPLES, run
 from conerig.errors import DomainError, InvalidRepresentation
 from conerig.cohomology import surface_presentation
-from conerig.liecore import AlgebraVector, Sl2cElement, Su2Element
+from conerig.liecore import AlgebraVector, _det_rule, _norm_rule, su2_quaternion
 from conerig import cohomology, manifest, spectral, words
 from conerig.manifest import fixture_path, load_manifest
 from conerig.radial import MAX_GRID, MAX_QUAD_SAMPLES, RadialGrid, t_b0
@@ -54,13 +54,13 @@ class TestNonFiniteInput:
         assert "/holonomy/b:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_constructors_reject(self, bad):
+    def test_membership_rules_reject(self, bad):
         with pytest.raises(DomainError):
-            Sl2cElement(np.array([[1.0, bad], [0.0, 1.0]]))
+            _det_rule(np.array([[1.0, bad], [0.0, 1.0]], dtype=complex))
+        with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
+            _norm_rule(np.array([bad, 0.0, 0.0, 0.0]))
         with pytest.raises(DomainError):
-            Su2Element(np.array([bad, 0.0, 0.0, 0.0]))
-        with pytest.raises(DomainError):
-            Su2Element.from_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+            su2_quaternion(np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(DomainError):  # _project_traceless
             AlgebraVector("SL2C", np.array([[0.0, bad], [0.0, 0.0]]))
 

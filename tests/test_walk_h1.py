@@ -1,12 +1,10 @@
 """Differential tests of the prefix walk and the QR construction of H^1
-against what they replace: the chain of element multiplications (bit for
-bit) and the projection SVD of the Z^1 basis (the same subspace).  Work-count
-guards keep h1_basis free of per-letter objects and of SVDs wider than the
-coefficient algebra, and every CLI run free of element objects: the images
-are read to raw stacks, and `Representation.images` are views of them built
-only on first use."""
+against what they replace: the chain of products written out entry by entry
+(bit for bit) and the projection SVD of the Z^1 basis (the same subspace).
+Work-count guards keep h1_basis free of SVDs wider than the coefficient
+algebra, and every CLI run to a few representations: the images are read to
+one raw stack, which an SU(2)xSU(2) pair's factors share."""
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,12 +20,13 @@ from conerig.cohomology import (
 )
 from conerig.errors import IllConditioned
 from conerig.liecore import (
+    SL2C,
+    SU2,
     SU2XSU2,
-    AlgebraVector,
-    Sl2cElement,
-    Su2Element,
-    Su2PairElement,
-    exp_algebra,
+    _det_rule,
+    _norm_rule,
+    exp_raw,
+    su2_quaternion,
 )
 from conerig.manifest import Manifest, fixture_path, load_manifest, manifest_to_dict
 from conerig.words import (
@@ -38,6 +37,8 @@ from conerig.words import (
     prefix_walk,
     split_representation,
 )
+
+from cocycle_reference import element_matrix
 
 FIXTURES = [
     "torus.json",
@@ -56,8 +57,7 @@ def factors(rho):
 
 
 def element_quat_mul(p, q):
-    """The quaternion product on numpy float64 scalars, as the element
-    arithmetic first computed it."""
+    """The quaternion product on numpy float64 scalars."""
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
     return np.array(
@@ -70,34 +70,35 @@ def element_quat_mul(p, q):
     )
 
 
-def raw(g):
-    return g.q if isinstance(g, Su2Element) else g.mat
+def literal_inverse(group, g):
+    """The adjugate of a matrix, the conjugate of a quaternion."""
+    if group == SU2:
+        return np.array([g[0], -g[1], -g[2], -g[3]])
+    return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
 
 
 def mul_chain(rho, word):
-    """Raw prefixes of a word as a chain of element multiplications: the
-    reference for `prefix_walk`.  `mul` must still compute each product."""
-    out = Su2Element.identity() if rho.group == "SU2" else Sl2cElement.identity()
-    chain = [raw(out)]
+    """Raw prefixes of a word as a chain of products written out entry by
+    entry, each under the rule for a derived array: the reference for
+    `prefix_walk`."""
+    out = np.array([1.0, 0.0, 0.0, 0.0]) if rho.group == SU2 else np.eye(2, dtype=complex)
+    chain = [out]
     for i, e in word:
-        g = rho.images[i] if e > 0 else rho.images[i].inv()
-        if rho.group == "SU2":
-            nxt = Su2Element(element_quat_mul(out.q, g.q))
+        g = rho.raw[i] if e > 0 else literal_inverse(rho.group, rho.raw[i])
+        if rho.group == SU2:
+            out = _norm_rule(element_quat_mul(out, g), derived=True)
         else:
-            nxt = Sl2cElement(out.mat @ g.mat)
-        assert raw(out.mul(g)).tobytes() == raw(nxt).tobytes()
-        out = nxt
-        chain.append(raw(out))
+            out = _det_rule(out @ g, derived=True)
+        chain.append(out)
     return chain
 
 
-def assert_inverses_are_inv(rho):
-    """The stacked images and closed-form inverses are the arrays of the
-    elements and of `inv()`, bit for bit, and read-only."""
-    assert rho.raw.shape == rho.raw_inverses.shape == (len(rho.images), *raw(rho.images[0]).shape)
-    for g, got, got_inv in zip(rho.images, rho.raw, rho.raw_inverses):
-        want, want_inv = raw(g), raw(g.inv())
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def assert_inverses_are_literal(rho):
+    """The closed-form inverses are the adjugates (conjugates) of the
+    images, bit for bit, and both stacks are read-only."""
+    assert rho.raw.shape == rho.raw_inverses.shape
+    for g, got_inv in zip(rho.raw, rho.raw_inverses):
+        want_inv = literal_inverse(rho.group, g)
         assert got_inv.dtype == want_inv.dtype and got_inv.tobytes() == want_inv.tobytes()
     assert not rho.raw.flags.writeable and not rho.raw_inverses.flags.writeable
 
@@ -107,7 +108,7 @@ def assert_walk_is_the_chain(rho, word):
     assert len(walk) == len(chain)
     for got, want in zip(walk, chain):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert raw(evaluate(rho, word)).tobytes() == chain[-1].tobytes()
+    assert evaluate(rho, word).tobytes() == chain[-1].tobytes()
 
 
 def fixture_words(name):
@@ -119,14 +120,11 @@ def fixture_words(name):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_images_are_views_of_the_stack(name):
+def test_factors_are_read_only_views_of_the_stack(name):
     rho = load_manifest(fixture_path(name)).representation
-    for k, g in enumerate(rho.images):
-        if rho.group == SU2XSU2:
-            for side, (half, f) in enumerate(zip((g.left, g.right), rho.factors)):
-                assert half.q.tobytes() == f.raw[k].tobytes() == rho.raw[k, side].tobytes()
-        else:
-            assert raw(g).dtype == rho.raw.dtype and raw(g).tobytes() == rho.raw[k].tobytes()
+    if rho.group == SU2XSU2:
+        for side, f in enumerate(rho.factors):
+            assert f.raw.tobytes() == rho.raw[:, side].tobytes()
     stacks = [rho.raw] + [s for f in factors(rho) for s in (f.raw, f.raw_inverses)]
     assert not any(s.flags.writeable for s in stacks)
     if rho.group == SU2XSU2:
@@ -134,10 +132,10 @@ def test_images_are_views_of_the_stack(name):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_walk_matches_element_arithmetic_on_fixture_words(name):
+def test_walk_matches_the_written_out_chain_on_fixture_words(name):
     rho, words = fixture_words(name)
     for f in factors(rho):
-        assert_inverses_are_inv(f)
+        assert_inverses_are_literal(f)
         for word in words:
             assert_walk_is_the_chain(f, word)
 
@@ -152,30 +150,28 @@ letter = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
     st.lists(coord, min_size=18, max_size=18),
     st.lists(letter, max_size=12),
 )
-def test_walk_matches_element_arithmetic_on_random_words(group, coords, word):
+def test_walk_matches_the_written_out_chain_on_random_words(group, coords, word):
     xs = np.array(coords)
     vals = xs[0::2] + 1j * xs[1::2] if group == "SL2C" else xs[:9]
-    images = tuple(
-        exp_algebra(AlgebraVector.from_coords(group, vals[3 * k : 3 * k + 3])) for k in range(3)
-    )
-    assert_walk_is_the_chain(Representation.from_images(group, images), tuple(word))
+    images = np.array([exp_raw(group, vals[3 * k : 3 * k + 3]) for k in range(3)])
+    assert_walk_is_the_chain(Representation(group, images), tuple(word))
 
 
 @pytest.mark.parametrize("group", ["SL2C", "SU2"])
-def test_walk_reprojects_as_the_constructors_do(group):
-    # Images with det (|q|^2) = 1 + 9e-15 pass the constructors unchanged,
+def test_walk_reprojects_as_the_input_rules_do(group):
+    # Images with det (|q|^2) = 1 + 9e-15 pass the input rules unchanged,
     # inside the rounding allowance; their products leave it and must be
-    # re-projected exactly as `mul` re-projects them.
+    # re-projected exactly as the rule for a derived array re-projects them.
     s = np.sqrt(1.0 + 9e-15)
     if group == "SL2C":
-        images = tuple(Sl2cElement(s * np.diag([x, 1 / x])) for x in (1.2, 0.7j))
+        images = [_det_rule(s * np.diag([x, 1 / x]).astype(complex)) for x in (1.2, 0.7j)]
     else:
-        images = tuple(Su2Element(s * np.array(q)) for q in ([0.6, 0.8, 0, 0], [0, 0, 0.8, 0.6]))
-    rho = Representation.from_images(group, images)
-    assert_inverses_are_inv(rho)
+        images = [_norm_rule(s * np.array(q, dtype=float)) for q in ([0.6, 0.8, 0, 0], [0, 0, 0.8, 0.6])]
+    rho = Representation(group, np.array(images))
+    assert_inverses_are_literal(rho)
     word = ((0, 1), (1, 1), (0, -1), (1, 1))
     assert_walk_is_the_chain(rho, word)
-    a, b = (raw(g) for g in images)
+    a, b = images
     unprojected = a @ b if group == "SL2C" else element_quat_mul(a, b)
     assert prefix_walk(rho, word)[2].tobytes() != unprojected.tobytes()
 
@@ -192,7 +188,7 @@ def su2_surface(genus, rng):
     mats = []
     for _ in range(2 * genus - 2):
         q = rng.standard_normal(4)
-        mats.append(Su2Element(q / np.linalg.norm(q)).mat)
+        mats.append(element_matrix(_norm_rule(q / np.linalg.norm(q))))
     prod = np.eye(2, dtype=complex)
     for a, b in zip(mats[0::2], mats[1::2]):
         prod = prod @ a @ b @ a.conj().T @ b.conj().T
@@ -202,12 +198,12 @@ def su2_surface(genus, rng):
     m = np.sqrt(vals[0])
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     mats += [h @ np.diag([m, np.conj(m)]) @ h.conj().T, h @ w @ h.conj().T]
-    return Representation.from_images("SU2", tuple(Su2Element.from_matrix(x) for x in mats))
+    return Representation(SU2, np.array([_norm_rule(su2_quaternion(x)) for x in mats]))
 
 
 def sl2c_diagonal_surface(genus, rng):
     z = np.exp(rng.uniform(-0.5, 0.5, 2 * genus) + 1j * rng.uniform(0.3, 6.0, 2 * genus))
-    return Representation.from_images("SL2C", tuple(Sl2cElement(np.diag([x, 1.0 / x])) for x in z))
+    return Representation(SL2C, np.array([_det_rule(np.diag([x, 1.0 / x])) for x in z]))
 
 
 SURFACES = [
@@ -222,7 +218,7 @@ def surface(make, genus):
 
 
 @pytest.mark.parametrize("make,genus", SURFACES)
-def test_walk_matches_element_arithmetic_on_surface_relators(make, genus):
+def test_walk_matches_the_written_out_chain_on_surface_relators(make, genus):
     rho, pres = surface(make, genus)
     assert_walk_is_the_chain(rho, pres.relators[0])
 
@@ -292,23 +288,9 @@ def test_b1_tilted_out_of_z1(monkeypatch, angle, raises):
 # work-count guard
 
 
-def count_constructions(monkeypatch) -> Counter:
-    """Wrap the element constructors; the counter counts their calls."""
-    built = Counter()
-    for cls in (Sl2cElement, Su2Element, Su2PairElement):
-        real_init = cls.__init__
-
-        def init(self, *args, real_init=real_init, name=cls.__name__, **kwargs):
-            built[name] += 1
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", init)
-    return built
-
-
-def h1_work(monkeypatch, rho, pres):
-    """Element constructions and SVD shapes while h1_basis runs."""
-    built, shapes = count_constructions(monkeypatch), []
+def h1_svd_shapes(monkeypatch, rho, pres):
+    """The shapes of the SVDs that h1_basis takes."""
+    shapes = []
     real_svd = np.linalg.svd
 
     def svd(a, *args, **kwargs):
@@ -318,15 +300,14 @@ def h1_work(monkeypatch, rho, pres):
     monkeypatch.setattr(np.linalg, "svd", svd)
     h1_basis(rho, pres)
     monkeypatch.undo()
-    return sum(built.values()), shapes
+    return shapes
 
 
 @pytest.mark.parametrize("make", [su2_surface, sl2c_diagonal_surface])
 def test_h1_basis_work_does_not_grow_with_the_relator(monkeypatch, make):
-    small, _ = h1_work(monkeypatch, *surface(make, 2))
-    large, shapes = h1_work(monkeypatch, *surface(make, 13))
-    assert large == small == 0  # the relator is checked on its walk: no object at all
-    assert shapes and all(min(shape) <= 3 for shape in shapes)
+    small = h1_svd_shapes(monkeypatch, *surface(make, 2))
+    large = h1_svd_shapes(monkeypatch, *surface(make, 13))
+    assert small and large and all(min(shape) <= 3 for shape in small + large)
 
 
 def surface_manifest(tmp_path, make, genus):
@@ -349,30 +330,28 @@ def surface_manifest(tmp_path, make, genus):
     return path
 
 
-def cli_constructions(monkeypatch, capsys, argv, exit_code) -> Counter:
-    """Group elements (under "elements") and representations built by one
-    completed `cli.run`."""
-    built = count_constructions(monkeypatch)
+def cli_representations(monkeypatch, capsys, argv, exit_code) -> int:
+    """Representations built by one completed `cli.run`."""
+    built = []
     real_post_init = Representation.__post_init__
 
     def post_init(self):
-        built["Representation"] += 1
+        built.append(self.group)
         real_post_init(self)
 
     monkeypatch.setattr(Representation, "__post_init__", post_init)
     code = cli.run(argv)
     monkeypatch.undo()
     assert code == exit_code and capsys.readouterr().out
-    built["elements"] = built["Sl2cElement"] + built["Su2Element"] + built["Su2PairElement"]
-    return built
+    return len(built)
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology"])
 @pytest.mark.parametrize("make", [su2_surface, sl2c_diagonal_surface])
-def test_cli_builds_no_element_for_a_surface(monkeypatch, capsys, tmp_path, make, command):
-    # 26 images read to a raw stack; the relator is checked on its walk.
+def test_cli_builds_one_representation_for_a_surface(monkeypatch, capsys, tmp_path, make, command):
+    # 26 images read to one raw stack; the relator is checked on its walk.
     path = str(surface_manifest(tmp_path, make, 13))
-    assert cli_constructions(monkeypatch, capsys, [command, path], 0)["elements"] == 0
+    assert cli_representations(monkeypatch, capsys, [command, path], 0) == 1
 
 
 @pytest.mark.parametrize(
@@ -386,26 +365,11 @@ def test_cli_builds_no_element_for_a_surface(monkeypatch, capsys, tmp_path, make
         pytest.param(["cohomology", "spherical-torus.json", "--audit"], 1, 5, id="audit-spherical"),
     ],
 )
-def test_cli_builds_no_element_and_few_representations(
-    monkeypatch, capsys, argv, exit_code, most_representations
-):
+def test_cli_builds_few_representations(monkeypatch, capsys, argv, exit_code, most_representations):
     # Meridians are walked once, by the Fox pass, and give their images to
     # the +/- identity test; relators are checked on their walks.  A pair
     # holds its factors from when it is built, and the audit builds one
     # representation per factor and boundary component.
     command, name, *extra = argv
     argv = [command, str(fixture_path(name)), *extra]
-    built = cli_constructions(monkeypatch, capsys, argv, exit_code)
-    assert built["elements"] == 0 and built["Representation"] <= most_representations
-
-
-def test_no_manifest_command_builds_an_element(monkeypatch, capsys):
-    built = count_constructions(monkeypatch)
-    commands = [("validate",), ("cohomology", "--audit"), ("rigidity",), ("admissibility",)]
-    for name in FIXTURES:
-        for command, *extra in commands:
-            assert cli.run([command, str(fixture_path(name)), *extra]) in (0, 1)
-            assert capsys.readouterr().out
-    assert sum(built.values()) == 0
-    Su2PairElement(Su2Element.identity(), Su2Element.identity())  # the counter counts
-    assert built == {"Su2Element": 2, "Su2PairElement": 1}
+    assert cli_representations(monkeypatch, capsys, argv, exit_code) <= most_representations

@@ -6,12 +6,14 @@ import pytest
 
 from conerig.errors import DomainError, InvalidRepresentation, UnknownGenerator
 from conerig.liecore import (
+    SL2C,
+    SU2,
+    SU2XSU2,
     AlgebraVector,
-    Sl2cElement,
-    Su2Element,
-    Su2PairElement,
+    _det_rule,
     algebra_basis,
-    exp_algebra,
+    exp_raw,
+    identity_distance,
     sigma_fields,
 )
 from conerig.words import (
@@ -22,19 +24,17 @@ from conerig.words import (
     fox_jacobian,
     free_reduce,
     parse_word,
+    prefix_walk,
     relator_residual,
 )
 
-from cocycle_reference import ad_action, coboundary, extend_cocycle
+from cocycle_reference import ad_action, coboundary, dist, extend_cocycle, mul
 
 GENS = ("a", "b")
 
 
 def torus_rep(eta=cmath.exp(0.3 + 0.7j), xi=cmath.exp(1j * math.pi / 4)):
-    return Representation.from_images(
-        "SL2C",
-        (Sl2cElement(np.diag([eta, 1 / eta])), Sl2cElement(np.diag([xi, 1 / xi]))),
-    )
+    return Representation(SL2C, np.array([_det_rule(np.diag([x, 1 / x])) for x in (eta, xi)]))
 
 
 def torus_pres():
@@ -53,13 +53,10 @@ def random_coords(group, rng, count=1):
 def random_rep(group, n, rng):
     if group == "SU2xSU2":
         left, right = random_rep("SU2", n, rng), random_rep("SU2", n, rng)
-        return Representation.from_images(group, tuple(map(Su2PairElement, left.images, right.images)))
+        return Representation(group, np.stack([left.raw, right.raw], axis=1))
     real_dim = 6 if group == "SL2C" else 3
-    images = tuple(
-        exp_algebra(AlgebraVector.from_coords(group, random_coords(group, rng) / real_dim))
-        for _ in range(n)
-    )
-    return Representation.from_images(group, images)
+    images = [exp_raw(group, random_coords(group, rng) / real_dim) for _ in range(n)]
+    return Representation(group, np.array(images))
 
 
 class TestParseWord:
@@ -131,30 +128,26 @@ class TestRepresentationStack:
         assert rho.raw[0, 0, 0] != 5.0
         assert not rho.raw.flags.writeable and not rho.raw_inverses.flags.writeable
 
-    def test_from_images_refuses_an_image_of_another_group(self):
-        with pytest.raises(DomainError, match="does not live in SU2"):
-            Representation.from_images("SU2", torus_rep().images)
-
 
 class TestEvaluate:
     def test_commutator_at_torus_rep(self):
         rho = torus_rep()
         pres = torus_pres()
-        assert evaluate(rho, pres.relators[0]).dist_to_identity() < 1e-12
+        assert identity_distance(SL2C, evaluate(rho, pres.relators[0])) < 1e-12
 
     def test_inverse_word(self):
         rng = np.random.default_rng(1)
         rho = random_rep("SL2C", 2, rng)
         w = parse_word("abaBAb", GENS)
         inverse = tuple((i, -e) for i, e in reversed(w))
-        g = evaluate(rho, w).mul(evaluate(rho, inverse))
-        assert g.dist_to_identity() < 1e-12
+        g = mul(SL2C, evaluate(rho, w), evaluate(rho, inverse))
+        assert identity_distance(SL2C, g) < 1e-12
 
     def test_product_of_generators(self):
         rng = np.random.default_rng(2)
         rho = random_rep("SU2", 2, rng)
         g = evaluate(rho, parse_word("ab", GENS))
-        assert g.dist(rho.images[0].mul(rho.images[1])) < 1e-14
+        assert dist(g, mul(SU2, rho.raw[0], rho.raw[1])) < 1e-14
 
     def test_homomorphism_on_concatenation(self):
         rng = np.random.default_rng(3)
@@ -162,7 +155,31 @@ class TestEvaluate:
             rho = random_rep(group, 2, rng)
             u = parse_word("aBab", GENS)
             v = parse_word("bbA", GENS)
-            assert evaluate(rho, u + v).dist(evaluate(rho, u).mul(evaluate(rho, v))) < 1e-12
+            assert dist(evaluate(rho, u + v), mul(group, evaluate(rho, u), evaluate(rho, v))) < 1e-12
+
+    @pytest.mark.parametrize("group", [SL2C, SU2])
+    def test_is_the_last_prefix_of_the_walk(self, group):
+        rng = np.random.default_rng(11)
+        rho = random_rep(group, 2, rng)
+        for text in ("", "a", "aBab", "bbAAbaB"):
+            w = parse_word(text, GENS)
+            got, want = evaluate(rho, w), prefix_walk(rho, w)[-1]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_pair_is_the_stack_of_its_factor_walks(self):
+        rng = np.random.default_rng(12)
+        rho = random_rep(SU2XSU2, 2, rng)
+        for text in ("", "a", "aBab", "bbAAbaB"):
+            w = parse_word(text, GENS)
+            want = np.array([prefix_walk(f, w)[-1] for f in rho.factors])
+            got = evaluate(rho, w)
+            assert got.shape == (2, 4) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_identity_word_is_read_only(self):
+        g = evaluate(torus_rep(), ())
+        assert np.array_equal(g, np.eye(2)) and not g.flags.writeable
 
 
 class TestRelatorResidual:
@@ -171,15 +188,12 @@ class TestRelatorResidual:
 
     def test_perturbed_torus(self):
         xi = cmath.exp(1j * math.pi / 4)
-        rho = Representation.from_images(
-            "SL2C",
-            (
-                torus_rep().images[0],
-                Sl2cElement(np.diag([xi * (1 + 1e-3), 1 / (xi * (1 + 1e-3))])).mul(
-                    exp_algebra(AlgebraVector.from_coords("SL2C", [0, 1e-3, 0]))
-                ),
-            ),
+        b = mul(
+            SL2C,
+            _det_rule(np.diag([xi * (1 + 1e-3), 1 / (xi * (1 + 1e-3))])),
+            exp_raw(SL2C, np.array([0, 1e-3, 0], dtype=complex)),
         )
+        rho = Representation(SL2C, np.array([torus_rep().raw[0], b]))
         res = relator_residual(rho, torus_pres())
         assert 1e-5 < res < 1e-1
 

@@ -21,7 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from conerig.cohomology import dimension_audit, h1_basis, rigidity_test  # noqa: E402
 from conerig.manifest import load_manifest, manifest_from_dict, write_report  # noqa: E402
 from conerig.words import relator_residual  # noqa: E402
-from conerig.liecore import Su2Element  # noqa: E402
+from conerig.liecore import _norm_rule, su2_quaternion  # noqa: E402
 
 FIXTURES = ROOT / "src" / "conerig" / "fixtures"
 
@@ -70,9 +70,7 @@ def make_spherical_torus(coaxial_equal: bool) -> dict:
         eta1 = eta2 = cmath.exp(0.65j)
     else:
         eta1, eta2 = cmath.exp(0.4j), cmath.exp(0.9j)
-    left_a = Su2Element.from_matrix(su2_diag(eta1))
-    right_a = Su2Element.from_matrix(su2_diag(eta2))
-    mer = Su2Element.from_matrix(su2_diag(xi))
+    left_a, right_a, mer = (_norm_rule(su2_quaternion(su2_diag(z))) for z in (eta1, eta2, xi))
     return {
         "schema": 1,
         "curvature": 1,
@@ -81,8 +79,8 @@ def make_spherical_torus(coaxial_equal: bool) -> dict:
         "relators": ["abAB"],
         "meridians": [{"word": "b", "edge_id": 0, "cone_angle": alpha}],
         "holonomy": {
-            "a": {"left": quat_payload(left_a.q), "right": quat_payload(right_a.q)},
-            "b": {"left": quat_payload(mer.q), "right": quat_payload(mer.q)},
+            "a": {"left": quat_payload(left_a), "right": quat_payload(right_a)},
+            "b": {"left": quat_payload(mer), "right": quat_payload(mer)},
         },
         "boundary": [{"genus": 1, "generator_words": ["a", "b"]}],
         "singular_graph": {"edges": [{"id": 0, "angle": alpha}], "vertices": []},
