@@ -23,7 +23,6 @@ from .liecore import (
     SL2C,
     SU2,
     SU2XSU2,
-    AlgebraVector,
     IsomAlgebraElement,
     ad_matrix,
     bracket,

@@ -10,11 +10,11 @@ Relators are checked on their free reductions, on the walks of the Fox pass
 pass (`words.fox_derivatives`), which also gives the meridian images that the
 trace rows and the +/- identity test read, so `rigidity_test` walks each
 meridian once.
-Cocycles are field coordinates (`liecore.AlgebraVector.from_coords`,
-generator after generator), and `z0_space`, `cocycle_space`,
-`coboundary_space` and `CohomologyReport.basis_H1` are matrices over the
-field with orthonormal columns.  Reported dimensions are real, twice the
-complex ones (the column counts) for SL(2,C).
+Cocycles are field coordinates (`liecore.field_coords`, generator after
+generator), and `z0_space`, `cocycle_space`, `coboundary_space` and
+`CohomologyReport.basis_H1` are matrices over the field with orthonormal
+columns.  Reported dimensions are real, twice the complex ones (the column
+counts) for SL(2,C).
 
 H^1 is Z^1 intersected with the orthocomplement of B^1.  With Z and B the
 orthonormal bases of Z^1 and B^1 (dim B^1 <= 3), C = Z^H B is small, and
@@ -34,10 +34,12 @@ import numpy as np
 
 from .errors import DomainError, IllConditioned
 from .liecore import (
-    AlgebraVector,
+    SL2C,
+    SU2,
     SU2XSU2,
+    _frozen,
     adjoint_stack,
-    algebra_basis,
+    algebra_matrix,
     coefficient_field,
     field_coords,
     matrix_stack,
@@ -212,13 +214,20 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
 # trace differentials
 
 
+# The matrices of the field basis, whose coordinates are the unit vectors.
+_FIELD_BASIS = {
+    group: _frozen([algebra_matrix(group, e) for e in np.eye(3, dtype=field)])
+    for group, field in ((SL2C, complex), (SU2, float))
+}
+
+
 def _trace_rows(rho: Representation, words, where="word {}") -> tuple[np.ndarray, np.ndarray]:
     """Row w maps a cocycle's field coordinates to tr(z(w) rho(w)): the
     covector v -> tr(v rho(w)) on the field basis times the Fox block of w.
     Also the matrices rho(w) of the freely reduced words the Fox pass walked;
     `where` names a word as in `fox_derivatives`."""
     field, d = coefficient_field(rho.group)
-    basis = np.array([e.mat for e in algebra_basis(rho.group)])
+    basis = _FIELD_BASIS[rho.group]
     fox, raw = fox_derivatives(rho, words, where)
     images = matrix_stack(rho.group, raw)
     covectors = np.einsum("kij,rji->rk", basis, images)
@@ -536,21 +545,21 @@ def standard_torus_cocycles(
     SU2xSU2 each name maps to the (left, right) pair of SU(2) cocycles, one
     per factor of `split_representation`.
     """
+    if not all(map(math.isfinite, (alpha, twist, length))):
+        raise DomainError("alpha, twist and length must be finite numbers")
 
-    def cocycles(theta: AlgebraVector, z: AlgebraVector) -> dict[str, np.ndarray]:
-        zero = AlgebraVector.zero(theta.group)
-
-        def build(long_val: AlgebraVector, mer_val: AlgebraVector) -> np.ndarray:
-            values = [zero] * n_generators
+    def cocycles(theta: np.ndarray, z: np.ndarray) -> dict[str, np.ndarray]:
+        def build(long_val: np.ndarray, mer_val: np.ndarray | float) -> np.ndarray:
+            values = np.zeros((n_generators, 3), dtype=theta.dtype)
             values[longitude_index] = long_val
             values[meridian_index] = mer_val
-            return np.concatenate([v.coords() for v in values])
+            return values.ravel()
 
         return {
-            "ang": build(theta.scaled(-twist), theta.scaled(alpha)),
-            "shr": build(z.scaled(-twist), z.scaled(alpha)),
-            "tws": build(theta.scaled(length), zero),
-            "len": build(z.scaled(length), zero),
+            "ang": build(-twist * theta, alpha * theta),
+            "shr": build(-twist * z, alpha * z),
+            "tws": build(length * theta, 0.0),
+            "len": build(length * z, 0.0),
         }
 
     sigma_theta, sigma_z = sigma_fields(group)

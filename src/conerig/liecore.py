@@ -4,11 +4,13 @@ A group element has one form, its raw array: a (2, 2) complex128 matrix in
 SL(2,C), a (4,) unit quaternion in SU(2), a (2, 4) left and right pair of
 them in SU(2)xSU(2).  The algebra of infinitesimal isometries is modelled as
 so(3) + R^3 with a curvature tag; rotations are stored by axis vector so that
-antisymmetry is exact.  The matrix Lie algebras sl2(C) (over C) and su(2)
-(over R) are a separate type used for cocycle coefficients; the two pictures
-are only converted where a formula demands it.  SU(2)xSU(2) has no
-coefficient algebra of its own: its so(4) = su(2) + su(2) cohomology is the
-sum of two SU(2) ones, solved per factor after `words.split_representation`.
+antisymmetry is exact.  Cocycle coefficients live in the matrix Lie algebras
+sl2(C) (over C) and su(2) (over R), and a vector of either has one form too:
+its 3 coordinates over the field (`field_coords`), written out as a 2x2
+matrix only where a formula demands it (`algebra_matrix`).  SU(2)xSU(2) has
+no coefficient algebra of its own: its so(4) = su(2) + su(2) cohomology is
+the sum of two SU(2) ones, solved per factor after
+`words.split_representation`.
 Each group has one product, inverse and exponential on raw arrays, and
 group membership is checked where an array enters (`_det_rule`, `_norm_rule`,
 `su2_quaternion`).  Ad is in closed form; g v g^-1 letter by letter is the
@@ -19,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,6 +118,8 @@ class IsomAlgebraElement:
         trans = np.asarray(trans, dtype=float)
         if trans.shape != (3,):
             raise DomainError(f"translation part has shape {trans.shape}")
+        _require_finite(rot, "rotation part entries must be finite numbers")
+        _require_finite(trans, "translation part entries must be finite numbers")
         object.__setattr__(self, "rot_vec", _frozen(rot))
         object.__setattr__(self, "trans", _frozen(trans))
         object.__setattr__(self, "kappa", validate_curvature(kappa))
@@ -272,7 +275,7 @@ def raw_inverse(group: str, raw: np.ndarray) -> np.ndarray:
 def exp_raw(group: str, coords) -> np.ndarray:
     """The exponential of the algebra vector with field coordinates `coords`
     as a raw SL2C matrix or SU2 quaternion, under the rule for an input."""
-    m = _exp_traceless(AlgebraVector.from_coords(group, coords).mat)
+    m = _exp_traceless(algebra_matrix(group, coords))
     if group == SL2C:
         return _det_rule(m)
     # the quaternion of a + bj -> [[a, b], [-conj(b), conj(a)]], read off both rows
@@ -320,10 +323,10 @@ def _su2_matrix(q: np.ndarray) -> np.ndarray:
 
 
 # Field and dimension over it of each coefficient Lie algebra: sl2(C) is a
-# complex Lie algebra, su(2) a real one.  Algebra vectors, cocycles and
-# subspace bases are all held in coordinates over this field (see
-# `AlgebraVector.from_coords`); a cocycle lists its generators' coordinates
-# one after another.
+# complex Lie algebra, su(2) a real one.  An algebra vector is held only as
+# its coordinates over this field (see `algebra_matrix`), and so are
+# cocycles, which list their generators' coordinates one after another, and
+# subspace bases.
 _COEFFICIENT_FIELD = {SL2C: (complex, 3), SU2: (float, 3)}
 
 
@@ -337,98 +340,31 @@ def coefficient_field(group: str) -> tuple[type, int]:
 
 
 def field_coords(group: str, vec, count: int = 1) -> np.ndarray:
-    """Checked field coordinates of `count` algebra vectors, one after another."""
+    """Checked field coordinates of `count` algebra vectors, one after another.
+    Any finite coordinates are a vector: the matrix they stand for is
+    traceless, and anti-Hermitian for su(2), by construction."""
     field, dim = coefficient_field(group)
     vec = np.asarray(vec)
     if vec.shape != (dim * count,) or (field is float and np.iscomplexobj(vec)):
         raise DomainError(f"expected {dim * count} {field.__name__} coordinates for {group}")
-    return vec.astype(field)
+    vec = vec.astype(field)
+    _require_finite(vec)
+    return vec
 
 
-def _project_traceless(m: np.ndarray, antihermitian: bool) -> np.ndarray:
-    _require_finite(m)
-    tr = m[0, 0] + m[1, 1]
-    if abs(tr) > TOL_GROUP:
-        raise DomainError(f"trace {tr} is not 0 within {TOL_GROUP}")
-    m = m - (tr / 2.0) * _ID2
-    if antihermitian:
-        defect = float(np.linalg.norm(m + np.conj(m.T)))
-        if defect > TOL_GROUP:
-            raise DomainError(f"matrix is not anti-hermitian within {TOL_GROUP}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = 0.5 * (m - np.conj(m.T))
-        _require_finite(m, "entries beyond half the float range")
-    return m
-
-
-@dataclass(frozen=True, eq=False)
-class AlgebraVector:
-    """Coefficient algebra vector: a traceless 2x2 matrix in sl2(C) or su(2)."""
-
-    group: str
-    mat: np.ndarray
-
-    def __init__(self, group: str, mat):
-        coefficient_field(group)
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (2, 2):
-            raise DomainError(f"expected a 2x2 matrix for {group}, got shape {mat.shape}")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "mat", _frozen(_project_traceless(mat, group == SU2)))
-
-    @classmethod
-    def zero(cls, group: str) -> "AlgebraVector":
-        return cls(group, np.zeros((2, 2), dtype=complex))
-
-    @classmethod
-    def from_coords(cls, group: str, vec) -> "AlgebraVector":
-        """The 3 coordinates over `coefficient_field(group)`: complex x, y, w of
-        [[x, y], [w, -x]] for sl2(C), real x, y, z of
-        [[ix, y + iz], [-y + iz, -ix]] for su(2)."""
-        x, y, t = field_coords(group, vec)
-        if group == SL2C:
-            return cls(group, np.array([[x, y], [t, -x]]))
-        return cls(group, np.array([[1j * x, y + 1j * t], [-y + 1j * t, -1j * x]]))
-
-    def coords(self) -> np.ndarray:
-        """Inverse of `from_coords`: complex for sl2(C), real for su(2)."""
-        m = self.mat
-        if self.group == SL2C:
-            return np.array([m[0, 0], m[0, 1], m[1, 0]])
-        return np.array([m[0, 0].imag, m[0, 1].real, m[0, 1].imag])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords()))
-
-    def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        self._check(other)
-        return AlgebraVector(self.group, self.mat + other.mat)
-
-    def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
-        self._check(other)
-        return AlgebraVector(self.group, self.mat - other.mat)
-
-    def __neg__(self) -> "AlgebraVector":
-        return AlgebraVector(self.group, -self.mat)
-
-    def scaled(self, c: float) -> "AlgebraVector":
-        return AlgebraVector(self.group, c * self.mat)
-
-    def _check(self, other: "AlgebraVector") -> None:
-        if self.group != other.group:
-            raise DomainError(f"group mismatch: {self.group} vs {other.group}")
-
-
-@lru_cache(maxsize=None)
-def algebra_basis(group: str) -> tuple[AlgebraVector, ...]:
-    """The basis over the coefficient field whose coordinates are the unit vectors."""
-    field, dim = coefficient_field(group)
-    return tuple(AlgebraVector.from_coords(group, e) for e in np.eye(dim, dtype=field))
+def algebra_matrix(group: str, coords) -> np.ndarray:
+    """The traceless 2x2 matrix of the 3 coordinates over
+    `coefficient_field(group)`: complex x, y, w of [[x, y], [w, -x]] for
+    sl2(C), real x, y, z of [[ix, y + iz], [-y + iz, -ix]] for su(2)."""
+    x, y, t = field_coords(group, coords)
+    if group == SL2C:
+        return np.array([[x, y], [t, -x]])
+    return np.array([[1j * x, y + 1j * t], [-y + 1j * t, -1j * x]])
 
 
 def adjoint_stack(group: str, raw: np.ndarray) -> np.ndarray:
     """Ad of a stack of raw elements in closed form, (L, 3, 3), acting on
-    `AlgebraVector.coords`.
+    field coordinates.
 
     SL(2,C): (L, 2, 2) matrices in, complex 3x3 on the coordinates (x, y, w)
     of [[x, y], [w, -x]] out.  SU(2): (L, 4) unit quaternions in, the real
@@ -509,6 +445,7 @@ def complex_length_sl2c(raw: np.ndarray) -> complex:
 
     Branch: Im L in [0, pi]; ties at Im in {0, pi} resolved by Re L >= 0.
     """
+    _require_finite(raw)
     t = complex(raw[0, 0] + raw[1, 1])
     if abs(t - 2.0) <= TOL_GROUP or abs(t + 2.0) <= TOL_GROUP:
         if min(identity_distance(SL2C, raw), identity_distance(SL2C, -raw)) <= TOL_GROUP:
@@ -559,6 +496,7 @@ def complex_length_su2pair(raw_pair: np.ndarray) -> tuple[float, float]:
     in [0, pi] from the traces.  Normalization: L2 in [0, 2pi), L1 in
     (-pi, pi], and L1 >= 0 when L2 = 0.
     """
+    _require_finite(raw_pair)
     axis_l, x = _axis_angle(raw_pair[0])
     axis_r, y = _axis_angle(raw_pair[1])
     dot = float(axis_l @ axis_r)
@@ -588,17 +526,17 @@ def _wrap_half_open(t: float) -> float:
 def sigma_fields(group: str) -> tuple:
     """Standard-position rotational and translational Killing sections.
 
-    Returns (sigma_theta, sigma_z) for the axis in standard position; these
-    are the values of the parallel sections generating rotation around and
-    translation along the axis.  For SU2xSU2 each section is a (left, right)
-    pair of su(2) vectors, sigma_theta = (h, h) and sigma_z = (h, -h) with
-    h = diag(i, -i) / 2, one per factor of `words.split_representation`.
+    Returns (sigma_theta, sigma_z) for the axis in standard position, as
+    field coordinates; these are the values of the parallel sections
+    generating rotation around and translation along the axis:
+    diag(i, -i) / 2 and diag(1, -1) / 2 in sl2(C).  For SU2xSU2 each section
+    is a (left, right) pair of su(2) vectors, sigma_theta = (h, h) and
+    sigma_z = (h, -h) with h = diag(i, -i) / 2, one per factor of
+    `words.split_representation`.
     """
-    half_i = 0.5 * np.array([[1j, 0], [0, -1j]])
     if group == SL2C:
-        half_one = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
-        return AlgebraVector(SL2C, half_i), AlgebraVector(SL2C, half_one)
+        return np.array([0.5j, 0.0, 0.0]), np.array([0.5, 0.0, 0.0], dtype=complex)
     if group == SU2XSU2:
-        h = AlgebraVector(SU2, half_i)
+        h = np.array([0.5, 0.0, 0.0])
         return (h, h), (h, -h)
     raise DomainError(f"no standard deformation sections for group {group!r}")

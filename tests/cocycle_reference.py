@@ -4,8 +4,9 @@ the library's Fox pass, closed-form Ad and raw-array arithmetic against.
 The library evaluates cocycles only through `words.fox_derivatives`; these
 functions are the definitions it replaces, one algebra vector at a time.
 Group elements are raw arrays, as in the library: a 2x2 complex matrix in
-SL(2,C), a unit quaternion in SU(2).  Their matrices are built here, apart
-from `liecore.adjoint_stack` and `liecore.matrix_stack`."""
+SL(2,C), a unit quaternion in SU(2); algebra vectors are field coordinates.
+Their matrices are built here, apart from `liecore.adjoint_stack`,
+`liecore.matrix_stack` and `liecore.algebra_matrix`."""
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from conerig.liecore import (
     SL2C,
     SU2,
     SU2XSU2,
-    AlgebraVector,
     _det_rule,
     _exp_traceless,
     _norm_rule,
@@ -26,7 +26,7 @@ from conerig.liecore import (
 )
 from conerig.words import Representation, Word, free_reduce, prefix_walk
 
-_RAW_SHAPE = {SL2C: (2, 2), SU2: (4,)}
+_GROUP_OF_SHAPE = {(2, 2): SL2C, (4,): SU2}
 
 
 def element_matrix(g: np.ndarray) -> np.ndarray:
@@ -55,34 +55,54 @@ def dist(g: np.ndarray, h: np.ndarray) -> float:
     return float(np.linalg.norm(element_matrix(g) - element_matrix(h)))
 
 
-def ad_action(g: np.ndarray, v: AlgebraVector) -> AlgebraVector:
-    """Adjoint action Ad(g) v = g v g^-1 of the raw element g of v's group."""
-    if np.shape(g) != _RAW_SHAPE[v.group]:
-        raise DomainError(f"an array of shape {np.shape(g)} is no {v.group} element")
+def coords_to_matrix(group: str, v) -> np.ndarray:
+    """The traceless 2x2 matrix of field coordinates v: [[x, y], [w, -x]] in
+    sl2(C), [[ix, y + iz], [-y + iz, -ix]] in su(2)."""
+    x, y, t = field_coords(group, v)
+    if group == SL2C:
+        return np.array([[x, y], [t, -x]])
+    return np.array([[1j * x, y + 1j * t], [-y + 1j * t, -1j * x]])
+
+
+def matrix_to_coords(group: str, m: np.ndarray) -> np.ndarray:
+    """Field coordinates of a traceless 2x2 matrix; for su(2), those of its
+    anti-Hermitian part (m - m^H) / 2."""
+    if group == SL2C:
+        return np.array([m[0, 0], m[0, 1], m[1, 0]])
+    yz = 0.5 * (m[0, 1] - np.conj(m[1, 0]))
+    return np.array([m[0, 0].imag, yz.real, yz.imag])
+
+
+def ad_action(g: np.ndarray, v) -> np.ndarray:
+    """Field coordinates of Ad(g) v = g v g^-1 for the raw SL2C matrix or SU2
+    quaternion g and the field coordinates v of an algebra vector."""
+    group = _GROUP_OF_SHAPE.get(np.shape(g))
+    if group is None:
+        raise DomainError(f"an array of shape {np.shape(g)} is no SL2C or SU2 element")
     m = element_matrix(g)
-    mi = np.conj(m.T) if v.group == SU2 else np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    conj = m @ v.mat @ mi
-    # g v g^-1 is traceless; the trace left by rounding grows like |g|^2 |v|
-    # and would fail the absolute trace check of a large conjugate.
+    mi = np.conj(m.T) if group == SU2 else np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    conj = m @ coords_to_matrix(group, v) @ mi
+    # g v g^-1 is traceless: read its diagonal as (a - d) / 2, which drops
+    # the trace that rounding leaves, growing like |g|^2 |v|.
     x = 0.5 * (conj[0, 0] - conj[1, 1])
     conj[0, 0], conj[1, 1] = x, -x
-    return AlgebraVector(v.group, conj)
+    return matrix_to_coords(group, conj)
 
 
-def _generator_values(rho: Representation, z) -> list[AlgebraVector]:
-    """The algebra vectors of a cocycle's field coordinates, one per generator."""
+def _generator_values(rho: Representation, z) -> np.ndarray:
+    """The field coordinates of a cocycle's generator values, one row each."""
     z = field_coords(rho.group, z, len(rho.raw))
-    d = coefficient_field(rho.group)[1]
-    return [AlgebraVector.from_coords(rho.group, v) for v in z.reshape(-1, d)]
+    return z.reshape(len(rho.raw), -1)
 
 
-def coboundary(rho: Representation, v: AlgebraVector) -> np.ndarray:
+def coboundary(rho: Representation, v) -> np.ndarray:
     """Field coordinates of the coboundary of v: gamma -> v - Ad(rho(gamma)) v."""
-    return np.concatenate([(v - ad_action(g, v)).coords() for g in rho.raw])
+    return np.concatenate([v - ad_action(g, v) for g in rho.raw])
 
 
-def extend_cocycle(rho: Representation, z, word: Word) -> AlgebraVector:
-    """Extend a cocycle over a word by z(uv) = z(u) + Ad(rho(u)) z(v).
+def extend_cocycle(rho: Representation, z, word: Word) -> np.ndarray:
+    """Extend a cocycle over a word by z(uv) = z(u) + Ad(rho(u)) z(v), and
+    return the field coordinates of z(word).
 
     z holds the field coordinates of the generator values, generator after
     generator, as `fox_derivatives` takes them.  Inverse letters use
@@ -93,7 +113,8 @@ def extend_cocycle(rho: Representation, z, word: Word) -> AlgebraVector:
     this is the reference for the Fox pass.
     """
     values = _generator_values(rho, z)
-    val = AlgebraVector.zero(rho.group)
+    field, d = coefficient_field(rho.group)
+    val = np.zeros(d, dtype=field)
     word = free_reduce(word)
     prefixes = prefix_walk(rho, word)
     for t, (i, e) in enumerate(word):
@@ -109,15 +130,16 @@ def deform_reference(rho: Representation, z, t: float) -> np.ndarray:
     exp(t z(gamma)) rho(gamma) through `exp_algebra_reference`."""
     values = _generator_values(rho, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        exps = [exp_algebra_reference(v.scaled(t)) for v in values]
+        exps = [exp_algebra_reference(rho.group, t * v) for v in values]
         raws = [raw_product(rho.group, x, g) for x, g in zip(exps, rho.raw)]
     return np.array(raws)
 
 
-def exp_algebra_reference(v: AlgebraVector) -> np.ndarray:
-    """`liecore.exp_raw` through the matrix exponential and, for su(2), the
-    quaternion `su2_quaternion` reads off the matrix, under the input norm rule."""
-    m = _exp_traceless(v.mat)
-    if v.group == SL2C:
+def exp_algebra_reference(group: str, v) -> np.ndarray:
+    """`liecore.exp_raw` of the field coordinates v through the matrix
+    exponential of `coords_to_matrix` and, for su(2), the quaternion
+    `su2_quaternion` reads off the matrix, under the input norm rule."""
+    m = _exp_traceless(coords_to_matrix(group, v))
+    if group == SL2C:
         return _det_rule(m)
     return _norm_rule(su2_quaternion(m))

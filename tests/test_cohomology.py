@@ -22,7 +22,6 @@ from conerig.cohomology import (
 from conerig.errors import DomainError
 from conerig.liecore import (
     SL2C,
-    AlgebraVector,
     _det_rule,
     coefficient_field,
     complex_length_sl2c,
@@ -125,7 +124,7 @@ class TestCocycleSpaces:
         rho, pres, _ = cusped
         for z in cocycle_space(rho, pres).T:
             for rel in pres.relators:
-                assert extend_cocycle(rho, z, rel).norm() < 1e-9
+                assert np.linalg.norm(extend_cocycle(rho, z, rel)) < 1e-9
 
 
 class TestH1:
@@ -200,8 +199,7 @@ class TestTraceDifferential:
         rho, pres, _ = cusped
         rng = np.random.default_rng(12)
         for _ in range(50):
-            v = AlgebraVector.from_coords("SL2C", normal_coords("SL2C", rng))
-            z = coboundary(rho, v)
+            z = coboundary(rho, normal_coords("SL2C", rng))
             for text in ("a", "ab", "bAb"):
                 w = parse_word(text, pres.generators)
                 assert abs(trace_differential(rho, z, w)) < 1e-10
@@ -293,8 +291,7 @@ class TestInvariants:
         mu = pres.meridians[0].word
         for h in rep.basis_H1.T:
             for z in (h, 1j * h):
-                values = (AlgebraVector.from_coords("SL2C", v) for v in z.reshape(-1, 3))
-                z_c = np.concatenate([ad_action(g, v).coords() for v in values])
+                z_c = np.concatenate([ad_action(g, v) for v in z.reshape(-1, 3)])
                 assert abs(
                     trace_differential(rho, z, mu) - trace_differential(rho_c, z_c, mu)
                 ) < 1e-9
@@ -352,7 +349,6 @@ class TestPairsAreSplit:
         rho, pres, _ = load("spherical-torus.json")
         calls = [
             lambda: coefficient_field("SU2xSU2"),
-            lambda: AlgebraVector("SU2xSU2", np.zeros((2, 2))),
             lambda: fox_jacobian(rho, pres),
             lambda: h1_basis(rho, pres),
         ]

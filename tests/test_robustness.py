@@ -18,7 +18,16 @@ import conerig
 from conerig.cli import MAX_DECAY_SAMPLES, run
 from conerig.errors import DomainError, InvalidRepresentation
 from conerig.cohomology import surface_presentation
-from conerig.liecore import AlgebraVector, _det_rule, _norm_rule, su2_quaternion
+from conerig.liecore import (
+    IsomAlgebraElement,
+    _det_rule,
+    _norm_rule,
+    complex_length_sl2c,
+    complex_length_su2pair,
+    exp_raw,
+    field_coords,
+    su2_quaternion,
+)
 from conerig import cohomology, manifest, spectral, words
 from conerig.manifest import fixture_path, load_manifest
 from conerig.radial import MAX_GRID, MAX_QUAD_SAMPLES, RadialGrid, t_b0
@@ -61,8 +70,33 @@ class TestNonFiniteInput:
             _norm_rule(np.array([bad, 0.0, 0.0, 0.0]))
         with pytest.raises(DomainError):
             su2_quaternion(np.array([[bad, 0.0], [0.0, 1.0]]))
-        with pytest.raises(DomainError):  # _project_traceless
-            AlgebraVector("SL2C", np.array([[0.0, bad], [0.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_algebra_coordinates_lengths_and_isometries_reject(self, bad):
+        m = load_manifest(fixture_path("torus.json"))
+        rho, mu = m.representation, m.presentation.meridians[0].word
+        z = np.zeros(6, dtype=complex)
+        z[0] = bad
+        one = np.array([1.0, 0.0, 0.0, 0.0])
+        calls = [
+            lambda: field_coords("SU2", [0.0, bad, 0.0]),
+            lambda: cohomology.trace_differential(rho, z, mu),
+            lambda: exp_raw("SL2C", z[:3]),
+            lambda: exp_raw("SU2", [0.0, 0.0, bad]),
+            lambda: words.deform(rho, z, 0.1),
+            lambda: cohomology.standard_torus_cocycles("SU2xSU2", bad, 0.0, 1.0),
+            lambda: cohomology.standard_torus_cocycles("SU2xSU2", 1.0, bad, 1.0),
+            lambda: cohomology.standard_torus_cocycles("SL2C", 1.0, 0.0, bad),
+            lambda: complex_length_sl2c(np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)),
+            lambda: complex_length_su2pair(np.array([[bad, 0.0, 0.0, 0.0], one])),
+            lambda: complex_length_su2pair(np.array([one, [0.0, 0.0, bad, 0.0]])),
+            lambda: IsomAlgebraElement([bad, 0.0, 0.0], np.zeros(3), -1),
+            lambda: IsomAlgebraElement(np.zeros(3), [0.0, 0.0, bad], 1),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="finite numbers"):
+                call()
 
     def test_residual_keeps_nan(self, monkeypatch):
         # max(0.5, nan) is 0.5: a NaN distance must not be dropped that way.

@@ -9,9 +9,7 @@ from conerig.liecore import (
     SL2C,
     SU2,
     SU2XSU2,
-    AlgebraVector,
     _det_rule,
-    algebra_basis,
     exp_raw,
     identity_distance,
     sigma_fields,
@@ -208,26 +206,26 @@ class TestExtendCocycle:
         rng = np.random.default_rng(5)
         for group in ("SL2C", "SU2"):
             rho = random_rep(group, 2, rng)
-            v = AlgebraVector.from_coords(group, random_coords(group, rng))
+            v = random_coords(group, rng)
             z = coboundary(rho, v)
             for text in ("a", "ab", "aBBa", "bAbA"):
                 w = parse_word(text, GENS)
                 expected = v - ad_action(evaluate(rho, w), v)
-                assert (extend_cocycle(rho, z, w) - expected).norm() < 1e-12
+                assert np.linalg.norm(extend_cocycle(rho, z, w) - expected) < 1e-12
 
     def test_identity_word(self):
         rng = np.random.default_rng(6)
         rho = random_rep("SU2", 2, rng)
-        z = np.concatenate([e.coords() for e in algebra_basis("SU2")[:2]])
-        assert extend_cocycle(rho, z, ()).norm() == 0.0
+        z = np.concatenate(np.eye(3)[:2])
+        assert np.linalg.norm(extend_cocycle(rho, z, ())) == 0.0
 
     def test_torus_angle_cocycle_on_meridian(self):
         alpha = math.pi / 2
         rho = torus_rep()
         s_theta, _ = sigma_fields("SL2C")
-        z = np.concatenate([AlgebraVector.zero("SL2C").coords(), s_theta.scaled(alpha).coords()])
+        z = np.concatenate([np.zeros(3, dtype=complex), alpha * s_theta])
         got = extend_cocycle(rho, z, parse_word("b", GENS))
-        assert np.allclose(got.mat, (alpha / 2) * np.diag([1j, -1j]))
+        assert np.allclose(got, [alpha / 2 * 1j, 0.0, 0.0])
 
     def test_additivity(self):
         rng = np.random.default_rng(7)
@@ -240,7 +238,7 @@ class TestExtendCocycle:
             rhs = extend_cocycle(rho, z, u) + ad_action(
                 evaluate(rho, u), extend_cocycle(rho, z, v)
             )
-            assert (lhs - rhs).norm() < 1e-12
+            assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
 class TestRelatorJacobian:
