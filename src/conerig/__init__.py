@@ -58,7 +58,6 @@ from .cohomology import (
 from .spectral import (
     AdmissibilityVerdict,
     ConePoint,
-    LinkSurface,
     SingularEdge,
     SingularVertex,
     SpectrumReport,
@@ -66,7 +65,6 @@ from .spectral import (
     circle_dirac_spectrum,
     cone_admissibility_verdict,
     link_B_spectrum,
-    link_bundle_decomposition,
 )
 from .radial import (
     FormProfile,

@@ -531,12 +531,9 @@ def standard_torus_cocycles(
     alpha: float,
     twist: float,
     length: float,
-    longitude_index: int = 0,
-    meridian_index: int = 1,
-    n_generators: int = 2,
 ) -> dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """The four deformation cocycles of a standard singular tube, as field
-    coordinates.
+    coordinates on its two generators: the longitude, then the meridian.
 
     Values on the meridian are alpha * sigma for the angle and shear
     directions and zero for twist and length; values on the longitude carry
@@ -550,9 +547,8 @@ def standard_torus_cocycles(
 
     def cocycles(theta: np.ndarray, z: np.ndarray) -> dict[str, np.ndarray]:
         def build(long_val: np.ndarray, mer_val: np.ndarray | float) -> np.ndarray:
-            values = np.zeros((n_generators, 3), dtype=theta.dtype)
-            values[longitude_index] = long_val
-            values[meridian_index] = mer_val
+            values = np.zeros((2, 3), dtype=theta.dtype)
+            values[0], values[1] = long_val, mer_val
             return values.ravel()
 
         return {

@@ -134,21 +134,28 @@ class IsomAlgebraElement:
         return cls(np.zeros(3), np.zeros(3), kappa)
 
     def norm(self) -> float:
-        return math.sqrt(float(self.rot_vec @ self.rot_vec + self.trans @ self.trans))
+        with np.errstate(over="ignore", invalid="ignore"):
+            n2 = float(self.rot_vec @ self.rot_vec + self.trans @ self.trans)
+        if not math.isfinite(n2):
+            raise DomainError("the norm overflows")
+        return math.sqrt(n2)
 
     def __add__(self, other: "IsomAlgebraElement") -> "IsomAlgebraElement":
         _check_kappa(self, other)
-        return IsomAlgebraElement(self.rot_vec + other.rot_vec, self.trans + other.trans, self.kappa)
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses inf and NaN
+            rot, trans = self.rot_vec + other.rot_vec, self.trans + other.trans
+        return IsomAlgebraElement(rot, trans, self.kappa)
 
     def __sub__(self, other: "IsomAlgebraElement") -> "IsomAlgebraElement":
-        _check_kappa(self, other)
-        return IsomAlgebraElement(self.rot_vec - other.rot_vec, self.trans - other.trans, self.kappa)
+        return self + (-other)
 
     def __neg__(self) -> "IsomAlgebraElement":
         return IsomAlgebraElement(-self.rot_vec, -self.trans, self.kappa)
 
     def scaled(self, c: float) -> "IsomAlgebraElement":
-        return IsomAlgebraElement(c * self.rot_vec, c * self.trans, self.kappa)
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses inf and NaN
+            rot, trans = c * self.rot_vec, c * self.trans
+        return IsomAlgebraElement(rot, trans, self.kappa)
 
 
 def _check_kappa(x: IsomAlgebraElement, y: IsomAlgebraElement) -> None:
@@ -165,8 +172,9 @@ def bracket(x: IsomAlgebraElement, y: IsomAlgebraElement) -> IsomAlgebraElement:
     _check_kappa(x, y)
     a, b = x.rot_vec, y.rot_vec
     X, Y = x.trans, y.trans
-    rot = np.cross(a, b) + x.kappa * np.cross(X, Y)
-    trans = np.cross(a, Y) - np.cross(b, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses inf and NaN
+        rot = np.cross(a, b) + x.kappa * np.cross(X, Y)
+        trans = np.cross(a, Y) - np.cross(b, X)
     return IsomAlgebraElement(rot, trans, x.kappa)
 
 
@@ -185,7 +193,11 @@ def ad_matrix(x: IsomAlgebraElement) -> np.ndarray:
 def killing_form(x: IsomAlgebraElement, y: IsomAlgebraElement) -> float:
     """Killing form tr(ad(x) ad(y)), computed literally from the 6x6 ads."""
     _check_kappa(x, y)
-    return float(np.trace(ad_matrix(x) @ ad_matrix(y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.trace(ad_matrix(x) @ ad_matrix(y)))
+    if not math.isfinite(value):
+        raise DomainError("the Killing form overflows")
+    return value
 
 
 # ---------------------------------------------------------------------------

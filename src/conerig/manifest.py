@@ -198,13 +198,16 @@ def manifest_from_dict(doc: dict) -> Manifest:
 
     edges: list[SingularEdge] = []
     vertices: list[SingularVertex] = []
+    angles: dict[int, float] = {}
     graph = doc.get("singular_graph")
     if graph is not None:
         _object(graph, "/singular_graph")
         for k, e in enumerate(_as_list(graph, "edges", "/singular_graph/edges")):
             p = f"/singular_graph/edges/{k}"
-            edges.append(SingularEdge(_integer(_object(e, p), "id", p), _angle(e, "angle", p)))
-        edge_ids = {e.id for e in edges}
+            edge_id = _integer(_object(e, p), "id", p)
+            _require(edge_id not in angles, f"{p}/id", f"duplicate edge id {edge_id}")
+            angles[edge_id] = _angle(e, "angle", p)
+            edges.append(SingularEdge(edge_id, angles[edge_id]))
         for k, v in enumerate(_as_list(graph, "vertices", "/singular_graph/vertices")):
             p = f"/singular_graph/vertices/{k}"
             inc = _object(v, p).get("incident")
@@ -213,10 +216,9 @@ def manifest_from_dict(doc: dict) -> Manifest:
                 f"{p}/incident",
                 "vertices are trivalent: expected 3 incident edge ids",
             )
-            unknown = [i for i in inc if i not in edge_ids]
+            unknown = [i for i in inc if i not in angles]
             _require(not unknown, f"{p}/incident", f"undeclared edge id(s) {unknown}")
             vertices.append(SingularVertex(tuple(inc)))
-    angles = {e.id: e.angle for e in edges}
     for k, m in enumerate(meridians):  # each meridian goes around a declared edge
         p = f"/meridians/{k}"
         _require(m.edge_id in angles, f"{p}/edge_id", f"undeclared edge id {m.edge_id}")

@@ -8,6 +8,10 @@ angle of each flat line bundle summand; for surface links they are expressed
 through the positive spectrum of the Laplacian on functions, for which the
 guaranteed lower bound is 1.
 
+A verdict on a singular graph reads the edge angles only: it computes one
+circle spectrum per distinct angle, which each edge's bigon link reads twice
+and each vertex's triangle link once per incident edge.
+
 Every spectrum records a witness for each of its values that lies in the
 gap, and the gap holds exactly when there is no witness.
 """
@@ -32,7 +36,6 @@ GAP_LO, GAP_HI = -0.5, 0.5
 CONTEXT_SPHERICAL = "SphericalE"
 CONTEXT_HYPERBOLIC = "HyperbolicE"
 CONTEXT_TRANSLATIONAL = "EuclideanEtrans"
-CONTEXTS = (CONTEXT_SPHERICAL, CONTEXT_HYPERBOLIC, CONTEXT_TRANSLATIONAL)
 
 # Guaranteed lower bound for the smallest positive function-Laplacian
 # eigenvalue of an admissible link; possibly not optimal.
@@ -67,49 +70,6 @@ class ConePoint:
 
 TRIANGLE = "triangle"
 BIGON = "bigon"
-SMOOTH = "smooth"
-
-
-@dataclass(frozen=True)
-class LinkSurface:
-    """Spherical link of a singular point: a triangle double, a bigon double,
-    or a smooth 2-sphere (no cone points).
-
-    Angles in (0, pi] are the geometric range for trivalent singular loci;
-    larger angles up to 2pi are accepted so that admissibility failures can
-    be witnessed instead of rejected.
-    """
-
-    kind: str
-    angles: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind == TRIANGLE:
-            if len(self.angles) != 3:
-                raise DomainError("triangle link needs three angles")
-        elif self.kind == BIGON:
-            if len(self.angles) != 2 or abs(self.angles[0] - self.angles[1]) > MERGE_TOL:
-                raise DomainError("bigon link needs two equal angles")
-        elif self.kind == SMOOTH:
-            if self.angles:
-                raise DomainError("smooth link has no cone angles")
-        else:
-            raise DomainError(f"unknown link kind {self.kind!r}")
-        for a in self.angles:
-            if not (0.0 < a <= TWO_PI):
-                raise DomainError(f"link angle must lie in (0, 2*pi], got {a}")
-
-    @classmethod
-    def triangle(cls, a: float, b: float, c: float) -> "LinkSurface":
-        return cls(TRIANGLE, (a, b, c))
-
-    @classmethod
-    def bigon(cls, a: float) -> "LinkSurface":
-        return cls(BIGON, (a, a))
-
-    @property
-    def within_model_bounds(self) -> bool:
-        return all(a <= math.pi + MERGE_TOL for a in self.angles)
 
 
 @dataclass(frozen=True)
@@ -239,37 +199,14 @@ def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
     return _finish(values, window, f"link-B(h0_dim={h0_dim})", witnesses)
 
 
-def link_bundle_decomposition(link: LinkSurface, context: str) -> list[ConePoint]:
-    """Flat-bundle data of the infinitesimal-isometry bundle at each cone point.
-
-    The restriction to a circle of length alpha splits as C(alpha) + R per
-    copy of the surface isometry bundle; the full bundle carries two copies,
-    the translational subbundle in the Euclidean case one.
-    """
-    if context not in CONTEXTS:
-        raise DomainError(f"unknown context {context!r}")
-    copies = 1 if context == CONTEXT_TRANSLATIONAL else 2
-    points = []
-    for alpha in link.angles:
-        a = alpha % TWO_PI
-        points.append(
-            ConePoint(
-                alpha=alpha,
-                holonomy_angles=(a,) * copies,
-                trivial_rank=copies,
-            )
-        )
-    return points
-
-
 @dataclass(frozen=True)
 class SingularEdge:
     id: int
     angle: float
 
     def __post_init__(self):
-        if self.angle <= 0.0:
-            raise DomainError(f"edge angle must be positive, got {self.angle}")
+        if not 0.0 < self.angle <= TWO_PI:  # also refuses NaN
+            raise DomainError(f"edge angle must lie in (0, 2*pi], got {self.angle}")
 
 
 @dataclass(frozen=True)
@@ -279,21 +216,6 @@ class SingularVertex:
     def __post_init__(self):
         if len(self.incident) != 3:
             raise DomainError("vertices of the singular graph are trivalent")
-
-
-def _link_h0_dim(link: LinkSurface, copies: int) -> int:
-    """Flat sections of the isometry bundle over the link.
-
-    A bigon link has a single rotation holonomy whose axis is invariant; a
-    triangle link has rotations about distinct axes and no invariants.
-    """
-    if link.kind == SMOOTH:
-        return 3 * copies
-    if link.kind == BIGON:
-        if link.angles[0] % TWO_PI <= MERGE_TOL:
-            return 3 * copies
-        return copies
-    return 0
 
 
 CONTEXT_OF_CURVATURE = {1: CONTEXT_SPHERICAL, -1: CONTEXT_HYPERBOLIC, 0: CONTEXT_TRANSLATIONAL}
@@ -320,34 +242,25 @@ class AdmissibilityVerdict:
     notices: tuple[str, ...]
 
 
-def _check_point(kind: str, label: str, link: LinkSurface, context: str, window: float) -> PointVerdict:
-    copies = 1 if context == CONTEXT_TRANSLATIONAL else 2
-    witnesses: list[dict] = []
-    circle_ok = True
-    circle_min_abs = []
-    for cp in link_bundle_decomposition(link, context):
-        rep = circle_B_spectrum(cp, window)
-        circle_ok = circle_ok and rep.gap_ok
-        if rep.min_abs is not None:
-            circle_min_abs.append(rep.min_abs)
-        witnesses.extend(rep.witnesses)
+def _check_point(
+    kind: str, label: str, angles: tuple[float, ...], spectra, h0: int, window: float
+) -> PointVerdict:
+    """Verdict at one point from the circle spectra at its cone points and the
+    dimension h0 of the flat sections over its link."""
+    circle_ok = all(rep.gap_ok for rep in spectra)
     # With every circle check passed the link carries an admissible
     # orthogonally flat bundle, so its first positive Laplace eigenvalue is
     # at least 1 and the surface-link spectrum stays outside the gap.
-    link_rep = link_B_spectrum(
-        [(LAMBDA1_GUARANTEED, 1)], _link_h0_dim(link, copies), window
-    )
-    link_ok = link_rep.gap_ok
-    witnesses.extend(link_rep.witnesses)
+    link_rep = link_B_spectrum([(LAMBDA1_GUARANTEED, 1)], h0, window)
     return PointVerdict(
         kind=kind,
         label=label,
-        angles=link.angles,
+        angles=angles,
         circle_gap_ok=circle_ok,
-        link_gap_ok=link_ok,
-        admissible=circle_ok and link_ok,
-        witnesses=tuple(witnesses),
-        min_abs_circle=min(circle_min_abs, default=None),
+        link_gap_ok=link_rep.gap_ok,
+        admissible=circle_ok and link_rep.gap_ok,
+        witnesses=(*(w for rep in spectra for w in rep.witnesses), *link_rep.witnesses),
+        min_abs_circle=min((rep.min_abs for rep in spectra if rep.min_abs is not None), default=None),
         min_abs_link=link_rep.min_abs,
     )
 
@@ -362,31 +275,46 @@ def cone_admissibility_verdict(
     singular graph (the translational subbundle in the Euclidean case).
 
     Every edge has bigon links along its interior, every trivalent vertex a
-    triangle link of the three incident edge angles.  Angles above pi are
-    processed and produce failing subchecks rather than errors; an empty
-    graph is vacuously admissible.
+    triangle link of the three incident edge angles.  Angles in (0, pi] are
+    the geometric range for trivalent singular loci; larger angles up to
+    2 pi are judged rather than refused, so that an admissibility failure is
+    witnessed.  An empty graph is vacuously admissible.  Edge ids must be
+    distinct.
     """
     context = CONTEXT_OF_CURVATURE[validate_curvature(kappa)]
-    angle_of = {e.id: e.angle for e in edges}
-    notices: list[str] = []
+    copies = 1 if context == CONTEXT_TRANSLATIONAL else 2
+    angle_of: dict[int, float] = {}
+    for e in edges:
+        if e.id in angle_of:
+            raise DomainError(f"duplicate edge id {e.id}")
+        angle_of[e.id] = e.angle
+    # The bundle restricted to a circle of length alpha splits as C(alpha) + R
+    # per copy of the surface isometry bundle: two copies, or one for the
+    # translational subbundle in the Euclidean case.
+    spectrum = {
+        alpha: circle_B_spectrum(ConePoint(alpha, (alpha % TWO_PI,) * copies, copies), window)
+        for alpha in dict.fromkeys(angle_of.values())
+    }
     points: list[PointVerdict] = []
     for e in edges:
-        if e.angle > TWO_PI:
-            raise DomainError(f"edge {e.id}: cone angle {e.angle} exceeds 2*pi")
-        points.append(_check_point(BIGON, f"edge {e.id}", LinkSurface.bigon(e.angle), context, window))
+        # A bigon link has a single rotation holonomy whose axis is invariant,
+        # and no holonomy at all at angle 0 mod 2 pi.
+        h0 = 3 * copies if e.angle % TWO_PI <= MERGE_TOL else copies
+        points.append(
+            _check_point(BIGON, f"edge {e.id}", (e.angle, e.angle), [spectrum[e.angle]] * 2, h0, window)
+        )
     for k, v in enumerate(vertices):
         try:
             angles = tuple(angle_of[i] for i in v.incident)
         except KeyError as exc:
             raise DomainError(f"vertex {k} references unknown edge {exc.args[0]}") from exc
+        # A triangle link has rotations about distinct axes and no invariants.
         points.append(
-            _check_point(TRIANGLE, f"vertex {k}", LinkSurface.triangle(*angles), context, window)
+            _check_point(TRIANGLE, f"vertex {k}", angles, [spectrum[a] for a in angles], 0, window)
         )
-    if not points:
-        notices.append("empty singular locus; admissible vacuously")
     return AdmissibilityVerdict(
         admissible=all(p.admissible for p in points),
         context=context,
         points=tuple(points),
-        notices=tuple(notices),
+        notices=() if points else ("empty singular locus; admissible vacuously",),
     )

@@ -10,7 +10,9 @@ exactly.  In `oracle` and `forms` reports every float is compared to 1e-12
 relative and everything else exactly, so that the radial kernels may change
 their order of summation.  Each refusal case changes one node of a fixture
 and records the exit code and stderr of every manifest subcommand on it,
-compared exactly.
+compared exactly.  Each graph case edits the singular graph (and perhaps the
+curvature) of `pants.json` and records its `admissibility` report, compared
+exactly.
 
 Record the cases missing from the snapshot with
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -20,6 +22,7 @@ intended change of output, delete its key from the snapshot first.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -92,22 +95,62 @@ REFUSALS = [
     ("cusped.json", "/boundary/0", {"genus": 0, "generator_words": ["az"]}),
     ("cusped.json", "/meridians/0/edge_id", 7),
     ("cusped.json", "/meridians/0/cone_angle", 1.0),
+    (
+        "torus.json",
+        "/singular_graph/edges",
+        [{"id": 0, "angle": 3.0}, {"id": 0, "angle": 1.5707963267948966}],
+    ),
 ]
 REFUSAL_CASES = {
     f"refuse {name} {pointer}={json.dumps(value)}": (name, pointer, value)
     for name, pointer, value in REFUSALS
 }
-CASES = {**MANIFEST_CASES, **SPECTRUM_CASES, **RADIAL_CASES, **REFUSAL_CASES}
 
 
-def edited(name: str, pointer: str, value, directory: str) -> Path:
-    """A copy of the fixture `name` in `directory` with the node at `pointer` set to `value`."""
+def _edge(i: int, angle: float):
+    return ("/singular_graph/edges/-", {"id": i, "angle": angle})
+
+
+def _vertex(*incident: int):
+    return ("/singular_graph/vertices/-", {"incident": list(incident)})
+
+
+# A second vertex on edge 2, an edge above pi and a 2 pi edge, in one graph.
+FULL_GRAPH = [_edge(3, 1.2), _edge(4, 4.0), _edge(5, 2 * math.pi), _vertex(2, 3, 4), _vertex(3, 4, 5)]
+# (edits of pants.json as (JSON pointer, new value) pairs, admissibility options);
+# a pointer ending in "-" appends to its list.
+GRAPH_EDITS = [
+    ([_edge(3, 1.2), _edge(4, 2.5), _vertex(2, 3, 4)], []),
+    ([_edge(3, 4.0), _vertex(1, 2, 3)], []),
+    ([_edge(3, 2 * math.pi), _vertex(0, 2, 3)], []),
+    (FULL_GRAPH, []),
+    ([*FULL_GRAPH, ("/curvature", 0)], []),
+    ([*FULL_GRAPH, ("/curvature", 1)], []),
+    (FULL_GRAPH, ["--window", "0.1"]),
+]
+GRAPH_CASES = {
+    " ".join(
+        ["admissibility pants.json", *(f"{p}={json.dumps(v)}" for p, v in edits), *extra]
+    ): (edits, extra)
+    for edits, extra in GRAPH_EDITS
+}
+CASES = {**MANIFEST_CASES, **SPECTRUM_CASES, **RADIAL_CASES, **REFUSAL_CASES, **GRAPH_CASES}
+
+
+def edited(name: str, edits, directory: str) -> Path:
+    """A copy of the fixture `name` in `directory` with each (pointer, value)
+    edit applied in turn: the node at the pointer is set to the value, or the
+    value is appended when the pointer ends in "-"."""
     doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
-    *parents, leaf = pointer.strip("/").split("/")
-    node = doc
-    for key in parents:
-        node = node[int(key)] if isinstance(node, list) else node[key]
-    node[int(leaf) if isinstance(node, list) else leaf] = value
+    for pointer, value in edits:
+        *parents, leaf = pointer.strip("/").split("/")
+        node = doc
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        if leaf == "-":
+            node.append(value)
+        else:
+            node[int(leaf) if isinstance(node, list) else leaf] = value
     path = Path(directory) / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
@@ -115,9 +158,10 @@ def edited(name: str, pointer: str, value, directory: str) -> Path:
 
 def capture_refusal(case: str) -> dict:
     """Exit code and stderr of each manifest subcommand on the edited fixture."""
+    name, pointer, value = REFUSAL_CASES[case]
     out = {}
     with tempfile.TemporaryDirectory() as directory:
-        path = str(edited(*REFUSAL_CASES[case], directory))
+        path = str(edited(name, [(pointer, value)], directory))
         for command, *extra in COMMANDS:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -129,9 +173,18 @@ def capture_refusal(case: str) -> dict:
 def capture(case: str) -> dict:
     if case in REFUSAL_CASES:
         return capture_refusal(case)
+    if case in GRAPH_CASES:
+        edits, extra = GRAPH_CASES[case]
+        with tempfile.TemporaryDirectory() as directory:
+            return capture_argv(["admissibility", str(edited("pants.json", edits, directory)), *extra])
+    return capture_argv(CASES[case])
+
+
+def capture_argv(argv: list[str]) -> dict:
+    """Exit code and report, without its `manifest` key, of one CLI call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = run(CASES[case])
+        code = run(argv)
     report = json.loads(out.getvalue()) if out.getvalue().strip() else None
     if report is not None:
         report.pop("manifest", None)
@@ -192,6 +245,11 @@ def test_spectrum_output_matches_snapshot(case, golden):
 
 @pytest.mark.parametrize("case", list(REFUSAL_CASES))
 def test_refusal_matches_snapshot(case, golden):
+    assert capture(case) == golden[case]
+
+
+@pytest.mark.parametrize("case", list(GRAPH_CASES))
+def test_graph_admissibility_matches_snapshot(case, golden):
     assert capture(case) == golden[case]
 
 

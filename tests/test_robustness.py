@@ -22,10 +22,12 @@ from conerig.liecore import (
     IsomAlgebraElement,
     _det_rule,
     _norm_rule,
+    bracket,
     complex_length_sl2c,
     complex_length_su2pair,
     exp_raw,
     field_coords,
+    killing_form,
     su2_quaternion,
 )
 from conerig import cohomology, manifest, spectral, words
@@ -97,6 +99,28 @@ class TestNonFiniteInput:
         for call in calls:
             with pytest.raises(DomainError, match="finite numbers"):
                 call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_algebra_overflow_is_refused(self):
+        z = np.zeros(3)
+        x = IsomAlgebraElement([1e300, 0.0, 0.0], z, -1)
+        y = IsomAlgebraElement([0.0, 1e300, 0.0], z, -1)
+        big = IsomAlgebraElement([1e308, 0.0, 0.0], z, 1)
+        calls = [
+            (lambda: x.scaled(1e300), "finite numbers"),
+            (lambda: bracket(x, y), "finite numbers"),
+            (lambda: big + big, "finite numbers"),
+            (lambda: big - (-big), "finite numbers"),
+            (lambda: IsomAlgebraElement([1e200, 0.0, 0.0], z, -1).norm(), "norm overflows"),
+            (lambda: killing_form(x, x), "Killing form overflows"),
+        ]
+        for call, message in calls:
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    def test_algebra_results_near_the_range_are_kept(self):
+        x = IsomAlgebraElement([3.0, 0.0, 0.0], [0.0, 4.0, 0.0], -1).scaled(2.0**500)
+        assert x.norm() == 5 * 2.0**500
 
     def test_residual_keeps_nan(self, monkeypatch):
         # max(0.5, nan) is 0.5: a NaN distance must not be dropped that way.
@@ -501,6 +525,14 @@ class TestWordsAtTheirPointers:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(["cohomology", str(fixture_path("cusped.json")), "--audit"]) == 0
             assert parsed == cusped + surface
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+def test_duplicate_edge_id_is_refused_at_its_pointer(tmp_path, capsys, command):
+    edges = [{"id": 0, "angle": 3.0}, {"id": 0, "angle": math.pi / 2}]
+    path = _write_with(tmp_path, "torus.json", "/singular_graph/edges", edges)
+    assert run([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: /singular_graph/edges/1/id: duplicate edge id 0\n")
 
 
 class TestMeridiansOnTheirEdges:

@@ -4,21 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conerig import spectral
 from conerig.errors import DomainError
+from conerig.manifest import fixture_path, load_manifest
 from conerig.spectral import (
     BIGON,
-    CONTEXT_HYPERBOLIC,
-    CONTEXT_SPHERICAL,
-    CONTEXT_TRANSLATIONAL,
     ConePoint,
-    LinkSurface,
     SingularEdge,
     SingularVertex,
     circle_B_spectrum,
     circle_dirac_spectrum,
     cone_admissibility_verdict,
     link_B_spectrum,
-    link_bundle_decomposition,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -157,29 +154,56 @@ class TestLinkB:
             assert link_B_spectrum([(lam, 1)], 1, 2.0).gap_ok
 
 
-class TestDecomposition:
-    def test_bigon_full_bundle(self):
+@pytest.fixture
+def spectra(monkeypatch):
+    """The cone point of every circle spectrum and the h0 of every link
+    spectrum a verdict computes, in order."""
+    seen = {"circle": [], "h0": []}
+    circle, link = spectral.circle_B_spectrum, spectral.link_B_spectrum
+
+    def circle_spy(cp, window):
+        seen["circle"].append(cp)
+        return circle(cp, window)
+
+    def link_spy(lambda_list, h0_dim, window):
+        seen["h0"].append(h0_dim)
+        return link(lambda_list, h0_dim, window)
+
+    monkeypatch.setattr(spectral, "circle_B_spectrum", circle_spy)
+    monkeypatch.setattr(spectral, "link_B_spectrum", link_spy)
+    return seen
+
+
+class TestEdgeData:
+    """What a verdict reads from each edge angle: the bundle at a cone point of
+    angle alpha is C(alpha) + R per copy, two copies or one (translational)."""
+
+    def test_bigon_full_bundle(self, spectra):
         alpha = 1.2
-        pts = link_bundle_decomposition(LinkSurface.bigon(alpha), CONTEXT_SPHERICAL)
-        assert len(pts) == 2
-        for cp in pts:
-            assert cp.holonomy_angles == (alpha, alpha)
-            assert cp.trivial_rank == 2
+        verdict = cone_admissibility_verdict([SingularEdge(0, alpha)], [], 1)
+        assert spectra["circle"] == [ConePoint(alpha, (alpha, alpha), 2)]
+        assert spectra["h0"] == [2]
+        assert verdict.points[0].angles == (alpha, alpha)
 
-    def test_triangle_translational(self):
-        pts = link_bundle_decomposition(
-            LinkSurface.triangle(0.9, 1.0, 1.1), CONTEXT_TRANSLATIONAL
-        )
-        assert [cp.holonomy_angles for cp in pts] == [(0.9,), (1.0,), (1.1,)]
-        assert all(cp.trivial_rank == 1 for cp in pts)
+    def test_triangle_translational(self, spectra):
+        edges = [SingularEdge(0, 0.9), SingularEdge(1, 1.0), SingularEdge(2, 1.1)]
+        verdict = cone_admissibility_verdict(edges, [SingularVertex((0, 1, 2))], 0)
+        assert [cp.holonomy_angles for cp in spectra["circle"]] == [(0.9,), (1.0,), (1.1,)]
+        assert all(cp.trivial_rank == 1 for cp in spectra["circle"])
+        assert spectra["h0"] == [1, 1, 1, 0]
+        assert verdict.points[3].angles == (0.9, 1.0, 1.1)
 
-    def test_smooth_link_empty(self):
-        pts = link_bundle_decomposition(LinkSurface("smooth", ()), CONTEXT_HYPERBOLIC)
-        assert pts == []
+    @pytest.mark.parametrize("kappa, copies", [(0, 1), (-1, 2), (1, 2)])
+    def test_full_angle_reduces_holonomy(self, spectra, kappa, copies):
+        assert cone_admissibility_verdict([SingularEdge(0, TWO_PI)], [], kappa).admissible
+        assert spectra["circle"] == [ConePoint(TWO_PI, (0.0,) * copies, copies)]
+        assert spectra["h0"] == [3 * copies]
 
-    def test_full_angle_reduces_holonomy(self):
-        pts = link_bundle_decomposition(LinkSurface.bigon(TWO_PI), CONTEXT_TRANSLATIONAL)
-        assert pts[0].holonomy_angles == (0.0,)
+    def test_one_circle_spectrum_per_distinct_angle(self, spectra):
+        m = load_manifest(fixture_path("pants.json"))
+        verdict = cone_admissibility_verdict(m.singular_edges, m.singular_vertices, m.curvature)
+        assert len(verdict.points) == 4
+        assert [cp.alpha for cp in spectra["circle"]] == [math.pi / 2, 2 * math.pi / 3]
 
 
 class TestAdmissibilityVerdict:
@@ -210,6 +234,11 @@ class TestAdmissibilityVerdict:
         with pytest.raises(DomainError):
             cone_admissibility_verdict([SingularEdge(0, 1.0)], [SingularVertex((0, 0, 7))], 1)
 
+    def test_duplicate_edge_id(self):
+        edges = [SingularEdge(0, 3.0), SingularEdge(0, math.pi / 2)]
+        with pytest.raises(DomainError, match="duplicate edge id 0"):
+            cone_admissibility_verdict(edges, [], -1)
+
     def test_random_small_angles_always_admissible(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -229,10 +258,7 @@ class TestTypes:
         with pytest.raises(DomainError):
             ConePoint(1.0, (), -1)
 
-    def test_link_surface_validation(self):
-        with pytest.raises(DomainError):
-            LinkSurface(BIGON, (1.0, 1.1))
-        with pytest.raises(DomainError):
-            LinkSurface("triangle", (1.0, 1.0))
-        assert LinkSurface.triangle(1.0, 1.0, 3.3).within_model_bounds is False
-        assert LinkSurface.bigon(math.pi).within_model_bounds is True
+    @pytest.mark.parametrize("angle", [0.0, -1.0, 7.0, TWO_PI + 1e-9, math.nan, math.inf])
+    def test_edge_angle_outside_the_range(self, angle):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 2\*pi\]"):
+            SingularEdge(0, angle)
