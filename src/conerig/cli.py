@@ -27,11 +27,8 @@ from .radial import (
     RadialGrid,
     halving_deltas,
     l2_tube_verdict,
+    min_decay_slacks,
     pb_min_singular,
-    t_b0,
-    t_b0_bound,
-    t_b1,
-    t_b1_bound,
 )
 from .spectral import (
     ConePoint,
@@ -170,47 +167,47 @@ def _cmd_forms(args) -> tuple[int, dict]:
     return EXIT_ILL_CONDITIONED, report
 
 
-def _trig_input(coef):
-    """g(x) = c0 + c2 cos 2 pi x + c4 cos 4 pi x
-              + c1 sin 2 pi x + c3 sin 4 pi x + c5 sin 6 pi x
-    for coef = (c0, ..., c5), from one cos and one sin per grid.
+def _trig_polynomial(coef):
+    """The suite's input as poly(c, s) = P(c) + s Q(c) of c = cos 2 pi x and
+    s = sin 2 pi x, for
 
-    With c = cos 2 pi x and s = sin 2 pi x, cos 4 pi x = 2c^2 - 1,
-    sin 4 pi x = 2sc and sin 6 pi x = s (4c^2 - 1), so g = P(c) + s Q(c) with
-    P(c) = (c0 - c4) + c2 c + 2 c4 c^2 and Q(c) = (c1 - c5) + 2 c3 c + 4 c5 c^2,
-    both by Horner's rule.
+    g(x) = c0 + c2 cos 2 pi x + c4 cos 4 pi x
+           + c1 sin 2 pi x + c3 sin 4 pi x + c5 sin 6 pi x
+
+    and coef = (c0, ..., c5).  With cos 4 pi x = 2c^2 - 1, sin 4 pi x = 2sc
+    and sin 6 pi x = s (4c^2 - 1), P(c) = (c0 - c4) + c2 c + 2 c4 c^2 and
+    Q(c) = (c1 - c5) + 2 c3 c + 4 c5 c^2, both by Horner's rule.
     """
     c0, c1, c2, c3, c4, c5 = coef
     p0, p1, p2 = c0 - c4, c2, 2.0 * c4
     q0, q1, q2 = c1 - c5, 2.0 * c3, 4.0 * c5
 
-    def g(x):
-        t = 2.0 * math.pi * np.asarray(x, dtype=float)
-        c, s = np.cos(t), np.sin(t)
+    def poly(c, s):
         return (p2 * c + p1) * c + p0 + s * ((q2 * c + q1) * c + q0)
 
-    return g
+    return poly
 
 
 def _decay_suite(samples: int, n: int, seed: int = 7) -> dict:
     """Worst slack of the t_b0 and t_b1 decay bounds on random inputs.
 
-    Each input is a degree-3 trigonometric polynomial (`_trig_input`) whose
-    six coefficients c_j are standard normal over j + 1.  Per input the rng
-    draws the six c_j, then b0 in [-0.45, 4), b1 in [-4, 4) and r in
-    [0.05, 0.95), in that order, so a seed fixes the report.
+    Each input is a degree-3 trigonometric polynomial (`_trig_polynomial`)
+    whose six coefficients c_j are standard normal over j + 1.  Per input the
+    rng draws the six c_j, then b0 in [-0.45, 4), b1 in [-4, 4) and r in
+    [0.05, 0.95), in that order, so a seed fixes the report.  The slacks are
+    those of the four public decay functions bit for bit; `min_decay_slacks`
+    samples each grid once, 2 * samples + 1 cos and as many sin sweeps.
     """
     rng = np.random.default_rng(seed)
     budget = 1e-6
-    min_slack0 = math.inf
-    min_slack1 = math.inf
+    inputs = []
     for _ in range(samples):
-        g = _trig_input((rng.standard_normal(6) / np.arange(1.0, 7.0)).tolist())
+        poly = _trig_polynomial((rng.standard_normal(6) / np.arange(1.0, 7.0)).tolist())
         b0 = float(rng.uniform(-0.45, 4.0))
         b1 = float(rng.uniform(-4.0, 4.0))
         r = float(rng.uniform(0.05, 0.95))
-        min_slack0 = min(min_slack0, t_b0_bound(g, b0, r, n) - abs(t_b0(g, b0, r, n)))
-        min_slack1 = min(min_slack1, t_b1_bound(g, b1, r, n) - abs(t_b1(g, b1, r, n)))
+        inputs.append((poly, b0, b1, r))
+    min_slack0, min_slack1 = min_decay_slacks(inputs, n)
     return {
         "samples": samples,
         "quadrature_budget": budget,

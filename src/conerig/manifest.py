@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -199,6 +200,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
     edges: list[SingularEdge] = []
     vertices: list[SingularVertex] = []
     angles: dict[int, float] = {}
+    ends: Counter[int] = Counter()  # vertex ends of each edge id
     graph = doc.get("singular_graph")
     if graph is not None:
         _object(graph, "/singular_graph")
@@ -218,6 +220,9 @@ def manifest_from_dict(doc: dict) -> Manifest:
             )
             unknown = [i for i in inc if i not in angles]
             _require(not unknown, f"{p}/incident", f"undeclared edge id(s) {unknown}")
+            ends.update(inc)  # an id listed twice at one vertex is two ends
+            crowded = sorted({i for i in inc if ends[i] > 2})
+            _require(not crowded, f"{p}/incident", f"edge id(s) {crowded} have more than two vertex ends")
             vertices.append(SingularVertex(tuple(inc)))
     for k, m in enumerate(meridians):  # each meridian goes around a declared edge
         p = f"/meridians/{k}"

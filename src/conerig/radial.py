@@ -71,16 +71,16 @@ def _power_cell_integrals(xs: np.ndarray, b: float, r: float):
     return i0, i1
 
 
-def _weighted_integral(g, b: float, lo: float, hi: float, r: float, n: int) -> float:
-    """Integral of (rho/r)^b g(rho) over [lo, hi].
+def _weighted_integral(xs: np.ndarray, ys: np.ndarray, b: float, r: float) -> float:
+    """Integral of (rho/r)^b g(rho) over [xs[0], xs[-1]] from the values ys of g
+    at the uniform nodes xs.
 
     Piecewise-linear g integrated exactly against the power weight per cell;
     this reduces to the composite trapezoid rule at b = 0 and handles the
-    rho^b singularity of a first cell at lo = 0 (b > -1) exactly, since
-    0^(b+1) = 0 there.  A cell of width 0 (hi - lo within a few ulps) adds 0.
+    rho^b singularity of a first cell at xs[0] = 0 (b > -1) exactly, since
+    0^(b+1) = 0 there.  A cell of width 0 (an interval within a few ulps)
+    adds 0.
     """
-    xs = np.linspace(lo, hi, n + 1)
-    ys = _sample(g, xs)
     x0 = xs[:-1]
     g0, g1 = ys[:-1], ys[1:]
     h = xs[1:] - x0
@@ -90,13 +90,57 @@ def _weighted_integral(g, b: float, lo: float, hi: float, r: float, n: int) -> f
     return float(cells.sum())
 
 
+def _l2_norm(ys: np.ndarray, r: float) -> float:
+    """||g||_{L2(0,r)} by the trapezoid rule on g^2, from the values ys of g
+    at the len(ys) uniform nodes of [0, r]."""
+    squares = ys * ys
+    n = len(ys) - 1
+    return math.sqrt(r / n * (squares.sum() - 0.5 * (squares[0] + squares[-1])))
+
+
+def _t_b0_factor(b: float, r: float) -> float:
+    """r^(1/2) (2b+1)^(-1/2): t_b0's bound over ||g||_{L2(0,r)}."""
+    return math.sqrt(r) / math.sqrt(2.0 * b + 1.0)
+
+
+def _t_b1_factor(b: float, r: float) -> float:
+    """t_b1's three-case bound over ||g||_{L2(0,1)}; r^-b may overflow."""
+    if b < -0.5:
+        return math.sqrt(r) / math.sqrt(abs(2.0 * b + 1.0))
+    if b == -0.5:
+        return math.sqrt(r) * math.sqrt(abs(math.log(r)))
+    return r ** (-b) / math.sqrt(2.0 * b + 1.0)
+
+
+def _check_quad_samples(n: int) -> None:
+    if not 1 <= n <= MAX_QUAD_SAMPLES:
+        raise DomainError(
+            f"quadrature takes at least 1 and at most {MAX_QUAD_SAMPLES} samples, got {n}"
+        )
+
+
+def _finite_decay_value(name: str, b: float, r: float, compute, *args) -> float:
+    """compute(*args) with numpy warnings off: a value that is not finite
+    (the power weight or g overflows) raises DomainError naming b and r."""
+    try:
+        with np.errstate(all="ignore"):
+            value = compute(*args)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"{name} at b = {b!r}, r = {r!r} is not finite ({value!r}): "
+            "the power weight or g overflows a float"
+        )
+    return value
+
+
 def _decay_function(b_floor: float | None):
     """Shared argument check and finiteness guard of the four decay functions.
 
     b must be finite (and above b_floor when given), r must lie in (0, 1],
-    and n in 1..MAX_QUAD_SAMPLES.  A value that is not finite (the power
-    weight or g overflows) raises DomainError naming b and r, and no numpy
-    warning is printed.
+    and n in 1..MAX_QUAD_SAMPLES; a value that is not finite is refused by
+    `_finite_decay_value`.
     """
 
     def decorate(compute):
@@ -109,63 +153,80 @@ def _decay_function(b_floor: float | None):
                 raise DomainError(f"{name} requires a finite b{floor}, got {b!r}")
             if not 0.0 < r <= 1.0:
                 raise DomainError(f"{name}: radius must lie in (0, 1], got {r!r}")
-            if not 1 <= n <= MAX_QUAD_SAMPLES:
-                raise DomainError(
-                    f"quadrature takes at least 1 and at most {MAX_QUAD_SAMPLES} samples, got {n}"
-                )
-            try:
-                with np.errstate(all="ignore"):
-                    value = compute(g, b, r, n)
-            except OverflowError:
-                value = math.inf
-            if not math.isfinite(value):
-                raise DomainError(
-                    f"{name} at b = {b!r}, r = {r!r} is not finite ({value!r}): "
-                    "the power weight or g overflows a float"
-                )
-            return value
+            _check_quad_samples(n)
+            return _finite_decay_value(name, b, r, compute, g, b, r, n)
 
         return checked
 
     return decorate
 
 
-def _l2_norm(g, r: float, n: int) -> float:
-    """||g||_{L2(0,r)} by the trapezoid rule on g^2 over n cells."""
-    ys = _sample(g, np.linspace(0.0, r, n + 1))
-    squares = ys * ys
-    return math.sqrt(r / n * (squares.sum() - 0.5 * (squares[0] + squares[-1])))
-
-
 @_decay_function(b_floor=-0.5)
 def t_b0(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
-    """Weighted average r^-b * integral_0^r rho^b g(rho) drho for b > -1/2."""
-    return _weighted_integral(g, b, 0.0, r, r, n)
+    """Weighted average r^-b * integral_0^r rho^b g(rho) drho for b > -1/2,
+    with g sampled at n + 1 nodes of [0, r]."""
+    xs = np.linspace(0.0, r, n + 1)
+    return _weighted_integral(xs, _sample(g, xs), b, r)
 
 
 @_decay_function(b_floor=-0.5)
 def t_b0_bound(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
-    """Cauchy-Schwarz bound r^(1/2) (2b+1)^(-1/2) ||g||_{L2(0,r)}."""
-    return math.sqrt(r) / math.sqrt(2.0 * b + 1.0) * _l2_norm(g, r, n)
+    """Cauchy-Schwarz bound r^(1/2) (2b+1)^(-1/2) ||g||_{L2(0,r)}, with g
+    sampled at the n + 1 nodes of [0, r] that t_b0 takes."""
+    return _t_b0_factor(b, r) * _l2_norm(_sample(g, np.linspace(0.0, r, n + 1)), r)
 
 
 @_decay_function(b_floor=None)
 def t_b1(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
-    """Weighted integral r^-b * integral_1^r rho^b g(rho) drho."""
+    """Weighted integral r^-b * integral_1^r rho^b g(rho) drho, with g
+    sampled at n + 1 nodes of [r, 1]."""
     if r == 1.0:
         return 0.0
-    return -_weighted_integral(g, b, r, 1.0, r, n)
+    xs = np.linspace(r, 1.0, n + 1)
+    return -_weighted_integral(xs, _sample(g, xs), b, r)
 
 
 @_decay_function(b_floor=None)
 def t_b1_bound(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
-    """Three-case decay bound with ||g||_{L2(0,1)} on the right-hand side."""
-    l2 = _l2_norm(g, 1.0, n)
-    if b < -0.5:
-        return math.sqrt(r) / math.sqrt(abs(2.0 * b + 1.0)) * l2
-    if b == -0.5:
-        return math.sqrt(r) * math.sqrt(abs(math.log(r))) * l2
-    return r ** (-b) / math.sqrt(2.0 * b + 1.0) * l2
+    """Three-case decay bound with ||g||_{L2(0,1)} on the right-hand side,
+    g sampled at n + 1 nodes of [0, 1] whatever r is."""
+    return _t_b1_factor(b, r) * _l2_norm(_sample(g, np.linspace(0.0, 1.0, n + 1)), 1.0)
+
+
+def _cos_sin(x):
+    """cos 2 pi x and sin 2 pi x: one cos and one sin sweep of the grid x."""
+    t = 2.0 * math.pi * np.asarray(x, dtype=float)
+    return np.cos(t), np.sin(t)
+
+
+def min_decay_slacks(inputs, n: int = QUAD_SAMPLES) -> tuple[float, float]:
+    """Least slack of t_b0 and of t_b1 against their bounds over inputs.
+
+    Each input is (h, b0, b1, r) with b0 > -1/2 and r in (0, 1), taken as
+    given, for g(x) = h(cos 2 pi x, sin 2 pi x).  The slacks are
+    t_b0_bound(g, b0, r, n) - |t_b0(g, b0, r, n)| and
+    t_b1_bound(g, b1, r, n) - |t_b1(g, b1, r, n)| bit for bit, with the same
+    finiteness guards, but each grid is sampled once: an input on the n + 1
+    nodes of [0, r] (t_b0 and its bound) and of [r, 1] (t_b1), and the
+    [0, 1] grid of t_b1_bound takes its cos and sin once for all inputs.
+    That is two cos sweeps per input and one more, and as many sin sweeps.
+    """
+    _check_quad_samples(n)  # before the shared grid is made
+    unit = _cos_sin(np.linspace(0.0, 1.0, n + 1))
+    slack0 = slack1 = math.inf
+    for h, b0, b1, r in inputs:
+        xs = np.linspace(0.0, r, n + 1)
+        ys = h(*_cos_sin(xs))
+        bound = _finite_decay_value("t_b0_bound", b0, r, lambda: _t_b0_factor(b0, r) * _l2_norm(ys, r))
+        value = _finite_decay_value("t_b0", b0, r, _weighted_integral, xs, ys, b0, r)
+        slack0 = min(slack0, bound - abs(value))
+        bound = _finite_decay_value(
+            "t_b1_bound", b1, r, lambda: _t_b1_factor(b1, r) * _l2_norm(h(*unit), 1.0)
+        )
+        xs = np.linspace(r, 1.0, n + 1)
+        value = _finite_decay_value("t_b1", b1, r, _weighted_integral, xs, h(*_cos_sin(xs)), b1, r)
+        slack1 = min(slack1, bound - abs(value))
+    return slack0, slack1
 
 
 def pb_min_singular(b: float, kappa: int, grid: RadialGrid) -> float:

@@ -243,15 +243,11 @@ class AdmissibilityVerdict:
 
 
 def _check_point(
-    kind: str, label: str, angles: tuple[float, ...], spectra, h0: int, window: float
+    kind: str, label: str, angles: tuple[float, ...], spectra, link_rep: SpectrumReport
 ) -> PointVerdict:
     """Verdict at one point from the circle spectra at its cone points and the
-    dimension h0 of the flat sections over its link."""
+    surface-link spectrum of its link."""
     circle_ok = all(rep.gap_ok for rep in spectra)
-    # With every circle check passed the link carries an admissible
-    # orthogonally flat bundle, so its first positive Laplace eigenvalue is
-    # at least 1 and the surface-link spectrum stays outside the gap.
-    link_rep = link_B_spectrum([(LAMBDA1_GUARANTEED, 1)], h0, window)
     return PointVerdict(
         kind=kind,
         label=label,
@@ -295,23 +291,32 @@ def cone_admissibility_verdict(
         alpha: circle_B_spectrum(ConePoint(alpha, (alpha % TWO_PI,) * copies, copies), window)
         for alpha in dict.fromkeys(angle_of.values())
     }
-    points: list[PointVerdict] = []
-    for e in edges:
-        # A bigon link has a single rotation holonomy whose axis is invariant,
-        # and no holonomy at all at angle 0 mod 2 pi.
-        h0 = 3 * copies if e.angle % TWO_PI <= MERGE_TOL else copies
-        points.append(
-            _check_point(BIGON, f"edge {e.id}", (e.angle, e.angle), [spectrum[e.angle]] * 2, h0, window)
-        )
+    vertex_angles: list[tuple[float, ...]] = []
     for k, v in enumerate(vertices):
         try:
-            angles = tuple(angle_of[i] for i in v.incident)
+            vertex_angles.append(tuple(angle_of[i] for i in v.incident))
         except KeyError as exc:
             raise DomainError(f"vertex {k} references unknown edge {exc.args[0]}") from exc
-        # A triangle link has rotations about distinct axes and no invariants.
-        points.append(
-            _check_point(TRIANGLE, f"vertex {k}", angles, [spectrum[a] for a in angles], 0, window)
-        )
+    # A bigon link has a single rotation holonomy whose axis is invariant,
+    # and no holonomy at all at angle 0 mod 2 pi; a triangle link has
+    # rotations about distinct axes and no invariants.
+    edge_h0 = [3 * copies if e.angle % TWO_PI <= MERGE_TOL else copies for e in edges]
+    # With every circle check passed the link carries an admissible
+    # orthogonally flat bundle, so its first positive Laplace eigenvalue is
+    # at least 1 and the surface-link spectrum, one per distinct h0, stays
+    # outside the gap.
+    link = {
+        h0: link_B_spectrum([(LAMBDA1_GUARANTEED, 1)], h0, window)
+        for h0 in dict.fromkeys([*edge_h0, *([0] if vertex_angles else [])])
+    }
+    points = [
+        _check_point(BIGON, f"edge {e.id}", (e.angle, e.angle), [spectrum[e.angle]] * 2, link[h0])
+        for e, h0 in zip(edges, edge_h0)
+    ]
+    points += [
+        _check_point(TRIANGLE, f"vertex {k}", angles, [spectrum[a] for a in angles], link[0])
+        for k, angles in enumerate(vertex_angles)
+    ]
     return AdmissibilityVerdict(
         admissible=all(p.admissible for p in points),
         context=context,

@@ -100,6 +100,7 @@ REFUSALS = [
         "/singular_graph/edges",
         [{"id": 0, "angle": 3.0}, {"id": 0, "angle": 1.5707963267948966}],
     ),
+    ("pants.json", "/singular_graph/vertices", [{"incident": [0, 0, 0]}, {"incident": [0, 1, 2]}]),
 ]
 REFUSAL_CASES = {
     f"refuse {name} {pointer}={json.dumps(value)}": (name, pointer, value)

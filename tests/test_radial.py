@@ -502,9 +502,7 @@ def reference_power_cell_integrals(x0, x1, b, r):
     return i0, i1
 
 
-def reference_weighted_integral(g, b, lo, hi, r, n):
-    xs = np.linspace(lo, hi, n + 1)
-    ys = radial._sample(g, xs)
+def reference_weighted_integral(xs, ys, b, r):
     x0, x1 = xs[:-1], xs[1:]
     g0, g1 = ys[:-1], ys[1:]
     h = x1 - x0
@@ -612,7 +610,7 @@ def test_suite_input_from_one_cos_and_one_sin(coef, r, n):
     # grids of t_b0 and t_b1, both ends and r among them
     picks = np.unique(np.linspace(0, n, 64).round().astype(int))
     xs = np.concatenate([np.linspace(0.0, r, n + 1)[picks], np.linspace(r, 1.0, n + 1)[picks]])
-    got = cli._trig_input(coef)(xs)
+    got = cli._trig_polynomial(coef)(*radial._cos_sin(xs))
     want = np.array([exact_trig_input(coef, x) for x in xs.tolist()])
     assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * sum(map(abs, coef))
 

@@ -1,5 +1,6 @@
-"""The oracle's decay suite takes one cos and one sin per grid, and the
-radial commands print no numpy warning."""
+"""The oracle's decay suite samples each grid once and matches a loop over
+the public decay functions exactly, and the radial commands print no numpy
+warning."""
 import contextlib
 import io
 import json
@@ -10,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conerig import cli
+from conerig import cli, radial
+from conerig.radial import MAX_QUAD_SAMPLES, t_b0, t_b0_bound, t_b1, t_b1_bound
 
 
-def test_decay_suite_takes_one_cos_and_one_sin_per_grid(monkeypatch):
-    # 25 inputs, each sampled on 4 grids (t_b0, t_b1 and their bounds):
-    # 100 sweeps of each, where six-trig inputs took 300
+def count_trig_sweeps(monkeypatch) -> dict:
+    """Counts of np.cos and np.sin calls from here on."""
     calls = {"cos": 0, "sin": 0}
     for name in calls:
         original = getattr(np, name)
@@ -25,9 +26,66 @@ def test_decay_suite_takes_one_cos_and_one_sin_per_grid(monkeypatch):
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def test_decay_suite_takes_one_cos_and_one_sin_per_grid(monkeypatch):
+    # 25 inputs, each sampled once on [0, r] (t_b0 and its bound) and once on
+    # [r, 1] (t_b1), and the [0, 1] grid of t_b1_bound once for all: 51 sweeps
+    # of each, where one sampling per decay function took 100
+    calls = count_trig_sweeps(monkeypatch)
     report = cli._decay_suite(25, 4096)
     assert report["pass"] is True
-    assert calls["cos"] <= 100 and calls["sin"] <= 100, calls
+    assert calls["cos"] <= 51 and calls["sin"] <= 51, calls
+
+
+def trig_input(coef):
+    """The suite's input g(x) as a callable, from one cos and one sin of x."""
+    poly = cli._trig_polynomial(coef)
+    return lambda x: poly(*radial._cos_sin(x))
+
+
+def reference_decay_suite(samples: int, n: int, seed: int = 7) -> dict:
+    """The decay suite as a loop over the public decay functions, each
+    sampling its own grid of a `trig_input` callable."""
+    rng = np.random.default_rng(seed)
+    budget = 1e-6
+    min_slack0 = math.inf
+    min_slack1 = math.inf
+    for _ in range(samples):
+        g = trig_input((rng.standard_normal(6) / np.arange(1.0, 7.0)).tolist())
+        b0 = float(rng.uniform(-0.45, 4.0))
+        b1 = float(rng.uniform(-4.0, 4.0))
+        r = float(rng.uniform(0.05, 0.95))
+        min_slack0 = min(min_slack0, t_b0_bound(g, b0, r, n) - abs(t_b0(g, b0, r, n)))
+        min_slack1 = min(min_slack1, t_b1_bound(g, b1, r, n) - abs(t_b1(g, b1, r, n)))
+    return {
+        "samples": samples,
+        "quadrature_budget": budget,
+        "min_slack_t_b0": min_slack0,
+        "min_slack_t_b1": min_slack1,
+        "pass": min_slack0 >= -budget and min_slack1 >= -budget,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 64, 4096, 16384])
+@pytest.mark.parametrize("samples", [1, 2, 25, 200])
+def test_decay_suite_matches_the_public_functions_exactly(samples, n):
+    for seed in (7, 0, 1):
+        assert cli._decay_suite(samples, n, seed) == reference_decay_suite(samples, n, seed)
+
+
+def test_quadrature_cap_refused_before_any_sweep(monkeypatch, capsys):
+    calls = count_trig_sweeps(monkeypatch)
+    argv = ["oracle", "--quad-samples", str(MAX_QUAD_SAMPLES + 1)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: quadrature takes at least 1 and at most {MAX_QUAD_SAMPLES} samples, "
+        f"got {MAX_QUAD_SAMPLES + 1}\n"
+    )
+    assert calls == {"cos": 0, "sin": 0}
 
 
 # ---------------------------------------------------------------------------

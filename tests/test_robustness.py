@@ -236,6 +236,29 @@ class TestGraphAndGenusAtLoad:
         err = capsys.readouterr().err
         assert "/singular_graph/vertices/0/incident:" in err and "[5]" in err
 
+    @pytest.mark.parametrize(
+        "vertices, k, crowded",
+        [
+            ([[0, 0, 0], [0, 1, 2]], 0, [0]),
+            ([[0, 1, 2], [0, 1, 2], [0, 1, 2]], 2, [0, 1, 2]),
+            ([[0, 1, 2], [0, 0, 1]], 1, [0]),
+        ],
+    )
+    def test_edge_with_a_third_vertex_end(self, tmp_path, capsys, vertices, k, crowded):
+        # an id listed twice at one vertex is two ends; the vertex giving the
+        # third end is named
+        value = [{"incident": inc} for inc in vertices]
+        path = _write_with(tmp_path, "pants.json", "/singular_graph/vertices", value)
+        for command in ("validate", "cohomology", "rigidity", "admissibility"):
+            assert run([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: /singular_graph/vertices/{k}/incident: edge id(s) {crowded} " in err
+
+    def test_edge_listed_twice_at_one_vertex_is_two_ends(self, tmp_path, capsys):
+        value = [{"incident": [0, 0, 1]}, {"incident": [1, 2, 2]}]
+        path = _write_with(tmp_path, "pants.json", "/singular_graph/vertices", value)
+        assert run(["validate", str(path)]) == 0
+
     def test_boundary_genus_beyond_the_alphabet(self, tmp_path, capsys):
         path = _write_with(tmp_path, "torus.json", "/boundary/0/genus", 14)
         assert run(["validate", str(path)]) == 2

@@ -190,7 +190,7 @@ class TestEdgeData:
         verdict = cone_admissibility_verdict(edges, [SingularVertex((0, 1, 2))], 0)
         assert [cp.holonomy_angles for cp in spectra["circle"]] == [(0.9,), (1.0,), (1.1,)]
         assert all(cp.trivial_rank == 1 for cp in spectra["circle"])
-        assert spectra["h0"] == [1, 1, 1, 0]
+        assert spectra["h0"] == [1, 0]  # one link spectrum per distinct h0
         assert verdict.points[3].angles == (0.9, 1.0, 1.1)
 
     @pytest.mark.parametrize("kappa, copies", [(0, 1), (-1, 2), (1, 2)])
@@ -198,6 +198,24 @@ class TestEdgeData:
         assert cone_admissibility_verdict([SingularEdge(0, TWO_PI)], [], kappa).admissible
         assert spectra["circle"] == [ConePoint(TWO_PI, (0.0,) * copies, copies)]
         assert spectra["h0"] == [3 * copies]
+
+    def test_one_link_spectrum_per_distinct_h0(self, spectra):
+        # the dodecahedron's 1-skeleton, the generalized Petersen graph
+        # GP(10, 2): outer cycle u, spokes u-v, inner star v_i v_(i+2)
+        pairs = [(("u", i), ("u", (i + 1) % 10)) for i in range(10)]
+        pairs += [(("u", i), ("v", i)) for i in range(10)]
+        pairs += [(("v", i), ("v", (i + 2) % 10)) for i in range(10)]
+        incident: dict = {}
+        for edge_id, ends in enumerate(pairs):
+            for end in ends:
+                incident.setdefault(end, []).append(edge_id)
+        edges = [SingularEdge(i, math.pi) for i in range(len(pairs))]
+        vertices = [SingularVertex(tuple(inc)) for inc in incident.values()]
+        assert (len(edges), len(vertices)) == (30, 20)
+        verdict = cone_admissibility_verdict(edges, vertices, -1)
+        assert verdict.admissible and len(verdict.points) == 50
+        assert spectra["h0"] == [2, 0]
+        assert len(spectra["circle"]) == 1
 
     def test_one_circle_spectrum_per_distinct_angle(self, spectra):
         m = load_manifest(fixture_path("pants.json"))
