@@ -10,7 +10,6 @@ immutable and every operation is a pure function.
 __version__ = "0.1.0"
 
 from .errors import (
-    CurvatureMismatch,
     DegenerateElement,
     DomainError,
     IllConditioned,
@@ -23,12 +22,8 @@ from .liecore import (
     SL2C,
     SU2,
     SU2XSU2,
-    IsomAlgebraElement,
-    ad_matrix,
-    bracket,
     complex_length_sl2c,
     complex_length_su2pair,
-    killing_form,
     sigma_fields,
     sn_cs_ct,
 )

@@ -1,12 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of its
+arguments."""
+import numbers
 
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class CurvatureMismatch(ValueError):
-    """Algebra elements with different curvature tags were combined."""
 
 
 class NotSemisimple(ValueError):
@@ -44,3 +42,8 @@ class ManifestError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.pointer = path
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

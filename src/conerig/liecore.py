@@ -2,9 +2,7 @@
 
 A group element has one form, its raw array: a (2, 2) complex128 matrix in
 SL(2,C), a (4,) unit quaternion in SU(2), a (2, 4) left and right pair of
-them in SU(2)xSU(2).  The algebra of infinitesimal isometries is modelled as
-so(3) + R^3 with a curvature tag; rotations are stored by axis vector so that
-antisymmetry is exact.  Cocycle coefficients live in the matrix Lie algebras
+them in SU(2)xSU(2).  Cocycle coefficients live in the matrix Lie algebras
 sl2(C) (over C) and su(2) (over R), and a vector of either has one form too:
 its 3 coordinates over the field (`field_coords`), written out as a 2x2
 matrix only where a formula demands it (`algebra_matrix`).  SU(2)xSU(2) has
@@ -20,12 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    CurvatureMismatch,
     DegenerateElement,
     DomainError,
     NotSemisimple,
@@ -75,18 +71,6 @@ def sn_cs_ct(kappa: int, r):
     return sn, cs, cs / sn
 
 
-def hat(w) -> np.ndarray:
-    """Axis vector to antisymmetric 3x3 matrix, hat(w) v = w x v."""
-    w = np.asarray(w, dtype=float)
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
 def _require_finite(a: np.ndarray, message: str | None = None) -> None:
     # NaN fails every tolerance comparison, so it must be refused explicitly.
     if not np.isfinite(a).all():
@@ -97,107 +81,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class IsomAlgebraElement:
-    """Infinitesimal isometry (A, X) in so(3) + R^3 at curvature kappa.
-
-    The rotation part is given by its axis vector (3 entries) and stored as
-    ``rot_vec``; the property ``rot`` is the antisymmetric matrix hat(rot_vec).
-    """
-
-    rot_vec: np.ndarray
-    trans: np.ndarray
-    kappa: int
-
-    def __init__(self, rot, trans, kappa):
-        rot = np.asarray(rot, dtype=float)
-        if rot.shape != (3,):
-            raise DomainError(f"rotation part has shape {rot.shape}")
-        trans = np.asarray(trans, dtype=float)
-        if trans.shape != (3,):
-            raise DomainError(f"translation part has shape {trans.shape}")
-        _require_finite(rot, "rotation part entries must be finite numbers")
-        _require_finite(trans, "translation part entries must be finite numbers")
-        object.__setattr__(self, "rot_vec", _frozen(rot))
-        object.__setattr__(self, "trans", _frozen(trans))
-        object.__setattr__(self, "kappa", validate_curvature(kappa))
-
-    @property
-    def rot(self) -> np.ndarray:
-        """Rotation part as a 3x3 antisymmetric matrix."""
-        return hat(self.rot_vec)
-
-    @classmethod
-    def zero(cls, kappa: int) -> "IsomAlgebraElement":
-        return cls(np.zeros(3), np.zeros(3), kappa)
-
-    def norm(self) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            n2 = float(self.rot_vec @ self.rot_vec + self.trans @ self.trans)
-        if not math.isfinite(n2):
-            raise DomainError("the norm overflows")
-        return math.sqrt(n2)
-
-    def __add__(self, other: "IsomAlgebraElement") -> "IsomAlgebraElement":
-        _check_kappa(self, other)
-        with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses inf and NaN
-            rot, trans = self.rot_vec + other.rot_vec, self.trans + other.trans
-        return IsomAlgebraElement(rot, trans, self.kappa)
-
-    def __sub__(self, other: "IsomAlgebraElement") -> "IsomAlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "IsomAlgebraElement":
-        return IsomAlgebraElement(-self.rot_vec, -self.trans, self.kappa)
-
-    def scaled(self, c: float) -> "IsomAlgebraElement":
-        with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses inf and NaN
-            rot, trans = c * self.rot_vec, c * self.trans
-        return IsomAlgebraElement(rot, trans, self.kappa)
-
-
-def _check_kappa(x: IsomAlgebraElement, y: IsomAlgebraElement) -> None:
-    if x.kappa != y.kappa:
-        raise CurvatureMismatch(f"kappa {x.kappa} vs {y.kappa}")
-
-
-def bracket(x: IsomAlgebraElement, y: IsomAlgebraElement) -> IsomAlgebraElement:
-    """Lie bracket [(A,X),(B,Y)] = ([A,B] - R(X,Y), AY - BX).
-
-    The curvature tensor is R(X,Y)Z = kappa(<Y,Z>X - <X,Z>Y); in axis-vector
-    form [A,B] - R(X,Y) has axis a x b + kappa (X x Y).
-    """
-    _check_kappa(x, y)
-    a, b = x.rot_vec, y.rot_vec
-    X, Y = x.trans, y.trans
-    with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses inf and NaN
-        rot = np.cross(a, b) + x.kappa * np.cross(X, Y)
-        trans = np.cross(a, Y) - np.cross(b, X)
-    return IsomAlgebraElement(rot, trans, x.kappa)
-
-
-def ad_matrix(x: IsomAlgebraElement) -> np.ndarray:
-    """ad(x) as a 6x6 real matrix in (axis, translation) coordinates."""
-    A = hat(x.rot_vec)
-    Xh = hat(x.trans)
-    out = np.zeros((6, 6))
-    out[:3, :3] = A
-    out[:3, 3:] = x.kappa * Xh
-    out[3:, :3] = Xh
-    out[3:, 3:] = A
-    return out
-
-
-def killing_form(x: IsomAlgebraElement, y: IsomAlgebraElement) -> float:
-    """Killing form tr(ad(x) ad(y)), computed literally from the 6x6 ads."""
-    _check_kappa(x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.trace(ad_matrix(x) @ ad_matrix(y)))
-    if not math.isfinite(value):
-        raise DomainError("the Killing form overflows")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +270,7 @@ def adjoint_stack(group: str, raw: np.ndarray) -> np.ndarray:
         w, v = raw[:, 0], raw[:, 1:]
         out = 2.0 * v[:, :, None] * v[:, None, :]
         out += (w * w - (v * v).sum(axis=1))[:, None, None] * np.eye(3)
-        wv = 2.0 * w[:, None] * v  # 2 w hat(v): +wv at (2,1), (0,2), (1,0), -wv at the transposes
+        wv = 2.0 * w[:, None] * v  # 2 w (v x .): +wv at (2,1), (0,2), (1,0), -wv at the transposes
         out[:, [2, 0, 1], [1, 2, 0]] += wv
         out[:, [1, 2, 0], [2, 0, 1]] -= wv
         return out

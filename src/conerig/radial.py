@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned
+from .errors import DomainError, IllConditioned, is_integer
 from .liecore import sn_cs_ct, validate_curvature
 
 # Default quadrature resolution; chosen so that halving the step moves the
@@ -40,7 +40,7 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if not 64 <= self.n <= MAX_GRID:
+        if not is_integer(self.n) or not 64 <= self.n <= MAX_GRID:
             raise DomainError(f"grid takes 64 to {MAX_GRID} nodes, got {self.n}")
 
 
@@ -113,7 +113,7 @@ def _t_b1_factor(b: float, r: float) -> float:
 
 
 def _check_quad_samples(n: int) -> None:
-    if not 1 <= n <= MAX_QUAD_SAMPLES:
+    if not is_integer(n) or not 1 <= n <= MAX_QUAD_SAMPLES:
         raise DomainError(
             f"quadrature takes at least 1 and at most {MAX_QUAD_SAMPLES} samples, got {n}"
         )
@@ -260,6 +260,8 @@ def pb_min_singular(b: float, kappa: int, grid: RadialGrid) -> float:
     that fails, raises `IllConditioned` (CLI exit 3); a b so large that the
     bands overflow raises `DomainError`.
     """
+    if not math.isfinite(b):
+        raise DomainError(f"b must be finite, got {b!r}")
     n = grid.n
     diag, sub, scale = _bands(b, kappa, n)
     start = None
@@ -483,6 +485,10 @@ class FormProfile:
         validate_curvature(self.kappa)
         if self.alpha <= 0.0 or self.length <= 0.0:
             raise DomainError("cone angle and tube length must be positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.length)):
+            raise DomainError(
+                f"cone angle and tube length must be finite, got {self.alpha}, {self.length}"
+            )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .liecore import validate_curvature
 
 TWO_PI = 2.0 * math.pi
@@ -64,6 +64,8 @@ class ConePoint:
         for a in self.holonomy_angles:
             if not (0.0 <= a < TWO_PI):
                 raise DomainError(f"holonomy angle must lie in [0, 2*pi), got {a}")
+        if not is_integer(self.trivial_rank):
+            raise DomainError(f"trivial_rank must be an integer, got {self.trivial_rank!r}")
         if self.trivial_rank < 0:
             raise DomainError("trivial_rank must be nonnegative")
 
@@ -132,7 +134,10 @@ def circle_dirac_spectrum(alpha: float, a: float, window: float) -> SpectrumRepo
     """Spectrum {+/- |2 pi n - a| / alpha} of the twisted circle operator."""
     if alpha <= 0.0:
         raise DomainError(f"circle length must be positive, got {alpha}")
-    if window <= 0.0:
+    for name, value in (("circle length", alpha), ("holonomy angle", a)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    if not window > 0.0:  # also refuses NaN
         raise DomainError(f"window must be positive, got {window}")
     values: list[float] = []
     witnesses: list[dict] = []
@@ -147,7 +152,7 @@ def circle_B_spectrum(cp: ConePoint, window: float) -> SpectrumReport:
     -1/2 +/- |2 pi n - a| / alpha; each trivial summand contributes
     -1/2 + 2 pi n / alpha.
     """
-    if window <= 0.0:
+    if not window > 0.0:  # also refuses NaN
         raise DomainError(f"window must be positive, got {window}")
     alpha = cp.alpha
     values: list[float] = []
@@ -171,19 +176,22 @@ def link_B_spectrum(lambda_list, h0_dim: int, window: float) -> SpectrumReport:
     of the link; each contributes the four values +/- 1/2 +/- sqrt(1/4 +
     lambda), and the flat sections contribute +/- 1 with multiplicity h0_dim.
     """
+    if not is_integer(h0_dim):
+        raise DomainError(f"h0_dim must be an integer, got {h0_dim!r}")
     if h0_dim < 0:
         raise DomainError("h0_dim must be nonnegative")
-    if window <= 0.0:
+    if not window > 0.0:  # also refuses NaN
         raise DomainError(f"window must be positive, got {window}")
     values: list[float] = []
     witnesses: list[dict] = []
     pairs = [(lam, 1) if np.isscalar(lam) else tuple(lam) for lam in lambda_list]
-    _check_size(2 * h0_dim + 4 * sum(max(int(mult), 0) for _, mult in pairs))
+    if not all(is_integer(mult) for _, mult in pairs):
+        raise DomainError(f"multiplicities must be integers, got {[mult for _, mult in pairs]!r}")
+    _check_size(2 * h0_dim + 4 * sum(max(mult, 0) for _, mult in pairs))
     values.extend([1.0] * h0_dim)
     values.extend([-1.0] * h0_dim)
     for lam, mult in pairs:
         lam = float(lam)
-        mult = int(mult)
         if not -MERGE_TOL <= lam < math.inf:  # also refuses NaN
             raise DomainError(f"Laplace eigenvalues must be finite and nonnegative, got {lam}")
         if mult < 1:
@@ -278,6 +286,8 @@ def cone_admissibility_verdict(
     distinct.
     """
     context = CONTEXT_OF_CURVATURE[validate_curvature(kappa)]
+    if not window > 0.0:  # checked here too, for a graph with no point
+        raise DomainError(f"window must be positive, got {window}")
     copies = 1 if context == CONTEXT_TRANSLATIONAL else 2
     angle_of: dict[int, float] = {}
     for e in edges:

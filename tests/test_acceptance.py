@@ -6,7 +6,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from conerig.cohomology import (
     FLAG_ABELIAN,
@@ -17,7 +16,17 @@ from conerig.cohomology import (
     standard_torus_cocycles,
     trace_differential,
 )
-from conerig.liecore import IsomAlgebraElement, bracket, complex_length_sl2c, killing_form
+from conerig.liecore import (
+    SL2C,
+    SU2,
+    SU2XSU2,
+    adjoint_stack,
+    algebra_matrix,
+    coefficient_field,
+    complex_length_sl2c,
+    exp_raw,
+    sigma_fields,
+)
 from conerig.manifest import fixture_path, load_manifest
 from conerig.radial import (
     CONVERGENT,
@@ -180,32 +189,42 @@ def test_08_link_spectra():
     _report(8, ok, "link spectra: lambda=1 gap with min 0.618..., lambda=0.5 fails")
 
 
-def test_09_killing_values_and_jacobi():
-    rot = lambda k: IsomAlgebraElement([1, 0, 0], [0, 0, 0], k)  # noqa: E731
-    trans = lambda k: IsomAlgebraElement([0, 0, 0], [0, 1, 0], k)  # noqa: E731
-    ok = (
-        abs(killing_form(rot(-1), rot(-1)) + 4.0) < 1e-12
-        and abs(killing_form(trans(-1), trans(-1)) - 4.0) < 1e-12
-        and abs(killing_form(rot(1), rot(1)) + 4.0) < 1e-12
-        and abs(killing_form(trans(1), trans(1)) + 4.0) < 1e-12
-        and abs(killing_form(trans(0), trans(0))) < 1e-12
+def test_09_killing_values_and_ad_invariance():
+    # The Killing form of sl2(C) as a real Lie algebra is 2 Re(4 tr XY); that
+    # of su(2) + su(2) is 4 tr XY summed over both factors.
+    (theta, z), (theta_pair, z_pair) = sigma_fields(SL2C), sigma_fields(SU2XSU2)
+
+    def killing(group, x):
+        m = algebra_matrix(group, x)
+        return 4.0 * np.trace(m @ m)
+
+    values = (
+        2.0 * killing(SL2C, theta).real,
+        2.0 * killing(SL2C, z).real,
+        sum(killing(SU2, x).real for x in theta_pair),
+        sum(killing(SU2, x).real for x in z_pair),
     )
+    ok = all(abs(v - e) < 1e-12 for v, e in zip(values, (-4.0, 4.0, -4.0, -4.0)))
+    # tr(XY) is Ad-invariant: compare it before and after Ad of random elements,
+    # relative to |X| |Y|, which bounds it.
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for kappa in (-1, 0, 1):
-        rng = np.random.default_rng(1000 + kappa)
+    for group in (SL2C, SU2):
+        field, dim = coefficient_field(group)
+
+        def normal():
+            xs = rng.standard_normal(dim)
+            return xs + 1j * rng.standard_normal(dim) if field is complex else xs
+
         for _ in range(1000):
-            x, y, z = (
-                IsomAlgebraElement(rng.standard_normal(3), rng.standard_normal(3), kappa)
-                for _ in range(3)
-            )
-            res = (
-                bracket(x, bracket(y, z))
-                + bracket(y, bracket(z, x))
-                + bracket(z, bracket(x, y))
-            ).norm()
-            worst = max(worst, res)
-    ok = ok and worst < 1e-12
-    _report(9, ok, f"Killing form values and Jacobi residual (worst {worst:.2e})")
+            ad = adjoint_stack(group, exp_raw(group, normal())[None])[0]
+            x, y = normal(), normal()
+            mx, my = algebra_matrix(group, x), algebra_matrix(group, y)
+            moved = np.trace(algebra_matrix(group, ad @ x) @ algebra_matrix(group, ad @ y))
+            defect = abs(moved - np.trace(mx @ my)) / (np.linalg.norm(mx) * np.linalg.norm(my))
+            worst = max(worst, defect)
+    ok = ok and worst < 1e-10
+    _report(9, ok, f"Killing form values on the sigma sections and Ad-invariance of tr XY (worst {worst:.2e})")
 
 
 def test_10_decay_estimate_suite():

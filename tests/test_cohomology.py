@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -32,7 +30,6 @@ from conerig.manifest import fixture_path, load_manifest
 from conerig.words import (
     Presentation,
     Representation,
-    evaluate,
     fox_jacobian,
     parse_word,
     split_representation,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conerig.errors import (
-    CurvatureMismatch,
     DegenerateElement,
     DomainError,
     NotSemisimple,
@@ -14,18 +13,14 @@ from conerig.liecore import (
     SL2C,
     SU2,
     SU2XSU2,
-    IsomAlgebraElement,
     _det_rule,
     _norm_rule,
-    ad_matrix,
     algebra_matrix,
-    bracket,
     coefficient_field,
     complex_length_sl2c,
     complex_length_su2pair,
     exp_raw,
     identity_distance,
-    killing_form,
     raw_inverse,
     sigma_fields,
     sn_cs_ct,
@@ -42,10 +37,6 @@ from cocycle_reference import (
 )
 
 RNG = np.random.default_rng(42)
-
-
-def random_isom(kappa, rng=RNG):
-    return IsomAlgebraElement(rng.standard_normal(3), rng.standard_normal(3), kappa)
 
 
 def normal_coords(group, rng):
@@ -114,110 +105,6 @@ class TestSnCsCt:
             sn_cs_ct(1, math.pi)
         with pytest.raises(DomainError):
             sn_cs_ct(2, 1.0)
-
-
-class TestBracket:
-    def test_self_bracket_vanishes(self):
-        x = random_isom(-1)
-        assert bracket(x, x).norm() == 0.0
-
-    def test_antisymmetry(self):
-        x, y = random_isom(1), random_isom(1)
-        assert (bracket(x, y) + bracket(y, x)).norm() < 1e-14
-
-    def test_flat_translations_commute(self):
-        e1 = IsomAlgebraElement(np.zeros(3), [1, 0, 0], 0)
-        e2 = IsomAlgebraElement(np.zeros(3), [0, 1, 0], 0)
-        assert bracket(e1, e2).norm() == 0.0
-
-    @pytest.mark.parametrize("kappa", [-1, 1])
-    def test_symmetric_space_identity(self, kappa):
-        # R(X,Y)Z = -[[X,Y],Z] on pure translations
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            X, Y, Z = (
-                IsomAlgebraElement(np.zeros(3), rng.standard_normal(3), kappa)
-                for _ in range(3)
-            )
-            lhs = kappa * (
-                float(Y.trans @ Z.trans) * X.trans - float(X.trans @ Z.trans) * Y.trans
-            )
-            rhs = -bracket(bracket(X, Y), Z).trans
-            assert np.linalg.norm(lhs - rhs) < 1e-12
-
-    def test_curvature_mismatch(self):
-        with pytest.raises(CurvatureMismatch):
-            bracket(random_isom(0), random_isom(1))
-
-    @pytest.mark.parametrize("kappa", [-1, 0, 1])
-    def test_jacobi_identity(self, kappa):
-        rng = np.random.default_rng(kappa + 10)
-        worst = 0.0
-        for _ in range(1000):
-            x, y, z = (random_isom(kappa, rng) for _ in range(3))
-            res = (
-                bracket(x, bracket(y, z))
-                + bracket(y, bracket(z, x))
-                + bracket(z, bracket(x, y))
-            ).norm()
-            worst = max(worst, res)
-        assert worst < 1e-12
-
-
-class TestKillingForm:
-    def test_reference_values(self):
-        rot = IsomAlgebraElement([1, 0, 0], np.zeros(3), -1)
-        trans = IsomAlgebraElement(np.zeros(3), [1, 0, 0], -1)
-        assert killing_form(rot, rot) == pytest.approx(-4.0, abs=1e-12)
-        assert killing_form(trans, trans) == pytest.approx(4.0, abs=1e-12)
-        rot1 = IsomAlgebraElement([0, 1, 0], np.zeros(3), 1)
-        trans1 = IsomAlgebraElement(np.zeros(3), [0, 0, 1], 1)
-        assert killing_form(rot1, rot1) == pytest.approx(-4.0, abs=1e-12)
-        assert killing_form(trans1, trans1) == pytest.approx(-4.0, abs=1e-12)
-        trans0 = IsomAlgebraElement(np.zeros(3), [1, 0, 0], 0)
-        assert killing_form(trans0, trans0) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("kappa", [-1, 0, 1])
-    def test_block_structure(self, kappa):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a = rng.standard_normal(3)
-            b = rng.standard_normal(3)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            rot_a = IsomAlgebraElement(a, np.zeros(3), kappa)
-            rot_b = IsomAlgebraElement(b, np.zeros(3), kappa)
-            tr_a = IsomAlgebraElement(np.zeros(3), a, kappa)
-            tr_b = IsomAlgebraElement(np.zeros(3), b, kappa)
-            dot = float(a @ b)
-            assert killing_form(rot_a, rot_b) == pytest.approx(-4.0 * dot, abs=1e-12)
-            assert killing_form(tr_a, tr_b) == pytest.approx(-4.0 * kappa * dot, abs=1e-12)
-            assert killing_form(rot_a, tr_b) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestAdMatrix:
-    def test_zero(self):
-        assert np.all(ad_matrix(IsomAlgebraElement.zero(1)) == 0.0)
-
-    def test_matches_bracket(self):
-        for kappa in (-1, 0, 1):
-            x, y = random_isom(kappa), random_isom(kappa)
-            out = ad_matrix(x) @ np.concatenate([y.rot_vec, y.trans])
-            br = bracket(x, y)
-            assert np.linalg.norm(out - np.concatenate([br.rot_vec, br.trans])) < 1e-13
-
-    def test_killing_antisymmetry(self):
-        rng = np.random.default_rng(11)
-        for kappa in (-1, 0, 1):
-            x, y, z = (random_isom(kappa, rng) for _ in range(3))
-            lhs = killing_form(bracket(x, y), z)
-            rhs = -killing_form(y, bracket(x, z))
-            assert lhs == pytest.approx(rhs, abs=1e-11)
-
-    def test_spherical_ad_is_antisymmetric(self):
-        x = random_isom(1)
-        mat = ad_matrix(x)
-        assert np.linalg.norm(mat + mat.T) < 1e-14
 
 
 class TestGroupElements:
@@ -393,10 +280,3 @@ class TestAlgebraMatrix:
         g = random_su2()
         for e in np.eye(3):
             assert np.linalg.norm(ad_action(g, e)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rotation_part_is_an_axis_vector():
-    x = IsomAlgebraElement([1.0, -2.0, 0.5], np.zeros(3), 0)
-    assert np.array_equal(x.rot @ np.array([0.0, 1.0, 0.0]), np.cross(x.rot_vec, [0.0, 1.0, 0.0]))
-    with pytest.raises(DomainError, match="rotation part has shape"):
-        IsomAlgebraElement(x.rot, np.zeros(3), 0)

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from conerig.liecore import (
     SL2C,
-    IsomAlgebraElement,
     _norm_rule,
-    bracket,
     complex_length_sl2c,
     complex_length_su2pair,
     exp_raw,
-    killing_form,
     raw_inverse,
 )
 from conerig.spectral import ConePoint, circle_B_spectrum
@@ -29,38 +26,6 @@ from cocycle_reference import ad_action, extend_cocycle, mul
 TWO_PI = 2.0 * math.pi
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
-vec3 = st.tuples(finite, finite, finite)
-kappas = st.sampled_from([-1, 0, 1])
-
-
-@st.composite
-def isom_elements(draw, kappa=None):
-    k = kappa if kappa is not None else draw(kappas)
-    return IsomAlgebraElement(draw(vec3), draw(vec3), k)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data(), kappas)
-def test_bracket_bilinear_and_antisymmetric(data, kappa):
-    x = data.draw(isom_elements(kappa))
-    y = data.draw(isom_elements(kappa))
-    z = data.draw(isom_elements(kappa))
-    s = data.draw(finite)
-    assert (bracket(x, y) + bracket(y, x)).norm() < 1e-12
-    lhs = bracket(x.scaled(s) + y, z)
-    rhs = bracket(x, z).scaled(s) + bracket(y, z)
-    assert (lhs - rhs).norm() < 1e-10
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data(), kappas)
-def test_killing_form_is_ad_invariant(data, kappa):
-    x = data.draw(isom_elements(kappa))
-    y = data.draw(isom_elements(kappa))
-    z = data.draw(isom_elements(kappa))
-    lhs = killing_form(bracket(x, y), z)
-    rhs = -killing_form(y, bracket(x, z))
-    assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
 
 
 @settings(max_examples=150, deadline=None)
