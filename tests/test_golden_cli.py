@@ -101,6 +101,8 @@ REFUSALS = [
         [{"id": 0, "angle": 3.0}, {"id": 0, "angle": 1.5707963267948966}],
     ),
     ("pants.json", "/singular_graph/vertices", [{"incident": [0, 0, 0]}, {"incident": [0, 1, 2]}]),
+    ("pants.json", "/singular_graph/vertices/0/incident/2", 5),
+    ("pants.json", "/singular_graph/vertices/0/incident", [0, 1]),
 ]
 REFUSAL_CASES = {
     f"refuse {name} {pointer}={json.dumps(value)}": (name, pointer, value)
