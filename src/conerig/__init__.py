@@ -54,7 +54,7 @@ from .spectral import (
     AdmissibilityVerdict,
     ConePoint,
     SingularEdge,
-    SingularVertex,
+    SingularGraph,
     SpectrumReport,
     circle_B_spectrum,
     circle_dirac_spectrum,

@@ -119,9 +119,7 @@ def _cmd_rigidity(args) -> tuple[int, dict]:
 
 def _cmd_admissibility(args) -> tuple[int, dict]:
     m = load_manifest(args.manifest)
-    verdict = cone_admissibility_verdict(
-        m.singular_edges, m.singular_vertices, m.curvature, window=args.window
-    )
+    verdict = cone_admissibility_verdict(m.singular_graph, m.curvature, window=args.window)
     report = {"manifest": str(args.manifest), "admissibility": verdict}
     return (EXIT_OK if verdict.admissible else EXIT_FAILING), report
 

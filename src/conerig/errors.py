@@ -4,7 +4,12 @@ import numbers
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation, at its `node` if named."""
+
+    def __init__(self, message: str, node: str | None = None):
+        super().__init__(f"{node}: {message}" if node else message)
+        self.message = message
+        self.node = node
 
 
 class NotSemisimple(ValueError):

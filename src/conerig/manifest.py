@@ -26,7 +26,6 @@ import dataclasses
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -34,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohomology import GENUS_CAP, MAX_SURFACE_GENUS, BoundaryComponent, check_boundary
-from .errors import ManifestError
+from .errors import DomainError, ManifestError
 from .liecore import (
     GROUPS,
     SL2C,
@@ -45,7 +44,7 @@ from .liecore import (
     _norm_rule,
     su2_quaternion,
 )
-from .spectral import MERGE_TOL, SingularEdge, SingularVertex
+from .spectral import MERGE_TOL, SingularEdge, SingularGraph
 from .words import Meridian, Presentation, Representation, check_generators, parse_word
 
 SCHEMA_VERSION = 1
@@ -59,8 +58,7 @@ class Manifest:
     presentation: Presentation
     representation: Representation
     boundary: tuple[BoundaryComponent, ...]
-    singular_edges: tuple[SingularEdge, ...]
-    singular_vertices: tuple[SingularVertex, ...]
+    singular_graph: SingularGraph
     warnings: tuple[str, ...]
 
 
@@ -198,19 +196,14 @@ def manifest_from_dict(doc: dict) -> Manifest:
         boundary.append(BoundaryComponent(genus, words, texts))
 
     edges: list[SingularEdge] = []
-    vertices: list[SingularVertex] = []
-    angles: dict[int, float] = {}
-    ends: Counter[int] = Counter()  # vertex ends of each edge id
-    graph = doc.get("singular_graph")
-    if graph is not None:
-        _object(graph, "/singular_graph")
-        for k, e in enumerate(_as_list(graph, "edges", "/singular_graph/edges")):
+    vertices: list[tuple[int, int, int]] = []
+    graph_doc = doc.get("singular_graph")
+    if graph_doc is not None:
+        _object(graph_doc, "/singular_graph")
+        for k, e in enumerate(_as_list(graph_doc, "edges", "/singular_graph/edges")):
             p = f"/singular_graph/edges/{k}"
-            edge_id = _integer(_object(e, p), "id", p)
-            _require(edge_id not in angles, f"{p}/id", f"duplicate edge id {edge_id}")
-            angles[edge_id] = _angle(e, "angle", p)
-            edges.append(SingularEdge(edge_id, angles[edge_id]))
-        for k, v in enumerate(_as_list(graph, "vertices", "/singular_graph/vertices")):
+            edges.append(SingularEdge(_integer(_object(e, p), "id", p), _angle(e, "angle", p)))
+        for k, v in enumerate(_as_list(graph_doc, "vertices", "/singular_graph/vertices")):
             p = f"/singular_graph/vertices/{k}"
             inc = _object(v, p).get("incident")
             _require(
@@ -218,23 +211,22 @@ def manifest_from_dict(doc: dict) -> Manifest:
                 f"{p}/incident",
                 "vertices are trivalent: expected 3 incident edge ids",
             )
-            unknown = [i for i in inc if i not in angles]
-            _require(not unknown, f"{p}/incident", f"undeclared edge id(s) {unknown}")
-            ends.update(inc)  # an id listed twice at one vertex is two ends
-            crowded = sorted({i for i in inc if ends[i] > 2})
-            _require(not crowded, f"{p}/incident", f"edge id(s) {crowded} have more than two vertex ends")
-            vertices.append(SingularVertex(tuple(inc)))
+            vertices.append(tuple(inc))
+    try:
+        graph = SingularGraph(tuple(edges), tuple(vertices))
+    except DomainError as exc:
+        raise ManifestError(f"/singular_graph/{exc.node}", exc.message) from exc
     for k, m in enumerate(meridians):  # each meridian goes around a declared edge
         p = f"/meridians/{k}"
-        _require(m.edge_id in angles, f"{p}/edge_id", f"undeclared edge id {m.edge_id}")
-        edge_angle = angles[m.edge_id]
+        _require(m.edge_id in graph.angle_of, f"{p}/edge_id", f"undeclared edge id {m.edge_id}")
+        edge_angle = graph.angle_of[m.edge_id]
         _require(
             abs(m.cone_angle - edge_angle) <= MERGE_TOL,
             f"{p}/cone_angle",
             f"cone angle {m.cone_angle} differs from the angle {edge_angle} of edge {m.edge_id}",
         )
 
-    warnings = _genus_relation_warnings(edges, vertices, boundary)
+    warnings = _genus_relation_warnings(graph, boundary)
     return Manifest(
         schema=SCHEMA_VERSION,
         curvature=int(curvature),
@@ -242,39 +234,31 @@ def manifest_from_dict(doc: dict) -> Manifest:
         presentation=pres,
         representation=rho,
         boundary=tuple(boundary),
-        singular_edges=tuple(edges),
-        singular_vertices=tuple(vertices),
+        singular_graph=graph,
         warnings=tuple(warnings),
     )
 
 
-def _genus_relation_warnings(edges, vertices, boundary) -> list[str]:
+def _genus_relation_warnings(graph: SingularGraph, boundary) -> list[str]:
     """Cross-check genus = N/3 + 1 for a connected closed trivalent graph."""
-    if not edges or not vertices:
+    if not graph.vertices or not graph.closed:
         return []
-    incidences = sum(1 for v in vertices for _ in v.incident)
-    if incidences != 2 * len(edges):
-        return []
-    adjacency: dict[int, set[int]] = {}
-    for k, v in enumerate(vertices):
-        for e in v.incident:
-            adjacency.setdefault(e, set()).add(k)
-    seen = {0}
-    stack = [0]
+    ends: dict[int, list[int]] = {}  # the vertices at each end of an edge
+    for k, incident in enumerate(graph.vertices):
+        for e in incident:
+            ends.setdefault(e, []).append(k)
+    seen, stack = {0}, [0]
     while stack:
-        v = stack.pop()
-        for e in vertices[v].incident:
-            for w in adjacency.get(e, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    if len(seen) != len(vertices):
+        for e in graph.vertices[stack.pop()]:
+            stack.extend(w for w in ends[e] if w not in seen)
+            seen.update(ends[e])
+    if len(seen) != len(graph.vertices):
         return []
-    expected = len(edges) / 3 + 1
+    expected = len(graph.edges) / 3 + 1
     declared = [c.genus for c in boundary if c.genus >= 2]
     if declared and not any(math.isclose(g, expected) for g in declared):
         return [
-            f"connected trivalent graph with {len(edges)} edges has boundary genus "
+            f"connected trivalent graph with {len(graph.edges)} edges has boundary genus "
             f"{expected:g}; manifest declares {declared}"
         ]
     return []
@@ -362,10 +346,10 @@ def manifest_to_dict(m: Manifest) -> dict:
         doc["boundary"] = [
             {"genus": c.genus, "generator_words": list(c.generator_words)} for c in m.boundary
         ]
-    if m.singular_edges or m.singular_vertices:
+    if m.singular_graph.edges:
         doc["singular_graph"] = {
-            "edges": [{"id": e.id, "angle": e.angle} for e in m.singular_edges],
-            "vertices": [{"incident": list(v.incident)} for v in m.singular_vertices],
+            "edges": [{"id": e.id, "angle": e.angle} for e in m.singular_graph.edges],
+            "vertices": [{"incident": list(inc)} for inc in m.singular_graph.vertices],
         }
     return doc
 

@@ -8,9 +8,9 @@ angle of each flat line bundle summand; for surface links they are expressed
 through the positive spectrum of the Laplacian on functions, for which the
 guaranteed lower bound is 1.
 
-A verdict on a singular graph reads the edge angles only: it computes one
-circle spectrum per distinct angle, which each edge's bigon link reads twice
-and each vertex's triangle link once per incident edge.
+A `SingularGraph` checks the graph's rules once, when it is built.  A verdict
+on it computes one circle spectrum per distinct edge angle, which each edge's
+bigon link reads twice and each vertex's triangle link once per incident edge.
 
 Every spectrum records a witness for each of its values that lies in the
 gap, and the gap holds exactly when there is no witness.
@@ -18,7 +18,9 @@ gap, and the gap holds exactly when there is no witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -218,12 +220,40 @@ class SingularEdge:
 
 
 @dataclass(frozen=True)
-class SingularVertex:
-    incident: tuple[int, int, int]
+class SingularGraph:
+    """The singular locus: its edges, and its trivalent vertices as triples of
+    incident edge ids.  Edge ids are distinct, incident ids are declared and
+    no edge has more than two vertex ends (an id listed twice at one vertex is
+    two); each refusal names its node, such as edges/1/id or vertices/0/incident."""
+
+    edges: tuple[SingularEdge, ...]
+    vertices: tuple[tuple[int, int, int], ...]
+    angle_of: MappingProxyType[int, float] = field(init=False, repr=False, compare=False)
+    vertex_angles: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
+    closed: bool = field(init=False, repr=False)  # every edge has two vertex ends
 
     def __post_init__(self):
-        if len(self.incident) != 3:
-            raise DomainError("vertices of the singular graph are trivalent")
+        angle_of: dict[int, float] = {}
+        for k, e in enumerate(self.edges):
+            if e.id in angle_of:
+                raise DomainError(f"duplicate edge id {e.id}", f"edges/{k}/id")
+            angle_of[e.id] = e.angle
+        ends: Counter[int] = Counter()
+        for k, inc in enumerate(self.vertices):
+            node = f"vertices/{k}/incident"
+            if len(inc) != 3:
+                raise DomainError("vertices of the singular graph are trivalent", node)
+            unknown = [i for i in inc if i not in angle_of]
+            if unknown:
+                raise DomainError(f"undeclared edge id(s) {unknown}", node)
+            ends.update(inc)
+            crowded = sorted({i for i in inc if ends[i] > 2})
+            if crowded:
+                raise DomainError(f"edge id(s) {crowded} have more than two vertex ends", node)
+        object.__setattr__(self, "angle_of", MappingProxyType(angle_of))
+        triples = tuple(tuple(angle_of[i] for i in inc) for inc in self.vertices)
+        object.__setattr__(self, "vertex_angles", triples)
+        object.__setattr__(self, "closed", all(ends[e.id] == 2 for e in self.edges))
 
 
 CONTEXT_OF_CURVATURE = {1: CONTEXT_SPHERICAL, -1: CONTEXT_HYPERBOLIC, 0: CONTEXT_TRANSLATIONAL}
@@ -270,10 +300,7 @@ def _check_point(
 
 
 def cone_admissibility_verdict(
-    edges,
-    vertices,
-    kappa: int,
-    window: float = 3.0,
+    graph: SingularGraph, kappa: int, window: float = 3.0
 ) -> AdmissibilityVerdict:
     """Cone-admissibility of the infinitesimal-isometry bundle over a
     singular graph (the translational subbundle in the Euclidean case).
@@ -282,50 +309,36 @@ def cone_admissibility_verdict(
     triangle link of the three incident edge angles.  Angles in (0, pi] are
     the geometric range for trivalent singular loci; larger angles up to
     2 pi are judged rather than refused, so that an admissibility failure is
-    witnessed.  An empty graph is vacuously admissible.  Edge ids must be
-    distinct.
+    witnessed.  An empty graph is vacuously admissible.
     """
     context = CONTEXT_OF_CURVATURE[validate_curvature(kappa)]
     if not window > 0.0:  # checked here too, for a graph with no point
         raise DomainError(f"window must be positive, got {window}")
     copies = 1 if context == CONTEXT_TRANSLATIONAL else 2
-    angle_of: dict[int, float] = {}
-    for e in edges:
-        if e.id in angle_of:
-            raise DomainError(f"duplicate edge id {e.id}")
-        angle_of[e.id] = e.angle
-    # The bundle restricted to a circle of length alpha splits as C(alpha) + R
-    # per copy of the surface isometry bundle: two copies, or one for the
-    # translational subbundle in the Euclidean case.
+    # On a circle of length alpha each copy of the bundle splits as C(alpha) + R.
     spectrum = {
         alpha: circle_B_spectrum(ConePoint(alpha, (alpha % TWO_PI,) * copies, copies), window)
-        for alpha in dict.fromkeys(angle_of.values())
+        for alpha in dict.fromkeys(graph.angle_of.values())
     }
-    vertex_angles: list[tuple[float, ...]] = []
-    for k, v in enumerate(vertices):
-        try:
-            vertex_angles.append(tuple(angle_of[i] for i in v.incident))
-        except KeyError as exc:
-            raise DomainError(f"vertex {k} references unknown edge {exc.args[0]}") from exc
     # A bigon link has a single rotation holonomy whose axis is invariant,
     # and no holonomy at all at angle 0 mod 2 pi; a triangle link has
     # rotations about distinct axes and no invariants.
-    edge_h0 = [3 * copies if e.angle % TWO_PI <= MERGE_TOL else copies for e in edges]
+    edge_h0 = [3 * copies if e.angle % TWO_PI <= MERGE_TOL else copies for e in graph.edges]
     # With every circle check passed the link carries an admissible
     # orthogonally flat bundle, so its first positive Laplace eigenvalue is
     # at least 1 and the surface-link spectrum, one per distinct h0, stays
     # outside the gap.
     link = {
         h0: link_B_spectrum([(LAMBDA1_GUARANTEED, 1)], h0, window)
-        for h0 in dict.fromkeys([*edge_h0, *([0] if vertex_angles else [])])
+        for h0 in dict.fromkeys([*edge_h0, *([0] if graph.vertices else [])])
     }
     points = [
         _check_point(BIGON, f"edge {e.id}", (e.angle, e.angle), [spectrum[e.angle]] * 2, link[h0])
-        for e, h0 in zip(edges, edge_h0)
+        for e, h0 in zip(graph.edges, edge_h0)
     ]
     points += [
         _check_point(TRIANGLE, f"vertex {k}", angles, [spectrum[a] for a in angles], link[0])
-        for k, angles in enumerate(vertex_angles)
+        for k, angles in enumerate(graph.vertex_angles)
     ]
     return AdmissibilityVerdict(
         admissible=all(p.admissible for p in points),

@@ -108,6 +108,34 @@ class TestLoad:
         assert man.warnings
         assert "genus" in man.warnings[0]
 
+    @pytest.mark.parametrize(
+        "vertices, genera, warnings",
+        [
+            ([[0, 1, 2], [0, 1, 2]], [2], []),
+            # two disjoint theta graphs: not connected, so no relation to check
+            ([[0, 1, 2], [0, 1, 2], [3, 4, 5], [3, 4, 5]], [2, 2], []),
+            ([[0, 1, 2], [0, 1, 2], [3, 4, 5], [3, 4, 5]], [4], []),
+            # edges 2 and 3 have one vertex end each: the graph is not closed
+            ([[0, 1, 2], [0, 1, 3]], [2], []),
+            # the handcuff graph: a loop at each vertex, one edge between them
+            (
+                [[0, 0, 1], [1, 2, 2]],
+                [3],
+                ["connected trivalent graph with 3 edges has boundary genus 2; manifest declares [3]"],
+            ),
+        ],
+        ids=["theta", "two thetas, genera 2 and 2", "two thetas, genus 4", "open graph", "handcuff"],
+    )
+    def test_genus_relation_branches(self, vertices, genera, warnings):
+        doc = torus_doc()
+        n_edges = 1 + max(i for inc in vertices for i in inc)
+        doc["singular_graph"] = {
+            "edges": [{"id": k, "angle": math.pi / 2 if k == 0 else 1.0} for k in range(n_edges)],
+            "vertices": [{"incident": inc} for inc in vertices],
+        }
+        doc["boundary"] = [{"genus": g, "generator_words": ["a", "b"] * g} for g in genera]
+        assert list(manifest_from_dict(doc).warnings) == warnings
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", FIXTURES)

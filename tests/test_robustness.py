@@ -34,6 +34,7 @@ from conerig.spectral import (
     MAX_SPECTRUM_VALUES,
     TWO_PI,
     ConePoint,
+    SingularGraph,
     circle_B_spectrum,
     circle_dirac_spectrum,
     cone_admissibility_verdict,
@@ -371,7 +372,7 @@ class TestSizeCaps:
         (lambda: circle_dirac_spectrum(1.0, 0.5, math.nan), "window must be positive, got nan"),
         (lambda: circle_B_spectrum(ConePoint(1.0, (0.5,), 0), math.nan), "window must be positive"),
         (lambda: link_B_spectrum([(1.0, 1)], 0, math.nan), "window must be positive"),
-        (lambda: cone_admissibility_verdict([], [], -1, math.nan), "window must be positive"),
+        (lambda: cone_admissibility_verdict(SingularGraph((), ()), -1, math.nan), "window must be positive"),
         (lambda: circle_dirac_spectrum(1.0, math.nan, 3.0), "holonomy angle must be finite"),
         (lambda: circle_dirac_spectrum(math.inf, 0.5, 3.0), "circle length must be finite"),
         (lambda: ConePoint(1.0, (0.5,), 1.5), "trivial_rank must be an integer, got 1.5"),

@@ -11,7 +11,7 @@ from conerig.spectral import (
     BIGON,
     ConePoint,
     SingularEdge,
-    SingularVertex,
+    SingularGraph,
     circle_B_spectrum,
     circle_dirac_spectrum,
     cone_admissibility_verdict,
@@ -180,14 +180,14 @@ class TestEdgeData:
 
     def test_bigon_full_bundle(self, spectra):
         alpha = 1.2
-        verdict = cone_admissibility_verdict([SingularEdge(0, alpha)], [], 1)
+        verdict = cone_admissibility_verdict(SingularGraph((SingularEdge(0, alpha),), ()), 1)
         assert spectra["circle"] == [ConePoint(alpha, (alpha, alpha), 2)]
         assert spectra["h0"] == [2]
         assert verdict.points[0].angles == (alpha, alpha)
 
     def test_triangle_translational(self, spectra):
-        edges = [SingularEdge(0, 0.9), SingularEdge(1, 1.0), SingularEdge(2, 1.1)]
-        verdict = cone_admissibility_verdict(edges, [SingularVertex((0, 1, 2))], 0)
+        edges = (SingularEdge(0, 0.9), SingularEdge(1, 1.0), SingularEdge(2, 1.1))
+        verdict = cone_admissibility_verdict(SingularGraph(edges, ((0, 1, 2),)), 0)
         assert [cp.holonomy_angles for cp in spectra["circle"]] == [(0.9,), (1.0,), (1.1,)]
         assert all(cp.trivial_rank == 1 for cp in spectra["circle"])
         assert spectra["h0"] == [1, 0]  # one link spectrum per distinct h0
@@ -195,7 +195,7 @@ class TestEdgeData:
 
     @pytest.mark.parametrize("kappa, copies", [(0, 1), (-1, 2), (1, 2)])
     def test_full_angle_reduces_holonomy(self, spectra, kappa, copies):
-        assert cone_admissibility_verdict([SingularEdge(0, TWO_PI)], [], kappa).admissible
+        assert cone_admissibility_verdict(SingularGraph((SingularEdge(0, TWO_PI),), ()), kappa).admissible
         assert spectra["circle"] == [ConePoint(TWO_PI, (0.0,) * copies, copies)]
         assert spectra["h0"] == [3 * copies]
 
@@ -209,17 +209,17 @@ class TestEdgeData:
         for edge_id, ends in enumerate(pairs):
             for end in ends:
                 incident.setdefault(end, []).append(edge_id)
-        edges = [SingularEdge(i, math.pi) for i in range(len(pairs))]
-        vertices = [SingularVertex(tuple(inc)) for inc in incident.values()]
-        assert (len(edges), len(vertices)) == (30, 20)
-        verdict = cone_admissibility_verdict(edges, vertices, -1)
+        edges = tuple(SingularEdge(i, math.pi) for i in range(len(pairs)))
+        graph = SingularGraph(edges, tuple(tuple(inc) for inc in incident.values()))
+        assert (len(graph.edges), len(graph.vertices), graph.closed) == (30, 20, True)
+        verdict = cone_admissibility_verdict(graph, -1)
         assert verdict.admissible and len(verdict.points) == 50
         assert spectra["h0"] == [2, 0]
         assert len(spectra["circle"]) == 1
 
     def test_one_circle_spectrum_per_distinct_angle(self, spectra):
         m = load_manifest(fixture_path("pants.json"))
-        verdict = cone_admissibility_verdict(m.singular_edges, m.singular_vertices, m.curvature)
+        verdict = cone_admissibility_verdict(m.singular_graph, m.curvature)
         assert len(verdict.points) == 4
         assert [cp.alpha for cp in spectra["circle"]] == [math.pi / 2, 2 * math.pi / 3]
 
@@ -227,14 +227,13 @@ class TestEdgeData:
 class TestAdmissibilityVerdict:
     @pytest.mark.parametrize("kappa", [-1, 0, 1])
     def test_small_angles_admissible(self, kappa):
-        edges = [SingularEdge(0, 2.0), SingularEdge(1, 2.8), SingularEdge(2, math.pi)]
-        vertices = [SingularVertex((0, 1, 2))]
-        verdict = cone_admissibility_verdict(edges, vertices, kappa)
+        edges = (SingularEdge(0, 2.0), SingularEdge(1, 2.8), SingularEdge(2, math.pi))
+        verdict = cone_admissibility_verdict(SingularGraph(edges, ((0, 1, 2),)), kappa)
         assert verdict.admissible
         assert len(verdict.points) == 4
 
     def test_wide_edge_fails_with_witness(self):
-        verdict = cone_admissibility_verdict([SingularEdge(0, 1.5 * math.pi)], [], -1)
+        verdict = cone_admissibility_verdict(SingularGraph((SingularEdge(0, 1.5 * math.pi),), ()), -1)
         assert not verdict.admissible
         point = verdict.points[0]
         assert point.kind == BIGON
@@ -244,27 +243,19 @@ class TestAdmissibilityVerdict:
         assert -0.5 < w["value"] < 0.5
 
     def test_empty_graph_vacuous(self):
-        verdict = cone_admissibility_verdict([], [], 0)
+        verdict = cone_admissibility_verdict(SingularGraph((), ()), 0)
         assert verdict.admissible
         assert any("vacuous" in n for n in verdict.notices)
 
-    def test_vertex_with_unknown_edge(self):
-        with pytest.raises(DomainError):
-            cone_admissibility_verdict([SingularEdge(0, 1.0)], [SingularVertex((0, 0, 7))], 1)
-
-    def test_duplicate_edge_id(self):
-        edges = [SingularEdge(0, 3.0), SingularEdge(0, math.pi / 2)]
-        with pytest.raises(DomainError, match="duplicate edge id 0"):
-            cone_admissibility_verdict(edges, [], -1)
 
     def test_random_small_angles_always_admissible(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             angles = rng.uniform(0.05, math.pi, size=3)
-            edges = [SingularEdge(k, float(a)) for k, a in enumerate(angles)]
-            vertices = [SingularVertex((0, 1, 2)), SingularVertex((0, 1, 2))]
+            edges = tuple(SingularEdge(k, float(a)) for k, a in enumerate(angles))
+            graph = SingularGraph(edges, ((0, 1, 2), (0, 1, 2)))
             for kappa in (-1, 0, 1):
-                assert cone_admissibility_verdict(edges, vertices, kappa).admissible
+                assert cone_admissibility_verdict(graph, kappa).admissible
 
 
 class TestTypes:
@@ -280,3 +271,41 @@ class TestTypes:
     def test_edge_angle_outside_the_range(self, angle):
         with pytest.raises(DomainError, match=r"must lie in \(0, 2\*pi\]"):
             SingularEdge(0, angle)
+
+
+MANY_ENDS = "have more than two vertex ends"
+
+
+class TestSingularGraph:
+    """The graph's rules, each refused at its node relative to the graph."""
+
+    @pytest.mark.parametrize(
+        "edge_ids, vertices, node, message",
+        [
+            ((0, 0), (), "edges/1/id", "duplicate edge id 0"),
+            ((0,), ((0, 0, 7),), "vertices/0/incident", "undeclared edge id(s) [7]"),
+            ((0, 1), ((0, 1),), "vertices/0/incident", "vertices of the singular graph are trivalent"),
+            ((0, 1, 2), ((0, 1, 2),) * 3, "vertices/2/incident", f"edge id(s) [0, 1, 2] {MANY_ENDS}"),
+            ((0, 1), ((0, 0, 1), (0, 1, 1)), "vertices/1/incident", f"edge id(s) [0, 1] {MANY_ENDS}"),
+        ],
+    )
+    def test_refusal_names_its_node(self, edge_ids, vertices, node, message):
+        edges = tuple(SingularEdge(i, 1.0 + 0.5 * k) for k, i in enumerate(edge_ids))
+        with pytest.raises(DomainError) as exc:
+            SingularGraph(edges, vertices)
+        assert (exc.value.node, exc.value.message) == (node, message)
+        assert str(exc.value) == f"{node}: {message}"
+
+    def test_angles_per_edge_id_and_per_vertex(self):
+        edges = (SingularEdge(4, 1.0), SingularEdge(2, 2.0), SingularEdge(9, 3.0))
+        theta = SingularGraph(edges, ((4, 2, 9), (9, 4, 2)))
+        assert dict(theta.angle_of) == {4: 1.0, 2: 2.0, 9: 3.0}
+        assert theta.vertex_angles == ((1.0, 2.0, 3.0), (3.0, 1.0, 2.0))
+        assert theta.closed
+        assert not SingularGraph(edges, ((4, 2, 9),)).closed
+        assert not SingularGraph(edges, ()).closed and SingularGraph((), ()).closed
+
+    def test_a_loop_at_one_vertex_is_two_ends(self):
+        # the handcuff graph: edge 0 and edge 2 are loops, edge 1 joins them
+        edges = tuple(SingularEdge(i, 1.0) for i in range(3))
+        assert SingularGraph(edges, ((0, 0, 1), (1, 2, 2))).closed

@@ -29,6 +29,7 @@ from conerig.liecore import (
     su2_quaternion,
 )
 from conerig.manifest import Manifest, fixture_path, load_manifest, manifest_to_dict
+from conerig.spectral import SingularGraph
 from conerig.words import (
     Representation,
     evaluate,
@@ -320,8 +321,7 @@ def surface_manifest(tmp_path, make, genus):
             presentation=pres,
             representation=rho,
             boundary=(),
-            singular_edges=(),
-            singular_vertices=(),
+            singular_graph=SingularGraph((), ()),
             warnings=(),
         )
     )
