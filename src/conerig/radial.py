@@ -524,6 +524,7 @@ def l2_tube_verdict(fp: FormProfile, eps: float, deltas, n: int = 2048) -> TubeV
     constant, convergent when they decay geometrically; anything else is
     inconclusive and the raw values are reported.
     """
+    _check_quad_samples(n)
     if fp.kappa == 1 and eps >= math.pi / 2.0:
         raise DomainError("tube radius must stay below pi/2 at curvature +1")
     deltas = [float(d) for d in deltas]
@@ -561,11 +562,16 @@ def l2_tube_verdict(fp: FormProfile, eps: float, deltas, n: int = 2048) -> TubeV
 
 
 def halving_deltas(eps: float, count: int = 10) -> list[float]:
-    """eps/2, eps/4, ..., eps/2^count.
+    """eps/2, eps/4, ..., eps/2^count, for a positive finite eps and a count
+    of at least 1.
 
     Raises DomainError once a halving is not a positive number strictly
-    below the one before (eps not positive and finite, or eps/2^k underflows).
+    below the one before (eps/2^k underflows).
     """
+    if not 0.0 < eps < math.inf:  # also refuses NaN
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    if not is_integer(count) or count < 1:
+        raise DomainError(f"halving count must be an integer of at least 1, got {count!r}")
     deltas = []
     previous = eps
     for k in range(1, count + 1):

@@ -29,7 +29,16 @@ from conerig.liecore import (
 )
 from conerig import cohomology, manifest, spectral, words
 from conerig.manifest import fixture_path, load_manifest
-from conerig.radial import MAX_GRID, MAX_QUAD_SAMPLES, FormProfile, RadialGrid, pb_min_singular, t_b0
+from conerig.radial import (
+    MAX_GRID,
+    MAX_QUAD_SAMPLES,
+    FormProfile,
+    RadialGrid,
+    halving_deltas,
+    l2_tube_verdict,
+    pb_min_singular,
+    t_b0,
+)
 from conerig.spectral import (
     MAX_SPECTRUM_VALUES,
     TWO_PI,
@@ -366,6 +375,9 @@ class TestSizeCaps:
         assert captured.err == "error: the spectrum would take more than 1000 values\n"
 
 
+ANG = FormProfile("ang", -1, 1.0, 1.0)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -384,6 +396,14 @@ class TestSizeCaps:
         (lambda: FormProfile("ang", -1, 1.0, math.inf), "cone angle and tube length must be finite"),
         (lambda: pb_min_singular(math.nan, 0, RadialGrid(256)), "b must be finite, got nan"),
         (lambda: t_b0(np.cos, 0.0, 0.5, 2.5), "quadrature takes at least 1"),
+        (lambda: l2_tube_verdict(ANG, 0.5, [0.1, 0.05], n=2.5), "quadrature .* got 2.5"),
+        (lambda: l2_tube_verdict(ANG, 0.5, [0.1, 0.05], n=True), "quadrature .* got True"),
+        (lambda: l2_tube_verdict(ANG, 0.5, [0.1, 0.05], n=-3), "quadrature .* got -3"),
+        (lambda: l2_tube_verdict(ANG, 0.5, [0.1], n=MAX_QUAD_SAMPLES + 1), "quadrature takes at least 1"),
+        (lambda: halving_deltas(0.5, 2.5), "halving count must be an integer of at least 1, got 2.5"),
+        (lambda: halving_deltas(0.5, True), "halving count must be an integer of at least 1, got True"),
+        (lambda: halving_deltas(0.5, 0), "halving count must be an integer of at least 1, got 0"),
+        (lambda: halving_deltas(math.nan, 3), "eps must be positive and finite, got nan"),
     ],
     ids=[
         "circle-dirac window",
@@ -401,6 +421,14 @@ class TestSizeCaps:
         "profile length",
         "radial b",
         "quadrature samples",
+        "fractional tube samples",
+        "boolean tube samples",
+        "negative tube samples",
+        "too many tube samples",
+        "fractional halving count",
+        "boolean halving count",
+        "zero halvings",
+        "halving eps",
     ],
 )
 def test_library_entry_points_name_a_bad_argument(call, message):

@@ -304,8 +304,3 @@ class TestSingularGraph:
         assert theta.closed
         assert not SingularGraph(edges, ((4, 2, 9),)).closed
         assert not SingularGraph(edges, ()).closed and SingularGraph((), ()).closed
-
-    def test_a_loop_at_one_vertex_is_two_ends(self):
-        # the handcuff graph: edge 0 and edge 2 are loops, edge 1 joins them
-        edges = tuple(SingularEdge(i, 1.0) for i in range(3))
-        assert SingularGraph(edges, ((0, 0, 1), (1, 2, 2))).closed
