@@ -103,6 +103,10 @@ REFUSALS = [
     ("pants.json", "/singular_graph/vertices", [{"incident": [0, 0, 0]}, {"incident": [0, 1, 2]}]),
     ("pants.json", "/singular_graph/vertices/0/incident/2", 5),
     ("pants.json", "/singular_graph/vertices/0/incident", [0, 1]),
+    ("torus.json", "/holonomy/a/0/0/0", "0.5"),
+    ("torus.json", "/holonomy/b/1/1", None),
+    ("genus2-su2.json", "/holonomy/b/2", "0.1"),
+    ("genus2-su2.json", "/holonomy/b", [0.4480698951903353, 0.6819747292261262, 0.48139824102310286]),
 ]
 REFUSAL_CASES = {
     f"refuse {name} {pointer}={json.dumps(value)}": (name, pointer, value)
