@@ -7,12 +7,17 @@ pairs, matrices row-major; SU(2) images are accepted either as quaternions
 [a, b, c, d] or as 2x2 matrices and are normalized on load, and SU(2)xSU(2)
 images are objects {"left": ..., "right": ...} of two SU(2) images.
 
-Each image is read once, to its raw array: every [re, im] pair and
-quaternion goes through one reader (`_numbers`) that refuses it at its own
-JSON pointer, and the array is checked by the group membership rules of
-`liecore` (`_det_rule`, `_norm_rule`, `su2_quaternion`), whose domain errors
-are reported at the image's pointer (`_built`).  The generators are checked first,
-at /generators; then every word is parsed once, at its own pointer:
+The holonomy is read as one stack (`_holonomy`): one structural and type
+pass over all the images, where a JSON number is exactly an int or a float,
+and one float64 conversion of all their numbers (`_stacks`), an SL(2,C)
+entry being an exact complex view of its [re, im] pair.  Each image is then
+checked on its own by the group membership rules of `liecore` (`_det_rule`,
+`_norm_rule`, `su2_quaternion`), whose domain errors are reported at the
+image's pointer.  A refusal is the first fault in generator order: only when
+the stack has a fault is it looked for image by image (`_image_fault`), and
+the images before it are still checked by their rules first.  The
+generators are checked first, at /generators; then every word is parsed
+once, at its own pointer:
 /relators/<k>, /meridians/<k>/word and /boundary/<c>/generator_words/<j>,
 after its component's genus and word count are checked at /boundary/<c>.
 
@@ -94,14 +99,17 @@ def _object(value, path: str) -> dict:
 
 
 def _integer(obj: dict, key: str, path: str) -> int:
-    _require(_is_number(obj.get(key), int), f"{path}/{key}", "expected an integer")
+    if not _is_number(obj.get(key), int):
+        raise ManifestError(f"{path}/{key}", "expected an integer")
     return obj[key]
 
 
 def _angle(obj: dict, key: str, path: str) -> float:
     angle = obj.get(key)
-    _require(_is_number(angle), f"{path}/{key}", "expected a number")
-    _require(0.0 < angle <= 2.0 * math.pi, f"{path}/{key}", f"must lie in (0, 2*pi], got {angle}")
+    if not _is_number(angle):
+        raise ManifestError(f"{path}/{key}", "expected a number")
+    if not 0.0 < angle <= 2.0 * math.pi:
+        raise ManifestError(f"{path}/{key}", f"must lie in (0, 2*pi], got {angle}")
     return float(angle)
 
 
@@ -110,56 +118,130 @@ def _words(value, path: str, message: str = "expected a list of word strings") -
     return value
 
 
-def _numbers(value, count: int, path: str) -> list:
-    """A list of `count` finite JSON numbers, an [re, im] pair or a
-    quaternion, refused at its own pointer."""
-    if not (isinstance(value, list) and len(value) == count and all(_is_number(x) for x in value)):
-        raise ManifestError(path, "expected a [re, im] pair" if count == 2 else f"expected {count} numbers")
+_SIDES = ("left", "right")
+_JSON_NUMBERS = frozenset((int, float))  # exact types: a bool is neither
+
+
+def _entries_fault(value, count: int, path: str):
+    """The refusal (pointer, message) of a node that is not a list of `count`
+    finite JSON numbers, an [re, im] pair or a quaternion; None if it is one."""
+    if not (type(value) is list and len(value) == count and all(type(x) in _JSON_NUMBERS for x in value)):
+        return path, "expected a [re, im] pair" if count == 2 else f"expected {count} numbers"
     # An exact comparison: math.isfinite overflows on an int beyond the float range.
     if not all(abs(x) <= sys.float_info.max for x in value):
-        raise ManifestError(path, f"expected finite numbers, got {value}")
-    return value
+        return path, f"expected finite numbers, got {value}"
+    return None
 
 
-def _matrix(value, path: str) -> np.ndarray:
-    _require(isinstance(value, list) and len(value) == 2, path, "expected a 2x2 matrix")
-    rows = []
+def _image_fault(value, quaternion: bool, path: str):
+    """The first refusal, in the order its nodes are written, of one image
+    read as a quaternion or as a 2x2 matrix of [re, im] pairs; None if it
+    has none."""
+    if quaternion:
+        return _entries_fault(value, 4, path)
+    if not (type(value) is list and len(value) == 2):
+        return path, "expected a 2x2 matrix"
     for i, row in enumerate(value):
-        _require(isinstance(row, list) and len(row) == 2, f"{path}/{i}", "expected a row of 2 entries")
-        rows.append([complex(*_numbers(z, 2, f"{path}/{i}/{j}")) for j, z in enumerate(row)])
-    return np.array(rows, dtype=complex)
+        if not (type(row) is list and len(row) == 2):
+            return f"{path}/{i}", "expected a row of 2 entries"
+        for j, z in enumerate(row):
+            fault = _entries_fault(z, 2, f"{path}/{i}/{j}")
+            if fault:
+                return fault
+    return None
 
 
-def _parse_image(value, group: str, path: str) -> np.ndarray:
-    """One image's raw array, by the group membership rules: a 2x2 matrix for
-    SL2C; a quaternion, or one off a 2x2 matrix, for SU2; a left and a right one for SU2xSU2."""
-    if group == SU2XSU2:
-        pair = isinstance(value, dict) and set(value) == {"left", "right"}
-        _require(pair, path, "expected keys 'left' and 'right'")
-        return np.array([_parse_image(value[k], SU2, f"{path}/{k}") for k in ("left", "right")])
-    if group == SL2C:
-        return _built(path, _det_rule, _matrix(value, path))
-    if isinstance(value, list) and len(value) == 4:
-        q = np.array(_numbers(value, 4, path), dtype=float)
-    else:
-        q = _built(path, su2_quaternion, _matrix(value, path))
+def _stacks(images: list, quaternion: list[bool]):
+    """The quaternion images as one (q, 4) float stack and the matrix images
+    as one (m, 2, 2) complex stack, from one structural pass and one float64
+    conversion of all their numbers; None if any image has a fault."""
+    numbers, pairs = [], []
+    for v, q in zip(images, quaternion):
+        if q:
+            numbers += v
+        elif type(v) is list and len(v) == 2:
+            for row in v:
+                if type(row) is list and len(row) == 2:
+                    pairs += row
+    split = len(numbers)
+    for z in pairs:
+        if type(z) is list and len(z) == 2:
+            numbers += z
+    # A node that is not a list of its length adds no numbers.
+    if len(numbers) != split + 8 * (len(images) - split // 4):
+        return None
+    types = set(map(type, numbers))
+    if not types <= _JSON_NUMBERS:
+        return None
+    if int in types and not all(abs(x) <= sys.float_info.max for x in numbers if type(x) is int):
+        return None
+    flat = np.array(numbers, dtype=np.float64)
+    if not np.isfinite(flat).all():
+        return None
+    # A view of the [re, im] pairs is exact; re + 1j * im would turn an imaginary -0.0 into +0.0.
+    return flat[:split].reshape(-1, 4), flat[split:].view(np.complex128).reshape(-1, 2, 2)
+
+
+def _holonomy(hol: dict, gens: tuple[str, ...], group: str) -> np.ndarray:
+    """The raw stack of the generators' images.  An SU2xSU2 image is read as
+    its left and right SU2 images, one after the other.  The images are
+    converted as one stack (`_stacks`) and then checked one by one by the
+    group rules; a refusal is the first fault in generator order."""
+    per = 2 if group == SU2XSU2 else 1
+    images, fault = [], None
+    for g in gens:
+        if g not in hol:
+            fault = f"/holonomy/{g}", f"missing image for generator {g!r}"
+            break
+        value = hol[g]
+        if per == 1:
+            images.append(value)
+        elif type(value) is dict and value.keys() == {"left", "right"}:
+            images += value["left"], value["right"]
+        else:
+            fault = f"/holonomy/{g}", "expected keys 'left' and 'right'"
+            break
+
+    def pointer(k: int) -> str:
+        g = gens[k // per]
+        return f"/holonomy/{g}" if per == 1 else f"/holonomy/{g}/{_SIDES[k % 2]}"
+
+    quaternion = [group != SL2C and type(v) is list and len(v) == 4 for v in images]
+    stacks = _stacks(images, quaternion)
+    if stacks is None:  # some image has a fault; the rules still check the ones before it
+        k = 0
+        while not (image_fault := _image_fault(images[k], quaternion[k], pointer(k))):
+            k += 1
+        fault = image_fault
+        del images[k:], quaternion[k:]
+        stacks = _stacks(images, quaternion)
+    quats, mats = iter(stacks[0]), iter(stacks[1])
+    raw = []
     with np.errstate(over="ignore", invalid="ignore"):
-        return _built(path, _norm_rule, q)
+        for k, q in enumerate(quaternion):
+            try:
+                if group == SL2C:
+                    raw.append(_det_rule(next(mats)))
+                else:
+                    raw.append(_norm_rule(next(quats) if q else su2_quaternion(next(mats))))
+            except ValueError as exc:  # a DomainError of a group rule
+                raise ManifestError(pointer(k), str(exc)) from exc
+    if fault:
+        raise ManifestError(*fault)
+    raw = np.array(raw)
+    return raw.reshape(-1, 2, 4) if per == 2 else raw
 
 
 def manifest_from_dict(doc: dict) -> Manifest:
     _require(isinstance(doc, dict), "", "manifest must be a JSON object")
     schema, curvature = doc.get("schema"), doc.get("curvature")
-    _require(
-        _is_number(schema) and schema == SCHEMA_VERSION, "/schema", f"expected schema {SCHEMA_VERSION}"
-    )
-    _require(
-        _is_number(curvature) and curvature in VALID_CURVATURES,
-        "/curvature",
-        f"curvature must be one of {VALID_CURVATURES}, got {curvature!r}",
-    )
+    if not (_is_number(schema) and schema == SCHEMA_VERSION):
+        raise ManifestError("/schema", f"expected schema {SCHEMA_VERSION}")
+    if not (_is_number(curvature) and curvature in VALID_CURVATURES):
+        raise ManifestError("/curvature", f"curvature must be one of {VALID_CURVATURES}, got {curvature!r}")
     group = doc.get("group")
-    _require(group in GROUPS, "/group", f"group must be one of {list(GROUPS)}")
+    if group not in GROUPS:
+        raise ManifestError("/group", f"group must be one of {list(GROUPS)}")
 
     # An empty generator list reads as a missing one.
     gens = doc.get("generators") or None
@@ -170,24 +252,22 @@ def manifest_from_dict(doc: dict) -> Manifest:
     meridians = []
     for k, m in enumerate(_as_list(doc, "meridians", "/meridians")):
         p = f"/meridians/{k}"
-        _require(isinstance(_object(m, p).get("word"), str), f"{p}/word", "expected a word string")
+        if not isinstance(_object(m, p).get("word"), str):
+            raise ManifestError(f"{p}/word", "expected a word string")
         word = _built(f"{p}/word", parse_word, m["word"], gens)
         meridians.append(Meridian(word, m["word"], _integer(m, "edge_id", p), _angle(m, "cone_angle", p)))
     pres = Presentation(gens, relator_words, tuple(relators), tuple(meridians))
 
     hol = doc.get("holonomy")
     _require(isinstance(hol, dict), "/holonomy", "expected an object keyed by generator")
-    images = []
-    for g in gens:
-        _require(g in hol, f"/holonomy/{g}", f"missing image for generator {g!r}")
-        images.append(_parse_image(hol[g], group, f"/holonomy/{g}"))
-    rho = Representation(group, np.array(images))
+    rho = Representation(group, _holonomy(hol, gens, group))
 
     boundary = []
     for k, comp in enumerate(_as_list(doc, "boundary", "/boundary")):
         p = f"/boundary/{k}"
         genus = _integer(_object(comp, p), "genus", p)
-        _require(genus <= MAX_SURFACE_GENUS, f"{p}/genus", GENUS_CAP)
+        if genus > MAX_SURFACE_GENUS:
+            raise ManifestError(f"{p}/genus", GENUS_CAP)
         texts = tuple(_words(comp.get("generator_words"), f"{p}/generator_words"))
         _built(p, check_boundary, genus, len(texts))  # before any of its words
         words = tuple(
@@ -206,25 +286,22 @@ def manifest_from_dict(doc: dict) -> Manifest:
         for k, v in enumerate(_as_list(graph_doc, "vertices", "/singular_graph/vertices")):
             p = f"/singular_graph/vertices/{k}"
             inc = _object(v, p).get("incident")
-            _require(
-                isinstance(inc, list) and len(inc) == 3 and all(_is_number(i, int) for i in inc),
-                f"{p}/incident",
-                "vertices are trivalent: expected 3 incident edge ids",
-            )
+            if not (isinstance(inc, list) and len(inc) == 3 and all(_is_number(i, int) for i in inc)):
+                raise ManifestError(f"{p}/incident", "vertices are trivalent: expected 3 incident edge ids")
             vertices.append(tuple(inc))
     try:
         graph = SingularGraph(tuple(edges), tuple(vertices))
     except DomainError as exc:
         raise ManifestError(f"/singular_graph/{exc.node}", exc.message) from exc
     for k, m in enumerate(meridians):  # each meridian goes around a declared edge
-        p = f"/meridians/{k}"
-        _require(m.edge_id in graph.angle_of, f"{p}/edge_id", f"undeclared edge id {m.edge_id}")
+        if m.edge_id not in graph.angle_of:
+            raise ManifestError(f"/meridians/{k}/edge_id", f"undeclared edge id {m.edge_id}")
         edge_angle = graph.angle_of[m.edge_id]
-        _require(
-            abs(m.cone_angle - edge_angle) <= MERGE_TOL,
-            f"{p}/cone_angle",
-            f"cone angle {m.cone_angle} differs from the angle {edge_angle} of edge {m.edge_id}",
-        )
+        if not abs(m.cone_angle - edge_angle) <= MERGE_TOL:
+            raise ManifestError(
+                f"/meridians/{k}/cone_angle",
+                f"cone angle {m.cone_angle} differs from the angle {edge_angle} of edge {m.edge_id}",
+            )
 
     warnings = _genus_relation_warnings(graph, boundary)
     return Manifest(

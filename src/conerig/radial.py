@@ -517,6 +517,11 @@ def _tube_segment(fp: FormProfile, lo: float, hi: float, n: int) -> float:
     return fp.alpha * fp.length * float((weights * integrand).sum() * h)
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:  # also refuses NaN
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+
+
 def l2_tube_verdict(fp: FormProfile, eps: float, deltas, n: int = 2048) -> TubeVerdict:
     """Classify the tube integral I(delta) = int_delta^eps as delta -> 0.
 
@@ -525,6 +530,7 @@ def l2_tube_verdict(fp: FormProfile, eps: float, deltas, n: int = 2048) -> TubeV
     inconclusive and the raw values are reported.
     """
     _check_quad_samples(n)
+    _check_eps(eps)
     if fp.kappa == 1 and eps >= math.pi / 2.0:
         raise DomainError("tube radius must stay below pi/2 at curvature +1")
     deltas = [float(d) for d in deltas]
@@ -568,8 +574,7 @@ def halving_deltas(eps: float, count: int = 10) -> list[float]:
     Raises DomainError once a halving is not a positive number strictly
     below the one before (eps/2^k underflows).
     """
-    if not 0.0 < eps < math.inf:  # also refuses NaN
-        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    _check_eps(eps)
     if not is_integer(count) or count < 1:
         raise DomainError(f"halving count must be an integer of at least 1, got {count!r}")
     deltas = []

@@ -400,6 +400,10 @@ ANG = FormProfile("ang", -1, 1.0, 1.0)
         (lambda: l2_tube_verdict(ANG, 0.5, [0.1, 0.05], n=True), "quadrature .* got True"),
         (lambda: l2_tube_verdict(ANG, 0.5, [0.1, 0.05], n=-3), "quadrature .* got -3"),
         (lambda: l2_tube_verdict(ANG, 0.5, [0.1], n=MAX_QUAD_SAMPLES + 1), "quadrature takes at least 1"),
+        (lambda: l2_tube_verdict(ANG, math.inf, [0.1, 0.05]), "eps must be positive and finite, got inf"),
+        (lambda: l2_tube_verdict(ANG, math.nan, [0.1, 0.05]), "eps must be positive and finite, got nan"),
+        (lambda: l2_tube_verdict(ANG, 0.0, [0.1, 0.05]), "eps must be positive and finite, got 0.0"),
+        (lambda: l2_tube_verdict(ANG, -0.5, [0.1, 0.05]), "eps must be positive and finite, got -0.5"),
         (lambda: halving_deltas(0.5, 2.5), "halving count must be an integer of at least 1, got 2.5"),
         (lambda: halving_deltas(0.5, True), "halving count must be an integer of at least 1, got True"),
         (lambda: halving_deltas(0.5, 0), "halving count must be an integer of at least 1, got 0"),
@@ -425,6 +429,10 @@ ANG = FormProfile("ang", -1, 1.0, 1.0)
         "boolean tube samples",
         "negative tube samples",
         "too many tube samples",
+        "infinite tube eps",
+        "NaN tube eps",
+        "zero tube eps",
+        "negative tube eps",
         "fractional halving count",
         "boolean halving count",
         "zero halvings",
