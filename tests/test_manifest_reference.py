@@ -218,8 +218,10 @@ def mutated_holonomies(draw):
         kind = draw(st.sampled_from(kinds))
         if kind == "append":
             nodes = [(p, n) for p, n in nodes if isinstance(n, list)]
-        elif kind in ("number", "nudge"):
+        elif kind == "number":
             nodes = [(p, n) for p, n in nodes if type(n) in (int, float)]
+        elif kind == "nudge":  # not an int, which may be too large to multiply by a float
+            nodes = [(p, n) for p, n in nodes if type(n) is float]
         elif kind == "negative zero":
             nodes = [(p, n) for p, n in nodes if type(n) in (int, float) and n == 0]
         elif kind == "as matrix":
