@@ -40,6 +40,7 @@ from .cohomology import (
     BoundaryComponent,
     CohomologyReport,
     DimensionAudit,
+    PairRigidityReport,
     RigidityReport,
     cocycle_space,
     coboundary_space,

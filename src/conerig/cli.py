@@ -113,7 +113,7 @@ def _cmd_cohomology(args) -> tuple[int, dict]:
 def _cmd_rigidity(args) -> tuple[int, dict]:
     m = load_manifest(args.manifest)
     rep = rigidity_test(m.representation, m.presentation)
-    report = {"manifest": str(args.manifest), "rigidity": rep.to_dict()}
+    report = {"manifest": str(args.manifest), "rigidity": rep}
     return (EXIT_OK if rep.verdict == VERDICT_RIGID else EXIT_FAILING), report
 
 

@@ -17,12 +17,13 @@ columns.  Reported dimensions are real, twice the complex ones (the column
 counts) for SL(2,C).
 
 H^1 is Z^1 intersected with the orthocomplement of B^1.  With Z and B the
-orthonormal bases of Z^1 and B^1 (dim B^1 <= 3), C = Z^H B is small, and
-H^1 = Z Q[:, dim B^1:] for the complete Q of the QR factorisation of C.  In
-exact arithmetic B^1 lies in Z^1 and C has orthonormal columns.  The
-certificate is that of projecting Z off B: (I - B B^H) Z has singular values
-1 (dim H^1 times) and sqrt(1 - s_i(C)^2), and the cut between them must fall
-below 0.5, that is s_min(C) >= sqrt(3)/2; otherwise `IllConditioned`.
+orthonormal bases of Z^1 and B^1 (dim B^1 <= 3), C = Z^H B is small, and one
+SVD C = U S V^H both certifies and spans H^1.  In exact arithmetic B^1 lies in
+Z^1 and C has orthonormal columns.  The certificate is that of projecting Z
+off B: (I - B B^H) Z has singular values 1 (dim H^1 times) and
+sqrt(1 - s_i(C)^2), and the cut between them must fall below 0.5, that is
+s_min(C) >= sqrt(3)/2; otherwise `IllConditioned`.  Then H^1 = Z U[:, dim B^1:],
+the last columns of the complete U spanning the complement of C's columns.
 """
 from __future__ import annotations
 
@@ -94,8 +95,6 @@ def nullspace(mat: np.ndarray, context: str = "nullspace") -> np.ndarray:
 
 
 def matrix_rank(mat: np.ndarray, context: str = "rank") -> int:
-    if mat.size == 0:
-        return 0
     s = np.linalg.svd(mat, compute_uv=False)
     return _certified_rank(s, context)
 
@@ -168,7 +167,7 @@ class CohomologyReport:
 
 def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     """Cohomology report: H^1 as the orthocomplement of B^1 inside Z^1, from
-    the QR factorisation of Z^H B (see the module docstring).
+    one SVD of Z^H B (see the module docstring).
 
     The Hermitian (Euclidean over R) inner product on stacked coordinates is
     used for orthonormalization (the Killing form is indefinite); only spans
@@ -183,12 +182,12 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     if dim_h1 < 0:
         raise IllConditioned(f"dim B1 {b1_rank} exceeds dim Z1 {dim_z1}")
 
-    c = z1_basis.conj().T @ b1_basis
     h_basis = z1_basis[:, :0]
     if dim_h1 > 0:
-        if b1_rank and np.linalg.svd(c, compute_uv=False)[-1] < math.sqrt(3.0) / 2.0:
+        u, s, _ = np.linalg.svd(z1_basis.conj().T @ b1_basis)
+        if b1_rank and s[-1] < math.sqrt(3.0) / 2.0:
             raise IllConditioned("B1 is not numerically contained in Z1")
-        h_basis = z1_basis @ np.linalg.qr(c, mode="complete")[0][:, b1_rank:]
+        h_basis = z1_basis @ u[:, b1_rank:]
 
     degree = _field_degree(rho.group)
     dims_c = {}
@@ -255,6 +254,8 @@ def trace_differential(rho: Representation, z, word):
 
 @dataclass(frozen=True, eq=False)
 class RigidityReport:
+    """The meridian trace-rank verdict over SL(2,C) or SU(2)."""
+
     group: str
     meridian_count: int
     dim_h1: int
@@ -262,26 +263,21 @@ class RigidityReport:
     verdict: str
     degenerate_flags: tuple[str, ...]
     notes: tuple[str, ...]
-    trace_jacobian: np.ndarray | None
-    factors: tuple["RigidityReport", ...] = ()
+    trace_jacobian: np.ndarray
 
-    # The one report with its own to_dict: its keys depend on the group, as a
-    # pair report has no trace_jacobian and a single-group report no factors.
-    def to_dict(self) -> dict:
-        out = {
-            "group": self.group,
-            "meridian_count": self.meridian_count,
-            "dim_h1": self.dim_h1,
-            "rank": self.rank,
-            "verdict": self.verdict,
-            "degenerate_flags": list(self.degenerate_flags),
-            "notes": list(self.notes),
-        }
-        if self.trace_jacobian is not None:
-            out["trace_jacobian"] = self.trace_jacobian
-        if self.factors:
-            out["factors"] = [f.to_dict() for f in self.factors]
-        return out
+
+@dataclass(frozen=True, eq=False)
+class PairRigidityReport:
+    """The SU(2)xSU(2) verdict: its two factors' verdicts and their sums."""
+
+    group: str
+    meridian_count: int
+    dim_h1: int
+    rank: int
+    verdict: str
+    degenerate_flags: tuple[str, ...]
+    notes: tuple[str, ...]
+    factors: tuple[RigidityReport, RigidityReport]
 
 
 # A product gh of images rounds in proportion to |g| |h| (Frobenius norms,
@@ -350,7 +346,7 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
     )
 
 
-def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport:
+def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport | PairRigidityReport:
     """Meridian trace-rank test; per factor for SU(2)xSU(2)."""
     reports = tuple(_single_group_rigidity(f, pres) for f in checked_factors(rho, pres))
     if rho.group != SU2XSU2:
@@ -358,7 +354,7 @@ def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport:
     flags = tuple(dict.fromkeys(reports[0].degenerate_flags + reports[1].degenerate_flags))
     notes = tuple(dict.fromkeys(reports[0].notes + reports[1].notes))
     rigid = all(r.verdict == VERDICT_RIGID for r in reports)
-    return RigidityReport(
+    return PairRigidityReport(
         group=SU2XSU2,
         meridian_count=len(pres.meridians),
         dim_h1=reports[0].dim_h1 + reports[1].dim_h1,
@@ -366,7 +362,6 @@ def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport:
         verdict=VERDICT_RIGID if rigid else VERDICT_DEFICIENT,
         degenerate_flags=flags,
         notes=notes,
-        trace_jacobian=None,
         factors=reports,
     )
 

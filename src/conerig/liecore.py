@@ -171,12 +171,7 @@ def exp_raw(group: str, coords) -> np.ndarray:
     """The exponential of the algebra vector with field coordinates `coords`
     as a raw SL2C matrix or SU2 quaternion, under the rule for an input."""
     m = _exp_traceless(algebra_matrix(group, coords))
-    if group == SL2C:
-        return _det_rule(m)
-    # the quaternion of a + bj -> [[a, b], [-conj(b), conj(a)]], read off both rows
-    a = 0.5 * (m[0, 0] + np.conj(m[1, 1]))
-    b = 0.5 * (m[0, 1] - np.conj(m[1, 0]))
-    return _norm_rule(np.array([a.real, a.imag, b.real, b.imag]))
+    return _det_rule(m) if group == SL2C else _norm_rule(su2_quaternion(m))
 
 
 def identity_distance(group: str, raw: np.ndarray) -> float:

@@ -22,8 +22,7 @@ once, at its own pointer:
 after its component's genus and word count are checked at /boundary/<c>.
 
 Reports are encoded from the fields of their dataclasses, in sorted key
-order (`_encode`); `RigidityReport` is the one exception, with a `to_dict`
-whose keys depend on the group.
+order (`_encode`).
 """
 from __future__ import annotations
 
@@ -380,8 +379,6 @@ def _encode(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "to_dict"):
-            return _encode(obj.to_dict())
         return _encode({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))

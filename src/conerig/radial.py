@@ -439,19 +439,13 @@ def _count_singular_values_above(diag: np.ndarray, sub: np.ndarray, floor: float
     return count
 
 
-def norm_profile(name_or_profile, r, kappa: int | None = None):
+def norm_profile(name: str, r, kappa: int):
     """Squared pointwise norm of a named deformation form at tube radius r,
     a float or an array of radii.
 
     ang: (sn^2+cs^2)/sn^2   shr: (cs^2+kappa^2 sn^2)/sn^2
     tws: (sn^2+cs^2)/cs^2   len: (cs^2+kappa^2 sn^2)/cs^2
     """
-    if isinstance(name_or_profile, FormProfile):
-        name, kappa = name_or_profile.name, name_or_profile.kappa
-    else:
-        name = name_or_profile
-        if kappa is None:
-            raise DomainError("kappa required when passing a profile name")
     if name not in PROFILES:
         raise DomainError(f"unknown profile {name!r}")
     sn, cs, _ = sn_cs_ct(kappa, r)

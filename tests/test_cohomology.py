@@ -3,6 +3,8 @@ import pytest
 
 from conerig.cohomology import (
     BoundaryComponent,
+    PairRigidityReport,
+    RigidityReport,
     FLAG_ABELIAN,
     FLAG_MERIDIAN_ID,
     FLAG_REDUCIBLE,
@@ -395,3 +397,21 @@ def test_subspace_bases_are_orthonormal_field_matrices(name):
             assert np.abs(gram - np.eye(basis.shape[1])).max(initial=0.0) < 1e-12
         assert np.abs(fox_jacobian(f, pres) @ z1).max(initial=0.0) < 1e-12
         assert np.abs(b1 - z1 @ (z1.conj().T @ b1)).max(initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_rigidity_verdict_record_matches_the_group(name):
+    """An SU(2)xSU(2) verdict holds its factors' verdicts and no trace
+    Jacobian; an SL(2,C) or SU(2) verdict holds its trace Jacobian and no
+    factors."""
+    rho, pres, _ = load(name)
+    rep = rigidity_test(rho, pres)
+    if name in ("spherical-torus.json", "abelian-torus.json"):
+        assert type(rep) is PairRigidityReport and not hasattr(rep, "trace_jacobian")
+        assert [type(f) for f in rep.factors] == [RigidityReport, RigidityReport]
+        assert rep.dim_h1 == sum(f.dim_h1 for f in rep.factors)
+        assert rep.rank == sum(f.rank for f in rep.factors)
+    else:
+        assert type(rep) is RigidityReport and not hasattr(rep, "factors")
+        assert isinstance(rep.trace_jacobian, np.ndarray)
+        assert rep.trace_jacobian.shape == (len(pres.meridians), rep.dim_h1)

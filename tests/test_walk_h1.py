@@ -1,4 +1,4 @@
-"""Differential tests of the prefix walk and the QR construction of H^1
+"""Differential tests of the prefix walk and the SVD construction of H^1
 against what they replace: the chain of products written out entry by entry
 (bit for bit) and the projection SVD of the Z^1 basis (the same subspace).
 Work-count guards keep h1_basis free of SVDs wider than the coefficient
@@ -265,6 +265,26 @@ def test_h1_matches_projection_on_fixtures(name):
 @pytest.mark.parametrize("make,genus", SURFACES)
 def test_h1_matches_projection_on_surface_groups(make, genus):
     assert_same_h1(*surface(make, genus))
+
+
+def no_qr(*args, **kwargs):
+    raise AssertionError("h1_basis takes one SVD of Z^H B and no QR")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_h1_basis_takes_no_qr_on_fixtures(monkeypatch, name):
+    m = load_manifest(fixture_path(name))
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for f in factors(m.representation):
+        assert_same_h1(f, m.presentation)
+
+
+@pytest.mark.parametrize("make", [su2_surface, sl2c_diagonal_surface])
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_h1_basis_takes_no_qr_on_surface_groups(monkeypatch, make, genus):
+    rho, pres = surface(make, genus)
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    assert_same_h1(rho, pres)
 
 
 @pytest.mark.parametrize("angle,raises", [(np.pi / 4, True), (0.1, False)])

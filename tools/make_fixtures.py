@@ -19,19 +19,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from conerig.cohomology import dimension_audit, h1_basis, rigidity_test  # noqa: E402
-from conerig.manifest import load_manifest, manifest_from_dict, write_report  # noqa: E402
+from conerig.manifest import _image_payload, load_manifest, manifest_from_dict, write_report  # noqa: E402
 from conerig.words import relator_residual  # noqa: E402
-from conerig.liecore import _norm_rule, su2_quaternion  # noqa: E402
+from conerig.liecore import SL2C, SU2, SU2XSU2, _norm_rule, _su2_matrix, su2_quaternion  # noqa: E402
 
 FIXTURES = ROOT / "src" / "conerig" / "fixtures"
-
-
-def mat_payload(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
-
-
-def quat_payload(q: np.ndarray) -> list:
-    return [float(x) for x in q]
 
 
 def diag(z: complex) -> np.ndarray:
@@ -57,7 +49,7 @@ def make_torus() -> dict:
         "generators": ["a", "b"],
         "relators": ["abAB"],
         "meridians": [{"word": "b", "edge_id": 0, "cone_angle": alpha}],
-        "holonomy": {"a": mat_payload(diag(eta)), "b": mat_payload(diag(xi))},
+        "holonomy": {"a": _image_payload(diag(eta), SL2C), "b": _image_payload(diag(xi), SL2C)},
         "boundary": [{"genus": 1, "generator_words": ["a", "b"]}],
         "singular_graph": {"edges": [{"id": 0, "angle": alpha}], "vertices": []},
     }
@@ -79,8 +71,8 @@ def make_spherical_torus(coaxial_equal: bool) -> dict:
         "relators": ["abAB"],
         "meridians": [{"word": "b", "edge_id": 0, "cone_angle": alpha}],
         "holonomy": {
-            "a": {"left": quat_payload(left_a), "right": quat_payload(right_a)},
-            "b": {"left": quat_payload(mer), "right": quat_payload(mer)},
+            "a": _image_payload(np.array([left_a, right_a]), SU2XSU2),
+            "b": _image_payload(np.array([mer, mer]), SU2XSU2),
         },
         "boundary": [{"genus": 1, "generator_words": ["a", "b"]}],
         "singular_graph": {"edges": [{"id": 0, "angle": alpha}], "vertices": []},
@@ -118,11 +110,7 @@ def make_pants(conjugated: bool) -> dict:
             {"word": "b", "edge_id": 1, "cone_angle": angles[1]},
             {"word": "c", "edge_id": 2, "cone_angle": angles[2]},
         ],
-        "holonomy": {
-            "a": mat_payload(m1),
-            "b": mat_payload(m2),
-            "c": mat_payload(m3),
-        },
+        "holonomy": {g: _image_payload(m, SL2C) for g, m in zip("abc", (m1, m2, m3))},
         "singular_graph": {
             "edges": [{"id": k, "angle": angles[k]} for k in range(3)],
             "vertices": [{"incident": [0, 1, 2]}],
@@ -132,12 +120,6 @@ def make_pants(conjugated: bool) -> dict:
 
 # ---------------------------------------------------------------------------
 # genus-2 surface group with irreducible SU(2) image
-
-
-def quat_mat(q: np.ndarray) -> np.ndarray:
-    a = q[0] + 1j * q[1]
-    b = q[2] + 1j * q[3]
-    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
 
 def make_genus2() -> dict:
@@ -150,14 +132,14 @@ def make_genus2() -> dict:
         return q / np.linalg.norm(q)
 
     a1, b1 = rand_unit(), rand_unit()
-    m_a1, m_b1 = quat_mat(a1), quat_mat(b1)
+    m_a1, m_b1 = _su2_matrix(a1), _su2_matrix(b1)
     comm1 = m_a1 @ m_b1 @ np.linalg.inv(m_a1) @ np.linalg.inv(m_b1)
     target = np.linalg.inv(comm1)
 
     def residual(x):
         p = x[:4] / np.linalg.norm(x[:4])
         q = x[4:] / np.linalg.norm(x[4:])
-        ma, mb = quat_mat(p), quat_mat(q)
+        ma, mb = _su2_matrix(p), _su2_matrix(q)
         d = ma @ mb @ np.linalg.inv(ma) @ np.linalg.inv(mb) - target
         return np.concatenate([d.real.ravel(), d.imag.ravel()])
 
@@ -178,12 +160,7 @@ def make_genus2() -> dict:
         "generators": ["a", "b", "c", "d"],
         "relators": ["abABcdCD"],
         "meridians": [],
-        "holonomy": {
-            "a": quat_payload(a1),
-            "b": quat_payload(b1),
-            "c": quat_payload(a2),
-            "d": quat_payload(b2),
-        },
+        "holonomy": {g: _image_payload(q, SU2) for g, q in zip("abcd", (a1, b1, a2, b2))},
     }
 
 
@@ -308,7 +285,7 @@ def _cusped_doc(alpha, a, b, relator, longitude) -> dict:
         "generators": ["a", "b"],
         "relators": [relator],
         "meridians": [{"word": "a", "edge_id": 0, "cone_angle": alpha}],
-        "holonomy": {"a": mat_payload(a), "b": mat_payload(b)},
+        "holonomy": {"a": _image_payload(a, SL2C), "b": _image_payload(b, SL2C)},
         "boundary": [{"genus": 1, "generator_words": [longitude, "a"]}],
         "singular_graph": {"edges": [{"id": 0, "angle": alpha}], "vertices": []},
     }
