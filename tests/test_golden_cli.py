@@ -90,6 +90,7 @@ REFUSALS = [
     ("genus2-su2.json", "/holonomy/a", [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
     ("spherical-torus.json", "/holonomy/a", {"left": [1.0, 0.0, 0.0, 0.0]}),
     ("spherical-torus.json", "/holonomy/b/right", [2.0, 0.0, 0.0, 0.0]),
+    ("spherical-torus.json", "/holonomy/a/left", [0.6, 0.0, 0.8, 0.0]),
     ("cusped.json", "/boundary/0/generator_words/1", "z"),
     ("cusped.json", "/boundary/0/generator_words", ["az"]),
     ("cusped.json", "/boundary/0", {"genus": 0, "generator_words": ["az"]}),

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conerig import cli
+from conerig.cohomology import dimension_audit, rigidity_test
 from conerig.errors import DomainError, InvalidRepresentation
 from conerig.liecore import (
     SL2C,
@@ -303,6 +304,31 @@ def test_an_overflowing_relator_residual_names_its_pointer(tmp_path, capsys, com
         code = cli.run([command, overflowing_relator_residual(tmp_path)])
     captured = capsys.readouterr()
     assert (code, captured.err, captured.out) == (2, f"error: /relators/0: {message}\n", "")
+
+
+def test_a_pair_is_checked_by_the_hypot_before_its_factors(tmp_path, capsys):
+    # Each factor passes the check alone; only the hypot of the two fails.
+    m = load_manifest(pair_just_beyond_tolerance(tmp_path))
+    rho, pres = m.representation, m.presentation
+    for factor in rho.factors:
+        check_representation(factor, pres)
+    failure = "/relators/0: relator residual 1.131e-08 exceeds 1.0e-08"
+    for call in (lambda: rigidity_test(rho, pres), lambda: dimension_audit(rho, pres, m.boundary)):
+        with pytest.raises(InvalidRepresentation) as exc:
+            call()
+        assert str(exc.value) == failure
+    for command in (["cohomology"], ["cohomology", "--audit"], ["rigidity"]):
+        code, err = run_quietly([command[0], pair_just_beyond_tolerance(tmp_path), *command[1:]], capsys)
+        assert (code, err) == (2, f"error: {failure}\n")
+
+
+def test_a_relator_refusal_comes_before_a_meridian_walk(tmp_path, capsys):
+    # b no longer commutes with a, and the meridian's walk overflows.
+    doc = fixture_doc("torus.json")
+    doc["holonomy"]["b"][0][1] = [1.0, 0.0]
+    doc["meridians"][0]["word"] = "a" * 6680
+    code, err = run_quietly(["rigidity", write(tmp_path, "relator-and-meridian.json", doc)], capsys)
+    assert (code, err) == (2, "error: /relators/0: relator residual 1.924e+00 exceeds 1.0e-08\n")
 
 
 def test_an_overflowing_meridian_names_its_pointer(tmp_path, capsys):
