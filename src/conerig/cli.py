@@ -15,7 +15,7 @@ from . import __version__
 from .cohomology import (
     VERDICT_RIGID,
     dimension_audit,
-    h1_basis,
+    h1_reports,
     rigidity_test,
 )
 from .errors import DomainError, IllConditioned
@@ -37,7 +37,7 @@ from .spectral import (
     cone_admissibility_verdict,
     link_B_spectrum,
 )
-from .words import TOL_REP, checked_factors, relator_distances, worst_relator
+from .words import TOL_REP, relator_distances, worst_relator
 
 EXIT_OK = 0
 EXIT_FAILING = 1
@@ -97,8 +97,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 def _cmd_cohomology(args) -> tuple[int, dict]:
     m = load_manifest(args.manifest)
-    factors = checked_factors(m.representation, m.presentation)
-    interior = tuple(h1_basis(factor, m.presentation) for factor in factors)
+    interior = h1_reports(m.representation, m.presentation)
     dims = [r.dims_dict() for r in interior]
     cohomology = {"factors": dims} if len(dims) > 1 else dims[0]
     report = {"manifest": str(args.manifest), "cohomology": cohomology}

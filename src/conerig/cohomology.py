@@ -2,14 +2,14 @@
 
 Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
-SU(2).  SU(2)xSU(2) is computed on the two SU(2) factors it holds, which
-`words.checked_factors` hands out after checking the pair's relators by the
-hypot of the factors' distances; every subcommand checks a pair by that rule.
-Relators are checked on their free reductions, on the walks of the Fox pass
-(`words.fox_jacobian`).  Relators and meridians go through one Fox-calculus
-pass (`words.fox_derivatives`), which also gives the meridian images that the
-trace rows and the +/- identity test read, so `rigidity_test` walks each
-meridian once.
+SU(2).  SU(2)xSU(2) is computed on the two SU(2) factors it holds.
+Every command starts from one Fox pass per factor (`_fox_passes`, over
+`words.fox_derivatives`): it walks each relator, and for `rigidity_test` each
+meridian, once, and checks the relators once, on the images of that pass, a
+pair by the hypot of its factors' distances.  The relators' rows give Z^1,
+the meridians' rows and images give the trace rows and the +/- identity
+test.  The audit takes H^1 of a boundary component whose induced images and
+relators equal the interior's from the interior's report.
 Cocycles are field coordinates (`liecore.field_coords`, generator after
 generator), and `z0_space`, `cocycle_space`, `coboundary_space` and
 `CohomologyReport.basis_H1` are matrices over the field with orthonormal
@@ -51,7 +51,6 @@ from .words import (
     Representation,
     Word,
     check_representation,
-    checked_factors,
     fox_derivatives,
     fox_jacobian,
     prefix_walk,
@@ -165,6 +164,26 @@ class CohomologyReport:
         return {"group": self.group, **{k: getattr(self, k) for k in keys}}
 
 
+def _fox_passes(rho: Representation, pres: Presentation, meridians=()) -> list[tuple]:
+    """Per factor of rho (rho itself, unless a pair), one Fox pass over the
+    relators and then the `meridians` words, and one relator check on its
+    images, a pair's by the hypot rule.  Per factor: (factor, relator rows,
+    meridian rows, meridian images, a meridian's refusal or None, for the
+    caller to raise after its H^1)."""
+    n, factors = len(pres.relators), (rho.factors if rho.group == SU2XSU2 else (rho,))
+    where = [f"/relators/{k}" for k in range(n)] + [f"/meridians/{k}/word" for k in range(len(meridians))]
+    passes = []
+    for f in factors:
+        try:
+            passes.append((*fox_derivatives(f, (*pres.relators, *meridians), where), None))
+        except DomainError as exc:  # a relator's refusal comes again here; a meridian's waits
+            passes.append((*fox_derivatives(f, pres.relators, where), exc))
+    finals = [images[:n] for _, images, _ in passes]
+    check_representation(rho, pres, finals if len(finals) > 1 else finals[0])
+    rows = coefficient_field(factors[0].group)[1] * n
+    return [(f, jac[:rows], jac[rows:], images[n:], r) for f, (jac, images, r) in zip(factors, passes)]
+
+
 def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     """Cohomology report: H^1 as the orthocomplement of B^1 inside Z^1, from
     one SVD of Z^H B (see the module docstring).
@@ -173,7 +192,19 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     used for orthonormalization (the Killing form is indefinite); only spans
     matter downstream.
     """
-    z1_basis = nullspace(fox_jacobian(rho, pres), "Z1")
+    _field_degree(rho.group)  # a pair is refused: its H^1 is taken per factor
+    return _h1(rho, _fox_passes(rho, pres)[0][1])
+
+
+def h1_reports(rho: Representation, pres: Presentation) -> tuple[CohomologyReport, ...]:
+    """`h1_basis` of rho, or of each factor of an SU(2)xSU(2) rho, from one
+    Fox pass per factor after one relator check."""
+    return tuple(_h1(f, rows) for f, rows, *_ in _fox_passes(rho, pres))
+
+
+def _h1(rho: Representation, relator_rows: np.ndarray) -> CohomologyReport:
+    """The report of `h1_basis` from the Fox rows of the checked relators."""
+    z1_basis = nullspace(relator_rows, "Z1")
     z0_basis, b1_basis = _z0_b1(rho)
     z0_dim, b1_rank = z0_basis.shape[1], b1_basis.shape[1]
 
@@ -190,23 +221,10 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
         h_basis = z1_basis @ u[:, b1_rank:]
 
     degree = _field_degree(rho.group)
-    dims_c = {}
-    if degree == 2:
-        dims_c = {
-            "dim_Z0_complex": z0_dim,
-            "dim_Z1_complex": dim_z1,
-            "dim_B1_complex": b1_rank,
-            "dim_H1_complex": dim_h1,
-        }
-    return CohomologyReport(
-        group=rho.group,
-        dim_Z0=degree * z0_dim,
-        dim_Z1=degree * dim_z1,
-        dim_B1=degree * b1_rank,
-        dim_H1=degree * dim_h1,
-        basis_H1=h_basis,
-        **dims_c,
-    )
+    dims = {"dim_Z0": z0_dim, "dim_Z1": dim_z1, "dim_B1": b1_rank, "dim_H1": dim_h1}
+    complex_dims = {f"{k}_complex": v for k, v in dims.items()} if degree == 2 else {}
+    real_dims = {k: degree * v for k, v in dims.items()}
+    return CohomologyReport(group=rho.group, basis_H1=h_basis, **real_dims, **complex_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +238,15 @@ _FIELD_BASIS = {
 }
 
 
-def _trace_rows(rho: Representation, words, where="word {}") -> tuple[np.ndarray, np.ndarray]:
+def _trace_rows(group: str, fox: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row w maps a cocycle's field coordinates to tr(z(w) rho(w)): the
-    covector v -> tr(v rho(w)) on the field basis times the Fox block of w.
-    Also the matrices rho(w) of the freely reduced words the Fox pass walked;
-    `where` names a word as in `fox_derivatives`."""
-    field, d = coefficient_field(rho.group)
-    basis = _FIELD_BASIS[rho.group]
-    fox, raw = fox_derivatives(rho, words, where)
-    images = matrix_stack(rho.group, raw)
-    covectors = np.einsum("kij,rji->rk", basis, images)
-    rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(len(words), d, d * len(rho.raw)))
+    covector v -> tr(v rho(w)) on the field basis times the Fox block of w,
+    from a Fox pass's rows `fox` and raw images `raw` of the words.  Also the
+    matrices rho(w)."""
+    field, d = coefficient_field(group)
+    images = matrix_stack(group, raw)
+    covectors = np.einsum("kij,rji->rk", _FIELD_BASIS[group], images)
+    rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(len(raw), d, fox.shape[1]))
     return (rows if field is complex else rows.real), images
 
 
@@ -245,7 +261,7 @@ def trace_differential(rho: Representation, z, word):
     if isinstance(word, str):
         raise DomainError("pass a parsed Word, not a string")
     z = field_coords(rho.group, z, len(rho.raw))
-    return (_trace_rows(rho, [word])[0][0] @ z).item()
+    return (_trace_rows(rho.group, *fox_derivatives(rho, [word]))[0][0] @ z).item()
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +315,11 @@ def _meridian_image_central(mat: np.ndarray, tol: float) -> bool:
     return float(np.linalg.norm(mat - one)) <= tol or float(np.linalg.norm(mat + one)) <= tol
 
 
-def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityReport:
-    report = h1_basis(rho, pres)
+def _single_group_rigidity(rho: Representation, pres: Presentation, fox: tuple) -> RigidityReport:
+    relator_rows, meridian_rows, raw, refusal = fox
+    report = _h1(rho, relator_rows)
+    if refusal:
+        raise refusal
     meridians = pres.meridians
     n_mer = len(meridians)
     flags: list[str] = []
@@ -314,7 +333,7 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
     if report.dim_Z0 > 0:
         flags.append(FLAG_REDUCIBLE)
         notes.append("nontrivial infinitesimal centralizer; smooth-point hypothesis unverified")
-    rows, images = _trace_rows(rho, [m.word for m in meridians], "/meridians/{}/word")
+    rows, images = _trace_rows(rho.group, meridian_rows, raw)
     central_tol = TOL_CENTRAL * np.max(sizes, initial=math.sqrt(2.0)) ** 2 / 2.0
     for m, image in zip(meridians, images):
         if _meridian_image_central(image, central_tol):
@@ -328,12 +347,7 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
     rank = matrix_rank(jac, "trace jacobian")
     if n_mer != dim_h1:
         notes.append(f"MeridianCountMismatch: {n_mer} meridian(s) vs dim H1 = {dim_h1}")
-    rigid = (
-        rank == dim_h1
-        and n_mer == dim_h1
-        and FLAG_ABELIAN not in flags
-        and FLAG_MERIDIAN_ID not in flags
-    )
+    rigid = rank == dim_h1 == n_mer and FLAG_ABELIAN not in flags and FLAG_MERIDIAN_ID not in flags
     return RigidityReport(
         group=rho.group,
         meridian_count=n_mer,
@@ -348,7 +362,8 @@ def _single_group_rigidity(rho: Representation, pres: Presentation) -> RigidityR
 
 def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport | PairRigidityReport:
     """Meridian trace-rank test; per factor for SU(2)xSU(2)."""
-    reports = tuple(_single_group_rigidity(f, pres) for f in checked_factors(rho, pres))
+    passes = _fox_passes(rho, pres, tuple(m.word for m in pres.meridians))
+    reports = tuple(_single_group_rigidity(f, pres, rest) for f, *rest in passes)
     if rho.group != SU2XSU2:
         return reports[0]
     flags = tuple(dict.fromkeys(reports[0].degenerate_flags + reports[1].degenerate_flags))
@@ -442,7 +457,7 @@ class DimensionAudit:
 
 
 def _audit_one_group(
-    rho, boundary, interior: CohomologyReport
+    rho, pres, boundary, interior: CohomologyReport
 ) -> tuple[list[AuditIdentity], list[dict]]:
     degree = _field_degree(rho.group)
     tau = sum(1 for c in boundary if c.genus == 1)
@@ -452,7 +467,8 @@ def _audit_one_group(
     boundary_h1 = 0
     for c, comp in enumerate(boundary):
         sub_rho, sub_pres = induced_boundary_representation(rho, comp, f"/boundary/{c}")
-        rep = h1_basis(sub_rho, sub_pres)
+        same = np.array_equal(sub_rho.raw, rho.raw) and sub_pres.relators == pres.relators
+        rep = interior if same else h1_basis(sub_rho, sub_pres)  # same images and relators, same H^1
         dim = rep.dim_H1 // degree
         boundary_h1 += dim
         boundary_dims.append({"genus": comp.genus, "dim_H1": dim})
@@ -485,9 +501,10 @@ def dimension_audit(
     """Check the half-dimension identity and the cocycle dimension count.
 
     Dimensions are complex for SL(2,C) and real per factor for SU(2); for
-    SU(2)xSU(2) both factors are audited.  `interior` holds `h1_basis` of
-    rho, one report per SU(2) factor for SU(2)xSU(2), when the caller has
-    computed it already; otherwise it is computed here.
+    SU(2)xSU(2) both factors are audited.  `interior` holds `h1_reports` of
+    rho, whose relators it checked, when the caller has computed it already;
+    otherwise it is computed here.  A boundary component whose induced images
+    and relators equal rho's takes its H^1 from `interior`.
     """
     if not boundary:
         return DimensionAudit(
@@ -498,12 +515,12 @@ def dimension_audit(
         )
     identities: list[AuditIdentity] = []
     boundary_dims: list[dict] = []
-    factors = checked_factors(rho, pres)
     if interior is None:
-        interior = tuple(h1_basis(factor, pres) for factor in factors)
+        interior = h1_reports(rho, pres)
+    factors = rho.factors if rho.group == SU2XSU2 else (rho,)
     tags = ("left", "right") if rho.group == SU2XSU2 else (None,)
     for tag, factor, report in zip(tags, factors, interior):
-        ids, dims = _audit_one_group(factor, boundary, report)
+        ids, dims = _audit_one_group(factor, pres, boundary, report)
         if tag:
             ids = [AuditIdentity(f"{tag}.{i.name}", i.lhs, i.rhs, i.holds) for i in ids]
             dims = [{"factor": tag, **d} for d in dims]

@@ -17,7 +17,7 @@ image's pointer.  A refusal is the first fault in generator order: only when
 the stack has a fault is it looked for image by image (`_image_fault`), and
 the images before it are still checked by their rules first.  The
 generators are checked first, at /generators; then every word is parsed
-once, at its own pointer:
+once, against one index of them, at its own pointer:
 /relators/<k>, /meridians/<k>/word and /boundary/<c>/generator_words/<j>,
 after its component's genus and word count are checked at /boundary/<c>.
 
@@ -182,10 +182,10 @@ def _stacks(images: list, quaternion: list[bool]):
 
 
 def _holonomy(hol: dict, gens: tuple[str, ...], group: str) -> np.ndarray:
-    """The raw stack of the generators' images.  An SU2xSU2 image is read as
-    its left and right SU2 images, one after the other.  The images are
-    converted as one stack (`_stacks`) and then checked one by one by the
-    group rules; a refusal is the first fault in generator order."""
+    """The read-only raw stack of the generators' images.  An SU2xSU2 image
+    is read as its left and right SU2 images, one after the other.  The
+    images are converted as one stack (`_stacks`) and then checked one by
+    one by the group rules; a refusal is the first fault in generator order."""
     per = 2 if group == SU2XSU2 else 1
     images, fault = [], None
     for g in gens:
@@ -228,6 +228,7 @@ def _holonomy(hol: dict, gens: tuple[str, ...], group: str) -> np.ndarray:
     if fault:
         raise ManifestError(*fault)
     raw = np.array(raw)
+    raw.flags.writeable = False  # fresh: Representation holds it without a copy
     return raw.reshape(-1, 2, 4) if per == 2 else raw
 
 
@@ -246,14 +247,15 @@ def manifest_from_dict(doc: dict) -> Manifest:
     gens = doc.get("generators") or None
     _words(gens, "/generators", "expected a nonempty list of generator letters")
     gens = _built("/generators", check_generators, gens)
+    index = {g: i for i, g in enumerate(gens)}  # parsed with every word
     relators = _words(doc.get("relators", []), "/relators")
-    relator_words = tuple(_built(f"/relators/{k}", parse_word, r, gens) for k, r in enumerate(relators))
+    relator_words = tuple(_built(f"/relators/{k}", parse_word, r, index) for k, r in enumerate(relators))
     meridians = []
     for k, m in enumerate(_as_list(doc, "meridians", "/meridians")):
         p = f"/meridians/{k}"
         if not isinstance(_object(m, p).get("word"), str):
             raise ManifestError(f"{p}/word", "expected a word string")
-        word = _built(f"{p}/word", parse_word, m["word"], gens)
+        word = _built(f"{p}/word", parse_word, m["word"], index)
         meridians.append(Meridian(word, m["word"], _integer(m, "edge_id", p), _angle(m, "cone_angle", p)))
     pres = Presentation(gens, relator_words, tuple(relators), tuple(meridians))
 
@@ -270,7 +272,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
         texts = tuple(_words(comp.get("generator_words"), f"{p}/generator_words"))
         _built(p, check_boundary, genus, len(texts))  # before any of its words
         words = tuple(
-            _built(f"{p}/generator_words/{j}", parse_word, w, gens) for j, w in enumerate(texts)
+            _built(f"{p}/generator_words/{j}", parse_word, w, index) for j, w in enumerate(texts)
         )
         boundary.append(BoundaryComponent(genus, words, texts))
 

@@ -11,19 +11,19 @@ images once, as the stack of those arrays (`Representation.raw`); an
 SU(2)xSU(2) one is walked per factor, on views of its stack.  Every image,
 product and prefix is such an array; there is no other element form.
 
-Cocycles are evaluated only by the Fox pass (`fox_derivatives`): it takes
-the Ad matrices of all its prefixes in one stacked closed form
-(`liecore.adjoint_stack`) and hands out the images of its words with them.
-The letter-by-letter calculus z(uv) = z(u) + Ad(rho(u)) z(v) is its
-reference, in `tests/cocycle_reference.py`.  A walk that overflows is
+Cocycles are evaluated only by the Fox pass (`fox_derivatives`): it walks
+all its words, takes the Ad matrices of all their prefixes in one stacked
+closed form (`liecore.adjoint_stack`), and hands out the images of its words
+with them.  The letter-by-letter calculus z(uv) = z(u) + Ad(rho(u)) z(v) is
+its reference, in `tests/cocycle_reference.py`.  A walk that overflows is
 refused at the JSON pointer of its word.
 
 Relators are checked by one rule in every subcommand:
 - a relator is checked on its free reduction: its distance from the
   identity is read off the last prefix of that walk (`relator_distances`,
-  which `fox_jacobian` feeds with the images of its own walks);
+  which a Fox pass feeds with the images of its own walks);
 - an SU(2)xSU(2) representation is checked by the hypot of its two factors'
-  distances, before it is split (`checked_factors`).
+  distances, before any per-factor result is used (`cohomology._fox_passes`).
 """
 from __future__ import annotations
 
@@ -53,9 +53,10 @@ Word = tuple[tuple[int, int], ...]
 TOL_REP = 1e-8
 
 
-def parse_word(text: str, generators: tuple[str, ...] | list[str]) -> Word:
-    """Parse a letter string; parse_word("") is the identity word."""
-    index = {g: i for i, g in enumerate(generators)}
+def parse_word(text: str, generators: tuple[str, ...] | list[str] | dict[str, int]) -> Word:
+    """Parse a letter string; parse_word("") is the identity word.  A caller
+    parsing many words passes the generators' index {letter: i}, built once."""
+    index = generators if isinstance(generators, dict) else {g: i for i, g in enumerate(generators)}
     letters = []
     for pos, ch in enumerate(text):
         low = ch.lower()
@@ -114,9 +115,10 @@ class Presentation:
     def from_strings(cls, generators, relators, meridians=()) -> "Presentation":
         """Build from letter strings; meridians are (text, edge_id, cone_angle)."""
         gens = check_generators(generators)
-        rel_words = tuple(parse_word(r, gens) for r in relators)
+        index = {g: i for i, g in enumerate(gens)}
+        rel_words = tuple(parse_word(r, index) for r in relators)
         mers = tuple(
-            Meridian(parse_word(text, gens), text, int(edge_id), float(angle))
+            Meridian(parse_word(text, index), text, int(edge_id), float(angle))
             for text, edge_id, angle in meridians
         )
         return cls(gens, rel_words, tuple(relators), mers)
@@ -194,8 +196,8 @@ def relator_distances(rho: Representation, pres: Presentation, finals=None) -> l
     """`identity_distance` of each relator's free reduction, read off its walk
     or `finals`, the last prefixes a Fox pass gave; for a pair, the hypot.
     A distance that overflows is refused at its relator's JSON pointer."""
-    if rho.group == SU2XSU2:
-        left, right = (relator_distances(f, pres) for f in rho.factors)
+    if rho.group == SU2XSU2:  # `finals` of a pair: one stack per factor
+        left, right = (relator_distances(f, pres, p) for f, p in zip(rho.factors, finals or (None, None)))
         return [math.hypot(x, y) for x, y in zip(left, right)]
     if finals is None:
         rels = enumerate(pres.relators)
@@ -226,17 +228,7 @@ def check_representation(rho: Representation, pres: Presentation, finals=None) -
         raise InvalidRepresentation(failure)
 
 
-def checked_factors(rho: Representation, pres: Presentation) -> tuple[Representation, ...]:
-    """rho, which `fox_jacobian` checks, or a pair's factors after its check."""
-    if rho.group != SU2XSU2:
-        return (rho,)
-    check_representation(rho, pres)
-    return rho.factors
-
-
-def fox_derivatives(
-    rho: Representation, words, where: str = "word {}"
-) -> tuple[np.ndarray, np.ndarray]:
+def fox_derivatives(rho: Representation, words, where="word {}") -> tuple[np.ndarray, np.ndarray]:
     """Fox derivatives of words over the coefficient field, g^n -> g^{#words},
     and the raw images of the words from the same walks.
 
@@ -245,28 +237,36 @@ def fox_derivatives(
     acting through Ad.  One prefix walk per word: a letter g_j at prefix p
     adds Ad(p) to block j, a letter g_j^-1 subtracts Ad(p g_j^-1).  Ad(p)
     comes in closed form from p, not as a product of Ad matrices, whose
-    condition number is the square of p's.  Words are free-reduced first: a
-    cancelling pair would add and subtract two terms as large as Ad of the
-    prefix.  The images, stacked as `raw`, are the reduced words' last
-    prefixes.  An overflow is refused naming word r as `where.format(r)`.
+    condition number is the square of p's: one `adjoint_stack` for all the
+    letters, added in letter order by one `np.add.at`.  Words are
+    free-reduced first: a cancelling pair would add and subtract two terms
+    as large as Ad of the prefix.  The images, stacked as `raw`, are the
+    reduced words' last prefixes.  Word r's walk or Fox overflow is refused,
+    before word r + 1's, at `where.format(r)`, or `where[r]` for a list.
     """
     field, d = coefficient_field(rho.group)
-    blocks = np.zeros((len(words), len(rho.raw), d, d), dtype=field)
-    finals = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r, word in enumerate(words):
-            word = free_reduce(word)
-            prefixes = prefix_walk(rho, word, where.format(r))
-            finals.append(prefixes[-1])
-            if word:
-                gens, exps = np.array(word).T
-                # g_j adds Ad(p_{t-1}) to block j; g_j^-1 subtracts Ad(p_t).
-                ads = adjoint_stack(rho.group, np.array(prefixes)[np.arange(len(word)) + (exps < 0)])
-                np.add.at(blocks[r], gens, exps[:, None, None] * ads)
-                if not np.isfinite(blocks[r]).all():
-                    raise DomainError(f"{where.format(r)}: Fox derivatives overflow")
+    name = where.format if isinstance(where, str) else where.__getitem__
+    walks, refusal = [], None
+    try:
+        for word in map(free_reduce, words):
+            walks.append((word, prefix_walk(rho, word, name(len(walks)))))
+    except DomainError as exc:  # raised after the Fox overflows of the words before it
+        refusal = exc
+    blocks = np.zeros((len(walks), len(rho.raw), d, d), dtype=field)
+    if letters := [letter for word, _ in walks for letter in word]:
+        gens, exps = np.array(letters).T
+        rows = np.repeat(np.arange(len(walks)), [len(word) for word, _ in walks])
+        # Word r's prefixes sit r places after its letters; g_j^-1 takes Ad(p_t).
+        at = np.arange(len(letters)) + rows + (exps < 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ads = adjoint_stack(rho.group, np.array([p for _, walk in walks for p in walk])[at])
+            np.add.at(blocks, (rows, gens), exps[:, None, None] * ads)
+    if not (finite := np.isfinite(blocks)).all():
+        raise DomainError(f"{name(int(finite.all(axis=(1, 2, 3)).argmin()))}: Fox derivatives overflow")
+    if refusal:
+        raise refusal
     jac = blocks.transpose(0, 2, 1, 3).reshape(d * len(words), d * len(rho.raw))
-    return jac, np.array(finals).reshape(-1, *rho.raw.shape[1:])
+    return jac, np.array([walk[-1] for _, walk in walks]).reshape(-1, *rho.raw.shape[1:])
 
 
 def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from conerig import cli
 from conerig.cli import run
-from conerig.manifest import fixture_path
+from conerig.manifest import fixture_path, load_manifest
 
 
 def invoke(capsys, argv):
@@ -77,18 +77,44 @@ class TestCohomology:
         "name,factors,code", [("cusped.json", 1, 0), ("spherical-torus.json", 2, 1)]
     )
     def test_audit_reuses_the_interior_h1(self, name, factors, code, monkeypatch, capsys):
-        # one h1_basis per factor for the interior and one per factor and
-        # boundary component (one here) for the audit
-        from conerig import cli, cohomology
+        # H1 is computed once per factor for the interior, wherever it runs.
+        # cusped's boundary words induce other images and take one more;
+        # spherical-torus's boundary words are its generators, and each
+        # factor's boundary takes the interior's report.
+        from conerig import cohomology
 
         calls = []
-        for module in (cli, cohomology):
-            real = module.h1_basis
-            monkeypatch.setattr(
-                module, "h1_basis", lambda rho, pres, real=real: calls.append(rho) or real(rho, pres)
-            )
+        real = cohomology._h1
+        monkeypatch.setattr(cohomology, "_h1", lambda rho, rows: calls.append(rho) or real(rho, rows))
         assert run(["cohomology", str(fixture_path(name)), "--audit"]) == code
-        assert len(calls) == 2 * factors
+        boundary_h1 = {"cusped.json": 1, "spherical-torus.json": 0}[name]
+        assert len(calls) == factors + boundary_h1 == 2
+
+    @pytest.mark.parametrize("command", [["rigidity"], ["cohomology", "--audit"]])
+    def test_a_pair_walks_each_word_once_per_factor(self, command, monkeypatch, capsys):
+        # One prefix walk per factor for each relator, and for each meridian
+        # (rigidity) or boundary word (the audit); one adjoint_stack per
+        # factor's Fox pass, and one more for its Z0 and B1.
+        from conerig import cohomology, words
+
+        path = fixture_path("spherical-torus.json")
+        m = load_manifest(path)
+        walks, ads = [], []
+        for module in (words, cohomology):
+            real_walk, real_ad = module.prefix_walk, module.adjoint_stack
+            monkeypatch.setattr(
+                module, "prefix_walk", lambda *a, real=real_walk: walks.append(a[1]) or real(*a)
+            )
+            monkeypatch.setattr(
+                module, "adjoint_stack", lambda *a, real=real_ad, mod=module: ads.append(mod) or real(*a)
+            )
+        assert run([command[0], str(path), *command[1:]]) == 1
+        if command == ["rigidity"]:
+            per_factor = [*m.presentation.relators, *(mer.word for mer in m.presentation.meridians)]
+        else:
+            per_factor = [*m.presentation.relators, *m.boundary[0].words]
+        assert sorted(walks) == sorted(2 * per_factor)
+        assert ads.count(words) == ads.count(cohomology) == 2 and len(ads) == 4
 
 
 class TestRigidity:
