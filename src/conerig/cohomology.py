@@ -2,14 +2,13 @@
 
 Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
-SU(2).  SU(2)xSU(2) is computed on the two SU(2) factors it holds.
-Every command starts from one Fox pass per factor (`_fox_passes`, over
-`words.fox_derivatives`): it walks each relator, and for `rigidity_test` each
-meridian, once, and checks the relators once, on the images of that pass, a
-pair by the hypot of its factors' distances.  The relators' rows give Z^1,
-the meridians' rows and images give the trace rows and the +/- identity
-test.  The audit takes H^1 of a boundary component whose induced images and
-relators equal the interior's from the interior's report.
+SU(2).  SU(2)xSU(2) is computed on the two SU(2) factors it holds.  Every
+command starts from one Fox pass per factor (`_fox_passes`): it walks each
+relator, and for `rigidity_test` each meridian, once, and checks the
+relators once on its images, a pair by the hypot of its factors' distances.
+The relators' rows give Z^1; the meridians' rows and images give the trace
+rows and the +/- identity test.  A boundary component that induces the
+interior's images and relators takes its H^1 from the interior's report.
 Cocycles are field coordinates (`liecore.field_coords`, generator after
 generator), and `z0_space`, `cocycle_space`, `coboundary_space` and
 `CohomologyReport.basis_H1` are matrices over the field with orthonormal
@@ -166,10 +165,9 @@ class CohomologyReport:
 
 def _fox_passes(rho: Representation, pres: Presentation, meridians=()) -> list[tuple]:
     """Per factor of rho (rho itself, unless a pair), one Fox pass over the
-    relators and then the `meridians` words, and one relator check on its
-    images, a pair's by the hypot rule.  Per factor: (factor, relator rows,
-    meridian rows, meridian images, a meridian's refusal or None, for the
-    caller to raise after its H^1)."""
+    relators and then `meridians`, and one relator check on its images, a
+    pair's by the hypot rule: (factor, relator rows, meridian rows, meridian
+    images, a meridian's refusal or None, raised by the caller after H^1)."""
     n, factors = len(pres.relators), (rho.factors if rho.group == SU2XSU2 else (rho,))
     where = [f"/relators/{k}" for k in range(n)] + [f"/meridians/{k}/word" for k in range(len(meridians))]
     passes = []
@@ -347,7 +345,12 @@ def _single_group_rigidity(rho: Representation, pres: Presentation, fox: tuple) 
     rank = matrix_rank(jac, "trace jacobian")
     if n_mer != dim_h1:
         notes.append(f"MeridianCountMismatch: {n_mer} meridian(s) vs dim H1 = {dim_h1}")
-    rigid = rank == dim_h1 == n_mer and FLAG_ABELIAN not in flags and FLAG_MERIDIAN_ID not in flags
+    rigid = (
+        rank == dim_h1
+        and n_mer == dim_h1
+        and FLAG_ABELIAN not in flags
+        and FLAG_MERIDIAN_ID not in flags
+    )
     return RigidityReport(
         group=rho.group,
         meridian_count=n_mer,
@@ -503,8 +506,7 @@ def dimension_audit(
     Dimensions are complex for SL(2,C) and real per factor for SU(2); for
     SU(2)xSU(2) both factors are audited.  `interior` holds `h1_reports` of
     rho, whose relators it checked, when the caller has computed it already;
-    otherwise it is computed here.  A boundary component whose induced images
-    and relators equal rho's takes its H^1 from `interior`.
+    otherwise it is computed here.  It also serves an interior-equal boundary.
     """
     if not boundary:
         return DimensionAudit(
