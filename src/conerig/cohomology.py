@@ -3,12 +3,11 @@
 Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
 SU(2).  SU(2)xSU(2) is computed on the two SU(2) factors it holds.  Every
-command starts from one Fox pass per factor (`_fox_passes`): it walks each
-relator, and for `rigidity_test` each meridian, once, and checks the
-relators once on its images, a pair by the hypot of its factors' distances.
-The relators' rows give Z^1; the meridians' rows and images give the trace
-rows and the +/- identity test.  A boundary component that induces the
-interior's images and relators takes its H^1 from the interior's report.
+command starts from one Fox pass per factor (`_fox_passes`) over each
+relator, and for `rigidity_test` each meridian, and checks the relators once
+on its images, a pair by the hypot of its factors' distances.  The relators'
+rows give Z^1, the meridians' the trace rows.  A boundary component that
+induces the interior's images and relators takes the interior's H^1.
 Cocycles are field coordinates (`liecore.field_coords`, generator after
 generator), and `z0_space`, `cocycle_space`, `coboundary_space` and
 `CohomologyReport.basis_H1` are matrices over the field with orthonormal

@@ -197,7 +197,8 @@ def relator_distances(rho: Representation, pres: Presentation, finals=None) -> l
     or `finals`, the last prefixes a Fox pass gave; for a pair, the hypot.
     A distance that overflows is refused at its relator's JSON pointer."""
     if rho.group == SU2XSU2:  # `finals` of a pair: one stack per factor
-        left, right = (relator_distances(f, pres, p) for f, p in zip(rho.factors, finals or (None, None)))
+        parts = zip(rho.factors, (None, None) if finals is None else finals)
+        left, right = (relator_distances(f, pres, p) for f, p in parts)
         return [math.hypot(x, y) for x, y in zip(left, right)]
     if finals is None:
         rels = enumerate(pres.relators)
