@@ -164,21 +164,23 @@ class CohomologyReport:
 
 def _fox_passes(rho: Representation, pres: Presentation, meridians=()) -> list[tuple]:
     """Per factor of rho (rho itself, unless a pair), one Fox pass over the
-    relators and then `meridians`, and one relator check on its images, a
-    pair's by the hypot rule: (factor, relator rows, meridian rows, meridian
-    images, a meridian's refusal or None, raised by the caller after H^1)."""
+    relators and then `meridians`, then one relator check on its images, a
+    pair's by the hypot rule: (factor, relator rows, (meridian rows, images)).
+    When a meridian refuses, the relators are walked again alone and the
+    meridians' part is None: the caller refuses it after the factor's H^1."""
     n, factors = len(pres.relators), (rho.factors if rho.group == SU2XSU2 else (rho,))
+    rows = coefficient_field(factors[0].group)[1] * n
     where = [f"/relators/{k}" for k in range(n)] + [f"/meridians/{k}/word" for k in range(len(meridians))]
     passes = []
     for f in factors:
         try:
-            passes.append((*fox_derivatives(f, (*pres.relators, *meridians), where), None))
-        except DomainError as exc:  # a relator's refusal comes again here; a meridian's waits
-            passes.append((*fox_derivatives(f, pres.relators, where), exc))
-    finals = [images[:n] for _, images, _ in passes]
+            jac, images = fox_derivatives(f, pres.relators + meridians, where.__getitem__)
+            passes.append((f, jac, images, (jac[rows:], images[n:])))
+        except DomainError:  # a relator's refusal comes again here
+            passes.append((f, *fox_derivatives(f, pres.relators, where.__getitem__), None))
+    finals = [images[:n] for _, _, images, _ in passes]
     check_representation(rho, pres, finals if len(finals) > 1 else finals[0])
-    rows = coefficient_field(factors[0].group)[1] * n
-    return [(f, jac[:rows], jac[rows:], images[n:], r) for f, (jac, images, r) in zip(factors, passes)]
+    return [(f, jac[:rows], mer) for f, jac, _, mer in passes]
 
 
 def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
@@ -189,14 +191,13 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     used for orthonormalization (the Killing form is indefinite); only spans
     matter downstream.
     """
-    _field_degree(rho.group)  # a pair is refused: its H^1 is taken per factor
-    return _h1(rho, _fox_passes(rho, pres)[0][1])
+    return _h1(rho, fox_jacobian(rho, pres))
 
 
 def h1_reports(rho: Representation, pres: Presentation) -> tuple[CohomologyReport, ...]:
     """`h1_basis` of rho, or of each factor of an SU(2)xSU(2) rho, from one
     Fox pass per factor after one relator check."""
-    return tuple(_h1(f, rows) for f, rows, *_ in _fox_passes(rho, pres))
+    return tuple(_h1(f, rows) for f, rows, _ in _fox_passes(rho, pres))
 
 
 def _h1(rho: Representation, relator_rows: np.ndarray) -> CohomologyReport:
@@ -217,11 +218,9 @@ def _h1(rho: Representation, relator_rows: np.ndarray) -> CohomologyReport:
             raise IllConditioned("B1 is not numerically contained in Z1")
         h_basis = z1_basis @ u[:, b1_rank:]
 
-    degree = _field_degree(rho.group)
-    dims = {"dim_Z0": z0_dim, "dim_Z1": dim_z1, "dim_B1": b1_rank, "dim_H1": dim_h1}
-    complex_dims = {f"{k}_complex": v for k, v in dims.items()} if degree == 2 else {}
-    real_dims = {k: degree * v for k, v in dims.items()}
-    return CohomologyReport(group=rho.group, basis_H1=h_basis, **real_dims, **complex_dims)
+    dims, degree = (z0_dim, dim_z1, b1_rank, dim_h1), _field_degree(rho.group)
+    # real dims, the basis, then the complex dims over C, in field order
+    return CohomologyReport(rho.group, *(degree * v for v in dims), h_basis, *(dims if degree == 2 else ()))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +311,10 @@ def _meridian_image_central(mat: np.ndarray, tol: float) -> bool:
     return float(np.linalg.norm(mat - one)) <= tol or float(np.linalg.norm(mat + one)) <= tol
 
 
-def _single_group_rigidity(rho: Representation, pres: Presentation, fox: tuple) -> RigidityReport:
-    relator_rows, meridian_rows, raw, refusal = fox
+def _single_group_rigidity(
+    rho: Representation, pres: Presentation, relator_rows: np.ndarray, meridian_pass
+) -> RigidityReport:
     report = _h1(rho, relator_rows)
-    if refusal:
-        raise refusal
     meridians = pres.meridians
     n_mer = len(meridians)
     flags: list[str] = []
@@ -330,7 +328,9 @@ def _single_group_rigidity(rho: Representation, pres: Presentation, fox: tuple) 
     if report.dim_Z0 > 0:
         flags.append(FLAG_REDUCIBLE)
         notes.append("nontrivial infinitesimal centralizer; smooth-point hypothesis unverified")
-    rows, images = _trace_rows(rho.group, meridian_rows, raw)
+    if meridian_pass is None:  # a meridian refused the shared pass: refuse it here
+        meridian_pass = fox_derivatives(rho, [m.word for m in meridians], "/meridians/{}/word".format)
+    rows, images = _trace_rows(rho.group, *meridian_pass)
     central_tol = TOL_CENTRAL * np.max(sizes, initial=math.sqrt(2.0)) ** 2 / 2.0
     for m, image in zip(meridians, images):
         if _meridian_image_central(image, central_tol):
@@ -365,7 +365,7 @@ def _single_group_rigidity(rho: Representation, pres: Presentation, fox: tuple) 
 def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport | PairRigidityReport:
     """Meridian trace-rank test; per factor for SU(2)xSU(2)."""
     passes = _fox_passes(rho, pres, tuple(m.word for m in pres.meridians))
-    reports = tuple(_single_group_rigidity(f, pres, rest) for f, *rest in passes)
+    reports = tuple(_single_group_rigidity(f, pres, *rest) for f, *rest in passes)
     if rho.group != SU2XSU2:
         return reports[0]
     flags = tuple(dict.fromkeys(reports[0].degenerate_flags + reports[1].degenerate_flags))

@@ -17,7 +17,7 @@ image's pointer.  A refusal is the first fault in generator order: only when
 the stack has a fault is it looked for image by image (`_image_fault`), and
 the images before it are still checked by their rules first.  The
 generators are checked first, at /generators; then every word is parsed
-once, against one index of them, at its own pointer:
+once, at its own pointer:
 /relators/<k>, /meridians/<k>/word and /boundary/<c>/generator_words/<j>,
 after its component's genus and word count are checked at /boundary/<c>.
 
@@ -247,15 +247,14 @@ def manifest_from_dict(doc: dict) -> Manifest:
     gens = doc.get("generators") or None
     _words(gens, "/generators", "expected a nonempty list of generator letters")
     gens = _built("/generators", check_generators, gens)
-    index = {g: i for i, g in enumerate(gens)}  # parsed with every word
     relators = _words(doc.get("relators", []), "/relators")
-    relator_words = tuple(_built(f"/relators/{k}", parse_word, r, index) for k, r in enumerate(relators))
+    relator_words = tuple(_built(f"/relators/{k}", parse_word, r, gens) for k, r in enumerate(relators))
     meridians = []
     for k, m in enumerate(_as_list(doc, "meridians", "/meridians")):
         p = f"/meridians/{k}"
         if not isinstance(_object(m, p).get("word"), str):
             raise ManifestError(f"{p}/word", "expected a word string")
-        word = _built(f"{p}/word", parse_word, m["word"], index)
+        word = _built(f"{p}/word", parse_word, m["word"], gens)
         meridians.append(Meridian(word, m["word"], _integer(m, "edge_id", p), _angle(m, "cone_angle", p)))
     pres = Presentation(gens, relator_words, tuple(relators), tuple(meridians))
 
@@ -272,7 +271,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
         texts = tuple(_words(comp.get("generator_words"), f"{p}/generator_words"))
         _built(p, check_boundary, genus, len(texts))  # before any of its words
         words = tuple(
-            _built(f"{p}/generator_words/{j}", parse_word, w, index) for j, w in enumerate(texts)
+            _built(f"{p}/generator_words/{j}", parse_word, w, gens) for j, w in enumerate(texts)
         )
         boundary.append(BoundaryComponent(genus, words, texts))
 

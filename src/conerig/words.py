@@ -53,10 +53,9 @@ Word = tuple[tuple[int, int], ...]
 TOL_REP = 1e-8
 
 
-def parse_word(text: str, generators: tuple[str, ...] | list[str] | dict[str, int]) -> Word:
-    """Parse a letter string; parse_word("") is the identity word.  A caller
-    parsing many words passes the generators' index {letter: i}, built once."""
-    index = generators if isinstance(generators, dict) else {g: i for i, g in enumerate(generators)}
+def parse_word(text: str, generators: tuple[str, ...] | list[str]) -> Word:
+    """Parse a letter string; parse_word("") is the identity word."""
+    index = {g: i for i, g in enumerate(generators)}
     letters = []
     for pos, ch in enumerate(text):
         low = ch.lower()
@@ -115,10 +114,9 @@ class Presentation:
     def from_strings(cls, generators, relators, meridians=()) -> "Presentation":
         """Build from letter strings; meridians are (text, edge_id, cone_angle)."""
         gens = check_generators(generators)
-        index = {g: i for i, g in enumerate(gens)}
-        rel_words = tuple(parse_word(r, index) for r in relators)
+        rel_words = tuple(parse_word(r, gens) for r in relators)
         mers = tuple(
-            Meridian(parse_word(text, index), text, int(edge_id), float(angle))
+            Meridian(parse_word(text, gens), text, int(edge_id), float(angle))
             for text, edge_id, angle in meridians
         )
         return cls(gens, rel_words, tuple(relators), mers)
@@ -229,7 +227,7 @@ def check_representation(rho: Representation, pres: Presentation, finals=None) -
         raise InvalidRepresentation(failure)
 
 
-def fox_derivatives(rho: Representation, words, where="word {}") -> tuple[np.ndarray, np.ndarray]:
+def fox_derivatives(rho: Representation, words, where="word {}".format) -> tuple[np.ndarray, np.ndarray]:
     """Fox derivatives of words over the coefficient field, g^n -> g^{#words},
     and the raw images of the words from the same walks.
 
@@ -243,38 +241,39 @@ def fox_derivatives(rho: Representation, words, where="word {}") -> tuple[np.nda
     free-reduced first: a cancelling pair would add and subtract two terms
     as large as Ad of the prefix.  The images, stacked as `raw`, are the
     reduced words' last prefixes.  Word r's walk or Fox overflow is refused,
-    before word r + 1's, at `where.format(r)`, or `where[r]` for a list.
+    before word r + 1's, at `where(r)`.
     """
     field, d = coefficient_field(rho.group)
-    name = where.format if isinstance(where, str) else where.__getitem__
-    walks, refusal = [], None
+    walks, letters, prefixes, refusal = [], [], [], None
     try:
         for word in map(free_reduce, words):
-            walks.append((word, prefix_walk(rho, word, name(len(walks)))))
+            walks.append(prefix_walk(rho, word, where(len(walks))))
+            letters += word
+            prefixes += walks[-1]
     except DomainError as exc:  # raised after the Fox overflows of the words before it
         refusal = exc
     blocks = np.zeros((len(walks), len(rho.raw), d, d), dtype=field)
-    if letters := [letter for word, _ in walks for letter in word]:
+    if letters:
         gens, exps = np.array(letters).T
-        rows = np.repeat(np.arange(len(walks)), [len(word) for word, _ in walks])
+        rows = np.repeat(np.arange(len(walks)), [len(walk) - 1 for walk in walks])
         # Word r's prefixes sit r places after its letters; g_j^-1 takes Ad(p_t).
         at = np.arange(len(letters)) + rows + (exps < 0)
         with np.errstate(over="ignore", invalid="ignore"):
-            ads = adjoint_stack(rho.group, np.array([p for _, walk in walks for p in walk])[at])
+            ads = adjoint_stack(rho.group, np.array(prefixes)[at])
             np.add.at(blocks, (rows, gens), exps[:, None, None] * ads)
     if not (finite := np.isfinite(blocks)).all():
-        raise DomainError(f"{name(int(finite.all(axis=(1, 2, 3)).argmin()))}: Fox derivatives overflow")
+        raise DomainError(f"{where(int(finite.all(axis=(1, 2, 3)).argmin()))}: Fox derivatives overflow")
     if refusal:
         raise refusal
     jac = blocks.transpose(0, 2, 1, 3).reshape(d * len(words), d * len(rho.raw))
-    return jac, np.array([walk[-1] for _, walk in walks]).reshape(-1, *rho.raw.shape[1:])
+    return jac, np.array([walk[-1] for walk in walks]).reshape(-1, *rho.raw.shape[1:])
 
 
 def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
     """Linearized relations over the coefficient field, whose kernel is the
     cocycle space: the Fox derivatives of the relators, after checking the
     relator images that their walks give (`check_representation`)."""
-    jac, finals = fox_derivatives(rho, pres.relators, "/relators/{}")
+    jac, finals = fox_derivatives(rho, pres.relators, "/relators/{}".format)
     check_representation(rho, pres, finals)
     return jac
 

@@ -331,6 +331,22 @@ def test_a_relator_refusal_comes_before_a_meridian_walk(tmp_path, capsys):
     assert (code, err) == (2, "error: /relators/0: relator residual 1.924e+00 exceeds 1.0e-08\n")
 
 
+def test_a_meridian_refusal_comes_after_the_image_checks(tmp_path):
+    # No relator refuses first, so H^1 and the image checks run before the
+    # meridian's walk is refused: the abelian test's overflow warning shows it.
+    doc = fixture_doc("torus.json")
+    doc["relators"] = []
+    z = complex(8e199, 5e199)
+    doc["holonomy"]["a"] = [[[z.real, z.imag], [0.0, 0.0]], [[0.0, 0.0], [(1 / z).real, (1 / z).imag]]]
+    doc["meridians"][0]["word"] = "aa"
+    m = load_manifest(write(tmp_path, "big-meridian.json", doc))
+    with warnings.catch_warnings(record=True) as seen, pytest.raises(DomainError) as exc:
+        warnings.simplefilter("always")
+        rigidity_test(m.representation, m.presentation)
+    assert str(exc.value) == "/meridians/0/word: product is not finite (overflow)"
+    assert any(w.filename.endswith("cohomology.py") for w in seen)
+
+
 def test_an_overflowing_meridian_names_its_pointer(tmp_path, capsys):
     code, err = run_quietly(["rigidity", overflowing_meridian(tmp_path)], capsys)
     assert (code, err) == (2, "error: /meridians/0/word: product is not finite (overflow)\n")
