@@ -219,7 +219,7 @@ def _h1(rho: Representation, relator_rows: np.ndarray) -> CohomologyReport:
         h_basis = z1_basis @ u[:, b1_rank:]
 
     dims, degree = (z0_dim, dim_z1, b1_rank, dim_h1), _field_degree(rho.group)
-    # real dims, the basis, then the complex dims over C, in field order
+    # in CohomologyReport's field order: real dims, basis, complex dims over C
     return CohomologyReport(rho.group, *(degree * v for v in dims), h_basis, *(dims if degree == 2 else ()))
 
 
