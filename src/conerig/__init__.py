@@ -34,7 +34,6 @@ from .words import (
     evaluate,
     parse_word,
     relator_residual,
-    split_representation,
 )
 from .cohomology import (
     BoundaryComponent,

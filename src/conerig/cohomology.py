@@ -2,11 +2,11 @@
 
 Every space is computed over the coefficient field of the group with one SVD
 path: over C for SL(2,C), whose algebra sl2(C) is complex, and over R for
-SU(2).  SU(2)xSU(2) is computed on the two SU(2) factors it holds.  Every
-command starts from one Fox pass per factor (`_fox_passes`) over each
+SU(2), on each of a representation's `factors` (a pair's two SU(2) views).
+Every command starts from one Fox pass per factor (`_fox_passes`) over each
 relator, and for `rigidity_test` each meridian, and checks the relators once
-on its images, a pair by the hypot of its factors' distances.  The relators'
-rows give Z^1, the meridians' the trace rows.  A boundary component that
+on its images, by the hypot of the factors' distances.  The relators' rows
+give Z^1, the meridians' the trace rows.  A boundary component that
 induces the interior's images and relators takes the interior's H^1.
 Cocycles are field coordinates (`liecore.field_coords`, generator after
 generator), and `z0_space`, `cocycle_space`, `coboundary_space` and
@@ -105,11 +105,19 @@ def _field_degree(group: str) -> int:
 # spaces
 
 
-def _z0_b1(rho: Representation) -> tuple[np.ndarray, np.ndarray]:
+def _images_at(pres: Presentation):
+    return lambda k: f"/holonomy/{pres.generators[k]}"  # image k's JSON pointer
+
+
+def _z0_b1(rho: Representation, where) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal field bases of Z^0 and B^1 from one SVD of the stacked
-    (I - Ad rho(gen)) blocks: Z^0 is their kernel, B^1 their column space."""
+    (I - Ad rho(gen)) blocks: Z^0 is their kernel, B^1 their column space.
+    An image k whose Ad overflows is refused at `where(k)`, its JSON pointer."""
     d = coefficient_field(rho.group)[1]
-    blocks = (np.eye(d) - adjoint_stack(rho.group, rho.raw)).reshape(-1, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = (np.eye(d) - adjoint_stack(rho.group, rho.raw)).reshape(-1, d)
+    if not (finite := np.isfinite(blocks)).all():
+        raise DomainError(f"{where(finite.all(axis=1).argmin() // d)}: adjoint action overflows")
     # Thin, unless no generator leaves fewer rows than the kernel needs.
     u, s, vt = np.linalg.svd(blocks, full_matrices=len(blocks) < d)
     rank = _certified_rank(s, "B1")
@@ -120,7 +128,7 @@ def z0_space(rho: Representation, pres: Presentation) -> np.ndarray:
     """Orthonormal field basis (columns) of the infinitesimal centralizer
     {v : Ad rho(gamma) v = v}."""
     check_representation(rho, pres)
-    return _z0_b1(rho)[0]
+    return _z0_b1(rho, _images_at(pres))[0]
 
 
 def cocycle_space(rho: Representation, pres: Presentation) -> np.ndarray:
@@ -131,7 +139,7 @@ def cocycle_space(rho: Representation, pres: Presentation) -> np.ndarray:
 def coboundary_space(rho: Representation, pres: Presentation) -> np.ndarray:
     """Orthonormal field basis (columns) of the image of v -> (v - Ad rho(gen) v)."""
     check_representation(rho, pres)
-    return _z0_b1(rho)[1]
+    return _z0_b1(rho, _images_at(pres))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +171,12 @@ class CohomologyReport:
 
 
 def _fox_passes(rho: Representation, pres: Presentation, meridians=()) -> list[tuple]:
-    """Per factor of rho (rho itself, unless a pair), one Fox pass over the
-    relators and then `meridians`, then one relator check on its images, a
-    pair's by the hypot rule: (factor, relator rows, (meridian rows, images)).
+    """Per factor of rho, one Fox pass over the relators and then `meridians`,
+    then one relator check on their images, by the hypot rule across factors:
+    (factor, relator rows, (meridian rows, images)).
     When a meridian refuses, the relators are walked again alone and the
     meridians' part is None: the caller refuses it after the factor's H^1."""
-    n, factors = len(pres.relators), (rho.factors if rho.group == SU2XSU2 else (rho,))
+    n, factors = len(pres.relators), rho.factors
     rows = coefficient_field(factors[0].group)[1] * n
     where = [f"/relators/{k}" for k in range(n)] + [f"/meridians/{k}/word" for k in range(len(meridians))]
     passes = []
@@ -178,8 +186,7 @@ def _fox_passes(rho: Representation, pres: Presentation, meridians=()) -> list[t
             passes.append((f, jac, images, (jac[rows:], images[n:])))
         except DomainError:  # a relator's refusal comes again here
             passes.append((f, *fox_derivatives(f, pres.relators, where.__getitem__), None))
-    finals = [images[:n] for _, _, images, _ in passes]
-    check_representation(rho, pres, finals if len(finals) > 1 else finals[0])
+    check_representation(rho, pres, [images[:n] for _, _, images, _ in passes])
     return [(f, jac[:rows], mer) for f, jac, _, mer in passes]
 
 
@@ -191,19 +198,18 @@ def h1_basis(rho: Representation, pres: Presentation) -> CohomologyReport:
     used for orthonormalization (the Killing form is indefinite); only spans
     matter downstream.
     """
-    return _h1(rho, fox_jacobian(rho, pres))
+    return _h1(rho, fox_jacobian(rho, pres), _images_at(pres))
 
 
 def h1_reports(rho: Representation, pres: Presentation) -> tuple[CohomologyReport, ...]:
-    """`h1_basis` of rho, or of each factor of an SU(2)xSU(2) rho, from one
-    Fox pass per factor after one relator check."""
-    return tuple(_h1(f, rows) for f, rows, _ in _fox_passes(rho, pres))
+    """`h1_basis` of each of rho's factors, from one Fox pass per factor."""
+    return tuple(_h1(f, rows, _images_at(pres)) for f, rows, _ in _fox_passes(rho, pres))
 
 
-def _h1(rho: Representation, relator_rows: np.ndarray) -> CohomologyReport:
+def _h1(rho: Representation, relator_rows: np.ndarray, where) -> CohomologyReport:
     """The report of `h1_basis` from the Fox rows of the checked relators."""
     z1_basis = nullspace(relator_rows, "Z1")
-    z0_basis, b1_basis = _z0_b1(rho)
+    z0_basis, b1_basis = _z0_b1(rho, where)
     z0_dim, b1_rank = z0_basis.shape[1], b1_basis.shape[1]
 
     dim_z1 = z1_basis.shape[1]
@@ -252,7 +258,7 @@ def trace_differential(rho: Representation, z, word):
     z holds a cocycle's field coordinates, generator after generator.
     Returns tr(z(w) rho(w)), the trace row of w applied to z: a complex
     number for SL(2,C), a real number for SU(2).  For SU(2)xSU(2) evaluate
-    it per factor of `split_representation`.
+    it on each of its `Representation.factors`.
     """
     if isinstance(word, str):
         raise DomainError("pass a parsed Word, not a string")
@@ -314,7 +320,7 @@ def _meridian_image_central(mat: np.ndarray, tol: float) -> bool:
 def _single_group_rigidity(
     rho: Representation, pres: Presentation, relator_rows: np.ndarray, meridian_pass
 ) -> RigidityReport:
-    report = _h1(rho, relator_rows)
+    report = _h1(rho, relator_rows, _images_at(pres))
     meridians = pres.meridians
     n_mer = len(meridians)
     flags: list[str] = []
@@ -344,12 +350,7 @@ def _single_group_rigidity(
     rank = matrix_rank(jac, "trace jacobian")
     if n_mer != dim_h1:
         notes.append(f"MeridianCountMismatch: {n_mer} meridian(s) vs dim H1 = {dim_h1}")
-    rigid = (
-        rank == dim_h1
-        and n_mer == dim_h1
-        and FLAG_ABELIAN not in flags
-        and FLAG_MERIDIAN_ID not in flags
-    )
+    rigid = rank == dim_h1 == n_mer and FLAG_ABELIAN not in flags and FLAG_MERIDIAN_ID not in flags
     return RigidityReport(
         group=rho.group,
         meridian_count=n_mer,
@@ -368,17 +369,15 @@ def rigidity_test(rho: Representation, pres: Presentation) -> RigidityReport | P
     reports = tuple(_single_group_rigidity(f, pres, *rest) for f, *rest in passes)
     if rho.group != SU2XSU2:
         return reports[0]
-    flags = tuple(dict.fromkeys(reports[0].degenerate_flags + reports[1].degenerate_flags))
-    notes = tuple(dict.fromkeys(reports[0].notes + reports[1].notes))
     rigid = all(r.verdict == VERDICT_RIGID for r in reports)
     return PairRigidityReport(
         group=SU2XSU2,
         meridian_count=len(pres.meridians),
-        dim_h1=reports[0].dim_h1 + reports[1].dim_h1,
-        rank=reports[0].rank + reports[1].rank,
+        dim_h1=sum(r.dim_h1 for r in reports),
+        rank=sum(r.rank for r in reports),
         verdict=VERDICT_RIGID if rigid else VERDICT_DEFICIENT,
-        degenerate_flags=flags,
-        notes=notes,
+        degenerate_flags=tuple(dict.fromkeys(f for r in reports for f in r.degenerate_flags)),
+        notes=tuple(dict.fromkeys(n for r in reports for n in r.notes)),
         factors=reports,
     )
 
@@ -469,8 +468,10 @@ def _audit_one_group(
     boundary_h1 = 0
     for c, comp in enumerate(boundary):
         sub_rho, sub_pres = induced_boundary_representation(rho, comp, f"/boundary/{c}")
+        # The interior's images and relators have the interior's H^1.
         same = np.array_equal(sub_rho.raw, rho.raw) and sub_pres.relators == pres.relators
-        rep = interior if same else h1_basis(sub_rho, sub_pres)  # same images and relators, same H^1
+        where = f"/boundary/{c}/generator_words/{{}}".format
+        rep = interior if same else _h1(sub_rho, fox_jacobian(sub_rho, sub_pres), where)
         dim = rep.dim_H1 // degree
         boundary_h1 += dim
         boundary_dims.append({"genus": comp.genus, "dim_H1": dim})
@@ -518,9 +519,8 @@ def dimension_audit(
     boundary_dims: list[dict] = []
     if interior is None:
         interior = h1_reports(rho, pres)
-    factors = rho.factors if rho.group == SU2XSU2 else (rho,)
     tags = ("left", "right") if rho.group == SU2XSU2 else (None,)
-    for tag, factor, report in zip(tags, factors, interior):
+    for tag, factor, report in zip(tags, rho.factors, interior):
         ids, dims = _audit_one_group(factor, pres, boundary, report)
         if tag:
             ids = [AuditIdentity(f"{tag}.{i.name}", i.lhs, i.rhs, i.holds) for i in ids]
@@ -553,7 +553,7 @@ def standard_torus_cocycles(
     the twist/length periods.  Assumes the holonomy is in standard position
     (diagonal), where every diagonal-valued assignment is a cocycle.  For
     SU2xSU2 each name maps to the (left, right) pair of SU(2) cocycles, one
-    per factor of `split_representation`.
+    for each of the pair's `Representation.factors`.
     """
     if not all(map(math.isfinite, (alpha, twist, length))):
         raise DomainError("alpha, twist and length must be finite numbers")

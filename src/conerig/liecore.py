@@ -7,8 +7,8 @@ sl2(C) (over C) and su(2) (over R), and a vector of either has one form too:
 its 3 coordinates over the field (`field_coords`), written out as a 2x2
 matrix only where a formula demands it (`algebra_matrix`).  SU(2)xSU(2) has
 no coefficient algebra of its own: its so(4) = su(2) + su(2) cohomology is
-the sum of two SU(2) ones, solved per factor after
-`words.split_representation`.
+the sum of two SU(2) ones, solved on the two SU(2) representations of
+`words.Representation.factors`.
 Each group has one product, inverse and exponential on raw arrays, and
 group membership is checked where an array enters (`_det_rule`, `_norm_rule`,
 `su2_quaternion`).  Ad is in closed form; g v g^-1 letter by letter is the
@@ -223,9 +223,7 @@ _COEFFICIENT_FIELD = {SL2C: (complex, 3), SU2: (float, 3)}
 def coefficient_field(group: str) -> tuple[type, int]:
     """(field, dimension over it) of the coefficient algebra of a group."""
     if group not in _COEFFICIENT_FIELD:
-        raise DomainError(
-            f"no coefficient algebra for {group!r}: split SU2xSU2 with words.split_representation"
-        )
+        raise DomainError(f"no coefficient algebra for {group!r}: split it into Representation.factors")
     return _COEFFICIENT_FIELD[group]
 
 
@@ -421,8 +419,8 @@ def sigma_fields(group: str) -> tuple:
     generating rotation around and translation along the axis:
     diag(i, -i) / 2 and diag(1, -1) / 2 in sl2(C).  For SU2xSU2 each section
     is a (left, right) pair of su(2) vectors, sigma_theta = (h, h) and
-    sigma_z = (h, -h) with h = diag(i, -i) / 2, one per factor of
-    `words.split_representation`.
+    sigma_z = (h, -h) with h = diag(i, -i) / 2, one for each of the two
+    `words.Representation.factors` of a pair.
     """
     if group == SL2C:
         return np.array([0.5j, 0.0, 0.0]), np.array([0.5, 0.0, 0.0], dtype=complex)

@@ -7,9 +7,9 @@ never free-reduces, so word identity stays traceable in reports.
 Every word is evaluated by one prefix walk (`prefix_walk`): p_0 = 1 and
 p_t = p_{t-1} g_t on raw arrays, a 2x2 complex matrix for SL(2,C) and a unit
 quaternion for SU(2), by `liecore.raw_product`.  A representation holds its
-images once, as the stack of those arrays (`Representation.raw`); an
-SU(2)xSU(2) one is walked per factor, on views of its stack.  Every image,
-product and prefix is such an array; there is no other element form.
+images once, as the stack of those arrays (`Representation.raw`); each of
+its `factors` (itself, or a pair's two SU(2) views) is walked alone.  Every
+image, product and prefix is such an array; there is no other element form.
 
 Cocycles are evaluated only by the Fox pass (`fox_derivatives`): it walks
 all its words, takes the Ad matrices of all their prefixes in one stacked
@@ -22,13 +22,14 @@ Relators are checked by one rule in every subcommand:
 - a relator is checked on its free reduction: its distance from the
   identity is read off the last prefix of that walk (`relator_distances`,
   which a Fox pass feeds with the images of its own walks);
-- an SU(2)xSU(2) representation is checked by the hypot of its two factors'
-  distances, before any per-factor result is used (`cohomology._fox_passes`).
+- across the factors of a representation the distances combine by their
+  hypot, before any per-factor result is used (`cohomology._fox_passes`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -132,19 +133,22 @@ _IMAGE = {SL2C: ((2, 2), "complex128"), SU2: ((4,), "float64"), SU2XSU2: ((2, 4)
 class Representation:
     """The generators' images as one read-only stack `raw`: (n, 2, 2) complex
     matrices for SL2C, (n, 4) quaternions for SU2, (n, 2, 4) left and right
-    quaternions for SU2xSU2, whose SU2 `factors` hold views of it.  SL2C and
-    SU2 stack `raw_inverses` too.  Group membership is checked where an
-    image is read (`manifest`) or made (`liecore.exp_raw`); here only the
-    shape, dtype and finiteness of the stack."""
+    quaternions for SU2xSU2.  SL2C and SU2 stack `raw_inverses` too.  Group
+    membership is checked where an image is read (`manifest`) or made
+    (`liecore.exp_raw`); here only the shape, dtype and finiteness of the
+    stack."""
 
     group: str
     raw: np.ndarray
 
     def __post_init__(self):
-        shape, dtype = _IMAGE.get(self.group, (None, None))
+        if self.group not in _IMAGE:
+            raise DomainError(f"unknown group {self.group!r}: expected a stack of SL2C, SU2 or SU2xSU2")
+        shape, dtype = _IMAGE[self.group]
         raw = np.asarray(self.raw)
-        if shape is None or raw.shape[1:] != shape or raw.dtype != dtype:
-            raise DomainError(f"expected an (n, *{shape}) {dtype} stack of {self.group} images")
+        if raw.shape[1:] != shape or raw.dtype != dtype:
+            dims = ", ".join(map(str, ("n", *shape)))
+            raise DomainError(f"expected an ({dims}) {dtype} stack of {self.group} images")
         if not np.isfinite(raw).all():
             raise DomainError("images must have finite entries")
         if raw.flags.writeable:  # the caller's array: hold a frozen copy
@@ -152,12 +156,16 @@ class Representation:
             raw.flags.writeable = False
         object.__setattr__(self, "raw", raw)
         if self.group == SU2XSU2:
-            factors = (Representation(SU2, raw[:, 0]), Representation(SU2, raw[:, 1]))
-            object.__setattr__(self, "factors", factors)
+            object.__setattr__(self, "_pair", tuple(Representation(SU2, raw[:, k]) for k in (0, 1)))
         else:
             inverses = raw_inverse(self.group, raw)
             inverses.flags.writeable = False
             object.__setattr__(self, "raw_inverses", inverses)
+
+    @property
+    def factors(self) -> tuple[Representation, ...]:
+        """A pair's two SU2 views, else (self,), made per call: no reference cycle."""
+        return self.__dict__.get("_pair", (self,))
 
 
 def prefix_walk(rho: Representation, word: Word, where: str = "word") -> list[np.ndarray]:
@@ -166,7 +174,7 @@ def prefix_walk(rho: Representation, word: Word, where: str = "word") -> list[np
     prefix that overflows is refused at `where`, the word's JSON pointer,
     with no numpy warning."""
     if rho.group == SU2XSU2:
-        raise DomainError("walk SU2xSU2 words per factor of split_representation")
+        raise DomainError("split SU2xSU2: walk each of its Representation.factors")
     images, inverses = rho.raw, rho.raw_inverses
     p = _IDENTITY[rho.group]
     prefixes = [p]
@@ -191,20 +199,20 @@ def evaluate(rho: Representation, word: Word, where: str = "word") -> np.ndarray
 
 
 def relator_distances(rho: Representation, pres: Presentation, finals=None) -> list[float]:
-    """`identity_distance` of each relator's free reduction, read off its walk
-    or `finals`, the last prefixes a Fox pass gave; for a pair, the hypot.
-    A distance that overflows is refused at its relator's JSON pointer."""
-    if rho.group == SU2XSU2:  # `finals` of a pair: one stack per factor
-        parts = zip(rho.factors, (None, None) if finals is None else finals)
-        left, right = (relator_distances(f, pres, p) for f, p in parts)
-        return [math.hypot(x, y) for x, y in zip(left, right)]
-    if finals is None:
-        rels = enumerate(pres.relators)
-        finals = [prefix_walk(rho, free_reduce(r), f"/relators/{k}")[-1] for k, r in rels]
-    dists = [identity_distance(rho.group, p) for p in finals]
-    if math.inf in dists:
-        raise DomainError(f"/relators/{dists.index(math.inf)}: relator residual overflows")
-    return dists
+    """`identity_distance` of each relator's free reduction, per factor of rho,
+    read off its walk or off `finals`, the last prefixes a Fox pass gave, one
+    sequence per factor; across factors, their hypot.  A distance that
+    overflows is refused at its relator's JSON pointer, factor after factor."""
+    per_factor = []
+    for f, last in zip(rho.factors, repeat(None) if finals is None else finals):
+        if last is None:
+            rels = enumerate(pres.relators)
+            last = [prefix_walk(f, free_reduce(r), f"/relators/{k}")[-1] for k, r in rels]
+        dists = [identity_distance(f.group, p) for p in last]
+        if math.inf in dists:
+            raise DomainError(f"/relators/{dists.index(math.inf)}: relator residual overflows")
+        per_factor.append(dists)
+    return [math.hypot(*d) for d in zip(*per_factor)]
 
 
 def relator_residual(rho: Representation, pres: Presentation) -> float:
@@ -274,7 +282,7 @@ def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
     cocycle space: the Fox derivatives of the relators, after checking the
     relator images that their walks give (`check_representation`)."""
     jac, finals = fox_derivatives(rho, pres.relators, "/relators/{}".format)
-    check_representation(rho, pres, finals)
+    check_representation(rho, pres, [finals])
     return jac
 
 
@@ -286,9 +294,3 @@ def deform(rho: Representation, z, t: float) -> Representation:
         raws = [raw_product(rho.group, exp_raw(rho.group, t * v), g) for v, g in zip(z, rho.raw)]
     return Representation(rho.group, np.array(raws, dtype=rho.raw.dtype).reshape(rho.raw.shape))
 
-
-def split_representation(rho: Representation) -> tuple[Representation, Representation]:
-    """Factor representations of an SU(2)xSU(2) representation, the ones it holds."""
-    if rho.group != SU2XSU2:
-        raise DomainError("only SU2xSU2 representations split")
-    return rho.factors

@@ -21,6 +21,7 @@ from conerig.cohomology import (
     TOL_CENTRAL,
     _image_is_abelian,
     _meridian_image_central,
+    _images_at,
     _z0_b1,
     induced_boundary_representation,
     matrix_rank,
@@ -62,9 +63,9 @@ def fox_derivatives(rho, words, where="word {}"):
 def h1_basis(rho, pres):
     """(dim Z^0, dim Z^1, dim B^1, dim H^1) over the field and the H^1 basis."""
     jac, finals = fox_derivatives(rho, pres.relators, "/relators/{}")
-    check_representation(rho, pres, finals)
+    check_representation(rho, pres, [finals])
     z1_basis = nullspace(jac, "Z1")
-    z0_basis, b1_basis = _z0_b1(rho)
+    z0_basis, b1_basis = _z0_b1(rho, _images_at(pres))
     b1_rank, dim_z1 = b1_basis.shape[1], z1_basis.shape[1]
     dim_h1 = dim_z1 - b1_rank
     if dim_h1 < 0:

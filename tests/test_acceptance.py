@@ -42,7 +42,7 @@ from conerig.radial import (
     t_b1_bound,
 )
 from conerig.spectral import ConePoint, circle_B_spectrum, link_B_spectrum
-from conerig.words import deform, evaluate, relator_residual, split_representation
+from conerig.words import deform, evaluate, relator_residual
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,7 +107,7 @@ def test_03_spherical_torus_pair_differentials():
     mu = pres.meridians[0].word
     xi = complex(*rho.raw[1, 0, :2])  # the (0, 0) entry a of the left quaternion a + bj
     cocs = standard_torus_cocycles("SU2xSU2", alpha, 0.0, 1.0)
-    left, right = split_representation(rho)
+    left, right = rho.factors
     dT_ang = [trace_differential(f, z, mu) for f, z in zip((left, right), cocs["ang"])]
     dT_shr = [trace_differential(f, z, mu) for f, z in zip((left, right), cocs["shr"])]
     dims = (h1_basis(left, pres).dim_H1, h1_basis(right, pres).dim_H1)

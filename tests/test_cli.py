@@ -85,7 +85,7 @@ class TestCohomology:
 
         calls = []
         real = cohomology._h1
-        monkeypatch.setattr(cohomology, "_h1", lambda rho, rows: calls.append(rho) or real(rho, rows))
+        monkeypatch.setattr(cohomology, "_h1", lambda rho, *rest: calls.append(rho) or real(rho, *rest))
         assert run(["cohomology", str(fixture_path(name)), "--audit"]) == code
         boundary_h1 = {"cusped.json": 1, "spherical-torus.json": 0}[name]
         assert len(calls) == factors + boundary_h1 == 2

@@ -34,7 +34,6 @@ from conerig.words import (
     Representation,
     fox_jacobian,
     parse_word,
-    split_representation,
 )
 
 from cocycle_reference import ad_action, coboundary, extend_cocycle, mul
@@ -188,7 +187,7 @@ class TestTraceDifferential:
         xi = complex(*rho.raw[1, 0, :2])  # the (0, 0) entry a of the left quaternion a + bj
         cocs = standard_torus_cocycles("SU2xSU2", alpha, 0.0, 1.0)
         mu = pres.meridians[0].word
-        factors = split_representation(rho)
+        factors = rho.factors
         dT_ang = tuple(trace_differential(f, z, mu) for f, z in zip(factors, cocs["ang"]))
         dT_shr = tuple(trace_differential(f, z, mu) for f, z in zip(factors, cocs["shr"]))
         assert dT_ang == pytest.approx((-alpha * xi.imag, -alpha * xi.imag), abs=1e-12)
@@ -352,7 +351,7 @@ class TestPairsAreSplit:
             lambda: h1_basis(rho, pres),
         ]
         for call in calls:
-            with pytest.raises(DomainError, match="split_representation"):
+            with pytest.raises(DomainError, match="split it into Representation.factors"):
                 call()
 
     def test_standard_torus_cocycles_are_factor_pairs(self):
@@ -380,7 +379,7 @@ def test_subspace_bases_are_orthonormal_field_matrices(name):
     the coefficient field with orthonormal columns whose counts give the
     reported dimensions; per SU(2) factor for SU(2)xSU(2)."""
     rho, pres, _ = load(name)
-    for f in split_representation(rho) if rho.group == "SU2xSU2" else (rho,):
+    for f in rho.factors:
         field, d = coefficient_field(f.group)
         degree = 2 if field is complex else 1
         report = h1_basis(f, pres)

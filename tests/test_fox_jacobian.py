@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conerig.cohomology import h1_basis, rigidity_test
 from conerig.liecore import (
-    SU2XSU2,
     adjoint_stack,
     coefficient_field,
     exp_raw,
@@ -22,7 +21,6 @@ from conerig.words import (
     fox_jacobian,
     free_reduce,
     prefix_walk,
-    split_representation,
 )
 
 from cocycle_reference import ad_action, coords_to_matrix, element_matrix, extend_cocycle, mul
@@ -81,11 +79,6 @@ def load(name):
     return m.representation, m.presentation
 
 
-def factors(rho):
-    """The representation itself, or its two SU(2) factors for SU2xSU2."""
-    return split_representation(rho) if rho.group == SU2XSU2 else (rho,)
-
-
 def conjugated(rho, coords):
     """rho with every image conjugated by the exponential of the algebra
     vector with field coordinates `coords`."""
@@ -103,7 +96,7 @@ def assert_close(got, want, tol):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fox_jacobian_matches_cocycle_extension(name):
     rho, pres = load(name)
-    for f in factors(rho):
+    for f in rho.factors:
         assert_close(fox_jacobian(f, pres), reference_fox_jacobian(f, pres), 1e-12)
 
 
@@ -113,7 +106,7 @@ def test_fox_jacobian_matches_on_conjugates(name, coords):
     # Conjugating every image by one group element keeps the relators; the
     # SU(2) factors of a pair take coordinates 0..2 and 3..5.
     rho, pres = load(name)
-    for k, f in enumerate(factors(rho)):
+    for k, f in enumerate(rho.factors):
         rho_c = conjugated(f, draw_coords(f.group, coords[3 * k :]))
         assert_close(fox_jacobian(rho_c, pres), reference_fox_jacobian(rho_c, pres), 1e-12)
 
@@ -146,7 +139,7 @@ def test_fox_derivatives_match_cocycle_extension(group, image_coords, cocycle_co
 
 def assert_trace_jacobian_matches_reference(rho, pres):
     report = rigidity_test(rho, pres)
-    for f, rep in zip(factors(rho), getattr(report, "factors", (report,))):
+    for f, rep in zip(rho.factors, getattr(report, "factors", (report,))):
         want = reference_trace_jacobian(f, pres, h1_basis(f, pres).basis_H1)
         assert_close(rep.trace_jacobian, want, 1e-12)
 
@@ -160,7 +153,7 @@ def test_trace_jacobian_matches_cocycle_extension(name):
 @given(st.sampled_from(FIXTURES), st.lists(coord, min_size=6, max_size=6))
 def test_trace_jacobian_matches_on_conjugates(name, coords):
     rho, pres = load(name)
-    for k, f in enumerate(factors(rho)):
+    for k, f in enumerate(rho.factors):
         assert_trace_jacobian_matches_reference(conjugated(f, draw_coords(f.group, coords[3 * k :])), pres)
 
 

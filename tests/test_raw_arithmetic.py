@@ -11,14 +11,13 @@ from conerig.errors import DomainError
 from conerig.liecore import (
     SL2C,
     SU2,
-    SU2XSU2,
     coefficient_field,
     exp_raw,
     raw_inverse,
 )
 from conerig import words
 from conerig.manifest import fixture_path, load_manifest
-from conerig.words import Representation, deform, split_representation
+from conerig.words import Representation, deform
 
 from cocycle_reference import deform_reference, exp_algebra_reference
 
@@ -52,8 +51,7 @@ def assert_same_bits(got, want):
 
 
 def fixture_factors(name):
-    rho = load_manifest(fixture_path(name)).representation
-    return split_representation(rho) if rho.group == SU2XSU2 else (rho,)
+    return load_manifest(fixture_path(name)).representation.factors
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conerig import cli
-from conerig.cohomology import _fox_passes, dimension_audit, rigidity_test
+from conerig import cli, cohomology
+from conerig.cohomology import (
+    _fox_passes,
+    coboundary_space,
+    dimension_audit,
+    rigidity_test,
+    z0_space,
+)
 from conerig.errors import DomainError, InvalidRepresentation
 from conerig.liecore import (
     SL2C,
@@ -30,12 +36,12 @@ from conerig.words import (
     check_representation,
     deform,
     evaluate,
+    fox_derivatives,
     fox_jacobian,
     free_reduce,
     parse_word,
     prefix_walk,
     relator_distances,
-    split_representation,
 )
 
 from cocycle_reference import element_matrix, mul
@@ -145,8 +151,8 @@ def test_an_unreduced_relator_is_checked_on_its_free_reduction():
 @pytest.mark.parametrize("name", ["spherical-torus.json", "abelian-torus.json"])
 def test_a_pair_is_split_once(name):
     rho = load_manifest(fixture_path(name)).representation
-    left, right = split_representation(rho)
-    again = split_representation(rho)
+    left, right = rho.factors
+    again = rho.factors
     assert again[0] is left and again[1] is right
     passes = _fox_passes(rho, load_manifest(fixture_path(name)).presentation)
     assert [factor for factor, *_ in passes] == [left, right]
@@ -322,6 +328,35 @@ def test_a_pair_is_checked_by_the_hypot_before_its_factors(tmp_path, capsys):
         assert (code, err) == (2, f"error: {failure}\n")
 
 
+def not_commuting(tmp_path):
+    """torus.json with b no longer commuting with a."""
+    doc = fixture_doc("torus.json")
+    doc["holonomy"]["b"][0][1] = [1.0, 0.0]
+    return write(tmp_path, "not-commuting.json", doc)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["not-commuting", "pair-beyond-tolerance"])
+def test_fox_pass_finals_give_the_walk_distances(tmp_path, name):
+    # `finals` holds one sequence of last prefixes per factor, whether a list
+    # or one numpy stack, for one group as for a pair.
+    made = {"not-commuting": not_commuting, "pair-beyond-tolerance": pair_just_beyond_tolerance}
+    m = load_manifest(made[name](tmp_path) if name in made else fixture_path(name))
+    rho, pres = m.representation, m.presentation
+    stack = np.array([fox_derivatives(f, pres.relators)[1] for f in rho.factors])
+    assert stack.shape[:2] == (len(rho.factors), len(pres.relators))
+    want = relator_distances(rho, pres)
+    for finals in (stack, list(stack)):
+        assert_same_floats(relator_distances(rho, pres, finals), want)
+    outcomes = []
+    for finals in (None, stack, list(stack)):
+        try:
+            check_representation(rho, pres, finals)
+            outcomes.append(None)
+        except InvalidRepresentation as exc:
+            outcomes.append(str(exc))
+    assert outcomes[1:] == outcomes[:1] * 2
+
+
 def test_a_relator_refusal_comes_before_a_meridian_walk(tmp_path, capsys):
     # b no longer commutes with a, and the meridian's walk overflows.
     doc = fixture_doc("torus.json")
@@ -331,20 +366,51 @@ def test_a_relator_refusal_comes_before_a_meridian_walk(tmp_path, capsys):
     assert (code, err) == (2, "error: /relators/0: relator residual 1.924e+00 exceeds 1.0e-08\n")
 
 
-def test_a_meridian_refusal_comes_after_the_image_checks(tmp_path):
+def test_a_meridian_refusal_comes_after_the_image_checks(tmp_path, monkeypatch):
     # No relator refuses first, so H^1 and the image checks run before the
-    # meridian's walk is refused: the abelian test's overflow warning shows it.
+    # meridian's walk is refused.  Ad(a) is finite (entries near 1e240); a^3
+    # is not.
     doc = fixture_doc("torus.json")
     doc["relators"] = []
-    z = complex(8e199, 5e199)
+    z = complex(8e119, 5e119)
     doc["holonomy"]["a"] = [[[z.real, z.imag], [0.0, 0.0]], [[0.0, 0.0], [(1 / z).real, (1 / z).imag]]]
-    doc["meridians"][0]["word"] = "aa"
+    doc["meridians"][0]["word"] = "aaa"
     m = load_manifest(write(tmp_path, "big-meridian.json", doc))
-    with warnings.catch_warnings(record=True) as seen, pytest.raises(DomainError) as exc:
-        warnings.simplefilter("always")
+    checked, real = [], cohomology._image_is_abelian
+    monkeypatch.setattr(cohomology, "_image_is_abelian", lambda *args: checked.append(1) or real(*args))
+    with warnings.catch_warnings(), pytest.raises(DomainError) as exc:
+        warnings.simplefilter("error")
         rigidity_test(m.representation, m.presentation)
     assert str(exc.value) == "/meridians/0/word: product is not finite (overflow)"
-    assert any(w.filename.endswith("cohomology.py") for w in seen)
+    assert checked == [1]
+
+
+def ad_overflows(tmp_path, a):
+    """torus.json with no relators and no boundary, and with a as the image of
+    a: a finite SL2C matrix whose Ad overflows."""
+    doc = fixture_doc("torus.json")
+    doc["relators"], doc["boundary"] = [], []
+    doc["holonomy"]["a"] = [[[x, 0.0] for x in row] for row in a]
+    return write(tmp_path, "ad-overflows.json", doc)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[1e200, 0.0], [0.0, 1e-200]], [[1.5e154, 1.5e154], [0.0, 1 / 1.5e154]]],
+    ids=["diagonal", "parabolic"],
+)
+def test_an_image_whose_ad_overflows_is_refused_at_its_pointer(tmp_path, capsys, a):
+    # Nothing refuses first: no relator, no boundary word, no overflowing walk.
+    path = ad_overflows(tmp_path, a)
+    assert run_quietly(["validate", path], capsys) == (0, "")
+    for command in (["cohomology"], ["cohomology", "--audit"], ["rigidity"]):
+        code, err = run_quietly([command[0], path, *command[1:]], capsys)
+        assert (code, err) == (2, "error: /holonomy/a: adjoint action overflows\n")
+    m = load_manifest(path)
+    for space in (z0_space, coboundary_space):
+        with warnings.catch_warnings(), pytest.raises(DomainError, match="^/holonomy/a: adjoint"):
+            warnings.simplefilter("error")
+            space(m.representation, m.presentation)
 
 
 def test_an_overflowing_meridian_names_its_pointer(tmp_path, capsys):

@@ -36,7 +36,6 @@ from conerig.words import (
     fox_jacobian,
     parse_word,
     prefix_walk,
-    split_representation,
 )
 
 from cocycle_reference import element_matrix
@@ -51,10 +50,6 @@ FIXTURES = [
     "abelian-torus.json",
 ]
 GENERA = range(2, 14)
-
-
-def factors(rho):
-    return split_representation(rho) if rho.group == SU2XSU2 else (rho,)
 
 
 def element_quat_mul(p, q):
@@ -126,7 +121,7 @@ def test_factors_are_read_only_views_of_the_stack(name):
     if rho.group == SU2XSU2:
         for side, f in enumerate(rho.factors):
             assert f.raw.tobytes() == rho.raw[:, side].tobytes()
-    stacks = [rho.raw] + [s for f in factors(rho) for s in (f.raw, f.raw_inverses)]
+    stacks = [rho.raw] + [s for f in rho.factors for s in (f.raw, f.raw_inverses)]
     assert not any(s.flags.writeable for s in stacks)
     if rho.group == SU2XSU2:
         assert all(np.shares_memory(f.raw, rho.raw) for f in rho.factors)
@@ -135,7 +130,7 @@ def test_factors_are_read_only_views_of_the_stack(name):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_walk_matches_the_written_out_chain_on_fixture_words(name):
     rho, words = fixture_words(name)
-    for f in factors(rho):
+    for f in rho.factors:
         assert_inverses_are_literal(f)
         for word in words:
             assert_walk_is_the_chain(f, word)
@@ -258,7 +253,7 @@ def assert_same_h1(rho, pres):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_h1_matches_projection_on_fixtures(name):
     m = load_manifest(fixture_path(name))
-    for f in factors(m.representation):
+    for f in m.representation.factors:
         assert_same_h1(f, m.presentation)
 
 
@@ -275,7 +270,7 @@ def no_qr(*args, **kwargs):
 def test_h1_basis_takes_no_qr_on_fixtures(monkeypatch, name):
     m = load_manifest(fixture_path(name))
     monkeypatch.setattr(np.linalg, "qr", no_qr)
-    for f in factors(m.representation):
+    for f in m.representation.factors:
         assert_same_h1(f, m.presentation)
 
 
@@ -292,12 +287,12 @@ def test_b1_tilted_out_of_z1(monkeypatch, angle, raises):
     # Tilt one B^1 column towards a direction orthogonal to Z^1 (a row of the
     # Fox Jacobian): s_min(Z^H B) becomes cos(angle), against sqrt(3)/2.
     rho, pres = su2_surface(2, np.random.default_rng(5)), surface_presentation(2)
-    z0, b1 = cohomology._z0_b1(rho)
+    z0, b1 = cohomology._z0_b1(rho, cohomology._images_at(pres))
     normal = fox_jacobian(rho, pres)[0].conj()
     normal /= np.linalg.norm(normal)
     tilted = b1.copy()
     tilted[:, 0] = np.cos(angle) * b1[:, 0] + np.sin(angle) * normal
-    monkeypatch.setattr(cohomology, "_z0_b1", lambda rho: (z0, tilted))
+    monkeypatch.setattr(cohomology, "_z0_b1", lambda rho, where: (z0, tilted))
     if raises:
         with pytest.raises(IllConditioned, match="B1 is not numerically contained in Z1"):
             h1_basis(rho, pres)

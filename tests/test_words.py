@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conerig.liecore import (
     identity_distance,
     sigma_fields,
 )
+from conerig.manifest import fixture_path, load_manifest
 from conerig.words import (
     Presentation,
     Representation,
@@ -118,6 +121,41 @@ class TestRepresentationStack:
         raw[(1,) * raw.ndim] = bad
         with pytest.raises(DomainError, match="finite"):
             Representation(group, raw)
+
+    @pytest.mark.parametrize(
+        "group, raw, message",
+        [
+            ("SO3", np.zeros((1, 3)), "unknown group 'SO3': expected a stack of SL2C, SU2 or SU2xSU2"),
+            ("SL2C", np.zeros((1, 4)), "expected an (n, 2, 2) complex128 stack of SL2C images"),
+            ("SU2", np.zeros((1, 2, 2)), "expected an (n, 4) float64 stack of SU2 images"),
+            ("SU2xSU2", np.zeros((1, 4)), "expected an (n, 2, 4) float64 stack of SU2xSU2 images"),
+        ],
+    )
+    def test_refusal_names_the_group_and_its_shape(self, group, raw, message):
+        with pytest.raises(DomainError) as exc:
+            Representation(group, raw)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["torus.json", "pants.json", "cusped.json", "genus2-su2.json"])
+    def test_a_single_group_is_its_own_factor(self, name):
+        rho = load_manifest(fixture_path(name)).representation
+        assert rho.group in (SL2C, SU2)
+        assert rho.factors == (rho,) and rho.factors[0] is rho
+
+    @pytest.mark.parametrize("name", ["torus.json", "genus2-su2.json", "spherical-torus.json"])
+    def test_a_deleted_representation_is_freed_without_gc(self, name):
+        # `factors` is not stored: a representation holds no reference to
+        # itself, so reference counting alone frees it.
+        loaded = load_manifest(fixture_path(name)).representation
+        rho = Representation(loaded.group, loaded.raw)
+        assert len(rho.factors) in (1, 2)
+        ref = weakref.ref(rho)
+        gc.disable()
+        try:
+            del rho
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_holds_a_frozen_copy_of_the_callers_stack(self):
         raw = np.array(torus_rep().raw)
