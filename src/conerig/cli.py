@@ -191,9 +191,9 @@ def _decay_suite(samples: int, n: int, seed: int = 7) -> dict:
     Each input is a degree-3 trigonometric polynomial (`_trig_polynomial`)
     whose six coefficients c_j are standard normal over j + 1.  Per input the
     rng draws the six c_j, then b0 in [-0.45, 4), b1 in [-4, 4) and r in
-    [0.05, 0.95), in that order, so a seed fixes the report.  The slacks are
-    those of the four public decay functions bit for bit; `min_decay_slacks`
-    samples each grid once, 2 * samples + 1 cos and as many sin sweeps.
+    [0.05, 0.95), in that order, so a seed fixes the report.  The slacks come
+    from `min_decay_slacks`: the public decay functions' value functions, on
+    grids sampled once each, 2 * samples + 1 cos and as many sin sweeps.
     """
     rng = np.random.default_rng(seed)
     budget = 1e-6

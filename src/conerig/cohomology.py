@@ -306,15 +306,16 @@ TOL_CENTRAL = 1e-10
 
 
 def _image_is_abelian(mats: np.ndarray, sizes: np.ndarray) -> bool:
-    """Whether the (n, 2, 2) image matrices, of norms `sizes`, commute pairwise."""
-    gh = mats[:, None] @ mats[None, :]
+    """Whether the (n, 2, 2) images, of finite norms `sizes`, commute; scaled to norm 1 first."""
+    unit = mats / sizes[:, None, None]
+    gh = unit[:, None] @ unit[None, :]
     defect = np.linalg.norm(gh - gh.transpose(1, 0, 2, 3), axis=(2, 3))
-    return bool((defect <= TOL_CENTRAL * np.outer(sizes, sizes) / 2.0).all())
+    return bool((defect <= TOL_CENTRAL / 2.0).all())
 
 
 def _meridian_image_central(mat: np.ndarray, tol: float) -> bool:
-    one = np.eye(2)
-    return float(np.linalg.norm(mat - one)) <= tol or float(np.linalg.norm(mat + one)) <= tol
+    """Whether mat is +/- identity within tol; hypot takes the norms without overflow."""
+    return any(np.hypot.reduce(np.abs(mat - s * np.eye(2)).ravel()) <= tol for s in (1.0, -1.0))
 
 
 def _single_group_rigidity(
@@ -327,7 +328,10 @@ def _single_group_rigidity(
     notes: list[str] = []
 
     mats = matrix_stack(rho.group, rho.raw)
-    sizes = np.linalg.norm(mats, axis=(1, 2))
+    with np.errstate(over="ignore"):
+        sizes = np.linalg.norm(mats, axis=(1, 2))
+    if not (finite := np.isfinite(sizes)).all():
+        raise DomainError(f"{_images_at(pres)(finite.argmin())}: image norm overflows")
     if _image_is_abelian(mats, sizes):
         flags.append(FLAG_ABELIAN)
         notes.append("image group is abelian; the trace-rank criterion does not certify rigidity")
@@ -345,7 +349,10 @@ def _single_group_rigidity(
             break
 
     dim_h1 = report.basis_H1.shape[1]
-    jac = rows @ report.basis_H1
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = rows @ report.basis_H1
+    if not (finite := np.isfinite(jac)).all():
+        raise DomainError(f"/meridians/{finite.all(axis=1).argmin()}/word: trace differential overflows")
 
     rank = matrix_rank(jac, "trace jacobian")
     if n_mer != dim_h1:
@@ -467,11 +474,11 @@ def _audit_one_group(
     boundary_dims = []
     boundary_h1 = 0
     for c, comp in enumerate(boundary):
-        sub_rho, sub_pres = induced_boundary_representation(rho, comp, f"/boundary/{c}")
+        sub_rho, sub_pres = induced_boundary_representation(rho, comp, at := f"/boundary/{c}")
         # The interior's images and relators have the interior's H^1.
         same = np.array_equal(sub_rho.raw, rho.raw) and sub_pres.relators == pres.relators
-        where = f"/boundary/{c}/generator_words/{{}}".format
-        rep = interior if same else _h1(sub_rho, fox_jacobian(sub_rho, sub_pres), where)
+        where = f"{at}/generator_words/{{}}".format
+        rep = interior if same else _h1(sub_rho, fox_jacobian(sub_rho, sub_pres, lambda k: at), where)
         dim = rep.dim_H1 // degree
         boundary_h1 += dim
         boundary_dims.append({"genus": comp.genus, "dim_H1": dim})

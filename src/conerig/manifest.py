@@ -317,26 +317,13 @@ def manifest_from_dict(doc: dict) -> Manifest:
 
 
 def _genus_relation_warnings(graph: SingularGraph, boundary) -> list[str]:
-    """Cross-check genus = N/3 + 1 for a connected closed trivalent graph."""
-    if not graph.vertices or not graph.closed:
-        return []
-    ends: dict[int, list[int]] = {}  # the vertices at each end of an edge
-    for k, incident in enumerate(graph.vertices):
-        for e in incident:
-            ends.setdefault(e, []).append(k)
-    seen, stack = {0}, [0]
-    while stack:
-        for e in graph.vertices[stack.pop()]:
-            stack.extend(w for w in ends[e] if w not in seen)
-            seen.update(ends[e])
-    if len(seen) != len(graph.vertices):
-        return []
-    expected = len(graph.edges) / 3 + 1
+    """Cross-check the declared genera against the graph's `boundary_genus`."""
+    expected = graph.boundary_genus
     declared = [c.genus for c in boundary if c.genus >= 2]
-    if declared and not any(math.isclose(g, expected) for g in declared):
+    if expected is not None and declared and expected not in declared:
         return [
             f"connected trivalent graph with {len(graph.edges)} edges has boundary genus "
-            f"{expected:g}; manifest declares {declared}"
+            f"{expected}; manifest declares {declared}"
         ]
     return []
 

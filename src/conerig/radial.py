@@ -7,7 +7,6 @@ deformation forms on a singular tube.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -45,9 +44,11 @@ class RadialGrid:
 
 
 def _sample(g, xs: np.ndarray) -> np.ndarray:
-    ys = np.asarray(g(xs), dtype=float)
-    if ys.shape != xs.shape:
-        ys = np.array([float(g(float(x))) for x in xs])
+    """g at the nodes xs, numpy warnings off: the value guards refuse a g that overflows."""
+    with np.errstate(all="ignore"):
+        ys = np.asarray(g(xs), dtype=float)
+        if ys.shape != xs.shape:
+            ys = np.array([float(g(float(x))) for x in xs])
     return ys
 
 
@@ -98,11 +99,6 @@ def _l2_norm(ys: np.ndarray, r: float) -> float:
     return math.sqrt(r / n * (squares.sum() - 0.5 * (squares[0] + squares[-1])))
 
 
-def _t_b0_factor(b: float, r: float) -> float:
-    """r^(1/2) (2b+1)^(-1/2): t_b0's bound over ||g||_{L2(0,r)}."""
-    return math.sqrt(r) / math.sqrt(2.0 * b + 1.0)
-
-
 def _t_b1_factor(b: float, r: float) -> float:
     """t_b1's three-case bound over ||g||_{L2(0,1)}; r^-b may overflow."""
     if b < -0.5:
@@ -114,9 +110,7 @@ def _t_b1_factor(b: float, r: float) -> float:
 
 def _check_quad_samples(n: int) -> None:
     if not is_integer(n) or not 1 <= n <= MAX_QUAD_SAMPLES:
-        raise DomainError(
-            f"quadrature takes at least 1 and at most {MAX_QUAD_SAMPLES} samples, got {n}"
-        )
+        raise DomainError(f"quadrature takes at least 1 and at most {MAX_QUAD_SAMPLES} samples, got {n}")
 
 
 def _finite_decay_value(name: str, b: float, r: float, compute, *args) -> float:
@@ -135,62 +129,66 @@ def _finite_decay_value(name: str, b: float, r: float, compute, *args) -> float:
     return value
 
 
-def _decay_function(b_floor: float | None):
-    """Shared argument check and finiteness guard of the four decay functions.
-
-    b must be finite (and above b_floor when given), r must lie in (0, 1],
-    and n in 1..MAX_QUAD_SAMPLES; a value that is not finite is refused by
-    `_finite_decay_value`.
-    """
-
-    def decorate(compute):
-        name = compute.__name__
-
-        @functools.wraps(compute)
-        def checked(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
-            if not math.isfinite(b) or (b_floor is not None and b <= b_floor):
-                floor = "" if b_floor is None else f" above {b_floor}"
-                raise DomainError(f"{name} requires a finite b{floor}, got {b!r}")
-            if not 0.0 < r <= 1.0:
-                raise DomainError(f"{name}: radius must lie in (0, 1], got {r!r}")
-            _check_quad_samples(n)
-            return _finite_decay_value(name, b, r, compute, g, b, r, n)
-
-        return checked
-
-    return decorate
+def _check_decay_arguments(name: str, b: float, r: float, n: int, b_floor: float | None = None) -> None:
+    """The public decay functions' argument check: a finite b (above b_floor
+    when given), r in (0, 1] and n in 1..MAX_QUAD_SAMPLES."""
+    if not math.isfinite(b) or (b_floor is not None and b <= b_floor):
+        floor = "" if b_floor is None else f" above {b_floor}"
+        raise DomainError(f"{name} requires a finite b{floor}, got {b!r}")
+    if not 0.0 < r <= 1.0:
+        raise DomainError(f"{name}: radius must lie in (0, 1], got {r!r}")
+    _check_quad_samples(n)
 
 
-@_decay_function(b_floor=-0.5)
+# One value function per decay quantity, from g's values ys on its grid.
+def _t_b0_value(xs: np.ndarray, ys: np.ndarray, b: float, r: float) -> float:
+    return _finite_decay_value("t_b0", b, r, _weighted_integral, xs, ys, b, r)
+
+
+def _t_b0_bound_value(ys: np.ndarray, b: float, r: float) -> float:
+    """r^(1/2) (2b+1)^(-1/2) ||g||_{L2(0,r)}, from ys on [0, r]."""
+    factor = math.sqrt(r) / math.sqrt(2.0 * b + 1.0)
+    return _finite_decay_value("t_b0_bound", b, r, lambda: factor * _l2_norm(ys, r))
+
+
+def _t_b1_value(xs: np.ndarray, ys: np.ndarray, b: float, r: float) -> float:
+    return _finite_decay_value("t_b1", b, r, lambda: -_weighted_integral(xs, ys, b, r))
+
+
+def _t_b1_bound_value(ys: np.ndarray, b: float, r: float) -> float:
+    return _finite_decay_value("t_b1_bound", b, r, lambda: _t_b1_factor(b, r) * _l2_norm(ys, 1.0))
+
+
 def t_b0(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
     """Weighted average r^-b * integral_0^r rho^b g(rho) drho for b > -1/2,
     with g sampled at n + 1 nodes of [0, r]."""
+    _check_decay_arguments("t_b0", b, r, n, b_floor=-0.5)
     xs = np.linspace(0.0, r, n + 1)
-    return _weighted_integral(xs, _sample(g, xs), b, r)
+    return _t_b0_value(xs, _sample(g, xs), b, r)
 
 
-@_decay_function(b_floor=-0.5)
 def t_b0_bound(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
     """Cauchy-Schwarz bound r^(1/2) (2b+1)^(-1/2) ||g||_{L2(0,r)}, with g
     sampled at the n + 1 nodes of [0, r] that t_b0 takes."""
-    return _t_b0_factor(b, r) * _l2_norm(_sample(g, np.linspace(0.0, r, n + 1)), r)
+    _check_decay_arguments("t_b0_bound", b, r, n, b_floor=-0.5)
+    return _t_b0_bound_value(_sample(g, np.linspace(0.0, r, n + 1)), b, r)
 
 
-@_decay_function(b_floor=None)
 def t_b1(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
     """Weighted integral r^-b * integral_1^r rho^b g(rho) drho, with g
     sampled at n + 1 nodes of [r, 1]."""
+    _check_decay_arguments("t_b1", b, r, n)
     if r == 1.0:
         return 0.0
     xs = np.linspace(r, 1.0, n + 1)
-    return -_weighted_integral(xs, _sample(g, xs), b, r)
+    return _t_b1_value(xs, _sample(g, xs), b, r)
 
 
-@_decay_function(b_floor=None)
 def t_b1_bound(g, b: float, r: float, n: int = QUAD_SAMPLES) -> float:
     """Three-case decay bound with ||g||_{L2(0,1)} on the right-hand side,
     g sampled at n + 1 nodes of [0, 1] whatever r is."""
-    return _t_b1_factor(b, r) * _l2_norm(_sample(g, np.linspace(0.0, 1.0, n + 1)), 1.0)
+    _check_decay_arguments("t_b1_bound", b, r, n)
+    return _t_b1_bound_value(_sample(g, np.linspace(0.0, 1.0, n + 1)), b, r)
 
 
 def _cos_sin(x):
@@ -205,11 +203,12 @@ def min_decay_slacks(inputs, n: int = QUAD_SAMPLES) -> tuple[float, float]:
     Each input is (h, b0, b1, r) with b0 > -1/2 and r in (0, 1), taken as
     given, for g(x) = h(cos 2 pi x, sin 2 pi x).  The slacks are
     t_b0_bound(g, b0, r, n) - |t_b0(g, b0, r, n)| and
-    t_b1_bound(g, b1, r, n) - |t_b1(g, b1, r, n)| bit for bit, with the same
-    finiteness guards, but each grid is sampled once: an input on the n + 1
-    nodes of [0, r] (t_b0 and its bound) and of [r, 1] (t_b1), and the
-    [0, 1] grid of t_b1_bound takes its cos and sin once for all inputs.
-    That is two cos sweeps per input and one more, and as many sin sweeps.
+    t_b1_bound(g, b1, r, n) - |t_b1(g, b1, r, n)|, from the value functions
+    those four call, which refuse a value that is not finite under the same
+    names.  Each grid is sampled once: an input on the n + 1 nodes of [0, r]
+    (t_b0 and its bound) and of [r, 1] (t_b1), and the [0, 1] grid of
+    t_b1_bound takes its cos and sin once for all inputs.  That is two cos
+    sweeps per input and one more, and as many sin sweeps.
     """
     _check_quad_samples(n)  # before the shared grid is made
     unit = _cos_sin(np.linspace(0.0, 1.0, n + 1))
@@ -217,15 +216,10 @@ def min_decay_slacks(inputs, n: int = QUAD_SAMPLES) -> tuple[float, float]:
     for h, b0, b1, r in inputs:
         xs = np.linspace(0.0, r, n + 1)
         ys = h(*_cos_sin(xs))
-        bound = _finite_decay_value("t_b0_bound", b0, r, lambda: _t_b0_factor(b0, r) * _l2_norm(ys, r))
-        value = _finite_decay_value("t_b0", b0, r, _weighted_integral, xs, ys, b0, r)
-        slack0 = min(slack0, bound - abs(value))
-        bound = _finite_decay_value(
-            "t_b1_bound", b1, r, lambda: _t_b1_factor(b1, r) * _l2_norm(h(*unit), 1.0)
-        )
+        slack0 = min(slack0, _t_b0_bound_value(ys, b0, r) - abs(_t_b0_value(xs, ys, b0, r)))
+        bound = _t_b1_bound_value(h(*unit), b1, r)
         xs = np.linspace(r, 1.0, n + 1)
-        value = _finite_decay_value("t_b1", b1, r, _weighted_integral, xs, h(*_cos_sin(xs)), b1, r)
-        slack1 = min(slack1, bound - abs(value))
+        slack1 = min(slack1, bound - abs(_t_b1_value(xs, h(*_cos_sin(xs)), b1, r)))
     return slack0, slack1
 
 

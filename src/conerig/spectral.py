@@ -18,7 +18,6 @@ gap, and the gap holds exactly when there is no witness.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -231,6 +230,7 @@ class SingularGraph:
     angle_of: MappingProxyType[int, float] = field(init=False, repr=False, compare=False)
     vertex_angles: tuple[tuple[float, float, float], ...] = field(init=False, repr=False)
     closed: bool = field(init=False, repr=False)  # every edge has two vertex ends
+    boundary_genus: int | None = field(init=False, repr=False)  # E/3 + 1 if nonempty, closed, connected
 
     def __post_init__(self):
         angle_of: dict[int, float] = {}
@@ -238,7 +238,7 @@ class SingularGraph:
             if e.id in angle_of:
                 raise DomainError(f"duplicate edge id {e.id}", f"edges/{k}/id")
             angle_of[e.id] = e.angle
-        ends: Counter[int] = Counter()
+        ends: dict[int, list[int]] = {}  # the vertices at the ends of each edge
         for k, inc in enumerate(self.vertices):
             node = f"vertices/{k}/incident"
             if len(inc) != 3:
@@ -246,14 +246,22 @@ class SingularGraph:
             unknown = [i for i in inc if i not in angle_of]
             if unknown:
                 raise DomainError(f"undeclared edge id(s) {unknown}", node)
-            ends.update(inc)
-            crowded = sorted({i for i in inc if ends[i] > 2})
+            for i in inc:
+                ends.setdefault(i, []).append(k)
+            crowded = sorted({i for i in inc if len(ends[i]) > 2})
             if crowded:
                 raise DomainError(f"edge id(s) {crowded} have more than two vertex ends", node)
         object.__setattr__(self, "angle_of", MappingProxyType(angle_of))
         triples = tuple(tuple(angle_of[i] for i in inc) for inc in self.vertices)
         object.__setattr__(self, "vertex_angles", triples)
-        object.__setattr__(self, "closed", all(ends[e.id] == 2 for e in self.edges))
+        object.__setattr__(self, "closed", closed := all(len(ends.get(e.id, ())) == 2 for e in self.edges))
+        seen, stack = {0}, [0] if self.vertices else []
+        while stack:  # the vertices joined to vertex 0
+            for e in self.vertices[stack.pop()]:
+                stack.extend(w for w in ends[e] if w not in seen)
+                seen.update(ends[e])
+        genus = len(self.edges) // 3 + 1 if closed and len(seen) == len(self.vertices) else None
+        object.__setattr__(self, "boundary_genus", genus)
 
 
 CONTEXT_OF_CURVATURE = {1: CONTEXT_SPHERICAL, -1: CONTEXT_HYPERBOLIC, 0: CONTEXT_TRANSLATIONAL}

@@ -52,6 +52,8 @@ Word = tuple[tuple[int, int], ...]
 
 # Acceptance tolerance for a representation read from a manifest.
 TOL_REP = 1e-8
+# The JSON pointer of a manifest's relator k.
+RELATORS = "/relators/{}".format
 
 
 def parse_word(text: str, generators: tuple[str, ...] | list[str]) -> Word:
@@ -198,19 +200,19 @@ def evaluate(rho: Representation, word: Word, where: str = "word") -> np.ndarray
     return prefix_walk(rho, word, where)[-1]
 
 
-def relator_distances(rho: Representation, pres: Presentation, finals=None) -> list[float]:
+def relator_distances(rho: Representation, pres: Presentation, finals=None, where=RELATORS) -> list[float]:
     """`identity_distance` of each relator's free reduction, per factor of rho,
     read off its walk or off `finals`, the last prefixes a Fox pass gave, one
     sequence per factor; across factors, their hypot.  A distance that
-    overflows is refused at its relator's JSON pointer, factor after factor."""
+    overflows is refused at `where(k)`, relator k's pointer, factor after factor."""
     per_factor = []
     for f, last in zip(rho.factors, repeat(None) if finals is None else finals):
         if last is None:
             rels = enumerate(pres.relators)
-            last = [prefix_walk(f, free_reduce(r), f"/relators/{k}")[-1] for k, r in rels]
+            last = [prefix_walk(f, free_reduce(r), where(k))[-1] for k, r in rels]
         dists = [identity_distance(f.group, p) for p in last]
         if math.inf in dists:
-            raise DomainError(f"/relators/{dists.index(math.inf)}: relator residual overflows")
+            raise DomainError(f"{where(dists.index(math.inf))}: relator residual overflows")
         per_factor.append(dists)
     return [math.hypot(*d) for d in zip(*per_factor)]
 
@@ -220,18 +222,18 @@ def relator_residual(rho: Representation, pres: Presentation) -> float:
     return worst_relator(relator_distances(rho, pres))[0]
 
 
-def worst_relator(dists: list[float]) -> tuple[float, str | None]:
+def worst_relator(dists: list[float], where=RELATORS) -> tuple[float, str | None]:
     """The largest relator distance, NaN when one is NaN, and, unless it is
-    within TOL_REP, a message naming that relator by its JSON pointer."""
+    within TOL_REP, a message naming that relator k at `where(k)`."""
     worst = float(np.max(dists, initial=0.0))
     if worst <= TOL_REP:
         return worst, None
-    return worst, f"/relators/{np.argmax(dists)}: relator residual {worst:.3e} exceeds {TOL_REP:.1e}"
+    return worst, f"{where(np.argmax(dists))}: relator residual {worst:.3e} exceeds {TOL_REP:.1e}"
 
 
-def check_representation(rho: Representation, pres: Presentation, finals=None) -> None:
-    """Refuse `relator_distances` beyond TOL_REP, naming the worst relator."""
-    if failure := worst_relator(relator_distances(rho, pres, finals))[1]:
+def check_representation(rho: Representation, pres: Presentation, finals=None, where=RELATORS) -> None:
+    """Refuse `relator_distances` beyond TOL_REP, naming the worst relator at `where`."""
+    if failure := worst_relator(relator_distances(rho, pres, finals, where), where)[1]:
         raise InvalidRepresentation(failure)
 
 
@@ -277,12 +279,13 @@ def fox_derivatives(rho: Representation, words, where="word {}".format) -> tuple
     return jac, np.array([walk[-1] for walk in walks]).reshape(-1, *rho.raw.shape[1:])
 
 
-def fox_jacobian(rho: Representation, pres: Presentation) -> np.ndarray:
+def fox_jacobian(rho: Representation, pres: Presentation, where=RELATORS) -> np.ndarray:
     """Linearized relations over the coefficient field, whose kernel is the
     cocycle space: the Fox derivatives of the relators, after checking the
-    relator images that their walks give (`check_representation`)."""
-    jac, finals = fox_derivatives(rho, pres.relators, "/relators/{}".format)
-    check_representation(rho, pres, [finals])
+    relator images that their walks give (`check_representation`).  Relator
+    k's refusals name `where(k)`."""
+    jac, finals = fox_derivatives(rho, pres.relators, where)
+    check_representation(rho, pres, [finals], where)
     return jac
 
 

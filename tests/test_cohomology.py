@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from conerig.cohomology import (
     trace_differential,
     z0_space,
 )
-from conerig.errors import DomainError
+from conerig.errors import DomainError, InvalidRepresentation
 from conerig.liecore import (
     SL2C,
     _det_rule,
@@ -273,6 +276,39 @@ class TestRigidity:
         sa, sb = (np.linalg.svd(r.trace_jacobian, compute_uv=False) for r in (a, b))
         assert np.abs(sa - sb).max() <= 1e-12
 
+    def test_image_norm_overflow_is_refused_before_the_flags(self):
+        # each square of b's entries is finite, so Ad b is, but |b|^2 overflows
+        big = 1.3e154
+        b = np.array([[big, 0.0], [big, 1.0 / big]], dtype=complex)
+        rho = Representation(SL2C, np.array([np.eye(2), b], dtype=complex))
+        pres = Presentation.from_strings(["a", "b"], [], [("b", 0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^/holonomy/b: image norm overflows$"):
+                rigidity_test(rho, pres)
+
+    def test_trace_differential_overflow_is_refused_at_its_meridian(self):
+        # the image of a^2 and its Fox block reach about 1e300: their product does not fit
+        a = np.array([[1e150, 0.0], [1e150, 1e-150]], dtype=complex)
+        rho = Representation(SL2C, np.array([a, np.diag([2.0, 0.5])], dtype=complex))
+        pres = Presentation.from_strings(["a", "b"], [], [("b", 0, 1.0), ("aa", 1, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^/meridians/1/word: trace differential overflows$"):
+                rigidity_test(rho, pres)
+
+    def test_large_commuting_images_are_flagged_without_overflow(self):
+        # diagonal images sheared alike: gh - hg rounds to about 1e-16 |g| |h| = 1e204,
+        # whose square overflows unless the images are scaled first
+        shear = np.array([[1.0, 0.3], [0.0, 1.0]])
+        images = [shear @ np.diag([s, 1 / s]) @ np.linalg.inv(shear) for s in (1e120, 1e100)]
+        rho = Representation(SL2C, np.array(images, dtype=complex))
+        pres = Presentation.from_strings(["a", "b"], [], [("b", 0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = rigidity_test(rho, pres)
+        assert FLAG_ABELIAN in rep.degenerate_flags
+
 
 class TestInvariants:
     def test_conjugation_equivariance(self, cusped):
@@ -338,6 +374,32 @@ class TestDimensionAudit:
         assert audit.boundary[0]["dim_H1"] == 6
         half = [i for i in audit.identities if i.name.startswith("half_dimension")][0]
         assert half.rhs == 3.0  # audit expects a 3-dimensional interior over R
+
+    @pytest.mark.parametrize(
+        "name, a, words, error, message",
+        [
+            # the cusped images on the words a, b break the torus relator
+            (
+                "cusped.json", None, ("a", "b"), InvalidRepresentation,
+                "relator residual 3.057e+00 exceeds 1.0e-08",
+            ),
+            # Ad of a^2 = diag(1e200, 1e-200) overflows the surface relator's Fox pass
+            ("torus.json", np.diag([1e100, 1e-100]), ("aa", "b"), DomainError, "Fox derivatives overflow"),
+        ],
+        ids=["residual", "fox-overflow"],
+    )
+    def test_surface_relator_refused_at_its_component(self, name, a, words, error, message):
+        # component 0 is the manifest's own; component 1's surface relator is
+        # refused at its own pointer, not at the interior's /relators/0
+        rho, pres, man = load(name)
+        if a is not None:
+            rho = Representation(SL2C, np.array([a, rho.raw[1]], dtype=complex))
+        parsed = tuple(parse_word(w, pres.generators) for w in words)
+        boundary = (*man.boundary, BoundaryComponent(1, parsed, words))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^/boundary/1: {re.escape(message)}$"):
+                dimension_audit(rho, pres, boundary)
 
 
 class TestPairsAreSplit:

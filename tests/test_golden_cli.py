@@ -9,7 +9,7 @@ echoes the path and is not recorded.  `spectrum` reports are compared
 exactly.  In `oracle` and `forms` reports every float is compared to 1e-12
 relative and everything else exactly, so that the radial kernels may change
 their order of summation.  Each refusal case changes one node of a fixture
-and records the exit code and stderr of every manifest subcommand on it,
+(or a few) and records the exit code and stderr of every manifest subcommand on it,
 compared exactly.  Each graph case edits the singular graph (and perhaps the
 curvature) of `pants.json` and records its `admissibility` report, compared
 exactly.
@@ -108,10 +108,43 @@ REFUSALS = [
     ("torus.json", "/holonomy/b/1/1", None),
     ("genus2-su2.json", "/holonomy/b/2", "0.1"),
     ("genus2-su2.json", "/holonomy/b", [0.4480698951903353, 0.6819747292261262, 0.48139824102310286]),
+    # the boundary's surface relator fails, refused at the component
+    ("cusped.json", "/boundary/0/generator_words", ["a", "b"]),
+]
+# Refusals that take more than one edited node: (fixture, [(JSON pointer, new value), ...]).
+BIG = 1.3e154  # each square is finite, the sum of two is not
+REFUSAL_EDITS = [
+    # the boundary's surface relator overflows the Fox pass, refused at the component
+    (
+        "torus.json",
+        [
+            ("/holonomy/a", [[[1e100, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-100, 0.0]]]),
+            ("/boundary/0/generator_words", ["aa", "b"]),
+        ],
+    ),
+    # an image whose Ad is finite but whose norm overflows
+    (
+        "torus.json",
+        [
+            ("/relators", []),
+            ("/boundary", []),
+            ("/holonomy/b", [[[BIG, 0.0], [0.0, 0.0]], [[BIG, 0.0], [1 / BIG, 0.0]]]),
+        ],
+    ),
+    # a meridian's trace row overflows: its image a^2 and its Fox block near 1e300
+    (
+        "torus.json",
+        [
+            ("/relators", []),
+            ("/boundary", []),
+            ("/holonomy/a", [[[1e150, 0.0], [0.0, 0.0]], [[1e150, 0.0], [1e-150, 0.0]]]),
+            ("/meridians/0/word", "aa"),
+        ],
+    ),
 ]
 REFUSAL_CASES = {
-    f"refuse {name} {pointer}={json.dumps(value)}": (name, pointer, value)
-    for name, pointer, value in REFUSALS
+    " ".join(["refuse", name, *(f"{p}={json.dumps(v)}" for p, v in edits)]): (name, edits)
+    for name, edits in [(name, [(pointer, value)]) for name, pointer, value in REFUSALS] + REFUSAL_EDITS
 }
 
 
@@ -166,10 +199,10 @@ def edited(name: str, edits, directory: str) -> Path:
 
 def capture_refusal(case: str) -> dict:
     """Exit code and stderr of each manifest subcommand on the edited fixture."""
-    name, pointer, value = REFUSAL_CASES[case]
+    name, edits = REFUSAL_CASES[case]
     out = {}
     with tempfile.TemporaryDirectory() as directory:
-        path = str(edited(name, [(pointer, value)], directory))
+        path = str(edited(name, edits, directory))
         for command, *extra in COMMANDS:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

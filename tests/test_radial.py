@@ -678,3 +678,13 @@ class TestDecayDomain:
         assert t_b1(ONE, 2.0, 1.0) == 0.0
         assert t_b1_bound(ONE, -0.5, 1.0) == 0.0
         assert t_b0(ONE, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("f", [t_b0, t_b0_bound, t_b1, t_b1_bound], ids=lambda f: f.__name__)
+def test_an_input_that_overflows_as_it_is_sampled(f):
+    # exp(800 x) overflows beyond x = 0.887, on each function's grid at r = 0.95;
+    # the sample is taken with numpy warnings off and its value refused by the guard
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{f.__name__} at b = 1.0, r = 0.95 is not finite"):
+            f(lambda x: np.exp(800.0 * x), 1.0, 0.95, 64)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conerig import cli, radial
+from conerig.errors import DomainError
 from conerig.radial import MAX_QUAD_SAMPLES, t_b0, t_b0_bound, t_b1, t_b1_bound
 
 
@@ -86,6 +87,45 @@ def test_quadrature_cap_refused_before_any_sweep(monkeypatch, capsys):
         f"got {MAX_QUAD_SAMPLES + 1}\n"
     )
     assert calls == {"cos": 0, "sin": 0}
+
+
+def first_public_refusal(g, b0, b1, r, n):
+    """The name and the DomainError text of the first public decay function
+    that refuses, in the suite's order: t_b0_bound, t_b0, t_b1_bound, t_b1."""
+    for f, b in ((t_b0_bound, b0), (t_b0, b0), (t_b1_bound, b1), (t_b1, b1)):
+        try:
+            f(g, b, r, n)
+        except DomainError as exc:
+            return f.__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "h, b0, b1, r, name",
+    [
+        # g^2 overflows on [0, r]
+        (lambda c, s: np.full_like(c, 1e300), 1.0, 0.0, 0.5, "t_b0_bound"),
+        # g overflows on (1/2, 1) only: g^2 in the bound, the slope of g in t_b1
+        (lambda c, s: np.where(s < 0.0, 1e307, 1.0), 1.0, 0.0, 0.4, "t_b1_bound"),
+        # r^-b overflows in the bound
+        (lambda c, s: np.ones_like(c), 1.0, 1100.0, 0.5, "t_b1_bound"),
+        # r^-b = 2^1023 fits, the weight's (b+1)-th power 2^1024 does not
+        (lambda c, s: np.ones_like(c), 1.0, 1023.0, 0.5, "t_b1"),
+    ],
+)
+def test_decay_suite_refuses_as_the_public_functions(h, b0, b1, r, name):
+    n = 64
+    g = lambda x: h(*radial._cos_sin(x))  # noqa: E731
+    want = first_public_refusal(g, b0, b1, r, n)
+    assert want is not None and want[0] == name
+    if name == "t_b1_bound" and b1 == 0.0:  # both t_b1 quantities refuse
+        with pytest.raises(DomainError, match=f"^t_b1 at b = {b1!r}, r = {r!r} is not finite"):
+            t_b1(g, b1, r, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as got:
+            radial.min_decay_slacks([(h, b0, b1, r)], n)
+    assert str(got.value) == want[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import string
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -667,3 +668,89 @@ def test_module_entry_point_prints_the_report():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["valid"] is True
+
+
+# ---------------------------------------------------------------------------
+# generated manifests with images up to 1e200, under warnings-as-errors
+
+SWEEP_COMMANDS = [("validate",), ("cohomology",), ("cohomology", "--audit"), ("rigidity",)]
+
+
+def _sweep_word(rng, gens, longest):
+    letters = rng.choice(gens, int(rng.integers(1, longest + 1)))
+    return "".join(g.upper() if rng.random() < 0.5 else g for g in letters)
+
+
+def _sweep_sl2c(rng):
+    """An SL2C image of size up to 1e200, half of them near 1e154, where the
+    squares of its entries, and so its norm and Ad, reach the float range."""
+    s = 10.0 ** (rng.uniform(0, 200) if rng.random() < 0.5 else rng.uniform(150, 155))
+    phase = np.exp(2j * math.pi * rng.random())
+    x, y, z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    m = [
+        [[s * phase, 0], [0, 1 / (s * phase)]],
+        [[s, 0], [s * phase, 1 / s]],
+        [[s, s * phase], [0, 1 / s]],
+        [[x, y], [z, (1 + y * z) / x]],
+    ][int(rng.integers(4))]
+    return [[[float(complex(v).real), float(complex(v).imag)] for v in row] for row in m]
+
+
+def _sweep_su2(rng):
+    q = rng.standard_normal(4)
+    return (q / np.linalg.norm(q)).tolist()
+
+
+def _sweep_manifest(rng):
+    """A manifest over 2 to 4 generators: SL2C, SU2 or SU2xSU2 images; no
+    relator, the commutator abAB or random words; random meridians on edges
+    of their cone angles, and random boundary words of genus 1 or 2."""
+    group = ["SL2C", "SL2C", "SU2", "SU2xSU2"][int(rng.integers(4))]
+    gens = list("abcd"[: int(rng.integers(2, 5))])
+    image = {
+        "SL2C": _sweep_sl2c,
+        "SU2": _sweep_su2,
+        "SU2xSU2": lambda rng: {"left": _sweep_su2(rng), "right": _sweep_su2(rng)},
+    }[group]
+    relators = [[], ["abAB"], [_sweep_word(rng, gens, 6) for _ in range(int(rng.integers(1, 3)))]]
+    angles = [float(rng.uniform(0.1, 2 * math.pi)) for _ in range(int(rng.integers(0, 3)))]
+    genera = [int(rng.integers(1, 3)) for _ in range(int(rng.integers(0, 3)))]
+    return {
+        "schema": 1,
+        "curvature": -1,
+        "group": group,
+        "generators": gens,
+        "holonomy": {g: image(rng) for g in gens},
+        "relators": relators[int(rng.integers(3))],
+        "meridians": [
+            {"word": _sweep_word(rng, gens, 3), "edge_id": k, "cone_angle": a} for k, a in enumerate(angles)
+        ],
+        "boundary": [
+            {"genus": g, "generator_words": [_sweep_word(rng, gens, 3) for _ in range(2 * g)]}
+            for g in genera
+        ],
+        "singular_graph": {"edges": [{"id": k, "angle": a} for k, a in enumerate(angles)], "vertices": []},
+    }
+
+
+def test_generated_manifests_end_in_an_exit_code_without_a_warning(tmp_path):
+    # 400 manifests, 4 commands each; a warning or an exception fails the call
+    rng = np.random.default_rng(2029)
+    path = tmp_path / "generated.json"
+    codes = set()
+    for _ in range(400):
+        doc = _sweep_manifest(rng)
+        path.write_text(json.dumps(doc))
+        for command in SWEEP_COMMANDS:
+            err = io.StringIO()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        code = run([*command[:1], str(path), *command[1:]])
+            except Exception as exc:
+                pytest.fail(f"{' '.join(command)} raised {exc!r} on {json.dumps(doc)}")
+            assert code in (0, 1, 2, 3), (command, doc)
+            assert (code >= 2) == err.getvalue().startswith("error: "), (command, err.getvalue(), doc)
+            codes.add(code)
+    assert {0, 1, 2} <= codes

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -212,6 +213,7 @@ class TestEdgeData:
         edges = tuple(SingularEdge(i, math.pi) for i in range(len(pairs)))
         graph = SingularGraph(edges, tuple(tuple(inc) for inc in incident.values()))
         assert (len(graph.edges), len(graph.vertices), graph.closed) == (30, 20, True)
+        assert graph.boundary_genus == 11
         verdict = cone_admissibility_verdict(graph, -1)
         assert verdict.admissible and len(verdict.points) == 50
         assert spectra["h0"] == [2, 0]
@@ -304,3 +306,16 @@ class TestSingularGraph:
         assert theta.closed
         assert not SingularGraph(edges, ((4, 2, 9),)).closed
         assert not SingularGraph(edges, ()).closed and SingularGraph((), ()).closed
+
+    def test_boundary_genus_of_a_closed_connected_graph(self):
+        edges = tuple(SingularEdge(i, 1.0) for i in range(6))
+        theta = SingularGraph(edges[:3], ((0, 1, 2), (2, 0, 1)))
+        assert theta.boundary_genus == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            theta.boundary_genus = 3
+        with pytest.raises(TypeError):
+            SingularGraph(edges[:3], ((0, 1, 2), (2, 0, 1)), boundary_genus=3)
+        # two disjoint theta graphs, an open graph and the empty graph
+        assert SingularGraph(edges, ((0, 1, 2), (2, 0, 1), (3, 4, 5), (5, 4, 3))).boundary_genus is None
+        assert SingularGraph(edges[:3], ((0, 1, 2),)).boundary_genus is None
+        assert SingularGraph((), ()).boundary_genus is None
