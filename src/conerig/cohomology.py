@@ -6,8 +6,11 @@ SU(2), on each of a representation's `factors` (a pair's two SU(2) views).
 Every command starts from one Fox pass per factor (`_fox_passes`) over each
 relator, and for `rigidity_test` each meridian, and checks the relators once
 on its images, by the hypot of the factors' distances.  The relators' rows
-give Z^1, the meridians' the trace rows.  A boundary component that
-induces the interior's images and relators takes the interior's H^1.
+give Z^1, the meridians' the trace rows, whose covectors and +/- identity
+test are read off the raw images (`liecore.trace_covectors`,
+`identity_distance`).  Every H^1 refuses, in `_z0_b1`, an image whose Ad
+or norm overflows.  A boundary component that induces the interior's
+images and relators takes the interior's H^1.
 Cocycles are field coordinates (`liecore.field_coords`, generator after
 generator), and `z0_space`, `cocycle_space`, `coboundary_space` and
 `CohomologyReport.basis_H1` are matrices over the field with orthonormal
@@ -33,16 +36,14 @@ import numpy as np
 
 from .errors import DomainError, IllConditioned
 from .liecore import (
-    SL2C,
-    SU2,
     SU2XSU2,
-    _frozen,
     adjoint_stack,
-    algebra_matrix,
     coefficient_field,
     field_coords,
+    identity_distance,
     matrix_stack,
     sigma_fields,
+    trace_covectors,
 )
 from .words import (
     Presentation,
@@ -51,6 +52,7 @@ from .words import (
     check_representation,
     fox_derivatives,
     fox_jacobian,
+    free_reduce,
     prefix_walk,
 )
 
@@ -112,14 +114,21 @@ def _images_at(pres: Presentation):
 def _z0_b1(rho: Representation, where) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal field bases of Z^0 and B^1 from one SVD of the stacked
     (I - Ad rho(gen)) blocks: Z^0 is their kernel, B^1 their column space.
-    An image k whose Ad overflows is refused at `where(k)`, its JSON pointer."""
+    Refused at `where(k)`, image k's pointer: the first image whose Ad or norm
+    overflows, then, if the singular values do, the largest block entry's."""
     d = coefficient_field(rho.group)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = (np.eye(d) - adjoint_stack(rho.group, rho.raw)).reshape(-1, d)
+        sizes = np.linalg.norm(rho.raw.reshape(len(rho.raw), -1), axis=1)  # Frobenius, or 1 for SU2
     if not (finite := np.isfinite(blocks)).all():
         raise DomainError(f"{where(finite.all(axis=1).argmin() // d)}: adjoint action overflows")
+    if not (finite := np.isfinite(sizes)).all():
+        raise DomainError(f"{where(finite.argmin())}: image norm overflows")
     # Thin, unless no generator leaves fewer rows than the kernel needs.
     u, s, vt = np.linalg.svd(blocks, full_matrices=len(blocks) < d)
+    if not np.isfinite(s).all():  # finite blocks whose norm overflows
+        largest = np.abs(blocks.view(float)).max(axis=1).argmax()  # re and im parts: no modulus overflows
+        raise DomainError(f"{where(largest // d)}: adjoint action overflows")
     rank = _certified_rank(s, "B1")
     return vt[rank:].conj().T, u[:, :rank]
 
@@ -233,23 +242,15 @@ def _h1(rho: Representation, relator_rows: np.ndarray, where) -> CohomologyRepor
 # trace differentials
 
 
-# The matrices of the field basis, whose coordinates are the unit vectors.
-_FIELD_BASIS = {
-    group: _frozen([algebra_matrix(group, e) for e in np.eye(3, dtype=field)])
-    for group, field in ((SL2C, complex), (SU2, float))
-}
-
-
-def _trace_rows(group: str, fox: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _trace_rows(group: str, fox: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Row w maps a cocycle's field coordinates to tr(z(w) rho(w)): the
-    covector v -> tr(v rho(w)) on the field basis times the Fox block of w,
-    from a Fox pass's rows `fox` and raw images `raw` of the words.  Also the
-    matrices rho(w)."""
-    field, d = coefficient_field(group)
-    images = matrix_stack(group, raw)
-    covectors = np.einsum("kij,rji->rk", _FIELD_BASIS[group], images)
-    rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(len(raw), d, fox.shape[1]))
-    return (rows if field is complex else rows.real), images
+    covector v -> tr(v rho(w)) (`trace_covectors`) times the Fox block of w,
+    from a Fox pass's rows `fox` and raw images `raw` of the words.  Over C
+    for su(2) too: `@` on its strided real rows is numpy's unblocked product,
+    whose rounding the recorded trace Jacobians carry, not BLAS's."""
+    covectors = trace_covectors(group, raw).astype(complex)
+    rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(*covectors.shape, fox.shape[1]))
+    return rows if coefficient_field(group)[0] is complex else rows.real
 
 
 def trace_differential(rho: Representation, z, word):
@@ -263,7 +264,7 @@ def trace_differential(rho: Representation, z, word):
     if isinstance(word, str):
         raise DomainError("pass a parsed Word, not a string")
     z = field_coords(rho.group, z, len(rho.raw))
-    return (_trace_rows(rho.group, *fox_derivatives(rho, [word]))[0][0] @ z).item()
+    return (_trace_rows(rho.group, *fox_derivatives(rho, [word]))[0] @ z).item()
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +301,9 @@ class PairRigidityReport:
 
 # A product gh of images rounds in proportion to |g| |h| (Frobenius norms,
 # sqrt(2) on unitary images), so gh = hg is tested to TOL_CENTRAL |g| |h| / 2,
-# and a meridian word is +/- identity to TOL_CENTRAL |g|^2 / 2 for the
-# largest image g.
+# and a meridian is +/- identity to TOL_CENTRAL / 2 times the product of the
+# norms of its free-reduced word's letters' images, which bounds its own
+# rounding; if that product overflows, the test is undecided and flagged.
 TOL_CENTRAL = 1e-10
 
 
@@ -311,11 +313,6 @@ def _image_is_abelian(mats: np.ndarray, sizes: np.ndarray) -> bool:
     gh = unit[:, None] @ unit[None, :]
     defect = np.linalg.norm(gh - gh.transpose(1, 0, 2, 3), axis=(2, 3))
     return bool((defect <= TOL_CENTRAL / 2.0).all())
-
-
-def _meridian_image_central(mat: np.ndarray, tol: float) -> bool:
-    """Whether mat is +/- identity within tol; hypot takes the norms without overflow."""
-    return any(np.hypot.reduce(np.abs(mat - s * np.eye(2)).ravel()) <= tol for s in (1.0, -1.0))
 
 
 def _single_group_rigidity(
@@ -328,10 +325,7 @@ def _single_group_rigidity(
     notes: list[str] = []
 
     mats = matrix_stack(rho.group, rho.raw)
-    with np.errstate(over="ignore"):
-        sizes = np.linalg.norm(mats, axis=(1, 2))
-    if not (finite := np.isfinite(sizes)).all():
-        raise DomainError(f"{_images_at(pres)(finite.argmin())}: image norm overflows")
+    sizes = np.linalg.norm(mats, axis=(1, 2))  # finite: `_h1` refuses an overflow
     if _image_is_abelian(mats, sizes):
         flags.append(FLAG_ABELIAN)
         notes.append("image group is abelian; the trace-rank criterion does not certify rigidity")
@@ -340,10 +334,11 @@ def _single_group_rigidity(
         notes.append("nontrivial infinitesimal centralizer; smooth-point hypothesis unverified")
     if meridian_pass is None:  # a meridian refused the shared pass: refuse it here
         meridian_pass = fox_derivatives(rho, [m.word for m in meridians], "/meridians/{}/word".format)
-    rows, images = _trace_rows(rho.group, *meridian_pass)
-    central_tol = TOL_CENTRAL * np.max(sizes, initial=math.sqrt(2.0)) ** 2 / 2.0
-    for m, image in zip(meridians, images):
-        if _meridian_image_central(image, central_tol):
+    rows = _trace_rows(rho.group, *meridian_pass)
+    norms = sizes.tolist()  # Python floats: a product that overflows is inf, without a warning
+    for m, image in zip(meridians, meridian_pass[1]):
+        tol = TOL_CENTRAL * math.prod(norms[g] for g, _ in free_reduce(m.word)) / 2.0
+        if min(identity_distance(rho.group, image), identity_distance(rho.group, -image)) <= tol:
             flags.append(FLAG_MERIDIAN_ID)
             notes.append(f"meridian {m.text!r} maps to +/- identity; complex length undefined")
             break

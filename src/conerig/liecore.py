@@ -5,14 +5,15 @@ SL(2,C), a (4,) unit quaternion in SU(2), a (2, 4) left and right pair of
 them in SU(2)xSU(2).  Cocycle coefficients live in the matrix Lie algebras
 sl2(C) (over C) and su(2) (over R), and a vector of either has one form too:
 its 3 coordinates over the field (`field_coords`), written out as a 2x2
-matrix only where a formula demands it (`algebra_matrix`).  SU(2)xSU(2) has
-no coefficient algebra of its own: its so(4) = su(2) + su(2) cohomology is
-the sum of two SU(2) ones, solved on the two SU(2) representations of
-`words.Representation.factors`.
+matrix only inside the exponential (`algebra_matrix`, `exp_raw`).
+SU(2)xSU(2) has no coefficient algebra of its own: its so(4) = su(2) + su(2)
+cohomology is the sum of two SU(2) ones, solved on the two SU(2)
+representations of `words.Representation.factors`.
 Each group has one product, inverse and exponential on raw arrays, and
 group membership is checked where an array enters (`_det_rule`, `_norm_rule`,
-`su2_quaternion`).  Ad is in closed form; g v g^-1 letter by letter is the
-reference in tests/cocycle_reference.py.
+`su2_quaternion`).  Ad is in closed form, against g v g^-1 letter by letter
+in tests/cocycle_reference.py, and so is v -> tr(v g) (`trace_covectors`),
+against the basis matrices in tests/cohomology_reference.py.
 """
 from __future__ import annotations
 
@@ -75,12 +76,6 @@ def _require_finite(a: np.ndarray, message: str | None = None) -> None:
     # NaN fails every tolerance comparison, so it must be refused explicitly.
     if not np.isfinite(a).all():
         raise DomainError(message or "entries must be finite numbers")
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +271,15 @@ def adjoint_stack(group: str, raw: np.ndarray) -> np.ndarray:
         (2.0 * c * d, -c * c, d * d),
     )
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def trace_covectors(group: str, raw: np.ndarray) -> np.ndarray:
+    """The covectors v -> tr(v g) of a stack of raw elements g, (L, 3), on
+    field coordinates: (a - d, c, b) of [[a, b], [c, d]] on sl2(C)'s (x, y, w)
+    and -2 (q1, q2, q3) of a quaternion on su(2)'s (x, y, z), zeros all +0.0."""
+    if group == SU2:
+        return -2.0 * raw[:, 1:] + 0.0
+    return np.stack([raw[:, 0, 0] - raw[:, 1, 1], raw[:, 1, 0], raw[:, 0, 1]], axis=-1) + 0.0
 
 
 def matrix_stack(group: str, raw: np.ndarray) -> np.ndarray:

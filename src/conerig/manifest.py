@@ -71,10 +71,11 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ManifestError(path, message)
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """A JSON number of the given Python kind: JSON true and false are bools,
-    which Python also counts as ints, and are never numbers here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+_JSON_NUMBERS = frozenset((int, float))  # exact types: a bool or a numpy scalar is neither
+
+
+def _is_number(value, kind=_JSON_NUMBERS) -> bool:
+    return type(value) in kind
 
 
 def _built(path: str, make, *args):
@@ -98,7 +99,7 @@ def _object(value, path: str) -> dict:
 
 
 def _integer(obj: dict, key: str, path: str) -> int:
-    if not _is_number(obj.get(key), int):
+    if not _is_number(obj.get(key), {int}):
         raise ManifestError(f"{path}/{key}", "expected an integer")
     return obj[key]
 
@@ -118,13 +119,12 @@ def _words(value, path: str, message: str = "expected a list of word strings") -
 
 
 _SIDES = ("left", "right")
-_JSON_NUMBERS = frozenset((int, float))  # exact types: a bool is neither
 
 
 def _entries_fault(value, count: int, path: str):
     """The refusal (pointer, message) of a node that is not a list of `count`
     finite JSON numbers, an [re, im] pair or a quaternion; None if it is one."""
-    if not (type(value) is list and len(value) == count and all(type(x) in _JSON_NUMBERS for x in value)):
+    if not (type(value) is list and len(value) == count and all(map(_is_number, value))):
         return path, "expected a [re, im] pair" if count == 2 else f"expected {count} numbers"
     # An exact comparison: math.isfinite overflows on an int beyond the float range.
     if not all(abs(x) <= sys.float_info.max for x in value):
@@ -286,7 +286,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
         for k, v in enumerate(_as_list(graph_doc, "vertices", "/singular_graph/vertices")):
             p = f"/singular_graph/vertices/{k}"
             inc = _object(v, p).get("incident")
-            if not (isinstance(inc, list) and len(inc) == 3 and all(_is_number(i, int) for i in inc)):
+            if not (isinstance(inc, list) and len(inc) == 3 and all(_is_number(i, {int}) for i in inc)):
                 raise ManifestError(f"{p}/incident", "vertices are trivalent: expected 3 incident edge ids")
             vertices.append(tuple(inc))
     try:

@@ -8,19 +8,21 @@ pass of its own that checks the relators again (`h1_basis`); the meridians
 go through a second Fox pass (`rigidity`); and the audit computes H^1 of
 every boundary component afresh (`audit`).  The leaves it shares with the
 library (the walk, the relator rule, the rank rule, Z^0 and B^1, the
-abelian and +/- identity tests) are not what changed."""
+abelian test) are not what changed.  The trace rows contract each meridian
+image's matrix with the field basis matrices (`_FIELD_BASIS`), and the
++/- identity test takes the hypot of the entries
+(`_meridian_image_central`), where the library reads both off the raw
+image."""
 import math
 
 import numpy as np
 
 from conerig.cohomology import (
-    _FIELD_BASIS,
     FLAG_ABELIAN,
     FLAG_MERIDIAN_ID,
     FLAG_REDUCIBLE,
     TOL_CENTRAL,
     _image_is_abelian,
-    _meridian_image_central,
     _images_at,
     _z0_b1,
     induced_boundary_representation,
@@ -28,8 +30,34 @@ from conerig.cohomology import (
     nullspace,
 )
 from conerig.errors import DomainError, IllConditioned
-from conerig.liecore import SU2XSU2, adjoint_stack, coefficient_field, matrix_stack
+from conerig.liecore import (
+    SL2C,
+    SU2,
+    SU2XSU2,
+    adjoint_stack,
+    algebra_matrix,
+    coefficient_field,
+    matrix_stack,
+)
 from conerig.words import check_representation, free_reduce, prefix_walk
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+# The matrices of the field basis, whose coordinates are the unit vectors.
+_FIELD_BASIS = {
+    group: _frozen([algebra_matrix(group, e) for e in np.eye(3, dtype=field)])
+    for group, field in ((SL2C, complex), (SU2, float))
+}
+
+
+def _meridian_image_central(mat: np.ndarray, tol: float) -> bool:
+    """Whether mat is +/- identity within tol; hypot takes the norms without overflow."""
+    return any(np.hypot.reduce(np.abs(mat - s * np.eye(2)).ravel()) <= tol for s in (1.0, -1.0))
 
 
 def checked_factors(rho, pres):
@@ -100,8 +128,9 @@ def rigidity(rho, pres):
         covectors = np.einsum("kij,rji->rk", _FIELD_BASIS[f.group], images)
         rows = np.einsum("rk,rkc->rc", covectors, fox.reshape(len(words), d, d * len(f.raw)))
         rows = rows if field is complex else rows.real
-        central_tol = TOL_CENTRAL * np.max(sizes, initial=math.sqrt(2.0)) ** 2 / 2.0
+        norms = sizes.tolist()
         for m, image in zip(pres.meridians, images):
+            central_tol = TOL_CENTRAL * math.prod(norms[g] for g, _ in free_reduce(m.word)) / 2.0
             if _meridian_image_central(image, central_tol):
                 flags.append(FLAG_MERIDIAN_ID)
                 notes.append(f"meridian {m.text!r} maps to +/- identity; complex length undefined")

@@ -19,8 +19,8 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ManifestError(path, message)
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
 
 
 def _built(path: str, make, *args):

@@ -260,6 +260,17 @@ class TestRigidity:
         assert f"meridian {word!r} maps to +/- identity; complex length undefined" in rep.notes
         assert rep.verdict == VERDICT_DEFICIENT
 
+    @pytest.mark.parametrize("scale", [1e9, 1e11, 1e15])
+    def test_large_meridian_image_is_not_flagged(self, torus, scale):
+        # a is about scale away from +/-1; the tolerance is TOL_CENTRAL |a| / 2
+        # for the meridian "a", not TOL_CENTRAL |g|^2 / 2 for the largest image g
+        rho, pres, _ = torus
+        images = np.array([np.diag([scale, 1.0 / scale]), rho.raw[1]], dtype=complex)
+        meridians = [("a", 0, pres.meridians[0].cone_angle)]
+        pres_a = Presentation.from_strings(pres.generators, pres.relator_texts, meridians)
+        rep = rigidity_test(Representation(SL2C, images), pres_a)
+        assert FLAG_MERIDIAN_ID not in rep.degenerate_flags
+
     @pytest.mark.parametrize(
         "name, word, unreduced", [("torus.json", "b", "bBb"), ("pants.json", "a", "aAa")]
     )

@@ -131,6 +131,16 @@ REFUSAL_EDITS = [
             ("/holonomy/b", [[[BIG, 0.0], [0.0, 0.0]], [[BIG, 0.0], [1 / BIG, 0.0]]]),
         ],
     ),
+    # an image whose norm and Ad are finite, but the singular values of the stacked
+    # I - Ad blocks overflow
+    (
+        "torus.json",
+        [
+            ("/relators", []),
+            ("/boundary", []),
+            ("/holonomy/b", [[[9.2e153, 0.0], [9.2e153, 0.0]], [[0.0, 0.0], [1 / 9.2e153, 0.0]]]),
+        ],
+    ),
     # a meridian's trace row overflows: its image a^2 and its Fox block near 1e300
     (
         "torus.json",

@@ -259,3 +259,25 @@ def mutated_holonomies(draw):
 @given(doc=mutated_holonomies())
 def test_mutated_holonomy_reads_as_the_reference(doc):
     assert_reads_as_the_reference(doc)
+
+
+# (JSON pointer, numpy scalar, the refusal of that node): a numpy scalar is
+# not a JSON number, whatever Python type it subclasses.
+NUMPY_SCALARS = [
+    ("/holonomy/a/0/0/0", np.float64(1.0324289629116616), "/holonomy/a/0/0", "expected a [re, im] pair"),
+    ("/meridians/0/cone_angle", np.float64(math.pi / 2), "/meridians/0/cone_angle", "expected a number"),
+    ("/singular_graph/edges/0/id", np.int64(0), "/singular_graph/edges/0/id", "expected an integer"),
+    ("/curvature", np.int64(-1), "/curvature", "curvature must be one of (-1, 0, 1), got np.int64(-1)"),
+    ("/curvature", np.float64(-1.0), "/curvature", "curvature must be one of (-1, 0, 1), got np.float64(-1.0)"),
+]
+
+
+@pytest.mark.parametrize("pointer, value, node, message", NUMPY_SCALARS)
+def test_numpy_scalar_is_refused_at_its_node(pointer, value, node, message):
+    doc = fixture_doc("torus.json")
+    _edit(doc, pointer, value)
+    with pytest.raises(ManifestError) as exc:
+        manifest_from_dict(doc)
+    assert (exc.value.pointer, str(exc.value)) == (node, f"{node}: {message}")
+    if pointer.startswith("/holonomy"):
+        assert assert_reads_as_the_reference(doc) == ("refused", node, str(exc.value))

@@ -733,8 +733,16 @@ def _sweep_manifest(rng):
     }
 
 
+def _at_plus_minus_identity(image) -> bool:
+    """Whether the SL2C image, a 2x2 matrix of [re, im] pairs, is +/-1 to 1e-9."""
+    m = np.array(image, dtype=float).view(np.complex128)[..., 0]
+    return min(np.abs(m - s * np.eye(2)).max() for s in (1.0, -1.0)) <= 1e-9
+
+
 def test_generated_manifests_end_in_an_exit_code_without_a_warning(tmp_path):
-    # 400 manifests, 4 commands each; a warning or an exception fails the call
+    # 400 manifests, 4 commands each; a warning or an exception fails the call.
+    # Z^0 is all of sl2(C) exactly when every Ad is the identity, so a
+    # `cohomology` report with dim_Z0_complex 3 needs every image at +/-1.
     rng = np.random.default_rng(2029)
     path = tmp_path / "generated.json"
     codes = set()
@@ -742,15 +750,19 @@ def test_generated_manifests_end_in_an_exit_code_without_a_warning(tmp_path):
         doc = _sweep_manifest(rng)
         path.write_text(json.dumps(doc))
         for command in SWEEP_COMMANDS:
-            err = io.StringIO()
+            out, err = io.StringIO(), io.StringIO()
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = run([*command[:1], str(path), *command[1:]])
             except Exception as exc:
                 pytest.fail(f"{' '.join(command)} raised {exc!r} on {json.dumps(doc)}")
             assert code in (0, 1, 2, 3), (command, doc)
             assert (code >= 2) == err.getvalue().startswith("error: "), (command, err.getvalue(), doc)
+            if command == ("cohomology",) and code == 0:
+                dims = json.loads(out.getvalue())["cohomology"]
+                if dims.get("dim_Z0_complex") == 3:
+                    assert all(map(_at_plus_minus_identity, doc["holonomy"].values())), doc
             codes.add(code)
     assert {0, 1, 2} <= codes
